@@ -160,7 +160,7 @@ func (d *daemon) watchHUP(ctx context.Context, wg *sync.WaitGroup) {
 
 // pollStore re-checks the snapshot store for newer generations on a
 // jittered cadence, picking up generations published by an external
-// updater (or the embedded one) without any signal plumbing. Each delay
+// aggregator (or the embedded one) without any signal plumbing. Each delay
 // is drawn from base ±10% so a fleet of nodes started together (or
 // restarted by the same supervisor) does not stat the shared store in
 // lockstep forever. The seed makes the schedule deterministic for tests

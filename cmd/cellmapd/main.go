@@ -4,13 +4,17 @@
 // The served map can be static (-map FILE, the classic mode) or live: with
 // -snapshots the daemon boots from the snapshot store's CURRENT generation
 // and hot-swaps to newer generations with zero lookup downtime — on SIGHUP,
-// on POST /v1/reload, or by polling the store (-poll, jittered ±10%). With
-// -live-spool it additionally embeds the refresh loop itself, tailing a
-// beacond spool and publishing a new generation every -refresh interval.
-// With -federation-listen it instead aggregates a fleet: a second listener
-// accepts sealed-shard segments shipped by remote beacond collectors
-// (-ship-to on their side), folds them exactly once into a multi-source
-// window, and publishes generations on the same -refresh cadence.
+// on POST /v1/reload, or by polling the store (-poll, jittered ±10%).
+//
+// The daemon can also embed the aggregation plane that publishes those
+// generations: one fold-and-publish core (live.Aggregator) that folds
+// beacons into a sliding window and publishes a new generation every
+// -refresh interval. Exactly one of two input adapters feeds it. With
+// -live-spool the core tails a local beacond spool; with
+// -federation-listen a second listener instead accepts sealed-shard
+// segments shipped by remote beacond collectors (-ship-to on their side)
+// and folds each exactly once. Both write the same checkpoint format into
+// every generation, so a restarted daemon resumes where it left off.
 //
 // The daemon also has two cluster roles. As a shard node it serves only
 // its partition of the keyspace and refuses misrouted addresses; as a
@@ -62,35 +66,36 @@ import (
 func main() {
 	log.SetFlags(log.LstdFlags)
 	log.SetPrefix("cellmapd: ")
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-// run carries the daemon lifecycle and returns the process exit code, so
-// deferred cleanup still executes on failure paths (log.Fatal and os.Exit
-// both skip defers).
-func run() int {
-	mapPath := flag.String("map", "", "static map file from 'cellspot export'")
-	addr := flag.String("addr", ":8781", "listen address")
-	snapDir := flag.String("snapshots", "", "snapshot store directory; boot from CURRENT and hot-swap to new generations")
-	poll := flag.Duration("poll", 10*time.Second, "snapshot store polling interval (0 disables polling)")
-	jitterSeedFlag := flag.Uint64("poll-jitter-seed", 0, "seed for the ±10% poll jitter (0 derives one from host+pid)")
-	liveSpool := flag.String("live-spool", "", "embed the live refresh loop, tailing this beacond spool directory")
-	fedListen := flag.String("federation-listen", "", "accept federated spool segments from remote collectors on this address")
-	livePrefix := flag.String("live-prefix", live.DefaultSpoolPrefix, "spool file prefix tailed by the live refresh loop")
-	refresh := flag.Duration("refresh", live.DefaultInterval, "live refresh interval")
-	windowDays := flag.Int("window-days", live.DefaultWindowDays, "sliding aggregation window in days")
-	threshold := flag.Float64("threshold", classify.DefaultThreshold, "classifier cellular-ratio threshold")
-	keep := flag.Int("keep", live.DefaultKeep, "published generations retained by pruning")
-	worldSeed := flag.Uint64("world-seed", world.DefaultConfig().Seed, "synthetic world seed for live-mode side inputs")
-	worldScale := flag.Float64("world-scale", world.DefaultConfig().Scale, "synthetic world scale for live-mode side inputs")
-	topoPath := flag.String("topology", "", "cluster topology file (JSON), required by -cluster and -gateway")
-	clusterMode := flag.Bool("cluster", false, "serve as a cluster shard node: refuse addresses outside this shard's partition")
-	shardSpec := flag.String("shard", "", "this node's shard identity as i/N (with -cluster)")
-	gatewayMode := flag.Bool("gateway", false, "serve as a cluster gateway: route lookups to shard nodes, no local map")
-	gatewayCache := flag.Int("gateway-cache", 65536, "gateway response cache capacity in addresses (0 disables); invalidated wholesale on generation change")
-	gatewayDegraded := flag.Bool("gateway-degraded", false, "serve partial batch results (marked degraded) when a minority of shards is dark, instead of failing the whole batch")
-	maxInflight := flag.Int("max-inflight", 0, "admission-control bound on concurrently served requests (0 = unbounded): shard lookups shed with 503, federation segments with 429")
-	flag.Parse()
+// run carries the daemon lifecycle for the command-line arguments args and
+// returns the process exit code, so deferred cleanup still executes on
+// failure paths (log.Fatal and os.Exit both skip defers).
+func run(args []string) int {
+	fs := flag.NewFlagSet("cellmapd", flag.ExitOnError)
+	mapPath := fs.String("map", "", "static map file from 'cellspot export'")
+	addr := fs.String("addr", ":8781", "listen address")
+	snapDir := fs.String("snapshots", "", "snapshot store directory; boot from CURRENT and hot-swap to new generations")
+	poll := fs.Duration("poll", 10*time.Second, "snapshot store polling interval (0 disables polling)")
+	jitterSeedFlag := fs.Uint64("poll-jitter-seed", 0, "seed for the ±10% poll jitter (0 derives one from host+pid)")
+	liveSpool := fs.String("live-spool", "", "embed the live refresh loop, tailing this beacond spool directory")
+	fedListen := fs.String("federation-listen", "", "accept federated spool segments from remote collectors on this address")
+	livePrefix := fs.String("live-prefix", live.DefaultSpoolPrefix, "spool file prefix tailed by the live refresh loop")
+	refresh := fs.Duration("refresh", live.DefaultInterval, "live refresh interval")
+	windowDays := fs.Int("window-days", live.DefaultWindowDays, "sliding aggregation window in days")
+	threshold := fs.Float64("threshold", classify.DefaultThreshold, "classifier cellular-ratio threshold")
+	keep := fs.Int("keep", live.DefaultKeep, "published generations retained by pruning")
+	worldSeed := fs.Uint64("world-seed", world.DefaultConfig().Seed, "synthetic world seed for live-mode side inputs")
+	worldScale := fs.Float64("world-scale", world.DefaultConfig().Scale, "synthetic world scale for live-mode side inputs")
+	topoPath := fs.String("topology", "", "cluster topology file (JSON), required by -cluster and -gateway")
+	clusterMode := fs.Bool("cluster", false, "serve as a cluster shard node: refuse addresses outside this shard's partition")
+	shardSpec := fs.String("shard", "", "this node's shard identity as i/N (with -cluster)")
+	gatewayMode := fs.Bool("gateway", false, "serve as a cluster gateway: route lookups to shard nodes, no local map")
+	gatewayCache := fs.Int("gateway-cache", 65536, "gateway response cache capacity in addresses (0 disables); invalidated wholesale on generation change")
+	gatewayDegraded := fs.Bool("gateway-degraded", false, "serve partial batch results (marked degraded) when a minority of shards is dark, instead of failing the whole batch")
+	maxInflight := fs.Int("max-inflight", 0, "admission-control bound on concurrently served requests (0 = unbounded): shard lookups shed with 503, federation segments with 429")
+	fs.Parse(args)
 
 	if *gatewayMode {
 		switch {
@@ -102,6 +107,9 @@ func run() int {
 			return 2
 		case *mapPath != "" || *snapDir != "" || *liveSpool != "":
 			log.Print("-gateway holds no map; drop -map/-snapshots/-live-spool")
+			return 2
+		case *fedListen != "":
+			log.Print("-gateway publishes no generations; drop -federation-listen")
 			return 2
 		}
 		return runGateway(*topoPath, *addr, *gatewayCache, *gatewayDegraded)
@@ -123,7 +131,7 @@ func run() int {
 		return 2
 	}
 	if *fedListen != "" && *liveSpool != "" {
-		log.Print("-federation-listen and -live-spool are mutually exclusive: one updater owns the store")
+		log.Print("-federation-listen and -live-spool are mutually exclusive: one aggregator owns the store")
 		return 2
 	}
 	if *mapPath == "" && *snapDir == "" {
@@ -213,15 +221,15 @@ func run() int {
 		d.pollStore(ctx, &wg, *poll, seed)
 	}
 
-	// Embedded live refresh: tail the beacond spool and publish generations
-	// into the store the poller above is watching.
+	// Aggregation plane, local input: tail the beacond spool and publish
+	// generations into the store the poller above is watching.
 	if *liveSpool != "" {
 		inputs, err := liveInputs(*worldSeed, *worldScale)
 		if err != nil {
 			log.Print(err)
 			return 2
 		}
-		u, err := live.NewUpdater(live.Config{
+		agg, err := live.NewAggregator(live.Config{
 			SpoolDir:    *liveSpool,
 			SpoolPrefix: *livePrefix,
 			WindowDays:  *windowDays,
@@ -240,14 +248,14 @@ func run() int {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			u.Run(ctx)
+			agg.Run(ctx)
 		}()
 	}
 
-	// Federation aggregation: a second listener receives sealed-shard
-	// segments from remote collectors; the receiver folds them exactly
-	// once and publishes generations into the store the poller above is
-	// watching.
+	// Aggregation plane, federated input: a second listener receives
+	// sealed-shard segments from remote collectors; the receiver folds
+	// them exactly once into the same core, which publishes generations
+	// into the store the poller above is watching.
 	if *fedListen != "" {
 		inputs, err := liveInputs(*worldSeed, *worldScale)
 		if err != nil {
@@ -385,7 +393,7 @@ func serve(ctx context.Context, stop context.CancelFunc, addr string, handler ht
 			exit = 1
 		}
 	}
-	stop() // unblock the signal/poll/updater goroutines before wg.Wait
+	stop() // unblock the signal/poll/aggregator goroutines before wg.Wait
 	return exit
 }
 

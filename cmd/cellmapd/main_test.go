@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
@@ -37,7 +38,7 @@ func testMap(t *testing.T, period string, n int) *cellmap.Map {
 }
 
 // publishGen publishes m as the store's next generation, the same way the
-// live updater does.
+// live aggregator does.
 func publishGen(t *testing.T, store *snapshot.Store, m *cellmap.Map) snapshot.Generation {
 	t.Helper()
 	gen, err := store.Publish(func(staging string) error {
@@ -236,5 +237,30 @@ func TestPollJitterDeterministicPerSeed(t *testing.T) {
 	}
 	if slices.Equal(draw(7), draw(8)) {
 		t.Error("different seeds produced identical schedules")
+	}
+}
+
+// TestGatewayRejectsAggregationFlags: a gateway holds no store, so a
+// -federation-listen (or -live-spool) beside -gateway must fail flag
+// validation, naming the flag, instead of being silently dropped. The
+// topology file does not exist, so a run that got past validation would
+// fail on loading it instead.
+func TestGatewayRejectsAggregationFlags(t *testing.T) {
+	topo := filepath.Join(t.TempDir(), "topology.json")
+	var logs strings.Builder
+	log.SetOutput(&logs)
+	defer log.SetOutput(os.Stderr)
+	for _, extra := range [][]string{
+		{"-federation-listen", "127.0.0.1:0"},
+		{"-live-spool", t.TempDir()},
+	} {
+		logs.Reset()
+		args := append([]string{"-gateway", "-topology", topo, "-addr", "127.0.0.1:0"}, extra...)
+		if code := run(args); code != 2 {
+			t.Errorf("run %v = %d, want 2", args, code)
+		}
+		if !strings.Contains(logs.String(), extra[0]) {
+			t.Errorf("run %v logged %q, want a rejection naming %s", args, logs.String(), extra[0])
+		}
 	}
 }

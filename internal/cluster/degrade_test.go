@@ -4,17 +4,21 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"cellspot/internal/cellmap"
+	"cellspot/internal/history"
+	"cellspot/internal/snapshot"
 )
 
 // --- circuit breaker unit behavior ---
@@ -276,108 +280,148 @@ func TestGatewayPropagatesDeadline(t *testing.T) {
 	}
 }
 
-func TestShardRefusesExpiredDeadline(t *testing.T) {
-	f := newTestFleet(t, 1, 1, mkMap(t, "2016-w34", genOneEntries()), 1)
-	url := f.srvs[0][0].URL
-	addr := addrOwnedBy(t, f.ring, 0)
+// shardMounts are the two ways a shard node mounts its serving routes —
+// without and with a history index over a snapshot store. Every
+// degradation guard must hold on both.
+var shardMounts = []struct {
+	name  string
+	mount func(t *testing.T, mux *http.ServeMux, v *ShardView)
+}{
+	{"MountShard", func(_ *testing.T, mux *http.ServeMux, v *ShardView) { MountShard(mux, v) }},
+	{"MountShardHistory", func(t *testing.T, mux *http.ServeMux, v *ShardView) {
+		store, err := snapshot.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := history.New(history.Config{Store: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		MountShardHistory(mux, v, ix)
+	}},
+}
 
-	req, _ := http.NewRequest(http.MethodGet, url+"/v1/lookup?ip="+addr.String(), nil)
-	req.Header.Set(DeadlineHeader, strconv.FormatInt(time.Now().Add(-time.Second).UnixMicro(), 10))
+// newGuardedShard serves a one-shard node through mount, with the given
+// admission-control bound (0 = unbounded).
+func newGuardedShard(t *testing.T, mount func(*testing.T, *http.ServeMux, *ShardView), maxInflight int) (*ShardView, *httptest.Server) {
+	t.Helper()
+	sw := cellmap.NewSwappable(mkMap(t, "2016-w34", genOneEntries()), 1)
+	view, err := NewShardView(sw, NewRing(1, DefaultVNodes), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view.SetMaxInflight(maxInflight)
+	mux := http.NewServeMux()
+	mount(t, mux, view)
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	return view, srv
+}
+
+// shardStatus sends one request and drains the response.
+func shardStatus(t *testing.T, method, url, deadline string, body io.Reader) *http.Response {
+	t.Helper()
+	req, err := http.NewRequest(method, url, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if deadline != "" {
+		req.Header.Set(DeadlineHeader, deadline)
+	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("expired deadline: status %d, want 504", resp.StatusCode)
-	}
+	return resp
+}
 
-	// A live deadline is honored normally.
-	req, _ = http.NewRequest(http.MethodGet, url+"/v1/lookup?ip="+addr.String(), nil)
-	req.Header.Set(DeadlineHeader, strconv.FormatInt(time.Now().Add(time.Minute).UnixMicro(), 10))
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("live deadline: status %d, want 200", resp.StatusCode)
+func TestShardRefusesExpiredDeadline(t *testing.T) {
+	for _, sm := range shardMounts {
+		t.Run(sm.name, func(t *testing.T) {
+			_, srv := newGuardedShard(t, sm.mount, 0)
+			expired := strconv.FormatInt(time.Now().Add(-time.Second).UnixMicro(), 10)
+			routes := []struct{ method, path, body string }{
+				{http.MethodGet, "/v1/lookup?ip=10.0.0.9", ""},
+				{http.MethodPost, "/v1/lookup/batch", `{"ips":["10.0.0.9"]}`},
+			}
+			if sm.name == "MountShardHistory" {
+				routes = append(routes, struct{ method, path, body string }{http.MethodGet, "/v1/history?ip=10.0.0.9", ""})
+			}
+			for _, r := range routes {
+				if resp := shardStatus(t, r.method, srv.URL+r.path, expired, strings.NewReader(r.body)); resp.StatusCode != http.StatusGatewayTimeout {
+					t.Fatalf("%s %s with an expired deadline: status %d, want 504", r.method, r.path, resp.StatusCode)
+				}
+			}
+
+			// A live deadline is honored normally.
+			live := strconv.FormatInt(time.Now().Add(time.Minute).UnixMicro(), 10)
+			if resp := shardStatus(t, http.MethodGet, srv.URL+"/v1/lookup?ip=10.0.0.9", live, nil); resp.StatusCode != http.StatusOK {
+				t.Fatalf("live deadline: status %d, want 200", resp.StatusCode)
+			}
+		})
 	}
 }
 
 // --- admission control on shard nodes ---
 
 func TestShardAdmissionControlSheds(t *testing.T) {
-	sw := cellmap.NewSwappable(mkMap(t, "2016-w34", genOneEntries()), 1)
-	ring := NewRing(1, DefaultVNodes)
-	view, err := NewShardView(sw, ring, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	view.SetMaxInflight(1)
-	mux := http.NewServeMux()
-	MountShard(mux, view)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
+	for _, sm := range shardMounts {
+		t.Run(sm.name, func(t *testing.T) {
+			view, srv := newGuardedShard(t, sm.mount, 1)
 
-	// Hold the only admission slot: a batch POST blocks reading its body
-	// (the slot is taken before the body is consumed).
-	pr, pw := io.Pipe()
-	req, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/lookup/batch", pr)
-	req.Header.Set("Content-Type", "application/json")
-	done := make(chan *http.Response, 1)
-	go func() {
-		resp, err := http.DefaultClient.Do(req)
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-		done <- resp
-	}()
+			// Hold the only admission slot: a batch POST blocks reading
+			// its body (the slot is taken before the body is consumed).
+			// Closing the pipe on every exit path unblocks the server, so
+			// a failure can never hang the test.
+			pr, pw := io.Pipe()
+			defer pw.CloseWithError(errors.New("test finished"))
+			req, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/lookup/batch", pr)
+			req.Header.Set("Content-Type", "application/json")
+			done := make(chan *http.Response, 1)
+			go func() {
+				resp, err := http.DefaultClient.Do(req)
+				if err == nil {
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+				}
+				done <- resp
+			}()
 
-	// The slot is held once the handler is in DecodeBatch; poll until the
-	// second request sheds.
-	var shed *http.Response
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get(srv.URL + "/v1/lookup?ip=10.0.0.9")
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			shed = resp
-			break
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("unexpected status %d while waiting for shed", resp.StatusCode)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("admission control never shed")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if got := shed.Header.Get("Retry-After"); got == "" {
-		t.Fatal("shed response missing Retry-After")
-	}
+			// Pin the slot deterministically: no other request is in
+			// flight, so once the count reaches one the held batch owns
+			// the slot.
+			deadline := time.Now().Add(5 * time.Second)
+			for view.inflight.Load() == 0 {
+				select {
+				case resp := <-done:
+					t.Fatalf("held batch finished before taking the slot: %+v", resp)
+				default:
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("held batch never took the admission slot")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			shed := shardStatus(t, http.MethodGet, srv.URL+"/v1/lookup?ip=10.0.0.9", "", nil)
+			if shed.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("lookup with the slot held: status %d, want 503", shed.StatusCode)
+			}
+			if got := shed.Header.Get("Retry-After"); got == "" {
+				t.Fatal("shed response missing Retry-After")
+			}
 
-	// Release the slot; the node serves again.
-	fmt.Fprint(pw, `{"ips":["10.0.0.9"]}`)
-	pw.Close()
-	if resp := <-done; resp == nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("held batch request: %+v", resp)
-	}
-	resp, err := http.Get(srv.URL + "/v1/lookup?ip=10.0.0.9")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-release lookup: status %d", resp.StatusCode)
+			// Release the slot; the node serves again.
+			fmt.Fprint(pw, `{"ips":["10.0.0.9"]}`)
+			pw.Close()
+			if resp := <-done; resp == nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("held batch request: %+v", resp)
+			}
+			if resp := shardStatus(t, http.MethodGet, srv.URL+"/v1/lookup?ip=10.0.0.9", "", nil); resp.StatusCode != http.StatusOK {
+				t.Fatalf("post-release lookup: status %d", resp.StatusCode)
+			}
+		})
 	}
 }
 

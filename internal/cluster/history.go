@@ -39,9 +39,11 @@ func (v *ShardView) checkOwned(w http.ResponseWriter, addr netip.Addr) bool {
 // Ownership is checked before any generation is loaded, so a misrouted
 // history request cannot pin a generation on the wrong shard. The gen=N
 // answer goes through the same LookupAddr/WriteJSON path as the current
-// one — byte-identical to serving that generation as current.
+// one — byte-identical to serving that generation as current. Lookup,
+// batch and history run behind the same degradation guards as MountShard's
+// (admission control and deadline enforcement).
 func MountShardHistory(r cellmap.Router, v *ShardView, ix *history.Index) {
-	r.HandleFunc("GET /v1/lookup", func(w http.ResponseWriter, req *http.Request) {
+	r.HandleFunc("GET /v1/lookup", v.guard(func(w http.ResponseWriter, req *http.Request) {
 		addr, name, ok := cellmap.ParseLookupAddr(w, req)
 		if !ok {
 			return
@@ -66,8 +68,8 @@ func MountShardHistory(r cellmap.Router, v *ShardView, ix *history.Index) {
 			return
 		}
 		cellmap.WriteJSON(w, cellmap.LookupAddr(m, seq, addr, name))
-	})
-	r.HandleFunc("POST /v1/lookup/batch", func(w http.ResponseWriter, req *http.Request) {
+	}))
+	r.HandleFunc("POST /v1/lookup/batch", v.guard(func(w http.ResponseWriter, req *http.Request) {
 		addrs, names, ok := cellmap.DecodeBatch(w, req, cellmap.DefaultBatchLimit)
 		if !ok {
 			return
@@ -83,8 +85,8 @@ func MountShardHistory(r cellmap.Router, v *ShardView, ix *history.Index) {
 			resp.Results = append(resp.Results, cellmap.LookupAddr(m, gen, a, names[i]))
 		}
 		cellmap.WriteJSON(w, resp)
-	})
-	r.HandleFunc("GET /v1/history", func(w http.ResponseWriter, req *http.Request) {
+	}))
+	r.HandleFunc("GET /v1/history", v.guard(func(w http.ResponseWriter, req *http.Request) {
 		addr, name, ok := cellmap.ParseLookupAddr(w, req)
 		if !ok {
 			return
@@ -98,7 +100,7 @@ func MountShardHistory(r cellmap.Router, v *ShardView, ix *history.Index) {
 			return
 		}
 		cellmap.WriteJSON(w, resp)
-	})
+	}))
 	r.HandleFunc("GET /v1/generations", func(w http.ResponseWriter, _ *http.Request) {
 		cellmap.WriteJSON(w, struct {
 			Generations []history.GenInfo `json:"generations"`

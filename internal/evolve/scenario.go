@@ -192,7 +192,7 @@ type ScenarioRun struct {
 
 // RunScenario simulates the scripted evolution and builds each month's
 // publishable map through the same classify → AS-filter → cellmap.Build
-// chain the live updater uses, so a scenario's generations are
+// chain the live aggregator uses, so a scenario's generations are
 // indistinguishable from organically published ones. The input world is
 // cloned, never mutated.
 func RunScenario(w *world.World, sc *Scenario, cfg Config) (*ScenarioRun, error) {
@@ -278,7 +278,7 @@ func RunScenario(w *world.World, sc *Scenario, cfg Config) (*ScenarioRun, error)
 }
 
 // Publish writes each monthly map into the store as one generation —
-// map file plus metadata sidecar, exactly the layout the live updater
+// map file plus metadata sidecar, exactly the layout the live aggregator
 // publishes — and returns the allocated sequence numbers, ascending. With
 // keep > 0 the store is pruned to that many generations afterwards.
 func (r *ScenarioRun) Publish(store *snapshot.Store, keep int) ([]uint64, error) {

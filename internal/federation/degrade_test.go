@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -239,8 +240,11 @@ func TestReceiverAdmissionControlSheds(t *testing.T) {
 	defer srv.Close()
 
 	// Hold the only slot: the admission gate admits before DecodeSegment
-	// reads the body, so an unfinished body pins the slot.
+	// reads the body, so an unfinished body pins the slot. Closing the pipe
+	// on every exit path unblocks the server, so a failure can never hang
+	// the test.
 	pr, pw := io.Pipe()
+	defer pw.CloseWithError(errors.New("test finished"))
 	held := make(chan *http.Response, 1)
 	go func() {
 		resp, err := http.Post(srv.URL+SegmentsPath, SegmentContentType, pr)
@@ -251,8 +255,6 @@ func TestReceiverAdmissionControlSheds(t *testing.T) {
 		held <- resp
 	}()
 
-	// Poll with probes until one sheds (the held request may not have
-	// reached the handler yet).
 	probe := func() *http.Response {
 		var buf bytes.Buffer
 		m := Manifest{Format: ManifestFormat, Collector: "c2", Shard: "beacon-0000.jsonl", ShardSize: 10}
@@ -267,21 +269,23 @@ func TestReceiverAdmissionControlSheds(t *testing.T) {
 		resp.Body.Close()
 		return resp
 	}
+	// Pin the slot deterministically: no other request is in flight, so
+	// once the count reaches one the held request owns the slot.
 	deadline := time.Now().Add(5 * time.Second)
-	var shed *http.Response
-	for {
-		resp := probe()
-		if resp.StatusCode == http.StatusTooManyRequests {
-			shed = resp
-			break
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("unexpected probe status %d", resp.StatusCode)
+	for recv.inflight.Load() == 0 {
+		select {
+		case resp := <-held:
+			t.Fatalf("held request finished before taking the slot: %+v", resp)
+		default:
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("receiver never shed with the slot held")
+			t.Fatal("held request never took the admission slot")
 		}
 		time.Sleep(time.Millisecond)
+	}
+	shed := probe()
+	if shed.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("probe with the slot held: status %d, want 429", shed.StatusCode)
 	}
 	if shed.Header.Get("Retry-After") == "" {
 		t.Fatal("shed response missing Retry-After")

@@ -3,6 +3,7 @@ package federation
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"cellspot/internal/beacon"
+	"cellspot/internal/history"
 )
 
 // TestFederationE2E is the tentpole proof: three independent collectors
@@ -108,7 +110,7 @@ func TestFederationE2E(t *testing.T) {
 	}
 	p1.srv.Close()
 	p2 := newPlane(t, storeDir)
-	if got := p2.recv.win.Records(); got != published {
+	if got := p2.recv.Status().Records; got != published {
 		t.Fatalf("recovered window = %d records, want the %d published", got, published)
 	}
 	rep, err = mkShipper(0, p2.srv.URL).PollOnce(context.Background())
@@ -146,6 +148,25 @@ func TestFederationE2E(t *testing.T) {
 	}
 	if got, want := currentMapBytes(t, p2.store), offlineMap(t, all); !bytes.Equal(got, want) {
 		t.Fatal("federated map diverges from the single-collector offline build")
+	}
+	// The generation's metadata records the window's day range: the
+	// records span days 17000..17005, so the seven-day window ends at
+	// 17005 and starts six days earlier.
+	cur, _, err := p2.store.Current()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rawMeta, err := os.ReadFile(cur.Path(history.MetaFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta history.GenMeta
+	if err := json.Unmarshal(rawMeta, &meta); err != nil {
+		t.Fatal(err)
+	}
+	fmtDay := func(d int64) string { return time.Unix(d*86400, 0).UTC().Format("2006-01-02") }
+	if meta.DayFirst != fmtDay(16999) || meta.DayLast != fmtDay(17005) {
+		t.Fatalf("meta day range = %q..%q, want %q..%q", meta.DayFirst, meta.DayLast, fmtDay(16999), fmtDay(17005))
 	}
 
 	// The shipped bytes are durable: one more poll per collector observes

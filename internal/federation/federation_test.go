@@ -17,6 +17,7 @@ import (
 
 	"cellspot/internal/beacon"
 	"cellspot/internal/classify"
+	"cellspot/internal/faultline"
 	"cellspot/internal/live"
 	"cellspot/internal/logio"
 	"cellspot/internal/netaddr"
@@ -142,29 +143,40 @@ func postSegment(t testing.TB, target string, m Manifest, payload []byte) (int, 
 	return httpResp.StatusCode, resp
 }
 
-func receiverStatus(t testing.TB, target string) Status {
+func receiverStatus(t testing.TB, target string) live.Status {
 	t.Helper()
 	httpResp, err := http.Get(target + StatusPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer httpResp.Body.Close()
-	var st Status
+	var st live.Status
 	if err := json.NewDecoder(httpResp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
 	return st
 }
 
-// offlineMap folds recs through a single-source Window and the offline
-// build chain — the ground truth a federated build must match exactly.
+// offlineMap is the ground truth a federated build must match exactly:
+// keep the records of the last live.DefaultWindowDays days before the
+// newest one, aggregate them directly and run the offline build chain.
 func offlineMap(t testing.TB, recs []beacon.Record) []byte {
 	t.Helper()
-	win := live.NewWindow(live.DefaultWindowDays)
+	day := func(rec beacon.Record) int64 { return rec.Time.Unix() / 86400 }
+	newest := day(recs[0])
 	for _, rec := range recs {
-		win.Add(rec)
+		newest = max(newest, day(rec))
 	}
-	m, err := live.BuildMap(win.Merged(), classify.DefaultThreshold, win.Period(), testInputs())
+	oldest := newest - live.DefaultWindowDays + 1
+	agg := beacon.NewAggregate()
+	for _, rec := range recs {
+		if day(rec) >= oldest {
+			agg.AddRecord(rec)
+		}
+	}
+	fmtDay := func(d int64) string { return time.Unix(d*86400, 0).UTC().Format("2006-01-02") }
+	period := "live:" + fmtDay(oldest) + ".." + fmtDay(newest)
+	m, err := live.BuildMap(agg, classify.DefaultThreshold, period, testInputs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,13 +298,53 @@ func TestReceiverDedup(t *testing.T) {
 	}
 }
 
-// TestReceiverBackpressure: a draining receiver answers payloads with 429 +
-// Retry-After but keeps answering probes.
+// gateFS stalls the first rename (a publish moving its staged generation
+// into place) until release is closed, holding a Tick mid-drain.
+type gateFS struct {
+	faultline.FS
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gateFS) Rename(oldpath, newpath string) error {
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.release
+	})
+	return g.FS.Rename(oldpath, newpath)
+}
+
+// TestReceiverBackpressure: while a Tick drains the window into a publish,
+// the receiver answers payloads with 429 + Retry-After but keeps answering
+// probes; once the publish lands, folds resume.
 func TestReceiverBackpressure(t *testing.T) {
-	p := newPlane(t, t.TempDir())
-	p.recv.mu.Lock()
-	p.recv.draining = true
-	p.recv.mu.Unlock()
+	gate := &gateFS{FS: faultline.OS(), entered: make(chan struct{}), release: make(chan struct{})}
+	store, err := snapshot.OpenFS(t.TempDir(), gate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recv, err := NewReceiver(ReceiverConfig{Inputs: testInputs(), Store: store, RetryAfter: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	recv.MountRoutes(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	ticked := make(chan error, 1)
+	go func() {
+		_, err := recv.Tick()
+		ticked <- err
+	}()
+	<-gate.entered
+	released := false
+	defer func() {
+		if !released {
+			close(gate.release)
+		}
+	}()
 
 	payload := []byte("{\"ts\":\"2016-07-01T00:00:00Z\",\"ip\":\"10.0.0.1\",\"conn\":\"cellular\"}\n")
 	m := Manifest{
@@ -304,7 +356,7 @@ func TestReceiverBackpressure(t *testing.T) {
 	if err := EncodeSegment(&buf, m, payload); err != nil {
 		t.Fatal(err)
 	}
-	httpResp, err := http.Post(p.srv.URL+SegmentsPath, SegmentContentType, &buf)
+	httpResp, err := http.Post(srv.URL+SegmentsPath, SegmentContentType, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,14 +369,16 @@ func TestReceiverBackpressure(t *testing.T) {
 	}
 	probe := m
 	probe.Length, probe.SHA256 = 0, ""
-	if status, _ := postSegment(t, p.srv.URL, probe, nil); status != 200 {
+	if status, _ := postSegment(t, srv.URL, probe, nil); status != 200 {
 		t.Fatalf("probe during drain answered %d, want 200", status)
 	}
 
-	p.recv.mu.Lock()
-	p.recv.draining = false
-	p.recv.mu.Unlock()
-	if status, _ := postSegment(t, p.srv.URL, m, payload); status != 200 {
+	close(gate.release)
+	released = true
+	if err := <-ticked; err != nil {
+		t.Fatal(err)
+	}
+	if status, _ := postSegment(t, srv.URL, m, payload); status != 200 {
 		t.Fatal("fold after drain failed")
 	}
 }
@@ -537,7 +591,7 @@ func TestReceiverRestartExactlyOnce(t *testing.T) {
 	// Aggregator crash: in-memory acks and window die; the store survives.
 	p1.srv.Close()
 	p2 := newPlane(t, storeDir)
-	if got := p2.recv.win.Records(); got != 500 {
+	if got := p2.recv.Status().Records; got != 500 {
 		t.Fatalf("recovered window has %d records, want the 500 published ones", got)
 	}
 
@@ -561,6 +615,81 @@ func TestReceiverRestartExactlyOnce(t *testing.T) {
 	if got, want := currentMapBytes(t, p2.store), offlineMap(t, recs); !bytes.Equal(got, want) {
 		t.Fatal("federated map after restart diverges from the offline build")
 	}
+}
+
+// TestInputModeSwitchStartsEmpty: a store published through one input
+// adapter and restarted under the other starts from an empty window — the
+// checkpoint's input positions mean nothing to the new input — and the
+// first map it publishes equals a from-scratch build, with no record
+// counted twice.
+func TestInputModeSwitchStartsEmpty(t *testing.T) {
+	recs := genRecords(600, 17000, 5)
+	ctx := context.Background()
+	localAggregator := func(t *testing.T, storeDir, spool string) *live.Aggregator {
+		t.Helper()
+		store, err := snapshot.Open(storeDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		agg, err := live.NewAggregator(live.Config{SpoolDir: spool, Inputs: testInputs(), Store: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return agg
+	}
+
+	t.Run("federation to local spool", func(t *testing.T) {
+		storeDir, spool := t.TempDir(), t.TempDir()
+		writeSpool(t, spool, recs, 100, false)
+		p := newPlane(t, storeDir)
+		if _, err := newShipper(t, spool, "c-1", p.srv.URL, 4096).PollOnce(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.recv.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		p.srv.Close()
+
+		agg := localAggregator(t, storeDir, spool)
+		if got := agg.Status().Records; got != 0 {
+			t.Fatalf("restarted window holds %d records, want 0", got)
+		}
+		res, err := agg.Tick()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Published || res.NewRecords != len(recs) || res.WindowRecords != len(recs) {
+			t.Fatalf("first local tick: %+v, want all %d records read once", res, len(recs))
+		}
+		if !bytes.Equal(currentMapBytes(t, p.store), offlineMap(t, recs)) {
+			t.Fatal("map after the switch diverges from a from-scratch build")
+		}
+	})
+
+	t.Run("local spool to federation", func(t *testing.T) {
+		storeDir, spool := t.TempDir(), t.TempDir()
+		writeSpool(t, spool, recs, 100, false)
+		if res, err := localAggregator(t, storeDir, spool).Tick(); err != nil || !res.Published {
+			t.Fatalf("local tick: %+v err=%v", res, err)
+		}
+
+		p := newPlane(t, storeDir)
+		if got := p.recv.Status().Records; got != 0 {
+			t.Fatalf("restarted window holds %d records, want 0", got)
+		}
+		if _, err := newShipper(t, spool, "c-1", p.srv.URL, 4096).PollOnce(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.recv.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		if got := p.recv.Status().Records; got != len(recs) {
+			t.Fatalf("window holds %d records, want %d", got, len(recs))
+		}
+		if !bytes.Equal(currentMapBytes(t, p.store), offlineMap(t, recs)) {
+			t.Fatal("map after the switch diverges from a from-scratch build")
+		}
+	})
 }
 
 // --- concurrency ------------------------------------------------------

@@ -9,10 +9,10 @@
 // guarantees it never sees a torn shard), slices them into
 // content-addressed segments under a signed-length manifest, and ships
 // them over HTTP with offset checkpoints and bounded retry — resuming
-// after a crash without re-shipping checkpointed bytes. A Receiver mounts
-// in the aggregator (cellmapd's embedded updater): it verifies digests,
-// deduplicates by (collector, shard, offset), folds records exactly once
-// into a collector-keyed live.MultiWindow, and publishes map generations
+// after a crash without re-shipping checkpointed bytes. A Receiver is the
+// aggregator's HTTP input adapter: it verifies digests, deduplicates by
+// (collector, shard, offset), folds records exactly once into the
+// live.Aggregator's collector-keyed window, which publishes map generations
 // whose checkpoint captures both the window state and every source's
 // acked offset atomically — the PR 3 invariant "CURRENT's checkpoint
 // describes exactly the records baked into CURRENT's map", extended

@@ -197,8 +197,8 @@ func TestEquivalenceOffline(t *testing.T) {
 }
 
 // TestEquivalenceLivePath runs the same workload through the live chain:
-// conn logs -> WriteSpool (gzip shards) -> Tailer -> Window, against a
-// Window fed by direct injection. The merged aggregates and classification
+// conn logs -> WriteSpool (gzip shards) -> Tailer -> one-source
+// MultiWindow, against a window fed by direct injection. The merged aggregates and classification
 // must be bit-identical.
 func TestEquivalenceLivePath(t *testing.T) {
 	entries := equivEntries()
@@ -210,9 +210,9 @@ func TestEquivalenceLivePath(t *testing.T) {
 	}
 
 	const days = 14 // workload spans ~10 days
-	tailed := live.NewWindow(days)
+	tailed := live.NewMultiWindow(days)
 	tailer := live.NewTailer(spoolDir, "foreign")
-	n, err := tailer.Poll(func(rec beacon.Record) { tailed.Add(rec) })
+	n, err := tailer.Poll(func(rec beacon.Record) { tailed.Add(live.SpoolSource, rec) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,13 +220,13 @@ func TestEquivalenceLivePath(t *testing.T) {
 		t.Fatalf("tailer read %d records (%d bad), want %d", n, tailer.Bad(), len(entries))
 	}
 
-	direct := live.NewWindow(days)
+	direct := live.NewMultiWindow(days)
 	for i := range entries {
 		rec, err := entries[i].Record()
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct.Add(rec)
+		direct.Add(live.SpoolSource, rec)
 	}
 
 	if tailed.Records() != direct.Records() {

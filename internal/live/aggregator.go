@@ -1,0 +1,403 @@
+package live
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"maps"
+	"os"
+	"path/filepath"
+	"sync"
+	"time"
+
+	"cellspot/internal/beacon"
+	"cellspot/internal/history"
+	"cellspot/internal/obs"
+	"cellspot/internal/snapshot"
+)
+
+// checkpoint is StateFile's on-disk form. Window and Acked keep the layout
+// of existing federation stores, so those restore without migration; Spool
+// is present only when a local spool fed the window.
+type checkpoint struct {
+	Format string           `json:"format"`
+	Window MultiWindowState `json:"window"`
+	// Acked maps an input stream key ("<collector>/<shard>") to its
+	// folded byte offset as of this generation. Keys sort
+	// deterministically in encoding/json.
+	Acked map[string]int64   `json:"acked"`
+	Spool map[string]FilePos `json:"spool,omitempty"`
+}
+
+// Aggregator is the aggregation plane's one fold-and-publish core. Input
+// adapters fold records into its source-keyed MultiWindow — the local
+// spool Tailer on every Tick (with Config.SpoolDir set), the federation
+// receiver through Fold — and Tick drains the window into a generation
+// whose checkpoint binds the window state to the input positions that
+// produced it. Safe for concurrent use.
+type Aggregator struct {
+	cfg  Config
+	tail *Tailer // nil without Config.SpoolDir
+
+	mu        sync.Mutex
+	win       *MultiWindow
+	acked     map[string]int64 // input stream key -> folded offset
+	durable   map[string]int64 // acked as of the last published generation
+	pending   int              // folds since the last publish
+	fresh     int              // records folded since the last publish
+	draining  bool             // a Tick is snapshotting/publishing: refuse folds
+	published bool             // the store holds a generation: idle ticks skip
+	// stale and stragglers already reported to the metric counters.
+	seenStale, seenStragglers int
+
+	mTicks      *obs.Counter
+	mErrors     *obs.Counter
+	mPublish    *obs.Counter
+	mStale      *obs.Counter
+	mStragglers *obs.Counter
+	mTailed     *obs.Counter
+	mResets     *obs.Counter
+	mOversize   *obs.Counter
+	gRecords    *obs.Gauge
+	gBlocks     *obs.Gauge
+	gSources    *obs.Gauge
+	gPending    *obs.Gauge
+	hRefresh    *obs.Histogram
+}
+
+// NewAggregator validates cfg and recovers the window and input positions
+// from the checkpoint of the store's current generation, if any. A current
+// generation without a usable checkpoint — unreadable, from an older
+// format, or written by the other input mode — falls back to an empty
+// window: the spool is re-read once, or shippers re-ship from their
+// durable offsets. Correctness never depends on the checkpoint; it only
+// saves work.
+func NewAggregator(cfg Config) (*Aggregator, error) {
+	if err := cfg.fillDefaults(); err != nil {
+		return nil, err
+	}
+	a := &Aggregator{
+		cfg:     cfg,
+		win:     NewMultiWindow(cfg.WindowDays),
+		acked:   make(map[string]int64),
+		durable: make(map[string]int64),
+	}
+	if cfg.SpoolDir != "" {
+		a.tail = NewTailer(cfg.SpoolDir, cfg.SpoolPrefix)
+	}
+	if reg := cfg.Metrics; reg != nil {
+		a.mTicks = reg.Counter("live_refresh_total", "Refresh ticks attempted.")
+		a.mErrors = reg.Counter("live_refresh_errors_total", "Refresh ticks that failed.")
+		a.mPublish = reg.Counter("live_publish_total", "Map generations published.")
+		a.mStale = reg.Counter("live_stale_records_total", "Records dropped as older than the window.")
+		a.mStragglers = reg.Counter("live_window_stragglers_total", "Records dropped on arrival as already older than the window (late or out-of-order days).")
+		a.gRecords = reg.Gauge("live_window_records", "Records in the current window.")
+		a.gBlocks = reg.Gauge("live_window_blocks", "Distinct blocks in the last published window.")
+		a.gSources = reg.Gauge("live_window_sources", "Sources with records in the current window.")
+		a.gPending = reg.Gauge("live_pending_folds", "Folds awaiting the next publish.")
+		a.hRefresh = reg.Histogram("live_refresh_seconds", "Drain, build and publish latency of one refresh.", nil)
+		if a.tail != nil {
+			a.mTailed = reg.Counter("live_tailed_records_total", "Spool records consumed.")
+			a.mResets = reg.Counter("live_spool_resets_total", "Spool files found truncated or rewritten, forcing a re-read.")
+			a.mOversize = reg.Counter("live_spool_oversize_lines_total", "Spool lines skipped as longer than the line cap.")
+		}
+	}
+	cur, ok, err := cfg.Store.Current()
+	if err != nil {
+		return nil, err
+	}
+	if ok {
+		a.published = true
+		if err := a.recover(cur); err != nil {
+			cfg.Logf("live: checkpoint of %s unusable (%v); starting empty", cur.Name(), err)
+		}
+	}
+	a.observe()
+	return a, nil
+}
+
+// recover restores the window and input positions from a generation's
+// checkpoint, all or nothing.
+func (a *Aggregator) recover(gen snapshot.Generation) error {
+	raw, err := os.ReadFile(gen.Path(StateFile))
+	if err != nil {
+		return err
+	}
+	var ck checkpoint
+	if err := json.Unmarshal(raw, &ck); err != nil {
+		return err
+	}
+	if ck.Format != stateFormat {
+		return fmt.Errorf("unknown checkpoint format %q", ck.Format)
+	}
+	// A spool-fed window restored into a receiver (or the reverse) would
+	// mix records whose input positions the new mode cannot track.
+	if (ck.Spool != nil) != (a.tail != nil) {
+		return errors.New("checkpoint written by the other input mode")
+	}
+	win, err := RestoreMultiWindow(ck.Window, a.cfg.WindowDays)
+	if err != nil {
+		return err
+	}
+	a.win = win
+	for k, v := range ck.Acked {
+		a.acked[k] = v
+		a.durable[k] = v
+	}
+	if a.tail != nil {
+		a.tail.Restore(ck.Spool)
+	}
+	return nil
+}
+
+// Folder is the aggregator as an input adapter sees it inside Fold: under
+// the aggregator's lock, so everything it reads and folds is consistent
+// with what the next Tick snapshots. Valid only during the Fold call.
+type Folder struct{ a *Aggregator }
+
+// Offsets returns the folded offset of an input stream and the part of it
+// the last published checkpoint covers.
+func (f Folder) Offsets(key string) (acked, durable int64) {
+	return f.a.acked[key], f.a.durable[key]
+}
+
+// Busy reports whether a fold must wait: a Tick is draining the window
+// into a publish, or max folds already await one.
+func (f Folder) Busy(max int) bool { return f.a.draining || f.a.pending >= max }
+
+// Add folds one record from source into the window.
+func (f Folder) Add(source string, rec beacon.Record) { f.a.add(source, rec) }
+
+// Commit records that key is folded up to offset: one more fold for the
+// next Tick to publish.
+func (f Folder) Commit(key string, offset int64) {
+	f.a.acked[key] = offset
+	f.a.pending++
+}
+
+// Fold runs fn with the window open for folding. fn runs under the
+// aggregator's lock, so an input adapter's offset checks and the records
+// they admit are atomic with respect to Tick; it must not call back into
+// the Aggregator.
+func (a *Aggregator) Fold(fn func(Folder)) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	fn(Folder{a})
+	a.observe()
+}
+
+func (a *Aggregator) add(source string, rec beacon.Record) {
+	a.win.Add(source, rec)
+	a.fresh++
+}
+
+// observe brings the window metrics up to date. Called with mu held.
+func (a *Aggregator) observe() {
+	a.gRecords.Set(int64(a.win.Records()))
+	a.gSources.Set(int64(a.win.Sources()))
+	a.gPending.Set(int64(a.pending))
+	a.mStale.Add(uint64(a.win.Stale() - a.seenStale))
+	a.mStragglers.Add(uint64(a.win.Stragglers() - a.seenStragglers))
+	a.seenStale, a.seenStragglers = a.win.Stale(), a.win.Stragglers()
+}
+
+// poll folds what the local spool gained since the last tick; a no-op
+// without one. Called with mu held.
+func (a *Aggregator) poll() error {
+	if a.tail == nil {
+		return nil
+	}
+	resets, oversize := a.tail.Resets(), a.tail.Oversize()
+	n, err := a.tail.Poll(func(rec beacon.Record) { a.add(SpoolSource, rec) })
+	a.mTailed.Add(uint64(n))
+	a.mResets.Add(uint64(a.tail.Resets() - resets))
+	a.mOversize.Add(uint64(a.tail.Oversize() - oversize))
+	if n > 0 {
+		a.pending++
+	}
+	return err
+}
+
+// Status is a point-in-time view of the aggregator. The JSON form is the
+// federation receiver's status document.
+type Status struct {
+	Period     string           `json:"period"`
+	Records    int              `json:"records"`
+	Sources    map[string]int   `json:"sources"` // source -> retained records
+	Acked      map[string]int64 `json:"acked"`   // input stream -> folded offset
+	Pending    int              `json:"pending_segments"`
+	Stragglers int              `json:"stragglers"`
+	Published  bool             `json:"published"`
+}
+
+// Status returns the aggregator's current state.
+func (a *Aggregator) Status() Status {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return Status{
+		Period:     a.win.Period(),
+		Records:    a.win.Records(),
+		Sources:    a.win.RecordsBySource(),
+		Acked:      maps.Clone(a.acked),
+		Pending:    a.pending,
+		Stragglers: a.win.Stragglers(),
+		Published:  a.published,
+	}
+}
+
+// Refresh reports what one tick did.
+type Refresh struct {
+	// Published is false when the tick found nothing new and left the
+	// current generation in place.
+	Published bool
+	// Generation is the published generation (zero when !Published).
+	Generation snapshot.Generation
+	// NewRecords is how many records were folded since the previous
+	// publish, stragglers included (0 when !Published).
+	NewRecords int
+	// WindowRecords is the record count of the window after the tick.
+	WindowRecords int
+	// Entries is the published map's prefix count (0 when !Published).
+	Entries int
+}
+
+// Tick polls the local spool (when configured), then drains the window
+// into a new generation: it snapshots the merged aggregate, the window
+// state and the input positions under the lock (with draining set, so no
+// fold can slip between the snapshot and the publish), builds the map, and
+// publishes map, checkpoint and metadata atomically. Once the generation
+// is live, acked offsets become durable. A tick with nothing folded since
+// the last publish publishes nothing — unless the store is still empty, in
+// which case a first (possibly empty) generation goes out so the serving
+// side has something to load.
+func (a *Aggregator) Tick() (Refresh, error) {
+	start := time.Now()
+	a.mTicks.Inc()
+	res, err := a.tick()
+	if err != nil {
+		a.mErrors.Inc()
+		return res, err
+	}
+	if res.Published {
+		a.mPublish.Inc()
+		a.hRefresh.Observe(time.Since(start).Seconds())
+	}
+	return res, nil
+}
+
+func (a *Aggregator) tick() (Refresh, error) {
+	a.mu.Lock()
+	if a.draining {
+		a.mu.Unlock()
+		return Refresh{}, errors.New("live: tick already in progress")
+	}
+	err := a.poll()
+	a.observe()
+	if err != nil || (a.pending == 0 && a.published) {
+		res := Refresh{WindowRecords: a.win.Records()}
+		a.mu.Unlock()
+		return res, err
+	}
+	a.draining = true
+	folds, fresh := a.pending, a.fresh
+	agg := a.win.Merged()
+	period := a.win.Period()
+	meta := history.GenMeta{Threshold: a.cfg.Threshold}
+	meta.DayFirst, meta.DayLast, _ = a.win.DayRange()
+	ck := checkpoint{Format: stateFormat, Window: a.win.State(), Acked: maps.Clone(a.acked)}
+	if a.tail != nil {
+		ck.Spool = a.tail.Positions()
+	}
+	windowRecords := a.win.Records()
+	a.mu.Unlock()
+
+	a.gBlocks.Set(int64(agg.Blocks()))
+	gen, entries, err := a.publish(agg, period, meta, ck)
+
+	a.mu.Lock()
+	a.draining = false
+	if err == nil {
+		a.published = true
+		a.pending -= folds
+		a.fresh -= fresh
+		maps.Copy(a.durable, ck.Acked)
+		a.observe()
+	}
+	a.mu.Unlock()
+	if err != nil {
+		return Refresh{}, err
+	}
+	if _, err := a.cfg.Store.Prune(a.cfg.Keep); err != nil {
+		// Retention is housekeeping; the new generation is already live.
+		a.cfg.Logf("live: prune: %v", err)
+	}
+	return Refresh{
+		Published:     true,
+		Generation:    gen,
+		NewRecords:    fresh,
+		WindowRecords: windowRecords,
+		Entries:       entries,
+	}, nil
+}
+
+// publish builds the map from a drained aggregate and writes map,
+// checkpoint and metadata into one staged generation.
+func (a *Aggregator) publish(agg *beacon.Aggregate, period string, meta history.GenMeta, ck checkpoint) (snapshot.Generation, int, error) {
+	m, err := BuildMap(agg, a.cfg.Threshold, period, a.cfg.Inputs)
+	if err != nil {
+		return snapshot.Generation{}, 0, err
+	}
+	raw, err := json.Marshal(ck)
+	if err != nil {
+		return snapshot.Generation{}, 0, err
+	}
+	gen, err := a.cfg.Store.Publish(func(dir string) error {
+		f, err := os.Create(filepath.Join(dir, MapFile))
+		if err != nil {
+			return err
+		}
+		if err := m.Write(f); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		if err := os.WriteFile(filepath.Join(dir, StateFile), append(raw, '\n'), 0o644); err != nil {
+			return err
+		}
+		meta.BuiltUnix = time.Now().Unix()
+		meta.Entries = m.Len()
+		meta.Period = m.Period
+		meta.RAT = m.HasRAT()
+		return history.WriteMeta(dir, meta)
+	})
+	if err != nil {
+		return snapshot.Generation{}, 0, err
+	}
+	return gen, m.Len(), nil
+}
+
+// Run ticks immediately, then on every interval until ctx is done. Tick
+// errors are logged and counted, not fatal: a transient spool or disk
+// failure must not kill the aggregation plane.
+func (a *Aggregator) Run(ctx context.Context) {
+	t := time.NewTicker(a.cfg.Interval)
+	defer t.Stop()
+	for {
+		res, err := a.Tick()
+		switch {
+		case err != nil:
+			a.cfg.Logf("live: refresh: %v", err)
+		case res.Published:
+			a.cfg.Logf("live: published %s: %d entries from %d window records (+%d new)",
+				res.Generation.Name(), res.Entries, res.WindowRecords, res.NewRecords)
+		}
+		select {
+		case <-ctx.Done():
+			return
+		case <-t.C:
+		}
+	}
+}

@@ -19,7 +19,7 @@ import (
 
 // TestEndToEndLiveServing closes the full loop the subsystem exists for:
 // clients post beacons to a live collector (beacond's ingest path), the
-// updater ticks once and publishes a generation, and a cellmapd-style
+// aggregator ticks once and publishes a generation, and a cellmapd-style
 // serving stack hot-swaps to it — all while lookup traffic hammers the
 // serving mux. Not a single concurrent lookup may fail across the swaps,
 // and after each swap /v1/info and /v1/lookup must answer from the new
@@ -33,7 +33,7 @@ func TestEndToEndLiveServing(t *testing.T) {
 
 	// Ingest side: a live collector spooling to disk, fronted by HTTP.
 	// maxPerFile 400 with posts in multiples of 400 means every shard is
-	// sealed (flushed) by the time the updater polls.
+	// sealed (flushed) by the time the aggregator polls.
 	spoolDir := t.TempDir()
 	sp := logio.NewSpool(spoolDir, DefaultSpoolPrefix, false, 400)
 	col := rum.NewCollector(rum.WithSpool(sp))
@@ -41,9 +41,9 @@ func TestEndToEndLiveServing(t *testing.T) {
 	defer ingest.Close()
 	defer col.Close()
 
-	// Refresh side: the updater publishing into a snapshot store.
+	// Refresh side: the aggregator publishing into a snapshot store.
 	store := mustOpenStore(t)
-	u, err := NewUpdater(Config{SpoolDir: spoolDir, Inputs: inputs, Store: store})
+	u, err := NewAggregator(Config{SpoolDir: spoolDir, Inputs: inputs, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,10 +134,10 @@ func recAt(day int64, ip string, conn string) beacon.Record {
 
 func TestWindowSlidesAndPrunes(t *testing.T) {
 	cell := netinfo.ConnCellular.String()
-	w := NewWindow(3)
-	w.Add(recAt(100, "10.0.0.1", cell))
-	w.Add(recAt(101, "10.0.1.1", cell))
-	w.Add(recAt(102, "10.0.2.1", cell))
+	w := NewMultiWindow(3)
+	w.Add(SpoolSource, recAt(100, "10.0.0.1", cell))
+	w.Add(SpoolSource, recAt(101, "10.0.1.1", cell))
+	w.Add(SpoolSource, recAt(102, "10.0.2.1", cell))
 	if w.Records() != 3 {
 		t.Fatalf("records = %d, want 3", w.Records())
 	}
@@ -145,12 +145,12 @@ func TestWindowSlidesAndPrunes(t *testing.T) {
 		t.Fatalf("period = %q", got)
 	}
 	// Day 104 evicts days 100 and 101.
-	w.Add(recAt(104, "10.0.4.1", cell))
+	w.Add(SpoolSource, recAt(104, "10.0.4.1", cell))
 	if w.Records() != 2 || w.Stale() != 2 {
 		t.Fatalf("after slide: records=%d stale=%d, want 2/2", w.Records(), w.Stale())
 	}
 	// A record older than the window is dropped on arrival.
-	if w.Add(recAt(101, "10.0.1.2", cell)) {
+	if w.Add(SpoolSource, recAt(101, "10.0.1.2", cell)) {
 		t.Fatal("stale record accepted")
 	}
 	agg := w.Merged()
@@ -180,9 +180,9 @@ func TestWindowOrderIndependence(t *testing.T) {
 	perms := [][]int{{0, 1, 2, 3, 4, 5}, {3, 4, 5, 0, 1, 2}, {5, 4, 3, 2, 1, 0}, {2, 0, 3, 1, 5, 4}}
 	var want map[netaddr.Block]beacon.Counts
 	for pi, perm := range perms {
-		w := NewWindow(3)
+		w := NewMultiWindow(3)
 		for _, i := range perm {
-			w.Add(records[i])
+			w.Add(SpoolSource, records[i])
 		}
 		got := make(map[netaddr.Block]beacon.Counts)
 		for b, c := range w.Merged().PerBlock {
@@ -342,10 +342,10 @@ func TestTailerGzipTruncatedThenSealed(t *testing.T) {
 	}
 }
 
-// --- updater ----------------------------------------------------------
+// --- aggregator fed by the local spool ----------------------------------------------------------
 
 // TestLiveOfflineEquivalence replays a spool through the live path (tailer
-// → window → BuildMap via a full Updater publish) and rebuilds offline from
+// → window → BuildMap via a full Aggregator publish) and rebuilds offline from
 // the same records over the same window; the two maps must serialize to
 // identical bytes. Covers plain and gzip spools.
 func TestLiveOfflineEquivalence(t *testing.T) {
@@ -359,7 +359,7 @@ func TestLiveOfflineEquivalence(t *testing.T) {
 			dir := t.TempDir()
 			writeShards(t, dir, 0, fx.Records, 6, gzipped)
 			store := mustOpenStore(t)
-			u, err := NewUpdater(Config{
+			u, err := NewAggregator(Config{
 				SpoolDir: dir,
 				Inputs:   fx.Inputs,
 				Store:    store,
@@ -425,9 +425,9 @@ func TestLiveOfflineEquivalence(t *testing.T) {
 	}
 }
 
-// TestCheckpointRecovery restarts the updater mid-stream: the recovered
-// updater must consume only the new shard and publish the same map a
-// scratch updater over the whole spool does.
+// TestCheckpointRecovery restarts the aggregator mid-stream: the recovered
+// aggregator must consume only the new shard and publish the same map a
+// scratch aggregator over the whole spool does.
 func TestCheckpointRecovery(t *testing.T) {
 	fx := newFixture(t, 40_000)
 	half := len(fx.Records) / 2
@@ -435,7 +435,7 @@ func TestCheckpointRecovery(t *testing.T) {
 	store := mustOpenStore(t)
 
 	writeShards(t, dir, 0, fx.Records[:half], 2, false)
-	u1, err := NewUpdater(Config{SpoolDir: dir, Inputs: fx.Inputs, Store: store})
+	u1, err := NewAggregator(Config{SpoolDir: dir, Inputs: fx.Inputs, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,9 +447,9 @@ func TestCheckpointRecovery(t *testing.T) {
 		t.Fatalf("first tick: %+v", res1)
 	}
 
-	// The collector rotates on; the updater process restarts.
+	// The collector rotates on; the aggregator process restarts.
 	writeShards(t, dir, 2, fx.Records[half:], 2, false)
-	u2, err := NewUpdater(Config{SpoolDir: dir, Inputs: fx.Inputs, Store: store})
+	u2, err := NewAggregator(Config{SpoolDir: dir, Inputs: fx.Inputs, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,15 +464,15 @@ func TestCheckpointRecovery(t *testing.T) {
 		t.Fatalf("generation %d, want %d", res2.Generation.Seq, res1.Generation.Seq+1)
 	}
 	if res2.NewRecords != len(fx.Records)-half {
-		t.Fatalf("recovered updater consumed %d records, want only the %d new ones (no spool re-read)",
+		t.Fatalf("recovered aggregator consumed %d records, want only the %d new ones (no spool re-read)",
 			res2.NewRecords, len(fx.Records)-half)
 	}
 
-	// A scratch updater over the full spool must produce identical bytes.
+	// A scratch aggregator over the full spool must produce identical bytes.
 	scratchDir := t.TempDir()
 	writeShards(t, scratchDir, 0, fx.Records, 4, false)
 	scratchStore := mustOpenStore(t)
-	u3, err := NewUpdater(Config{SpoolDir: scratchDir, Inputs: fx.Inputs, Store: scratchStore})
+	u3, err := NewAggregator(Config{SpoolDir: scratchDir, Inputs: fx.Inputs, Store: scratchStore})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +489,7 @@ func TestCheckpointRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("recovered updater's map differs from a from-scratch build")
+		t.Fatal("recovered aggregator's map differs from a from-scratch build")
 	}
 }
 
@@ -499,7 +499,7 @@ func TestIdleTickDoesNotRepublish(t *testing.T) {
 	dir := t.TempDir()
 	writeShards(t, dir, 0, fx.Records, 2, false)
 	store := mustOpenStore(t)
-	u, err := NewUpdater(Config{SpoolDir: dir, Inputs: fx.Inputs, Store: store})
+	u, err := NewAggregator(Config{SpoolDir: dir, Inputs: fx.Inputs, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +524,7 @@ func TestIdleTickDoesNotRepublish(t *testing.T) {
 // a generation to load even before the first beacon arrives.
 func TestFirstTickOnEmptySpoolPublishesEmptyGeneration(t *testing.T) {
 	store := mustOpenStore(t)
-	u, err := NewUpdater(Config{
+	u, err := NewAggregator(Config{
 		SpoolDir: t.TempDir(),
 		Inputs:   MapInputs{ASOf: func(netaddr.Block) (uint32, bool) { return 0, false }},
 		Store:    store,
@@ -554,8 +554,8 @@ func TestBuildMapAppliesASFilter(t *testing.T) {
 	agg := beacon.NewAggregate()
 	big := netaddr.V4Block(10, 0, 0)
 	small := netaddr.V4Block(10, 1, 0)
-	agg.Add(big, 200, 200, 200)  // AS 100: plenty of hits, fully cellular
-	agg.Add(small, 20, 20, 20)   // AS 200: cellular but under MinHits
+	agg.Add(big, 200, 200, 200) // AS 100: plenty of hits, fully cellular
+	agg.Add(small, 20, 20, 20)  // AS 200: cellular but under MinHits
 	asOf := func(b netaddr.Block) (uint32, bool) {
 		if b == big {
 			return 100, true
@@ -587,7 +587,7 @@ func TestUpdaterMetrics(t *testing.T) {
 	writeShards(t, dir, 0, fx.Records, 2, false)
 	reg := obs.NewRegistry()
 	store := mustOpenStore(t)
-	u, err := NewUpdater(Config{SpoolDir: dir, Inputs: fx.Inputs, Store: store, Metrics: reg})
+	u, err := NewAggregator(Config{SpoolDir: dir, Inputs: fx.Inputs, Store: store, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -613,5 +613,62 @@ func TestUpdaterMetrics(t *testing.T) {
 	}
 	if h := reg.Histogram("live_refresh_seconds", "", nil); h.Count() != 1 {
 		t.Fatalf("live_refresh_seconds count = %d, want 1", h.Count())
+	}
+}
+
+// TestPreAggregatorStoreReReadsSpool: a store whose current generation has
+// no StateFile — last written before the aggregator, with the old
+// checkpoint.json — starts empty and re-reads the spool once, publishing
+// the same map a scratch build does.
+func TestPreAggregatorStoreReReadsSpool(t *testing.T) {
+	cell := netinfo.ConnCellular.String()
+	var recs []beacon.Record
+	for i := 0; i < 40; i++ {
+		recs = append(recs, recAt(int64(200+i%5), fmt.Sprintf("10.0.%d.1", i%8), cell))
+	}
+	dir := t.TempDir()
+	writeShards(t, dir, 0, recs, 2, false)
+	inputs := MapInputs{ASOf: func(netaddr.Block) (uint32, bool) { return 1, true }}
+	build := func(store *snapshot.Store) Refresh {
+		t.Helper()
+		a, err := NewAggregator(Config{SpoolDir: dir, Inputs: inputs, Store: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := a.Tick()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	legacy := mustOpenStore(t)
+	if _, err := legacy.Publish(func(gen string) error {
+		if err := os.WriteFile(filepath.Join(gen, MapFile), nil, 0o644); err != nil {
+			return err
+		}
+		ck := `{"format":"cellspot-live-checkpoint/1","window_days":7,"latest_day":204,"buckets":[],"files":{"beacon-0000.jsonl":{"bytes":999999,"lines":20,"size":999999}}}`
+		return os.WriteFile(filepath.Join(gen, "checkpoint.json"), []byte(ck), 0o644)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	res := build(legacy)
+	if !res.Published || res.NewRecords != len(recs) {
+		t.Fatalf("first tick over a pre-aggregator store: %+v, want all %d records re-read", res, len(recs))
+	}
+	if res.Entries == 0 {
+		t.Fatal("published map is empty; the comparison below would be vacuous")
+	}
+	scratch := build(mustOpenStore(t))
+	got, err := os.ReadFile(res.Generation.Path(MapFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(scratch.Generation.Path(MapFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("map after the upgrade differs from a from-scratch build")
 	}
 }

@@ -3,10 +3,39 @@ package live
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"cellspot/internal/beacon"
 	"cellspot/internal/netaddr"
 )
+
+// DefaultWindowDays matches the paper's seven-day DEMAND smoothing window.
+const DefaultWindowDays = 7
+
+// secondsPerDay converts record timestamps to epoch-day bucket keys.
+const secondsPerDay = 86400
+
+// epochDay returns the UTC day number a timestamp falls in.
+func epochDay(t time.Time) int64 {
+	s := t.Unix()
+	// Floor division, so pre-1970 timestamps (malformed clocks) still
+	// bucket consistently instead of rounding toward zero.
+	d := s / secondsPerDay
+	if s%secondsPerDay < 0 {
+		d--
+	}
+	return d
+}
+
+// formatDay renders an epoch day as "2006-01-02".
+func formatDay(d int64) string {
+	return time.Unix(d*secondsPerDay, 0).UTC().Format("2006-01-02")
+}
+
+type dayBucket struct {
+	agg     *beacon.Aggregate
+	records int
+}
 
 // DayState is one day bucket of a window, serialized for a checkpoint.
 // Blocks are sorted so the bytes are deterministic for a given state.
@@ -29,8 +58,7 @@ type BlockState struct {
 }
 
 // encodeBuckets serializes day buckets in ascending day order with sorted
-// blocks — the deterministic layout both the live checkpoint and the
-// federation checkpoint use.
+// blocks, so the checkpoint bytes are deterministic for a given state.
 func encodeBuckets(buckets map[int64]*dayBucket) []DayState {
 	days := make([]int64, 0, len(buckets))
 	for day := range buckets {
@@ -59,7 +87,9 @@ func encodeBuckets(buckets map[int64]*dayBucket) []DayState {
 	return out
 }
 
-// decodeBuckets rebuilds a bucket map from its serialized form.
+// decodeBuckets rebuilds a bucket map from its serialized form. It rejects
+// negative counts and counts that overflow when merged, so a restored
+// window's record count always equals the sum of its blocks' hits.
 func decodeBuckets(states []DayState) (map[int64]*dayBucket, int, error) {
 	buckets := make(map[int64]*dayBucket, len(states))
 	records := 0
@@ -74,33 +104,60 @@ func decodeBuckets(states []DayState) (map[int64]*dayBucket, int, error) {
 			if err != nil {
 				return nil, 0, fmt.Errorf("bucket day %d: %w", ds.Day, err)
 			}
-			// Hits equals the bucket's record count exactly, because the
-			// live path adds one hit per record.
-			b.agg.AddCounts(blk, beacon.Counts{
+			n := beacon.Counts{
 				Hits: bs.Hits, API: bs.API, Cell: bs.Cell,
 				Cell3G: bs.Cell3G, Cell4G: bs.Cell4G, Cell5G: bs.Cell5G,
-			})
+			}
+			if negative(n) {
+				return nil, 0, fmt.Errorf("bucket day %d block %s: negative count", ds.Day, bs.Block)
+			}
+			b.agg.AddCounts(blk, n)
+			// Hits equals the bucket's record count exactly, because the
+			// live path adds one hit per record.
 			b.records += bs.Hits
 			records += bs.Hits
+			// Sums of non-negative ints wrap negative on overflow.
+			if negative(*b.agg.PerBlock[blk]) || records < 0 {
+				return nil, 0, fmt.Errorf("bucket day %d block %s: count overflow", ds.Day, bs.Block)
+			}
 		}
 	}
 	return buckets, records, nil
 }
 
-// MultiWindow is the federation plane's sliding window: per-day BEACON
-// buckets like Window, but kept per source collector so a fleet's
-// observations stay attributable — per-collector record counts, straggler
-// detection, and a checkpoint that restores each collector's contribution
-// exactly.
+func negative(c beacon.Counts) bool {
+	return c.Hits < 0 || c.API < 0 || c.Cell < 0 || c.Cell3G < 0 || c.Cell4G < 0 || c.Cell5G < 0
+}
+
+// MultiWindow is the aggregation plane's sliding window: per-day BEACON
+// buckets kept per source (a federated collector, or the local spool), so
+// observations stay attributable — per-source record counts, straggler
+// detection, and a checkpoint that restores each source's contribution
+// exactly. Records fold into the bucket of their UTC day.
 //
 // The anchor is global: the newest day observed across ALL sources, and
 // every source's buckets older than anchor-span are pruned. The merged
-// aggregate is therefore bit-identical to folding the same records through
-// one single-source Window — source attribution never perturbs the
-// published map, which is what makes a federated build comparable to a
-// single-collector offline build. A collector lagging more than the window
-// span behind the fleet's newest day sees its records counted as
-// stragglers, exactly as Window does (see Window's retention contract).
+// aggregate therefore depends only on the record multiset, never on
+// arrival order or on how records are split across sources: a record
+// survives into Merged exactly when its day lies within the final window,
+// because late-arriving old records land in buckets that pruning removes
+// wholesale. That is what makes a federated build byte-identical to a
+// single-collector offline build over the same records.
+//
+// Retention contract: with the anchor at day A and a span of D days, the
+// window retains exactly the days (A-D, A]. A record can leave the window
+// two ways, and the window counts them separately:
+//
+//   - pruned: its day was inside the window when it arrived, and a later
+//     record advanced the anchor past it. Normal retention — the record had
+//     its chance to be served.
+//   - straggler: it arrived already older than A-D+1 (a collector lagging
+//     more than the span behind the fleet's newest day, a clock-skewed
+//     device, an out-of-order day in a shipped shard) and was dropped on
+//     arrival, never contributing to any published map.
+//
+// Stale() reports the sum of both; Stragglers() isolates the second, which
+// is the signal a federated deployment watches.
 type MultiWindow struct {
 	days       int
 	latest     int64
@@ -179,7 +236,10 @@ func (m *MultiWindow) prune() {
 // Records returns the number of records in retained buckets, all sources.
 func (m *MultiWindow) Records() int { return m.records }
 
-// RecordsBySource returns per-collector retained record counts.
+// Sources returns how many sources have records in the window.
+func (m *MultiWindow) Sources() int { return len(m.sources) }
+
+// RecordsBySource returns per-source retained record counts.
 func (m *MultiWindow) RecordsBySource() map[string]int {
 	out := make(map[string]int, len(m.sources))
 	for src, buckets := range m.sources {
@@ -197,13 +257,12 @@ func (m *MultiWindow) RecordsBySource() map[string]int {
 func (m *MultiWindow) Stale() int { return m.stale }
 
 // Stragglers returns the number of records dropped on arrival as older
-// than the window (see Window's retention contract).
+// than the window (see the retention contract on MultiWindow).
 func (m *MultiWindow) Stragglers() int { return m.stragglers }
 
 // Merged returns the aggregate over every retained bucket of every source.
 // Counts are integers, so the merge is identical regardless of source,
-// bucket, or arrival order — and identical to a single-source Window fed
-// the same records.
+// bucket, or arrival order.
 func (m *MultiWindow) Merged() *beacon.Aggregate {
 	out := beacon.NewAggregate()
 	for _, buckets := range m.sources {
@@ -214,13 +273,26 @@ func (m *MultiWindow) Merged() *beacon.Aggregate {
 	return out
 }
 
-// Period labels the window for the published map, same scheme as Window.
-func (m *MultiWindow) Period() string {
+// DayRange returns the first and last retained day as "2006-01-02"
+// strings; ok is false on an empty window. Publishers record the span in
+// generation metadata so the history index can show each generation's day
+// window without parsing Period labels.
+func (m *MultiWindow) DayRange() (first, last string, ok bool) {
 	if !m.nonEmpty {
+		return "", "", false
+	}
+	return formatDay(m.oldest()), formatDay(m.latest), true
+}
+
+// Period labels the window for the published map, e.g.
+// "live:2016-12-25..2016-12-31" — the (at most) days-long span ending at
+// the newest day observed. An empty window is labeled "live:empty".
+func (m *MultiWindow) Period() string {
+	first, last, ok := m.DayRange()
+	if !ok {
 		return "live:empty"
 	}
-	w := Window{days: m.days, latest: m.latest, nonEmpty: true}
-	return w.Period()
+	return "live:" + first + ".." + last
 }
 
 // MultiWindowState is a MultiWindow serialized for a checkpoint. Sources
@@ -259,27 +331,38 @@ func (m *MultiWindow) State() MultiWindowState {
 
 // RestoreMultiWindow rebuilds a window from its serialized state. days
 // overrides the span when > 0 (a restart may narrow the window; the
-// restored state is pruned to fit).
+// restored state is pruned to fit). A state that no window could have
+// produced — negative or overflowing counts, a source listed twice,
+// buckets in a window marked empty or newer than its anchor — is an
+// error, never a window whose Records() disagrees with its buckets.
 func RestoreMultiWindow(st MultiWindowState, days int) (*MultiWindow, error) {
 	if days <= 0 {
 		days = st.Days
 	}
 	m := NewMultiWindow(days)
 	for _, ss := range st.Sources {
+		if _, dup := m.sources[ss.Collector]; dup {
+			return nil, fmt.Errorf("live: restore: source %q listed twice", ss.Collector)
+		}
 		buckets, records, err := decodeBuckets(ss.Buckets)
 		if err != nil {
 			return nil, fmt.Errorf("live: restore source %q: %w", ss.Collector, err)
 		}
-		if len(buckets) == 0 {
-			continue
+		for day := range buckets {
+			if !st.NonEmpty || day > st.Latest {
+				return nil, fmt.Errorf("live: restore source %q: day %d outside the window", ss.Collector, day)
+			}
 		}
 		m.sources[ss.Collector] = buckets
 		m.records += records
+		if m.records < 0 {
+			return nil, fmt.Errorf("live: restore: record count overflow")
+		}
 	}
 	if st.NonEmpty {
 		m.latest = st.Latest
 		m.nonEmpty = true
-		m.prune() // the restored span may be narrower than the checkpoint's
 	}
+	m.prune() // the restored span may be narrower than the checkpoint's
 	return m, nil
 }

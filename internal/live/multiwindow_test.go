@@ -2,6 +2,8 @@ package live
 
 import (
 	"encoding/json"
+	"math"
+	"reflect"
 	"testing"
 
 	"cellspot/internal/beacon"
@@ -11,19 +13,18 @@ import (
 )
 
 // TestWindowStragglersVsPruned pins the retention contract's two drop
-// classes apart. Before the fix, the window folded both into one Stale()
-// tally: a record arriving already older than the window (a straggler — an
-// operational signal, something is lagging) was indistinguishable from a
-// record aged out by normal retention (business as usual). This test fails
-// against that behavior.
+// classes apart: a record arriving already older than the window (a
+// straggler — an operational signal, something is lagging) must be
+// distinguishable from a record aged out by normal retention (business as
+// usual).
 func TestWindowStragglersVsPruned(t *testing.T) {
 	cell := netinfo.ConnCellular.String()
-	w := NewWindow(3)
-	w.Add(recAt(100, "10.0.0.1", cell))
-	w.Add(recAt(101, "10.0.1.1", cell))
+	w := NewMultiWindow(3)
+	w.Add(SpoolSource, recAt(100, "10.0.0.1", cell))
+	w.Add(SpoolSource, recAt(101, "10.0.1.1", cell))
 
 	// Day 104 prunes days 100 and 101: retention, not stragglers.
-	w.Add(recAt(104, "10.0.4.1", cell))
+	w.Add(SpoolSource, recAt(104, "10.0.4.1", cell))
 	if w.Stale() != 2 {
 		t.Fatalf("stale after slide = %d, want 2", w.Stale())
 	}
@@ -32,7 +33,7 @@ func TestWindowStragglersVsPruned(t *testing.T) {
 	}
 
 	// A day-101 record now arrives too late: that IS a straggler.
-	if w.Add(recAt(101, "10.0.1.2", cell)) {
+	if w.Add(SpoolSource, recAt(101, "10.0.1.2", cell)) {
 		t.Fatal("stale record accepted")
 	}
 	if w.Stragglers() != 1 {
@@ -55,7 +56,7 @@ func TestUpdaterStragglerMetric(t *testing.T) {
 	}
 	writeShards(t, dir, 0, recs, 1, false)
 	reg := obs.NewRegistry()
-	u, err := NewUpdater(Config{
+	u, err := NewAggregator(Config{
 		SpoolDir: dir,
 		Inputs:   MapInputs{ASOf: func(netaddr.Block) (uint32, bool) { return 1, true }},
 		Store:    mustOpenStore(t),
@@ -75,32 +76,48 @@ func TestUpdaterStragglerMetric(t *testing.T) {
 	}
 }
 
-// TestMultiWindowMatchesSingleSourceWindow: source attribution must never
-// perturb the merged aggregate — folding the same records through a
-// MultiWindow (spread across collectors) and a single Window must yield
-// identical merged counts and the same period label. This is the invariant
-// behind "federated build == single-collector build".
-func TestMultiWindowMatchesSingleSourceWindow(t *testing.T) {
+// offlineWindow is the independent oracle for the window: keep the records
+// of the last days days before the newest one, then aggregate them
+// directly. It returns the aggregate, its record count and its period.
+func offlineWindow(records []beacon.Record, days int) (*beacon.Aggregate, int, string) {
+	var maxDay int64
+	for i, rec := range records {
+		if d := epochDay(rec.Time); i == 0 || d > maxDay {
+			maxDay = d
+		}
+	}
+	agg := beacon.NewAggregate()
+	n := 0
+	for _, rec := range records {
+		if epochDay(rec.Time) > maxDay-int64(days) {
+			agg.AddRecord(rec)
+			n++
+		}
+	}
+	return agg, n, "live:" + formatDay(maxDay-int64(days)+1) + ".." + formatDay(maxDay)
+}
+
+// TestMultiWindowMatchesOfflineAggregate: source attribution must never
+// perturb the merged aggregate — records split over several sources must
+// merge to exactly the offline aggregate of the last seven days, with the
+// same period label. This is the invariant behind "federated build ==
+// single-collector build".
+func TestMultiWindowMatchesOfflineAggregate(t *testing.T) {
 	fx := newFixture(t, 30_000)
-	single := NewWindow(DefaultWindowDays)
 	multi := NewMultiWindow(DefaultWindowDays)
 	sources := []string{"c-a", "c-b", "c-c"}
 	for i, rec := range fx.Records {
-		single.Add(rec)
 		multi.Add(sources[i%len(sources)], rec)
 	}
-	if single.Records() != multi.Records() {
-		t.Fatalf("records: single %d, multi %d", single.Records(), multi.Records())
+	want, n, period := offlineWindow(fx.Records, DefaultWindowDays)
+	if multi.Records() != n {
+		t.Fatalf("records: offline %d, multi %d", n, multi.Records())
 	}
-	if single.Period() != multi.Period() {
-		t.Fatalf("period: single %q, multi %q", single.Period(), multi.Period())
+	if multi.Period() != period {
+		t.Fatalf("period: offline %q, multi %q", period, multi.Period())
 	}
-	if single.Stragglers() != multi.Stragglers() {
-		t.Fatalf("stragglers: single %d, multi %d", single.Stragglers(), multi.Stragglers())
-	}
-	sa, ma := single.Merged(), multi.Merged()
-	if !sa.Equal(ma) {
-		t.Fatal("merged aggregates diverge between single and multi-source windows")
+	if !multi.Merged().Equal(want) {
+		t.Fatal("merged aggregate diverges from the offline aggregate")
 	}
 	per := multi.RecordsBySource()
 	total := 0
@@ -199,4 +216,91 @@ func TestMultiWindowStateRoundTrip(t *testing.T) {
 	if narrow.Days() != 1 {
 		t.Fatalf("narrowed days = %d", narrow.Days())
 	}
+}
+
+// TestRestoreMultiWindowRejectsInconsistentState: a checkpoint no window
+// could have written must fail to restore (the aggregator then starts
+// empty) instead of yielding a window whose Records() disagrees with its
+// buckets.
+func TestRestoreMultiWindowRejectsInconsistentState(t *testing.T) {
+	block := func(hits, cell int) []DayState {
+		return []DayState{{Day: 100, Blocks: []BlockState{{Block: netaddr.FormatIndex(netaddr.V4Block(10, 0, 0)), Hits: hits, API: hits, Cell: cell}}}}
+	}
+	ok := MultiWindowState{Days: 7, Latest: 100, NonEmpty: true, Sources: []SourceState{{Collector: "a", Buckets: block(3, 1)}}}
+	if m, err := RestoreMultiWindow(ok, 0); err != nil || m.Records() != 3 {
+		t.Fatalf("consistent state: records=%v err=%v", m, err)
+	}
+	cases := map[string]MultiWindowState{
+		"negative hits": {Days: 7, Latest: 100, NonEmpty: true, Sources: []SourceState{{Collector: "a", Buckets: block(-3, 0)}}},
+		"negative cell": {Days: 7, Latest: 100, NonEmpty: true, Sources: []SourceState{{Collector: "a", Buckets: block(3, -1)}}},
+		"duplicate source": {Days: 7, Latest: 100, NonEmpty: true, Sources: []SourceState{
+			{Collector: "a", Buckets: block(3, 1)}, {Collector: "a", Buckets: block(2, 1)}}},
+		"buckets in an empty window":   {Days: 7, Sources: []SourceState{{Collector: "a", Buckets: block(3, 1)}}},
+		"bucket newer than the anchor": {Days: 7, Latest: 99, NonEmpty: true, Sources: []SourceState{{Collector: "a", Buckets: block(3, 1)}}},
+		"overflowing hits": {Days: 7, Latest: 100, NonEmpty: true, Sources: []SourceState{
+			{Collector: "a", Buckets: append(block(math.MaxInt, 0), block(1, 0)...)}}},
+	}
+	for name, st := range cases {
+		if _, err := RestoreMultiWindow(st, 0); err == nil {
+			t.Errorf("%s: restored without error", name)
+		}
+	}
+}
+
+// FuzzRestoreMultiWindow: any checkpoint window either fails to restore,
+// or restores to a window whose State re-encodes and restores to the
+// identical State, with Records() equal to the sum of its hits.
+func FuzzRestoreMultiWindow(f *testing.F) {
+	m := NewMultiWindow(3)
+	cell := netinfo.ConnCellular.String()
+	m.Add("a", recAt(100, "10.0.0.1", cell))
+	m.Add("b", recAt(101, "10.0.1.1", ""))
+	m.Add("b", recAt(102, "2001:db8::1", cell))
+	seed, err := json.Marshal(m.State())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte(`{"window_days":7,"latest_day":5,"non_empty":true,"sources":[{"collector":"a","buckets":[{"day":5,"blocks":[{"block":"10.0.0.0/24","hits":-1,"api":0,"cell":0}]}]}]}`))
+	f.Add([]byte(`{"window_days":1,"latest_day":9,"non_empty":true,"sources":[{"collector":"a","buckets":[{"day":1,"blocks":null}]},{"collector":"a","buckets":[]}]}`))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var st MultiWindowState
+		if json.Unmarshal(raw, &st) != nil {
+			return
+		}
+		m, err := RestoreMultiWindow(st, 0)
+		if err != nil {
+			return
+		}
+		st1 := m.State()
+		hits := 0
+		for _, ss := range st1.Sources {
+			for _, ds := range ss.Buckets {
+				for _, bs := range ds.Blocks {
+					hits += bs.Hits
+				}
+			}
+		}
+		if m.Records() != hits {
+			t.Fatalf("Records() = %d, sum of hits = %d", m.Records(), hits)
+		}
+		enc, err := json.Marshal(st1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back MultiWindowState
+		if err := json.Unmarshal(enc, &back); err != nil {
+			t.Fatal(err)
+		}
+		m2, err := RestoreMultiWindow(back, 0)
+		if err != nil {
+			t.Fatalf("re-restoring its own State: %v", err)
+		}
+		if st2 := m2.State(); !reflect.DeepEqual(st1, st2) {
+			t.Fatalf("State changed across a round trip:\n%+v\n%+v", st1, st2)
+		}
+		if m2.Records() != m.Records() {
+			t.Fatalf("Records() changed across a round trip: %d, %d", m.Records(), m2.Records())
+		}
+	})
 }

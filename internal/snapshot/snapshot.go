@@ -1,6 +1,6 @@
 // Package snapshot is a versioned on-disk snapshot store: the publish side
 // of a serving stack that separates index *build* from index *serve*. A
-// builder (the live map updater) writes each new dataset generation into a
+// builder (the live aggregator) writes each new dataset generation into a
 // staging directory, the store renames it into place and flips a CURRENT
 // pointer atomically, and any number of serving processes poll CURRENT and
 // hot-swap when it moves. Old generations are pruned by count.
@@ -10,7 +10,7 @@
 //	CURRENT              — one line, the name of the live generation
 //	gen-00000042/        — one complete, immutable generation
 //	  cellmap.jsonl      —   (caller-defined files)
-//	  checkpoint.json
+//	  federation.json
 //	.tmp-gen-00000043/   — staging for an in-flight publish
 //
 // Crash-recovery invariants:
