@@ -10,6 +10,7 @@
 package aschar
 
 import (
+	"slices"
 	"sort"
 
 	"cellspot/internal/asn"
@@ -64,7 +65,60 @@ type Inputs struct {
 
 // BuildStats aggregates blocks into per-AS statistics.
 func BuildStats(in Inputs) map[uint32]*Stats {
-	stats := make(map[uint32]*Stats)
+	return NewRollup(in.Demand, in.ASOf).Stats(in.Detected, in.Beacon)
+}
+
+// Rollup is the demand side of BuildStats: each AS's block count and
+// total demand over a DEMAND dataset, summed in the dataset's canonical
+// block order. It depends only on the dataset and the block→AS mapping,
+// so a caller that builds stats for a sequence of beacon aggregates over
+// the same inputs pays the walk over every demand block once. The
+// dataset is immutable, which is what makes the rollup safe to keep.
+type Rollup struct {
+	demand *demand.Dataset // nil: no demand-side input
+	asOf   func(netaddr.Block) (uint32, bool)
+	base   []Stats // Blocks and TotalDU per AS with mapped demand
+}
+
+// NewRollup walks the dataset once; d may be nil.
+func NewRollup(d *demand.Dataset, asOf func(netaddr.Block) (uint32, bool)) *Rollup {
+	r := &Rollup{demand: d, asOf: asOf}
+	if d == nil {
+		return r
+	}
+	idx := make(map[uint32]int)
+	d.Each(func(b netaddr.Block, du float64) {
+		a, ok := asOf(b)
+		if !ok {
+			return
+		}
+		i, ok := idx[a]
+		if !ok {
+			i = len(r.base)
+			idx[a] = i
+			r.base = append(r.base, Stats{ASN: a})
+		}
+		r.base[i].Blocks++
+		r.base[i].TotalDU += du
+	})
+	return r
+}
+
+func (r *Rollup) hasDemand(b netaddr.Block) bool {
+	return r.demand != nil && r.demand.Has(b)
+}
+
+// Stats completes the rollup with one beacon aggregate and its detected
+// set, returning exactly what BuildStats returns for the same inputs.
+// Its cost scales with the aggregate and the detected set, not with the
+// dataset: CellDU sums the detected demand blocks in the same canonical
+// order BuildStats's single pass used, so every float is bit-identical.
+func (r *Rollup) Stats(detected netaddr.Set, agg *beacon.Aggregate) map[uint32]*Stats {
+	vals := slices.Clone(r.base)
+	stats := make(map[uint32]*Stats, len(vals))
+	for i := range vals {
+		stats[vals[i].ASN] = &vals[i]
+	}
 	get := func(a uint32) *Stats {
 		s := stats[a]
 		if s == nil {
@@ -73,26 +127,25 @@ func BuildStats(in Inputs) map[uint32]*Stats {
 		}
 		return s
 	}
-	seen := make(netaddr.Set)
-	if in.Demand != nil {
-		in.Demand.Each(func(b netaddr.Block, du float64) {
-			a, ok := in.ASOf(b)
-			if !ok {
-				return
-			}
-			s := get(a)
-			s.Blocks++
-			s.TotalDU += du
-			seen.Add(b)
-			if in.Detected.Has(b) {
-				s.addCellBlock(b)
-				s.CellDU += du
-			}
-		})
+	var cell []netaddr.Block
+	for b := range detected {
+		if r.hasDemand(b) {
+			cell = append(cell, b)
+		}
 	}
-	if in.Beacon != nil {
-		for b, c := range in.Beacon.PerBlock {
-			a, ok := in.ASOf(b)
+	netaddr.SortBlocks(cell)
+	for _, b := range cell {
+		a, ok := r.asOf(b)
+		if !ok {
+			continue
+		}
+		s := get(a)
+		s.addCellBlock(b)
+		s.CellDU += r.demand.DU(b)
+	}
+	if agg != nil {
+		for b, c := range agg.PerBlock {
+			a, ok := r.asOf(b)
 			if !ok {
 				continue
 			}
@@ -100,10 +153,10 @@ func BuildStats(in Inputs) map[uint32]*Stats {
 			s.Hits += c.Hits
 			s.APIHits += c.API
 			s.CellHits += c.Cell
-			if !seen.Has(b) {
+			if !r.hasDemand(b) {
 				// Beacon-only block (no recorded demand).
 				s.Blocks++
-				if in.Detected.Has(b) {
+				if detected.Has(b) {
 					s.addCellBlock(b)
 				}
 			}

@@ -22,6 +22,7 @@ import (
 	"cellspot/internal/federation"
 	"cellspot/internal/live"
 	"cellspot/internal/logio"
+	"cellspot/internal/mapbuild"
 	"cellspot/internal/netaddr"
 	"cellspot/internal/netinfo"
 	"cellspot/internal/snapshot"
@@ -228,7 +229,7 @@ func cleanFoldMap(t *testing.T, collector string, recs []beacon.Record) []byte {
 	for _, rec := range recs {
 		win.Add(collector, rec)
 	}
-	m, err := live.BuildMap(win.Merged(), classify.DefaultThreshold, win.Period(), chaosInputs())
+	m, err := mapbuild.Build(win.Merged(), classify.DefaultThreshold, win.Period(), chaosInputs())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,8 @@ import (
 // TotalDU is the platform-wide Demand Unit total after normalization.
 const TotalDU = 100000.0
 
-// Dataset is the normalized per-block demand rollup.
+// Dataset is the normalized per-block demand rollup. It is immutable
+// once built, so callers may keep values derived from it.
 type Dataset struct {
 	du    map[netaddr.Block]float64
 	keys  []netaddr.Block // canonical iteration order
@@ -66,6 +67,12 @@ func NewDataset(raw map[netaddr.Block]float64) (*Dataset, error) {
 
 // DU returns the block's demand units (0 when unobserved).
 func (d *Dataset) DU(b netaddr.Block) float64 { return d.du[b] }
+
+// Has reports whether the block has recorded demand.
+func (d *Dataset) Has(b netaddr.Block) bool {
+	_, ok := d.du[b]
+	return ok
+}
 
 // Total returns the dataset's DU total (TotalDU, modulo floating point,
 // unless the dataset is empty).

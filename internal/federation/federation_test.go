@@ -20,6 +20,7 @@ import (
 	"cellspot/internal/faultline"
 	"cellspot/internal/live"
 	"cellspot/internal/logio"
+	"cellspot/internal/mapbuild"
 	"cellspot/internal/netaddr"
 	"cellspot/internal/netinfo"
 	"cellspot/internal/obs"
@@ -176,7 +177,7 @@ func offlineMap(t testing.TB, recs []beacon.Record) []byte {
 	}
 	fmtDay := func(d int64) string { return time.Unix(d*86400, 0).UTC().Format("2006-01-02") }
 	period := "live:" + fmtDay(oldest) + ".." + fmtDay(newest)
-	m, err := live.BuildMap(agg, classify.DefaultThreshold, period, testInputs())
+	m, err := mapbuild.Build(agg, classify.DefaultThreshold, period, testInputs())
 	if err != nil {
 		t.Fatal(err)
 	}

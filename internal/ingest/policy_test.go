@@ -23,9 +23,9 @@ func TestPolicyAdmit(t *testing.T) {
 		addr string
 		want bool
 	}{
-		{"10.1.2.3", true},    // always-include overrides never-include
-		{"10.2.2.3", false},   // never-include
-		{"192.0.2.1", true},   // matches nothing: admitted
+		{"10.1.2.3", true},  // always-include overrides never-include
+		{"10.2.2.3", false}, // never-include
+		{"192.0.2.1", true}, // matches nothing: admitted
 		{"2001:db8::1", false},
 		{"2001:db9::1", true},
 		{"::ffff:10.2.2.3", false}, // 4-in-6 mapped address unmaps first

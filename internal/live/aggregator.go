@@ -8,18 +8,22 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"sync"
 	"time"
 
 	"cellspot/internal/beacon"
 	"cellspot/internal/history"
+	"cellspot/internal/mapbuild"
 	"cellspot/internal/obs"
 	"cellspot/internal/snapshot"
 )
 
 // checkpoint is StateFile's on-disk form. Window and Acked keep the layout
 // of existing federation stores, so those restore without migration; Spool
-// is present only when a local spool fed the window.
+// is present only when a local spool fed the window. recover decodes it;
+// encodeCheckpoint writes the same bytes json.Marshal would.
 type checkpoint struct {
 	Format string           `json:"format"`
 	Window MultiWindowState `json:"window"`
@@ -37,8 +41,9 @@ type checkpoint struct {
 // whose checkpoint binds the window state to the input positions that
 // produced it. Safe for concurrent use.
 type Aggregator struct {
-	cfg  Config
-	tail *Tailer // nil without Config.SpoolDir
+	cfg   Config
+	build *mapbuild.Builder
+	tail  *Tailer // nil without Config.SpoolDir
 
 	mu        sync.Mutex
 	win       *MultiWindow
@@ -64,6 +69,8 @@ type Aggregator struct {
 	gSources    *obs.Gauge
 	gPending    *obs.Gauge
 	hRefresh    *obs.Histogram
+	// live_refresh_stage_seconds, one histogram per stage.
+	hMerge, hBuild, hCheckpoint, hWrite *obs.Histogram
 }
 
 // NewAggregator validates cfg and recovers the window and input positions
@@ -77,8 +84,13 @@ func NewAggregator(cfg Config) (*Aggregator, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
+	build, err := mapbuild.New(cfg.Threshold, cfg.Inputs)
+	if err != nil {
+		return nil, fmt.Errorf("live: %w", err)
+	}
 	a := &Aggregator{
 		cfg:     cfg,
+		build:   build,
 		win:     NewMultiWindow(cfg.WindowDays),
 		acked:   make(map[string]int64),
 		durable: make(map[string]int64),
@@ -97,6 +109,10 @@ func NewAggregator(cfg Config) (*Aggregator, error) {
 		a.gSources = reg.Gauge("live_window_sources", "Sources with records in the current window.")
 		a.gPending = reg.Gauge("live_pending_folds", "Folds awaiting the next publish.")
 		a.hRefresh = reg.Histogram("live_refresh_seconds", "Drain, build and publish latency of one refresh.", nil)
+		stage := func(name string) *obs.Histogram {
+			return reg.Histogram("live_refresh_stage_seconds", "Latency of one stage of a refresh.", nil, obs.L("stage", name))
+		}
+		a.hMerge, a.hBuild, a.hCheckpoint, a.hWrite = stage("merge"), stage("build"), stage("checkpoint"), stage("publish")
 		if a.tail != nil {
 			a.mTailed = reg.Counter("live_tailed_records_total", "Spool records consumed.")
 			a.mResets = reg.Counter("live_spool_resets_total", "Spool files found truncated or rewritten, forcing a re-read.")
@@ -301,19 +317,24 @@ func (a *Aggregator) tick() (Refresh, error) {
 	}
 	a.draining = true
 	folds, fresh := a.pending, a.fresh
+	t := time.Now()
 	agg := a.win.Merged()
+	a.hMerge.Observe(time.Since(t).Seconds())
 	period := a.win.Period()
 	meta := history.GenMeta{Threshold: a.cfg.Threshold}
 	meta.DayFirst, meta.DayLast, _ = a.win.DayRange()
-	ck := checkpoint{Format: stateFormat, Window: a.win.State(), Acked: maps.Clone(a.acked)}
+	acked := maps.Clone(a.acked)
+	var spool map[string]FilePos
 	if a.tail != nil {
-		ck.Spool = a.tail.Positions()
+		spool = a.tail.Positions()
 	}
+	t = time.Now()
+	state := a.encodeCheckpoint(acked, spool)
+	a.hCheckpoint.Observe(time.Since(t).Seconds())
 	windowRecords := a.win.Records()
 	a.mu.Unlock()
 
-	a.gBlocks.Set(int64(agg.Blocks()))
-	gen, entries, err := a.publish(agg, period, meta, ck)
+	gen, entries, err := a.publish(agg, period, meta, state)
 
 	a.mu.Lock()
 	a.draining = false
@@ -321,7 +342,8 @@ func (a *Aggregator) tick() (Refresh, error) {
 		a.published = true
 		a.pending -= folds
 		a.fresh -= fresh
-		maps.Copy(a.durable, ck.Acked)
+		maps.Copy(a.durable, acked)
+		a.gBlocks.Set(int64(agg.Blocks()))
 		a.observe()
 	}
 	a.mu.Unlock()
@@ -341,17 +363,63 @@ func (a *Aggregator) tick() (Refresh, error) {
 	}, nil
 }
 
+// encodeCheckpoint returns StateFile's contents for the window and the
+// given input positions: byte for byte json.Marshal(checkpoint{...}) plus
+// a newline, written in one pass. Called with mu held.
+func (a *Aggregator) encodeCheckpoint(acked map[string]int64, spool map[string]FilePos) []byte {
+	dst := []byte(`{"format":`)
+	dst = appendJSONString(dst, stateFormat)
+	dst = append(dst, `,"window":`...)
+	dst = a.win.appendState(dst)
+	dst = append(dst, `,"acked":`...)
+	dst = appendJSONObject(dst, acked, func(dst []byte, off int64) []byte {
+		return strconv.AppendInt(dst, off, 10)
+	})
+	if len(spool) > 0 { // omitempty
+		dst = append(dst, `,"spool":`...)
+		dst = appendJSONObject(dst, spool, appendFilePos)
+	}
+	return append(dst, "}\n"...)
+}
+
+// appendJSONObject appends m as encoding/json writes a map: keys sorted,
+// nil as null.
+func appendJSONObject[V any](dst []byte, m map[string]V, value func([]byte, V) []byte) []byte {
+	if m == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '{')
+	for i, k := range slices.Sorted(maps.Keys(m)) {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendJSONString(dst, k)
+		dst = append(dst, ':')
+		dst = value(dst, m[k])
+	}
+	return append(dst, '}')
+}
+
+func appendFilePos(dst []byte, p FilePos) []byte {
+	dst = append(dst, '{')
+	if p.Bytes != 0 { // omitempty
+		dst = append(appendIntField(dst, `"bytes":`, p.Bytes), ',')
+	}
+	dst = appendIntField(dst, `"lines":`, int64(p.Lines))
+	dst = appendIntField(dst, `,"size":`, p.Size)
+	return append(dst, '}')
+}
+
 // publish builds the map from a drained aggregate and writes map,
 // checkpoint and metadata into one staged generation.
-func (a *Aggregator) publish(agg *beacon.Aggregate, period string, meta history.GenMeta, ck checkpoint) (snapshot.Generation, int, error) {
-	m, err := BuildMap(agg, a.cfg.Threshold, period, a.cfg.Inputs)
+func (a *Aggregator) publish(agg *beacon.Aggregate, period string, meta history.GenMeta, state []byte) (snapshot.Generation, int, error) {
+	t := time.Now()
+	m, err := a.build.Build(agg, period)
+	a.hBuild.Observe(time.Since(t).Seconds())
 	if err != nil {
 		return snapshot.Generation{}, 0, err
 	}
-	raw, err := json.Marshal(ck)
-	if err != nil {
-		return snapshot.Generation{}, 0, err
-	}
+	t = time.Now()
 	gen, err := a.cfg.Store.Publish(func(dir string) error {
 		f, err := os.Create(filepath.Join(dir, MapFile))
 		if err != nil {
@@ -364,7 +432,7 @@ func (a *Aggregator) publish(agg *beacon.Aggregate, period string, meta history.
 		if err := f.Close(); err != nil {
 			return err
 		}
-		if err := os.WriteFile(filepath.Join(dir, StateFile), append(raw, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, StateFile), state, 0o644); err != nil {
 			return err
 		}
 		meta.BuiltUnix = time.Now().Unix()
@@ -373,6 +441,7 @@ func (a *Aggregator) publish(agg *beacon.Aggregate, period string, meta history.
 		meta.RAT = m.HasRAT()
 		return history.WriteMeta(dir, meta)
 	})
+	a.hWrite.Observe(time.Since(t).Seconds())
 	if err != nil {
 		return snapshot.Generation{}, 0, err
 	}

@@ -22,7 +22,6 @@ import (
 	"os"
 	"time"
 
-	"cellspot/internal/beacon"
 	"cellspot/internal/cellmap"
 	"cellspot/internal/classify"
 	"cellspot/internal/mapbuild"
@@ -58,15 +57,6 @@ const (
 // the live machinery.
 type MapInputs = mapbuild.Inputs
 
-// BuildMap runs the classify → AS-filter → cellmap.Build chain over a
-// beacon aggregate: exactly the offline export path, factored out so the
-// live aggregator and batch builds produce bit-identical maps from identical
-// aggregates. Detected blocks whose AS fails the filter are dropped before
-// the map is built, mirroring the paper's AS-level exclusion rules.
-func BuildMap(agg *beacon.Aggregate, threshold float64, period string, in MapInputs) (*cellmap.Map, error) {
-	return mapbuild.Build(agg, threshold, period, in)
-}
-
 // Config parameterizes an Aggregator.
 type Config struct {
 	// SpoolDir, when set, is a beacond spool directory that every Tick
@@ -96,6 +86,10 @@ type Config struct {
 	//	live_refresh_errors_total   ticks that failed
 	//	live_publish_total          generations published
 	//	live_refresh_seconds        drain→build→publish latency histogram
+	//	live_refresh_stage_seconds{stage}  latency of one refresh stage:
+	//	                            merge (window→aggregate), checkpoint
+	//	                            (window state encode), build (classify→
+	//	                            AS filter→map), publish (generation write)
 	//	live_stale_records_total    records dropped as older than the window
 	//	live_window_stragglers_total  records dropped on arrival as already
 	//	                            older than the window (late/out-of-order

@@ -2,16 +2,20 @@ package live
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net/netip"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"cellspot/internal/aschar"
 	"cellspot/internal/beacon"
+	"cellspot/internal/faultline"
 	"cellspot/internal/logio"
+	"cellspot/internal/mapbuild"
 	"cellspot/internal/netaddr"
 	"cellspot/internal/netinfo"
 	"cellspot/internal/obs"
@@ -406,7 +410,7 @@ func TestLiveOfflineEquivalence(t *testing.T) {
 				return time.Unix(d*secondsPerDay, 0).UTC().Format("2006-01-02")
 			}
 			period := fmt.Sprintf("live:%s..%s", day(maxDay-DefaultWindowDays+1), day(maxDay))
-			m, err := BuildMap(agg, u.cfg.Threshold, period, fx.Inputs)
+			m, err := mapbuild.Build(agg, u.cfg.Threshold, period, fx.Inputs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -562,7 +566,7 @@ func TestBuildMapAppliesASFilter(t *testing.T) {
 		}
 		return 200, true
 	}
-	m, err := BuildMap(agg, 0.5, "test", MapInputs{
+	m, err := mapbuild.Build(agg, 0.5, "test", mapbuild.Inputs{
 		Rules: aschar.Rules{MinHits: 100},
 		ASOf:  asOf,
 	})
@@ -613,6 +617,78 @@ func TestUpdaterMetrics(t *testing.T) {
 	}
 	if h := reg.Histogram("live_refresh_seconds", "", nil); h.Count() != 1 {
 		t.Fatalf("live_refresh_seconds count = %d, want 1", h.Count())
+	}
+	for _, stage := range []string{"merge", "build", "checkpoint", "publish"} {
+		if h := reg.Histogram("live_refresh_stage_seconds", "", nil, obs.L("stage", stage)); h.Count() != 1 {
+			t.Fatalf("live_refresh_stage_seconds{stage=%q} count = %d, want 1", stage, h.Count())
+		}
+	}
+}
+
+// failRenames fails every rename while on: a generation can be staged but
+// never goes live.
+type failRenames struct{ on atomic.Bool }
+
+func (f *failRenames) Decide(op faultline.Op) faultline.Decision {
+	if f.on.Load() && op.Kind == "rename" {
+		return faultline.Decision{Err: faultline.ErrInjected}
+	}
+	return faultline.Decision{}
+}
+
+// TestWindowBlocksGaugeTracksPublishedWindow: live_window_blocks describes
+// the last published window, so a tick whose publish fails leaves it at
+// the previous generation's value.
+func TestWindowBlocksGaugeTracksPublishedWindow(t *testing.T) {
+	dir := t.TempDir()
+	inj := &failRenames{}
+	store, err := snapshot.OpenFS(dir, faultline.NewFaultFS(faultline.OS(), inj, dir, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	a, err := NewAggregator(Config{
+		Inputs:  MapInputs{ASOf: func(netaddr.Block) (uint32, bool) { return 1, true }},
+		Store:   store,
+		Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fold := func(offset int64, ips ...string) {
+		a.Fold(func(f Folder) {
+			for _, ip := range ips {
+				f.Add("c1", recAt(100, ip, netinfo.ConnCellular.String()))
+			}
+			f.Commit("c1/0", offset)
+		})
+	}
+	gauge := reg.Gauge("live_window_blocks", "")
+
+	fold(1, "10.0.0.1", "10.0.1.1")
+	if _, err := a.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	if v := gauge.Value(); v != 2 {
+		t.Fatalf("live_window_blocks = %d after the first publish, want 2", v)
+	}
+
+	fold(2, "10.0.2.1", "10.0.3.1", "10.0.4.1")
+	inj.on.Store(true)
+	if _, err := a.Tick(); !errors.Is(err, faultline.ErrInjected) {
+		t.Fatalf("tick with failing renames: err = %v, want an injected fault", err)
+	}
+	if v := gauge.Value(); v != 2 {
+		t.Fatalf("live_window_blocks = %d after a failed publish, want the published 2", v)
+	}
+
+	inj.on.Store(false)
+	res, err := a.Tick()
+	if err != nil || !res.Published {
+		t.Fatalf("retry: published=%v err=%v", res.Published, err)
+	}
+	if v := gauge.Value(); v != 5 {
+		t.Fatalf("live_window_blocks = %d after the retry, want 5", v)
 	}
 }
 

@@ -1,8 +1,12 @@
 package live
 
 import (
+	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"strconv"
 	"time"
 
 	"cellspot/internal/beacon"
@@ -327,6 +331,102 @@ func (m *MultiWindow) State() MultiWindowState {
 		})
 	}
 	return st
+}
+
+// appendState appends the JSON form of State to dst: byte for byte what
+// json.Marshal(m.State()) gives, written in one pass straight from the
+// buckets instead of through the intermediate []BlockState and the
+// reflective encoder. A refresh encodes every retained bucket, so this is
+// on the freshness path.
+func (m *MultiWindow) appendState(dst []byte) []byte {
+	dst = append(dst, `{"window_days":`...)
+	dst = strconv.AppendInt(dst, int64(m.days), 10)
+	dst = append(dst, `,"latest_day":`...)
+	dst = strconv.AppendInt(dst, m.latest, 10)
+	dst = append(dst, `,"non_empty":`...)
+	dst = strconv.AppendBool(dst, m.nonEmpty)
+	dst = append(dst, `,"sources":`...)
+	if len(m.sources) == 0 {
+		return append(dst, "null}"...)
+	}
+	type blockCounts struct {
+		blk netaddr.Block
+		c   *beacon.Counts
+	}
+	var blocks []blockCounts
+	dst = append(dst, '[')
+	for i, src := range slices.Sorted(maps.Keys(m.sources)) {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"collector":`...)
+		dst = appendJSONString(dst, src)
+		dst = append(dst, `,"buckets":[`...)
+		buckets := m.sources[src]
+		for j, day := range slices.Sorted(maps.Keys(buckets)) {
+			if j > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"day":`...)
+			dst = strconv.AppendInt(dst, day, 10)
+			dst = append(dst, `,"blocks":`...)
+			per := buckets[day].agg.PerBlock
+			if len(per) == 0 {
+				dst = append(dst, "null}"...)
+				continue
+			}
+			blocks = blocks[:0]
+			for blk, c := range per {
+				blocks = append(blocks, blockCounts{blk, c})
+			}
+			slices.SortFunc(blocks, func(x, y blockCounts) int { return x.blk.Compare(y.blk) })
+			dst = append(dst, '[')
+			for k, bc := range blocks {
+				if k > 0 {
+					dst = append(dst, ',')
+				}
+				dst = appendBlockState(dst, bc.blk, bc.c)
+			}
+			dst = append(dst, "]}"...)
+		}
+		dst = append(dst, "]}"...)
+	}
+	return append(dst, "]}"...)
+}
+
+// appendBlockState appends one block's BlockState as encoding/json
+// writes it: the block as its netaddr.FormatIndex token, zero per-RAT
+// counts omitted.
+func appendBlockState(dst []byte, blk netaddr.Block, c *beacon.Counts) []byte {
+	dst = append(dst, `{"block":"`...)
+	dst = append(dst, blk.Fam.String()...)
+	dst = append(dst, '-')
+	dst = strconv.AppendUint(dst, blk.Key, 16)
+	dst = appendIntField(dst, `","hits":`, int64(c.Hits))
+	dst = appendIntField(dst, `,"api":`, int64(c.API))
+	dst = appendIntField(dst, `,"cell":`, int64(c.Cell))
+	if c.Cell3G != 0 {
+		dst = appendIntField(dst, `,"cell_3g":`, int64(c.Cell3G))
+	}
+	if c.Cell4G != 0 {
+		dst = appendIntField(dst, `,"cell_4g":`, int64(c.Cell4G))
+	}
+	if c.Cell5G != 0 {
+		dst = appendIntField(dst, `,"cell_5g":`, int64(c.Cell5G))
+	}
+	return append(dst, '}')
+}
+
+func appendIntField(dst []byte, key string, n int64) []byte {
+	return strconv.AppendInt(append(dst, key...), n, 10)
+}
+
+// appendJSONString appends s as encoding/json quotes it (HTML-escaped,
+// invalid UTF-8 replaced). Only names go through it — collectors, input
+// stream keys, spool files — so the reflective encoder's cost is noise.
+func appendJSONString(dst []byte, s string) []byte {
+	q, _ := json.Marshal(s) // a string always encodes
+	return append(dst, q...)
 }
 
 // RestoreMultiWindow rebuilds a window from its serialized state. days

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -249,7 +250,8 @@ func TestRestoreMultiWindowRejectsInconsistentState(t *testing.T) {
 
 // FuzzRestoreMultiWindow: any checkpoint window either fails to restore,
 // or restores to a window whose State re-encodes and restores to the
-// identical State, with Records() equal to the sum of its hits.
+// identical State, with Records() equal to the sum of its hits, and whose
+// one-pass encoding is byte for byte json.Marshal(State()).
 func FuzzRestoreMultiWindow(f *testing.F) {
 	m := NewMultiWindow(3)
 	cell := netinfo.ConnCellular.String()
@@ -263,6 +265,8 @@ func FuzzRestoreMultiWindow(f *testing.F) {
 	f.Add(seed)
 	f.Add([]byte(`{"window_days":7,"latest_day":5,"non_empty":true,"sources":[{"collector":"a","buckets":[{"day":5,"blocks":[{"block":"10.0.0.0/24","hits":-1,"api":0,"cell":0}]}]}]}`))
 	f.Add([]byte(`{"window_days":1,"latest_day":9,"non_empty":true,"sources":[{"collector":"a","buckets":[{"day":1,"blocks":null}]},{"collector":"a","buckets":[]}]}`))
+	f.Add([]byte(`{"window_days":7,"latest_day":9,"non_empty":true,"sources":[{"collector":"a","buckets":[{"day":9,"blocks":null},{"day":8,"blocks":[]}]}]}`))
+	f.Add([]byte(`{"window_days":2,"latest_day":9,"non_empty":true,"sources":[{"collector":"<&>\"","buckets":[{"day":9,"blocks":[{"block":"v6-20010db80000","hits":3,"api":2,"cell":2,"cell_4g":1}]}]}]}`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var st MultiWindowState
 		if json.Unmarshal(raw, &st) != nil {
@@ -288,6 +292,9 @@ func FuzzRestoreMultiWindow(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if got := m.appendState(nil); !bytes.Equal(got, enc) {
+			t.Fatalf("one-pass encoding differs from json.Marshal(State()):\n got %s\nwant %s", got, enc)
+		}
 		var back MultiWindowState
 		if err := json.Unmarshal(enc, &back); err != nil {
 			t.Fatal(err)
@@ -303,4 +310,46 @@ func FuzzRestoreMultiWindow(f *testing.F) {
 			t.Fatalf("Records() changed across a round trip: %d, %d", m.Records(), m2.Records())
 		}
 	})
+}
+
+// TestCheckpointEncodingMatchesJSON: the checkpoint a tick writes is byte
+// for byte json.Marshal of the checkpoint struct recover decodes — names
+// that need escaping, per-RAT counts, nil and empty position maps, and an
+// empty window included.
+func TestCheckpointEncodingMatchesJSON(t *testing.T) {
+	names := []string{"", "eu-1", `<&>"`, "tab\there", "line\u2028sep", "bad\xffutf8", "ünï", "\x01ctl"}
+	rats := []string{"", "3g", "4g", "5g"}
+	fx := newFixture(t, 5_000)
+	full := NewMultiWindow(DefaultWindowDays)
+	for i, rec := range fx.Records {
+		rec.RAT = rats[i%len(rats)]
+		full.Add(names[i%len(names)], rec)
+	}
+	acked := map[string]int64{}
+	spool := map[string]FilePos{}
+	for i, n := range names {
+		acked[n+"/0"] = int64(i * 1000)
+		spool[n+".jsonl"] = FilePos{Bytes: int64(i * 7), Lines: i, Size: int64(i * 9)}
+	}
+	cases := []struct {
+		name  string
+		win   *MultiWindow
+		acked map[string]int64
+		spool map[string]FilePos
+	}{
+		{"full", full, acked, spool},
+		{"empty spool", full, acked, map[string]FilePos{}},
+		{"nil maps", full, nil, nil},
+		{"empty window", NewMultiWindow(3), map[string]int64{}, nil},
+	}
+	for _, tc := range cases {
+		want, err := json.Marshal(checkpoint{Format: stateFormat, Window: tc.win.State(), Acked: tc.acked, Spool: tc.spool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := &Aggregator{win: tc.win}
+		if got := a.encodeCheckpoint(tc.acked, tc.spool); !bytes.Equal(got, append(want, '\n')) {
+			t.Fatalf("%s: checkpoint encoding differs from json.Marshal:\n got %s\nwant %s", tc.name, got, want)
+		}
+	}
 }

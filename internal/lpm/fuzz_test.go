@@ -21,12 +21,12 @@ import (
 // every stored prefix's own address doubles as a probe.
 func FuzzLookup(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0x10, 10, 0, 0, 0})                      // one v4 /8
-	f.Add([]byte{0x40, 10, 0, 0, 0, 0x30, 10, 0, 0, 0})   // nested v4 /32 under /24
-	f.Add([]byte{0x01, 0x20, 0xdb, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1}) // one v6
-	f.Add([]byte{0x02, 10, 0, 0, 1, 0x02, 10, 0, 0, 2})   // duplicate after mask
+	f.Add([]byte{0x10, 10, 0, 0, 0})                                                      // one v4 /8
+	f.Add([]byte{0x40, 10, 0, 0, 0, 0x30, 10, 0, 0, 0})                                   // nested v4 /32 under /24
+	f.Add([]byte{0x01, 0x20, 0xdb, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1})             // one v6
+	f.Add([]byte{0x02, 10, 0, 0, 1, 0x02, 10, 0, 0, 2})                                   // duplicate after mask
 	f.Add([]byte{0x00, 0, 0, 0, 0, 0x01, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}) // both default routes
-	f.Add([]byte{0xff, 1, 2, 3, 4, 0xfe, 1, 2, 3, 4, 0xfd, 1, 2, 3, 0}) // host routes + sibling
+	f.Add([]byte{0xff, 1, 2, 3, 4, 0xfe, 1, 2, 3, 4, 0xfd, 1, 2, 3, 0})                   // host routes + sibling
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var (
 			prefixes []netip.Prefix

@@ -275,7 +275,7 @@ func extract128(hi, lo uint64, pos, width int) int {
 	case pos >= 64:
 		return int(lo >> (128 - pos - width) & (1<<width - 1))
 	default:
-		left := 64 - pos  // bits taken from the tail of hi
+		left := 64 - pos      // bits taken from the tail of hi
 		right := width - left // bits taken from the head of lo
 		return int((hi&((1<<left)-1))<<right | lo>>(64-right))
 	}

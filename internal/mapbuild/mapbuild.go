@@ -1,8 +1,9 @@
 // Package mapbuild runs the classify → AS-filter → cellmap.Build chain:
 // the one code path that turns a beacon aggregate into the publishable
-// cellular map. The live updater, the federation receiver, and the evolve
-// scenario runner all build through it, so maps from identical aggregates
-// are bit-identical regardless of which subsystem published them.
+// cellular map. The live aggregator (fed by the local spool or by
+// federated collectors) and the evolve scenario runner both build through
+// it, so maps from identical aggregates are bit-identical regardless of
+// which subsystem published them.
 package mapbuild
 
 import (
@@ -32,9 +33,19 @@ type Inputs struct {
 	CountryOf func(uint32) (string, bool)
 }
 
-// Build classifies the aggregate, drops detected blocks whose AS fails
-// the paper's exclusion rules, and assembles the publishable map.
-func Build(agg *beacon.Aggregate, threshold float64, period string, in Inputs) (*cellmap.Map, error) {
+// Builder is the chain prepared for one classifier threshold and one set
+// of side inputs. The demand-side AS rollup is computed once in New, so
+// each Build pays for the aggregate's blocks and its detected set, not for
+// every block with demand. Safe for concurrent use when ASOf and
+// CountryOf are.
+type Builder struct {
+	cls    classify.Classifier
+	rollup *aschar.Rollup
+	in     Inputs
+}
+
+// New validates the inputs and prepares a Builder.
+func New(threshold float64, in Inputs) (*Builder, error) {
 	if in.ASOf == nil {
 		return nil, fmt.Errorf("mapbuild: Inputs.ASOf is required")
 	}
@@ -42,29 +53,38 @@ func Build(agg *beacon.Aggregate, threshold float64, period string, in Inputs) (
 	if err != nil {
 		return nil, fmt.Errorf("mapbuild: %w", err)
 	}
-	detected := cls.Classify(agg)
-	stats := aschar.BuildStats(aschar.Inputs{
-		Detected: detected,
-		Beacon:   agg,
-		Demand:   in.Demand,
-		ASOf:     in.ASOf,
-	})
-	fr := aschar.Filter(stats, in.Rules)
+	return &Builder{cls: cls, rollup: aschar.NewRollup(in.Demand, in.ASOf), in: in}, nil
+}
+
+// Build is the one-shot form of New(threshold, in).Build(agg, period).
+func Build(agg *beacon.Aggregate, threshold float64, period string, in Inputs) (*cellmap.Map, error) {
+	b, err := New(threshold, in)
+	if err != nil {
+		return nil, err
+	}
+	return b.Build(agg, period)
+}
+
+// Build classifies the aggregate, drops detected blocks whose AS fails
+// the paper's exclusion rules, and assembles the publishable map.
+func (bd *Builder) Build(agg *beacon.Aggregate, period string) (*cellmap.Map, error) {
+	detected := bd.cls.Classify(agg)
+	fr := aschar.Filter(bd.rollup.Stats(detected, agg), bd.in.Rules)
 	allowed := make(map[uint32]bool, len(fr.AfterRule3))
 	for _, a := range fr.AfterRule3 {
 		allowed[a] = true
 	}
 	kept := make(netaddr.Set)
 	for b := range detected {
-		if a, ok := in.ASOf(b); ok && allowed[a] {
+		if a, ok := bd.in.ASOf(b); ok && allowed[a] {
 			kept.Add(b)
 		}
 	}
-	return cellmap.Build(threshold, period, cellmap.Inputs{
+	return cellmap.Build(bd.cls.Threshold(), period, cellmap.Inputs{
 		Detected:  kept,
 		Beacon:    agg,
-		Demand:    in.Demand,
-		ASOf:      in.ASOf,
-		CountryOf: in.CountryOf,
+		Demand:    bd.in.Demand,
+		ASOf:      bd.in.ASOf,
+		CountryOf: bd.in.CountryOf,
 	})
 }

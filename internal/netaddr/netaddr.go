@@ -11,9 +11,10 @@
 package netaddr
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -55,10 +56,17 @@ func (b Block) Less(o Block) bool {
 	return b.Key < o.Key
 }
 
-// SortBlocks sorts blocks in place into canonical order.
-func SortBlocks(blocks []Block) {
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i].Less(blocks[j]) })
+// Compare orders blocks like Less, returning -1, 0 or +1 for use with
+// slices.SortFunc.
+func (b Block) Compare(o Block) int {
+	if c := cmp.Compare(b.Fam, o.Fam); c != 0 {
+		return c
+	}
+	return cmp.Compare(b.Key, o.Key)
 }
+
+// SortBlocks sorts blocks in place into canonical order.
+func SortBlocks(blocks []Block) { slices.SortFunc(blocks, Block.Compare) }
 
 // BlockFromAddr returns the enclosing /24 or /48 block of addr.
 // IPv4-mapped IPv6 addresses are unmapped first.
