@@ -359,22 +359,34 @@ func runClassify(args []string) error {
 	}
 
 	outPath := filepath.Join(*dir, "detected.jsonl")
-	out, err := logio.Create(outPath)
-	if err != nil {
-		return err
-	}
-	for b := range detected {
-		if err := out.Write(struct {
-			Block string `json:"block"`
-		}{b.String()}); err != nil {
-			return err
-		}
-	}
-	if err := out.Close(); err != nil {
+	if err := writeDetected(outPath, detected); err != nil {
 		return err
 	}
 	log.Printf("wrote %s", outPath)
 	return nil
+}
+
+// writeDetected writes one {"block": CIDR} row per detected block, in
+// canonical block order so the file is the same bytes on every run.
+func writeDetected(path string, detected netaddr.Set) error {
+	blocks := make([]netaddr.Block, 0, detected.Len())
+	for b := range detected {
+		blocks = append(blocks, b)
+	}
+	netaddr.SortBlocks(blocks)
+	out, err := logio.Create(path)
+	if err != nil {
+		return err
+	}
+	for _, b := range blocks {
+		if err := out.Write(struct {
+			Block string `json:"block"`
+		}{b.String()}); err != nil {
+			out.Close() // the write error is the one to report
+			return err
+		}
+	}
+	return out.Close()
 }
 
 // runIngest imports foreign conn logs and runs the classification stage
@@ -467,18 +479,7 @@ func runIngest(args []string) error {
 		return err
 	}
 	detPath := filepath.Join(*out, "detected.jsonl")
-	det, err := logio.Create(detPath)
-	if err != nil {
-		return err
-	}
-	for b := range r.Detected {
-		if err := det.Write(struct {
-			Block string `json:"block"`
-		}{b.String()}); err != nil {
-			return err
-		}
-	}
-	if err := det.Close(); err != nil {
+	if err := writeDetected(detPath, r.Detected); err != nil {
 		return err
 	}
 	log.Printf("wrote %s and %s", filepath.Join(*out, "demand.jsonl"), detPath)

@@ -5,6 +5,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"cellspot/internal/demand"
+	"cellspot/internal/logio"
+	"cellspot/internal/netaddr"
+	"cellspot/internal/world"
 )
 
 // The subcommand functions are exercised directly: each is a thin
@@ -31,6 +36,57 @@ func TestGenClassifyRoundTrip(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "detected.jsonl")); err != nil {
 		t.Fatalf("missing detected.jsonl: %v", err)
 	}
+
+	// demand.jsonl decodes back to the dataset gen wrote, row for row in
+	// canonical block order.
+	wcfg := world.DefaultConfig()
+	wcfg.Scale, wcfg.Seed = 0.001, 1
+	w, err := world.Generate(wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := demand.Generate(w, demand.DefaultGenConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := readDemandRows(t, filepath.Join(dir, "demand.jsonl"))
+	if len(rows) != ds.Blocks() {
+		t.Fatalf("demand.jsonl has %d rows, dataset %d blocks", len(rows), ds.Blocks())
+	}
+	i := 0
+	ds.Each(func(b netaddr.Block, du float64) {
+		if rows[i].Block != b || rows[i].DU != du {
+			t.Fatalf("demand.jsonl row %d = %v %v, dataset %v %v", i, rows[i].Block, rows[i].DU, b, du)
+		}
+		i++
+	})
+	// Blocks keep their {"Fam":F,"Key":K} form byte for byte: the first
+	// row, and the first /48 row.
+	raw, err := os.ReadFile(filepath.Join(dir, "demand.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(raw), "\n")
+	if want := `{"block":{"Fam":0,"Key":65536},"du":52.669279095962345}`; lines[0] != want {
+		t.Errorf("demand.jsonl first row = %s, want %s", lines[0], want)
+	}
+	v6 := ds.CountFamily(netaddr.IPv4) // rows are in canonical order
+	if want := `{"block":{"Fam":1,"Key":35188667056128},"du":16.084392557836907}`; lines[v6] != want {
+		t.Errorf("demand.jsonl first /48 row = %s, want %s", lines[v6], want)
+	}
+}
+
+// readDemandRows decodes every row of a demand.jsonl file.
+func readDemandRows(t *testing.T, path string) []demand.BlockDU {
+	t.Helper()
+	var rows []demand.BlockDU
+	if _, err := logio.DecodeFile(path, false, func(r demand.BlockDU) error {
+		rows = append(rows, r)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return rows
 }
 
 func TestGenRequiresOut(t *testing.T) {
@@ -141,6 +197,11 @@ func TestIngest(t *testing.T) {
 		if fi, err := os.Stat(filepath.Join(out, f)); err != nil || fi.Size() == 0 {
 			t.Fatalf("missing or empty %s: %v", f, err)
 		}
+	}
+	// The policy drops 172.16/12; the other two /24s carry demand.
+	rows := readDemandRows(t, filepath.Join(out, "demand.jsonl"))
+	if len(rows) != 2 || rows[0].Block != netaddr.V4Block(10, 9, 0) || rows[1].Block != netaddr.V4Block(192, 0, 2) {
+		t.Fatalf("demand.jsonl rows = %v", rows)
 	}
 	spools, err := filepath.Glob(filepath.Join(out, "beacon-*.jsonl"))
 	if err != nil || len(spools) == 0 {

@@ -304,7 +304,7 @@ func OperatorBlocks(announced []netaddr.Block, in Inputs) []BlockView {
 		if out[i].Ratio != out[j].Ratio {
 			return out[i].Ratio < out[j].Ratio
 		}
-		return out[i].Block.Key < out[j].Block.Key
+		return out[i].Block.Less(out[j].Block)
 	})
 	return out
 }

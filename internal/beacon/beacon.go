@@ -153,7 +153,7 @@ func (a *Aggregate) Blocks() int { return len(a.PerBlock) }
 func (a *Aggregate) CountFamily(f netaddr.Family) int {
 	n := 0
 	for b := range a.PerBlock {
-		if b.Fam == f {
+		if b.Fam() == f {
 			n++
 		}
 	}
@@ -300,7 +300,7 @@ const ratStream = 0xbeac0_0003
 
 // ratStreamFor mixes a block identity into the RAT stream constant.
 func ratStreamFor(b netaddr.Block) uint64 {
-	return ratStream ^ (b.Key*0x9e3779b97f4a7c15 + uint64(b.Fam))
+	return ratStream ^ (b.Key()*0x9e3779b97f4a7c15 + uint64(b.Fam()))
 }
 
 // splitRAT partitions cell cellular labels across radio generations by a

@@ -43,7 +43,7 @@ func fixtureInputs(t *testing.T) Inputs {
 		Demand:   ds,
 		ASOf: func(b netaddr.Block) (uint32, bool) {
 			switch {
-			case b.Key>>16 == 10 && !b.IsV6():
+			case b.Key()>>16 == 10 && !b.IsV6():
 				return 1, true
 			case b == netaddr.V4Block(20, 5, 0), b.IsV6():
 				return 2, true

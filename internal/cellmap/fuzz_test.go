@@ -75,9 +75,9 @@ func FuzzParseBlock(f *testing.F) {
 	f.Add(false, uint64(5), "10.0.0.0")     // missing length
 	f.Fuzz(func(t *testing.T, v6 bool, key uint64, raw string) {
 		// Block-first: any in-range key must round-trip exactly.
-		b := netaddr.Block{Fam: netaddr.IPv4, Key: key & 0xffffff}
+		b := netaddr.MakeBlock(netaddr.IPv4, key&0xffffff)
 		if v6 {
-			b = netaddr.Block{Fam: netaddr.IPv6, Key: key & 0xffff_ffff_ffff}
+			b = netaddr.MakeBlock(netaddr.IPv6, key&0xffff_ffff_ffff)
 		}
 		got, err := netaddr.ParseBlock(b.String())
 		if err != nil {

@@ -240,7 +240,7 @@ type RatioSample struct {
 func Ratios(agg *beacon.Aggregate, fam netaddr.Family, demandOf func(netaddr.Block) float64) []RatioSample {
 	var out []RatioSample
 	for b, counts := range agg.PerBlock {
-		if b.Fam != fam || counts.API == 0 {
+		if b.Fam() != fam || counts.API == 0 {
 			continue
 		}
 		s := RatioSample{Block: b, Ratio: float64(counts.Cell) / float64(counts.API)}
@@ -253,7 +253,7 @@ func Ratios(agg *beacon.Aggregate, fam netaddr.Family, demandOf func(netaddr.Blo
 		if out[i].Ratio != out[j].Ratio {
 			return out[i].Ratio < out[j].Ratio
 		}
-		return out[i].Block.Key < out[j].Block.Key
+		return out[i].Block.Less(out[j].Block)
 	})
 	return out
 }

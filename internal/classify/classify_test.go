@@ -235,7 +235,7 @@ func TestEvaluateIdentityProperty(t *testing.T) {
 		truth := map[netaddr.Block]bool{}
 		det := make(netaddr.Set)
 		for i, cell := range flags {
-			b := netaddr.Block{Fam: netaddr.IPv4, Key: uint64(i)}
+			b := netaddr.MakeBlock(netaddr.IPv4, uint64(i))
 			truth[b] = cell
 			if i < len(detFlags) && detFlags[i] {
 				det.Add(b)

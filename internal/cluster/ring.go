@@ -68,8 +68,8 @@ func (r *Ring) Shards() int { return r.shards }
 // OwnerBlock returns the shard owning a unit block.
 func (r *Ring) OwnerBlock(b netaddr.Block) int {
 	var key [9]byte
-	key[0] = byte(b.Fam)
-	putUint64(key[1:9], b.Key)
+	key[0] = byte(b.Fam())
+	putUint64(key[1:9], b.Key())
 	h := fnv1a(key[:])
 	// First point with hash >= h, wrapping to points[0].
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })

@@ -16,7 +16,7 @@ func sampleBlocks(n int) []netaddr.Block {
 		if i%4 == 3 {
 			out = append(out, netaddr.V6Block(rng.Uint64()))
 		} else {
-			out = append(out, netaddr.Block{Fam: netaddr.IPv4, Key: rng.Uint64() & 0xffffff})
+			out = append(out, netaddr.MakeBlock(netaddr.IPv4, rng.Uint64()&0xffffff))
 		}
 	}
 	return out

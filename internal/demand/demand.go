@@ -40,12 +40,7 @@ func NewDataset(raw map[netaddr.Block]float64) (*Dataset, error) {
 		}
 		keys = append(keys, b)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Fam != keys[j].Fam {
-			return keys[i].Fam < keys[j].Fam
-		}
-		return keys[i].Key < keys[j].Key
-	})
+	netaddr.SortBlocks(keys)
 	sum := 0.0
 	for _, b := range keys {
 		sum += raw[b]
@@ -85,7 +80,7 @@ func (d *Dataset) Blocks() int { return len(d.du) }
 func (d *Dataset) CountFamily(f netaddr.Family) int {
 	n := 0
 	for b := range d.du {
-		if b.Fam == f {
+		if b.Fam() == f {
 			n++
 		}
 	}
@@ -115,7 +110,8 @@ func (d *Dataset) Equal(other *Dataset) bool {
 	return true
 }
 
-// Top returns the n highest-demand blocks in descending DU order.
+// Top returns the n highest-demand blocks in descending DU order, ties in
+// canonical block order.
 func (d *Dataset) Top(n int) []BlockDU {
 	all := make([]BlockDU, 0, len(d.du))
 	for b, v := range d.du {
@@ -125,7 +121,7 @@ func (d *Dataset) Top(n int) []BlockDU {
 		if all[i].DU != all[j].DU {
 			return all[i].DU > all[j].DU
 		}
-		return all[i].Block.Key < all[j].Block.Key
+		return all[i].Block.Less(all[j].Block)
 	})
 	if n < len(all) {
 		all = all[:n]

@@ -74,6 +74,28 @@ func TestTop(t *testing.T) {
 	}
 }
 
+// TestTopTiesCanonical: a /24 and a /48 with equal DU and equal key come
+// out in canonical block order (IPv4 first), not in map order.
+func TestTopTiesCanonical(t *testing.T) {
+	v4, v6 := netaddr.V4Block(0, 0, 5), netaddr.V6Block(5)
+	if v4.Key() != v6.Key() {
+		t.Fatalf("fixture keys differ: %#x vs %#x", v4.Key(), v6.Key())
+	}
+	want := []netaddr.Block{v4, v6, netaddr.V4Block(0, 0, 1)}
+	for i := 0; i < 50; i++ { // map order varies run to run; Top must not
+		d, err := NewDataset(map[netaddr.Block]float64{v6: 2, v4: 2, want[2]: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		top := d.Top(3)
+		for j, b := range want {
+			if top[j].Block != b {
+				t.Fatalf("Top = %v, want blocks %v", top, want)
+			}
+		}
+	}
+}
+
 func TestGenerateDailyAndSmooth(t *testing.T) {
 	w := smallWorld(t)
 	cfg := DefaultGenConfig()
@@ -215,7 +237,7 @@ func TestNormalizationProperty(t *testing.T) {
 			if math.IsInf(v, 0) || math.IsNaN(v) || v > 1e100 {
 				continue
 			}
-			raw[netaddr.Block{Fam: netaddr.IPv4, Key: uint64(i)}] = v
+			raw[netaddr.MakeBlock(netaddr.IPv4, uint64(i))] = v
 			if v > 0 {
 				any = true
 			}

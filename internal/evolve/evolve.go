@@ -188,10 +188,7 @@ func monthSnapshot(month netinfo.Month, detected netaddr.Set, ds *demand.Dataset
 		if tops[i].du != tops[j].du {
 			return tops[i].du > tops[j].du
 		}
-		if tops[i].b.Fam != tops[j].b.Fam {
-			return tops[i].b.Fam < tops[j].b.Fam
-		}
-		return tops[i].b.Key < tops[j].b.Key
+		return tops[i].b.Less(tops[j].b)
 	})
 	// Sum in sorted order: float accumulation over map order would
 	// differ between identical runs.
@@ -238,7 +235,7 @@ func mutate(w *world.World, rng *rand.Rand, cfg Config) {
 		// Reassign: the successor inherits the block's role; the old
 		// address goes dark.
 		nb := *b
-		nb.Block = netaddr.Block{Fam: netaddr.IPv4, Key: next}
+		nb.Block = netaddr.MakeBlock(netaddr.IPv4, next)
 		next++
 		added = append(added, &nb)
 		b.Demand = 0
@@ -256,8 +253,8 @@ func mutate(w *world.World, rng *rand.Rand, cfg Config) {
 func nextV4Key(w *world.World) uint64 {
 	var max24 uint64
 	for _, b := range w.Blocks {
-		if !b.Block.IsV6() && b.Block.Key > max24 {
-			max24 = b.Block.Key
+		if !b.Block.IsV6() && b.Block.Key() > max24 {
+			max24 = b.Block.Key()
 		}
 	}
 	return max24 + 1

@@ -151,7 +151,7 @@ func stepCGNATExpansion(w *world.World, rng *rand.Rand, _ int, _ *Config) {
 	next := nextV4Key(w)
 	for i := 0; i < n; i++ {
 		nb := *tmpl
-		nb.Block = netaddr.Block{Fam: netaddr.IPv4, Key: next}
+		nb.Block = netaddr.MakeBlock(netaddr.IPv4, next)
 		next++
 		nb.Demand = tmpl.Demand * (0.5 + rng.Float64())
 		w.Blocks = append(w.Blocks, &nb)

@@ -55,6 +55,10 @@ type Aggregator struct {
 	published bool             // the store holds a generation: idle ticks skip
 	// stale and stragglers already reported to the metric counters.
 	seenStale, seenStragglers int
+	// stateLen is the length of the last encoded checkpoint, the next
+	// one's starting capacity: a checkpoint is megabytes and grows little
+	// from tick to tick, so growing it from empty would copy it many times.
+	stateLen int
 
 	mTicks      *obs.Counter
 	mErrors     *obs.Counter
@@ -367,7 +371,8 @@ func (a *Aggregator) tick() (Refresh, error) {
 // given input positions: byte for byte json.Marshal(checkpoint{...}) plus
 // a newline, written in one pass. Called with mu held.
 func (a *Aggregator) encodeCheckpoint(acked map[string]int64, spool map[string]FilePos) []byte {
-	dst := []byte(`{"format":`)
+	dst := make([]byte, 0, a.stateLen+a.stateLen/8)
+	dst = append(dst, `{"format":`...)
 	dst = appendJSONString(dst, stateFormat)
 	dst = append(dst, `,"window":`...)
 	dst = a.win.appendState(dst)
@@ -379,7 +384,9 @@ func (a *Aggregator) encodeCheckpoint(acked map[string]int64, spool map[string]F
 		dst = append(dst, `,"spool":`...)
 		dst = appendJSONObject(dst, spool, appendFilePos)
 	}
-	return append(dst, "}\n"...)
+	dst = append(dst, "}\n"...)
+	a.stateLen = len(dst)
+	return dst
 }
 
 // appendJSONObject appends m as encoding/json writes a map: keys sorted,

@@ -399,9 +399,9 @@ func (m *MultiWindow) appendState(dst []byte) []byte {
 // counts omitted.
 func appendBlockState(dst []byte, blk netaddr.Block, c *beacon.Counts) []byte {
 	dst = append(dst, `{"block":"`...)
-	dst = append(dst, blk.Fam.String()...)
+	dst = append(dst, blk.Fam().String()...)
 	dst = append(dst, '-')
-	dst = strconv.AppendUint(dst, blk.Key, 16)
+	dst = strconv.AppendUint(dst, blk.Key(), 16)
 	dst = appendIntField(dst, `","hits":`, int64(c.Hits))
 	dst = appendIntField(dst, `,"api":`, int64(c.API))
 	dst = appendIntField(dst, `,"cell":`, int64(c.Cell))

@@ -353,3 +353,37 @@ func TestCheckpointEncodingMatchesJSON(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckpointEncodingAcrossTicks: one aggregator encodes a sequence of
+// windows that grow and shrink. Every checkpoint is still json.Marshal's
+// bytes, and a checkpoint the size of the last one is written into a
+// buffer allocated once at the last one's size instead of grown from
+// empty.
+func TestCheckpointEncodingAcrossTicks(t *testing.T) {
+	fx := newFixture(t, 3_000)
+	small, full := NewMultiWindow(DefaultWindowDays), NewMultiWindow(DefaultWindowDays)
+	for i, rec := range fx.Records {
+		if i < 100 {
+			small.Add("eu-1", rec)
+		}
+		full.Add("eu-1", rec)
+	}
+	acked := map[string]int64{"eu-1/0": 42}
+	a := &Aggregator{}
+	var last []byte
+	for i, win := range []*MultiWindow{small, full, NewMultiWindow(3), full, full} {
+		want, err := json.Marshal(checkpoint{Format: stateFormat, Window: win.State(), Acked: acked})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.win = win
+		got := a.encodeCheckpoint(acked, nil)
+		if !bytes.Equal(got, append(want, '\n')) {
+			t.Fatalf("tick %d: checkpoint encoding differs from json.Marshal:\n got %s\nwant %s", i, got, want)
+		}
+		if i == 4 && cap(got) != len(last)+len(last)/8 {
+			t.Fatalf("tick %d: checkpoint of %d bytes has capacity %d, want %d (the last checkpoint's size plus slack)", i, len(got), cap(got), len(last)+len(last)/8)
+		}
+		last = got
+	}
+}

@@ -5,8 +5,6 @@ import (
 	"math/rand/v2"
 	"net/netip"
 	"testing"
-
-	"cellspot/internal/netaddr"
 )
 
 // benchSet builds a serving-shaped prefix set: mostly v4 /24s and v6
@@ -85,7 +83,7 @@ func BenchmarkTrieLookup(b *testing.B) {
 	for _, n := range []int{10_000, 100_000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			prefixes, probes := benchSet(n)
-			var trie netaddr.Trie[int32]
+			var trie radixTrie
 			for i, p := range prefixes {
 				if err := trie.Insert(p, int32(i)); err != nil {
 					b.Fatal(err)

@@ -3,9 +3,9 @@
 // uint32 arrays, built once from a prefix set and read-only thereafter.
 //
 // IPv4 and IPv6 prefixes share one 128-bit keyspace — IPv4 lives in the
-// IPv4-mapped-IPv6 block (::ffff:0:0/96), exactly like netaddr.Trie, whose
-// MappedPrefix helper defines the mapping for both structures. Unlike the
-// pointer-per-bit radix trie, a lookup here never follows a pointer and
+// IPv4-mapped-IPv6 block (::ffff:0:0/96), as netaddr.MappedPrefix defines
+// it (the pointer-per-bit radix trie the tests use as an oracle derives
+// keys the same way). Unlike that trie, a lookup here never follows a pointer and
 // never allocates: it walks node descriptors in one flat slice (path
 // compression skips shared bit runs, level compression consumes several
 // bits per step), lands on a base prefix, and resolves nesting by

@@ -5,17 +5,15 @@ import (
 	"math/rand/v2"
 	"net/netip"
 	"testing"
-
-	"cellspot/internal/netaddr"
 )
 
 // --- construction helpers shared by the differential and fuzz harnesses ---
 
-// oracle pairs a Matcher with the pointer-chasing netaddr.Trie it must
+// oracle pairs a Matcher with the pointer-chasing radixTrie it must
 // agree with, built from the same deduplicated prefix set.
 type oracle struct {
 	m    *Matcher
-	trie netaddr.Trie[int32]
+	trie radixTrie
 }
 
 // buildPair inserts prefixes into both structures. Duplicate masked
@@ -148,7 +146,7 @@ func probeFor(rng *rand.Rand, prefixes []netip.Prefix) netip.Addr {
 
 // TestDifferentialRandom is the differential property harness: for each
 // case, a seeded-random prefix set goes into both the flat matcher and
-// the netaddr.Trie oracle, and at least 10k probes per case must agree
+// the radixTrie oracle, and at least 10k probes per case must agree
 // exactly — value and hit/miss alike.
 func TestDifferentialRandom(t *testing.T) {
 	cases := []struct {

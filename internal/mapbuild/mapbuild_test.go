@@ -132,7 +132,7 @@ func newWorld(t *testing.T, seed uint64) world {
 		for i := 0; i < 10+rng.IntN(30); i++ {
 			var b netaddr.Block
 			if rng.IntN(4) == 0 {
-				b = netaddr.Block{Fam: netaddr.IPv6, Key: uint64(a)<<20 | uint64(i)}
+				b = netaddr.MakeBlock(netaddr.IPv6, uint64(a)<<20|uint64(i))
 			} else {
 				b = netaddr.V4Block(byte(a), byte(i/256), byte(i))
 			}

@@ -15,17 +15,17 @@ import (
 func AggregateBlocks(blocks []Block) []netip.Prefix {
 	var v4, v6 []uint64
 	for _, b := range blocks {
-		if b.Fam == IPv6 {
-			v6 = append(v6, b.Key)
+		if b.IsV6() {
+			v6 = append(v6, b.Key())
 		} else {
-			v4 = append(v4, b.Key)
+			v4 = append(v4, b.Key())
 		}
 	}
 	out := aggregateKeys(v4, 24, func(key uint64, bits int) netip.Prefix {
-		return netip.PrefixFrom(Block{Fam: IPv4, Key: key}.Addr(), bits)
+		return netip.PrefixFrom(MakeBlock(IPv4, key).Addr(), bits)
 	})
 	out = append(out, aggregateKeys(v6, 48, func(key uint64, bits int) netip.Prefix {
-		return netip.PrefixFrom(Block{Fam: IPv6, Key: key}.Addr(), bits)
+		return netip.PrefixFrom(MakeBlock(IPv6, key).Addr(), bits)
 	})...)
 	return out
 }
@@ -95,7 +95,7 @@ func ExpandPrefix(p netip.Prefix) ([]Block, bool) {
 	n := uint64(1) << (unitBits - p.Bits())
 	out := make([]Block, 0, n)
 	for i := uint64(0); i < n; i++ {
-		out = append(out, Block{Fam: fam, Key: base.Key + i})
+		out = append(out, MakeBlock(fam, base.Key()+i))
 	}
 	return out, true
 }

@@ -85,7 +85,7 @@ func TestAggregateRoundTripProperty(t *testing.T) {
 		in := make(Set)
 		for i := 0; i < n; i++ {
 			// Cluster keys so merges actually happen.
-			in.Add(Block{Fam: IPv4, Key: 0x0a0000 + uint64(rng.IntN(48))})
+			in.Add(MakeBlock(IPv4, 0x0a0000+uint64(rng.IntN(48))))
 		}
 		var blocks []Block
 		for b := range in {
@@ -126,7 +126,7 @@ func TestAggregateNeverGrowsProperty(t *testing.T) {
 		seen := make(Set)
 		var blocks []Block
 		for _, k := range keys {
-			b := Block{Fam: IPv4, Key: uint64(k)}
+			b := MakeBlock(IPv4, uint64(k))
 			if !seen.Has(b) {
 				seen.Add(b)
 				blocks = append(blocks, b)
@@ -143,7 +143,7 @@ func BenchmarkAggregateBlocks(b *testing.B) {
 	rng := rand.New(rand.NewPCG(5, 5))
 	blocks := make([]Block, 10000)
 	for i := range blocks {
-		blocks[i] = Block{Fam: IPv4, Key: uint64(rng.IntN(40000))}
+		blocks[i] = MakeBlock(IPv4, uint64(rng.IntN(40000)))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

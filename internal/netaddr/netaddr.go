@@ -1,8 +1,8 @@
 // Package netaddr provides the address-block vocabulary used throughout the
 // cellspot reproduction: IPv4 /24 blocks and IPv6 /48 blocks — the two
 // aggregation granularities the paper uses for all subnet-level analysis —
-// plus CIDR prefix tries for longest-prefix matching against ground-truth
-// allocation lists.
+// plus prefix aggregation and the unified IPv4-mapped-IPv6 keyspace that
+// longest-prefix matching uses.
 //
 // The paper aggregates every measurement by /24 (IPv4) or /48 (IPv6) because
 // recent studies find those to be the smallest allocation units that are
@@ -12,6 +12,7 @@ package netaddr
 
 import (
 	"cmp"
+	"encoding/json"
 	"fmt"
 	"net/netip"
 	"slices"
@@ -42,27 +43,80 @@ func (f Family) String() string {
 //
 // For IPv4 the key holds the top 24 address bits (addr >> 8); for IPv6 it
 // holds the top 48 bits (first six bytes) of the address.
-type Block struct {
-	Fam Family
-	Key uint64
+//
+// A Block is one machine word: the family in the top byte (bits 56-63) and
+// the key in the low bits. Plain uint64 order is therefore the canonical
+// (family, key) order, and the zero Block is IPv4 key 0. The packing is
+// what makes blocks cheap map keys: a padded two-field struct gets
+// generated hash and equality functions and the generic map path, while a
+// one-word struct takes Go's fast 64-bit map path at half the key size.
+type Block struct{ v uint64 }
+
+const (
+	famShift = 56
+	keyMask  = 1<<famShift - 1
+)
+
+// MakeBlock returns the block of family f with key k. The key must fit the
+// family (24 bits for IPv4, 48 for IPv6); bits from 56 up are dropped so a
+// key can never spill into the family.
+func MakeBlock(f Family, k uint64) Block { return Block{uint64(f)<<famShift | k&keyMask} }
+
+// Fam returns the block's family.
+func (b Block) Fam() Family { return Family(b.v >> famShift) }
+
+// Key returns the block's key: the top 24 (IPv4) or 48 (IPv6) address bits.
+func (b Block) Key() uint64 { return b.v & keyMask }
+
+// maxKey returns the largest key of family f.
+func maxKey(f Family) uint64 {
+	if f == IPv6 {
+		return 1<<48 - 1
+	}
+	return 1<<24 - 1
 }
 
 // Less orders blocks canonically: IPv4 before IPv6, then by key. The order
 // is used wherever floating-point sums must be reproducible run to run.
-func (b Block) Less(o Block) bool {
-	if b.Fam != o.Fam {
-		return b.Fam < o.Fam
-	}
-	return b.Key < o.Key
-}
+func (b Block) Less(o Block) bool { return b.v < o.v }
 
 // Compare orders blocks like Less, returning -1, 0 or +1 for use with
 // slices.SortFunc.
-func (b Block) Compare(o Block) int {
-	if c := cmp.Compare(b.Fam, o.Fam); c != 0 {
-		return c
+func (b Block) Compare(o Block) int { return cmp.Compare(b.v, o.v) }
+
+// MarshalJSON writes the block as {"Fam":F,"Key":K}. demand.jsonl rows
+// carry this form, so it must stay byte for byte what a two-field
+// struct{Fam Family; Key uint64} encodes to.
+func (b Block) MarshalJSON() ([]byte, error) {
+	buf := make([]byte, 0, 32)
+	buf = append(buf, `{"Fam":`...)
+	buf = strconv.AppendUint(buf, uint64(b.Fam()), 10)
+	buf = append(buf, `,"Key":`...)
+	buf = strconv.AppendUint(buf, b.Key(), 10)
+	return append(buf, '}'), nil
+}
+
+// UnmarshalJSON reads the form MarshalJSON writes. It rejects an unknown
+// family and a key wider than its family, the bounds ParseIndex applies.
+func (b *Block) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		return nil
 	}
-	return cmp.Compare(b.Key, o.Key)
+	var w struct {
+		Fam Family
+		Key uint64
+	}
+	if err := json.Unmarshal(data, &w); err != nil {
+		return fmt.Errorf("netaddr: decode block: %w", err)
+	}
+	if w.Fam != IPv4 && w.Fam != IPv6 {
+		return fmt.Errorf("netaddr: decode block: unknown family %d", w.Fam)
+	}
+	if w.Key > maxKey(w.Fam) {
+		return fmt.Errorf("netaddr: decode block: key %#x out of range for %v", w.Key, w.Fam)
+	}
+	*b = MakeBlock(w.Fam, w.Key)
+	return nil
 }
 
 // SortBlocks sorts blocks in place into canonical order.
@@ -74,41 +128,42 @@ func BlockFromAddr(addr netip.Addr) Block {
 	addr = addr.Unmap()
 	if addr.Is4() {
 		b := addr.As4()
-		return Block{Fam: IPv4, Key: uint64(b[0])<<16 | uint64(b[1])<<8 | uint64(b[2])}
+		return MakeBlock(IPv4, uint64(b[0])<<16|uint64(b[1])<<8|uint64(b[2]))
 	}
 	b := addr.As16()
 	var k uint64
 	for i := 0; i < 6; i++ {
 		k = k<<8 | uint64(b[i])
 	}
-	return Block{Fam: IPv6, Key: k}
+	return MakeBlock(IPv6, k)
 }
 
 // V4Block returns the /24 block with the given top-three octets.
 func V4Block(a, b, c byte) Block {
-	return Block{Fam: IPv4, Key: uint64(a)<<16 | uint64(b)<<8 | uint64(c)}
+	return MakeBlock(IPv4, uint64(a)<<16|uint64(b)<<8|uint64(c))
 }
 
 // V6Block returns the /48 block with the given top 48 bits.
 func V6Block(top48 uint64) Block {
-	return Block{Fam: IPv6, Key: top48 & (1<<48 - 1)}
+	return MakeBlock(IPv6, top48&maxKey(IPv6))
 }
 
 // Addr returns the first address of the block (host bits zero).
 func (b Block) Addr() netip.Addr {
-	if b.Fam == IPv4 {
-		return netip.AddrFrom4([4]byte{byte(b.Key >> 16), byte(b.Key >> 8), byte(b.Key)})
+	k := b.Key()
+	if b.Fam() == IPv4 {
+		return netip.AddrFrom4([4]byte{byte(k >> 16), byte(k >> 8), byte(k)})
 	}
 	var a [16]byte
 	for i := 0; i < 6; i++ {
-		a[i] = byte(b.Key >> (8 * (5 - i)))
+		a[i] = byte(k >> (8 * (5 - i)))
 	}
 	return netip.AddrFrom16(a)
 }
 
 // Prefix returns the block as a netip.Prefix (/24 or /48).
 func (b Block) Prefix() netip.Prefix {
-	if b.Fam == IPv4 {
+	if b.Fam() == IPv4 {
 		return netip.PrefixFrom(b.Addr(), 24)
 	}
 	return netip.PrefixFrom(b.Addr(), 48)
@@ -116,7 +171,7 @@ func (b Block) Prefix() netip.Prefix {
 
 // Bits returns the prefix length of the block: 24 for IPv4, 48 for IPv6.
 func (b Block) Bits() int {
-	if b.Fam == IPv4 {
+	if b.Fam() == IPv4 {
 		return 24
 	}
 	return 48
@@ -126,12 +181,13 @@ func (b Block) Bits() int {
 // host is taken modulo 256; for IPv6 the host index is placed in the low
 // 64 bits of the interface identifier.
 func (b Block) HostAddr(host uint64) netip.Addr {
-	if b.Fam == IPv4 {
-		return netip.AddrFrom4([4]byte{byte(b.Key >> 16), byte(b.Key >> 8), byte(b.Key), byte(host)})
+	k := b.Key()
+	if b.Fam() == IPv4 {
+		return netip.AddrFrom4([4]byte{byte(k >> 16), byte(k >> 8), byte(k), byte(host)})
 	}
 	var a [16]byte
 	for i := 0; i < 6; i++ {
-		a[i] = byte(b.Key >> (8 * (5 - i)))
+		a[i] = byte(k >> (8 * (5 - i)))
 	}
 	for i := 0; i < 8; i++ {
 		a[15-i] = byte(host >> (8 * i))
@@ -140,7 +196,7 @@ func (b Block) HostAddr(host uint64) netip.Addr {
 }
 
 // IsV6 reports whether the block is an IPv6 /48.
-func (b Block) IsV6() bool { return b.Fam == IPv6 }
+func (b Block) IsV6() bool { return b.Fam() == IPv6 }
 
 // String formats the block in CIDR notation, e.g. "192.0.2.0/24" or
 // "2001:db8:1::/48".
@@ -183,11 +239,8 @@ func (b Block) Contains(addr netip.Addr) bool {
 // Next returns the block immediately following b in address order within the
 // same family. The key wraps silently at the end of the family's space.
 func (b Block) Next() Block {
-	mask := uint64(1)<<24 - 1
-	if b.Fam == IPv6 {
-		mask = 1<<48 - 1
-	}
-	return Block{Fam: b.Fam, Key: (b.Key + 1) & mask}
+	f := b.Fam()
+	return MakeBlock(f, (b.Key()+1)&maxKey(f))
 }
 
 // Range enumerates n consecutive blocks starting at b.
@@ -229,7 +282,7 @@ func (s Set) Len() int { return len(s) }
 func (s Set) CountFamily(f Family) int {
 	n := 0
 	for b := range s {
-		if b.Fam == f {
+		if b.Fam() == f {
 			n++
 		}
 	}
@@ -239,7 +292,7 @@ func (s Set) CountFamily(f Family) int {
 // FormatIndex renders a block key as a compact hexadecimal token, used in
 // log filenames and debug output. ParseIndex reverses it.
 func FormatIndex(b Block) string {
-	return b.Fam.String() + "-" + strconv.FormatUint(b.Key, 16)
+	return b.Fam().String() + "-" + strconv.FormatUint(b.Key(), 16)
 }
 
 // ParseIndex parses a token produced by FormatIndex.
@@ -261,12 +314,28 @@ func ParseIndex(s string) (Block, error) {
 	if err != nil {
 		return Block{}, fmt.Errorf("netaddr: parse index %q: %w", s, err)
 	}
-	max := uint64(1)<<24 - 1
-	if f == IPv6 {
-		max = 1<<48 - 1
-	}
-	if k > max {
+	if k > maxKey(f) {
 		return Block{}, fmt.Errorf("netaddr: parse index %q: key out of range", s)
 	}
-	return Block{Fam: f, Key: k}, nil
+	return MakeBlock(f, k), nil
+}
+
+// MappedPrefix returns the prefix's address as a 16-byte array in the
+// unified IPv4-mapped-IPv6 space and its depth in that space (the prefix
+// length, offset by 96 for IPv4). It is the single definition of the
+// unified space used by the flat matcher in internal/lpm and by its
+// test oracle, so the two structures cannot disagree about where a prefix
+// lives.
+func MappedPrefix(p netip.Prefix) (addr [16]byte, depth int, err error) {
+	if !p.IsValid() {
+		return addr, 0, fmt.Errorf("netaddr: invalid prefix")
+	}
+	a := p.Addr()
+	if a.Is4() {
+		a = netip.AddrFrom16(a.As16()) // IPv4-mapped form
+		depth = 96 + p.Bits()
+	} else {
+		depth = p.Bits()
+	}
+	return a.As16(), depth, nil
 }

@@ -1,10 +1,11 @@
 package netaddr
 
 import (
-	"math/rand/v2"
+	"encoding/json"
 	"net/netip"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestBlockFromAddrV4(t *testing.T) {
@@ -12,8 +13,8 @@ func TestBlockFromAddrV4(t *testing.T) {
 	if got, want := b.String(), "192.0.2.0/24"; got != want {
 		t.Errorf("block = %s, want %s", got, want)
 	}
-	if b.Fam != IPv4 || b.IsV6() {
-		t.Errorf("family = %v, want IPv4", b.Fam)
+	if b.Fam() != IPv4 || b.IsV6() {
+		t.Errorf("family = %v, want IPv4", b.Fam())
 	}
 	if b.Bits() != 24 {
 		t.Errorf("bits = %d, want 24", b.Bits())
@@ -26,7 +27,7 @@ func TestBlockFromAddrV6(t *testing.T) {
 		t.Errorf("block = %s, want %s", got, want)
 	}
 	if !b.IsV6() || b.Bits() != 48 {
-		t.Errorf("family/bits wrong: %v/%d", b.Fam, b.Bits())
+		t.Errorf("family/bits wrong: %v/%d", b.Fam(), b.Bits())
 	}
 }
 
@@ -90,8 +91,8 @@ func TestBlockNextAndRange(t *testing.T) {
 		t.Errorf("Range(3) = %v", r)
 	}
 	// wrap at end of family space
-	last := Block{Fam: IPv4, Key: 1<<24 - 1}
-	if got := last.Next(); got.Key != 0 {
+	last := MakeBlock(IPv4, 1<<24-1)
+	if got := last.Next(); got.Key() != 0 {
 		t.Errorf("wrap Next = %v", got)
 	}
 }
@@ -111,7 +112,7 @@ func TestSet(t *testing.T) {
 }
 
 func TestFormatParseIndex(t *testing.T) {
-	for _, b := range []Block{V4Block(1, 2, 3), V6Block(0x20010db800ff), {Fam: IPv4, Key: 0}} {
+	for _, b := range []Block{V4Block(1, 2, 3), V6Block(0x20010db800ff), MakeBlock(IPv4, 0)} {
 		got, err := ParseIndex(FormatIndex(b))
 		if err != nil {
 			t.Fatalf("ParseIndex(%q): %v", FormatIndex(b), err)
@@ -134,7 +135,7 @@ func TestBlockAddrRoundTripProperty(t *testing.T) {
 		if v6 {
 			b = V6Block(key)
 		} else {
-			b = Block{Fam: IPv4, Key: key & (1<<24 - 1)}
+			b = MakeBlock(IPv4, key&(1<<24-1))
 		}
 		return BlockFromAddr(b.Addr()) == b
 	}
@@ -150,7 +151,7 @@ func TestIndexRoundTripProperty(t *testing.T) {
 		if v6 {
 			b = V6Block(key)
 		} else {
-			b = Block{Fam: IPv4, Key: key & (1<<24 - 1)}
+			b = MakeBlock(IPv4, key&(1<<24-1))
 		}
 		got, err := ParseIndex(FormatIndex(b))
 		return err == nil && got == b
@@ -167,7 +168,7 @@ func TestHostAddrContainedProperty(t *testing.T) {
 		if v6 {
 			b = V6Block(key)
 		} else {
-			b = Block{Fam: IPv4, Key: key & (1<<24 - 1)}
+			b = MakeBlock(IPv4, key&(1<<24-1))
 		}
 		return BlockFromAddr(b.HostAddr(host)) == b
 	}
@@ -176,185 +177,65 @@ func TestHostAddrContainedProperty(t *testing.T) {
 	}
 }
 
-func randV4Prefix(rng *rand.Rand) netip.Prefix {
-	bits := 8 + rng.IntN(17) // /8../24
-	a := netip.AddrFrom4([4]byte{byte(rng.Uint32()), byte(rng.Uint32()), byte(rng.Uint32()), byte(rng.Uint32())})
-	return netip.PrefixFrom(a, bits).Masked()
+// TestBlockIsOneWord pins the packed layout: a second field, or a wider
+// one, would put every block-keyed map back on Go's generic map path.
+func TestBlockIsOneWord(t *testing.T) {
+	if got := unsafe.Sizeof(Block{}); got != 8 {
+		t.Fatalf("unsafe.Sizeof(Block{}) = %d, want 8", got)
+	}
 }
 
-func TestTrieLongestMatch(t *testing.T) {
-	var tr Trie[string]
-	ins := map[string]string{
-		"10.0.0.0/8":      "coarse",
-		"10.1.0.0/16":     "mid",
-		"10.1.2.0/24":     "fine",
-		"2001:db8::/32":   "v6-coarse",
-		"2001:db8:7::/48": "v6-fine",
+func TestMakeBlock(t *testing.T) {
+	if zero := (Block{}); zero != MakeBlock(IPv4, 0) || zero.String() != "0.0.0.0/24" {
+		t.Errorf("zero Block = %v, want IPv4 key 0", Block{})
 	}
-	for p, v := range ins {
-		if err := tr.Insert(netip.MustParsePrefix(p), v); err != nil {
-			t.Fatalf("Insert(%s): %v", p, err)
-		}
+	if got := MakeBlock(IPv4, 0xc00002); got != V4Block(192, 0, 2) {
+		t.Errorf("MakeBlock(IPv4, 0xc00002) = %v", got)
 	}
-	if tr.Len() != len(ins) {
-		t.Fatalf("Len = %d, want %d", tr.Len(), len(ins))
+	// Bits from 56 up never reach the family.
+	if b := MakeBlock(IPv4, 1<<60|5); b.Fam() != IPv4 || b.Key() != 5 {
+		t.Errorf("MakeBlock with a wide key = (%v, %#x)", b.Fam(), b.Key())
 	}
-	cases := []struct {
-		addr string
+	// Canonical order: every IPv4 block before every IPv6 block.
+	if !MakeBlock(IPv4, 1<<24-1).Less(MakeBlock(IPv6, 0)) {
+		t.Error("largest /24 does not sort before the smallest /48")
+	}
+}
+
+func TestBlockJSON(t *testing.T) {
+	for _, c := range []struct {
+		b    Block
 		want string
-		ok   bool
 	}{
-		{"10.1.2.3", "fine", true},
-		{"10.1.9.9", "mid", true},
-		{"10.200.0.1", "coarse", true},
-		{"11.0.0.1", "", false},
-		{"2001:db8:7::1", "v6-fine", true},
-		{"2001:db8:8::1", "v6-coarse", true},
-		{"2001:db9::1", "", false},
-	}
-	for _, c := range cases {
-		got, ok := tr.Lookup(netip.MustParseAddr(c.addr))
-		if ok != c.ok || got != c.want {
-			t.Errorf("Lookup(%s) = %q,%v, want %q,%v", c.addr, got, ok, c.want, c.ok)
+		{V4Block(1, 2, 3), `{"Fam":0,"Key":66051}`},
+		{V6Block(0x20010db80001), `{"Fam":1,"Key":35188897218561}`},
+		{Block{}, `{"Fam":0,"Key":0}`},
+	} {
+		raw, err := json.Marshal(c.b)
+		if err != nil || string(raw) != c.want {
+			t.Errorf("Marshal(%v) = %s, %v; want %s", c.b, raw, err, c.want)
+		}
+		var back Block
+		if err := json.Unmarshal(raw, &back); err != nil || back != c.b {
+			t.Errorf("Unmarshal(%s) = %v, %v", raw, back, err)
 		}
 	}
-}
-
-func TestTrieGetExact(t *testing.T) {
-	var tr Trie[int]
-	p := netip.MustParsePrefix("192.168.0.0/16")
-	if err := tr.Insert(p, 42); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := tr.Get(p); !ok || v != 42 {
-		t.Errorf("Get = %d,%v", v, ok)
-	}
-	if _, ok := tr.Get(netip.MustParsePrefix("192.168.0.0/17")); ok {
-		t.Error("Get found a prefix that was never inserted")
-	}
-	// replacement does not grow size
-	if err := tr.Insert(p, 43); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != 1 {
-		t.Errorf("Len after replace = %d, want 1", tr.Len())
-	}
-	if v, _ := tr.Get(p); v != 43 {
-		t.Errorf("Get after replace = %d, want 43", v)
-	}
-}
-
-func TestTrieLookupBlock(t *testing.T) {
-	var tr Trie[string]
-	if err := tr.Insert(netip.MustParsePrefix("198.51.0.0/16"), "carrier"); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := tr.LookupBlock(V4Block(198, 51, 100)); !ok || v != "carrier" {
-		t.Errorf("LookupBlock = %q,%v", v, ok)
-	}
-	if _, ok := tr.LookupBlock(V4Block(198, 52, 0)); ok {
-		t.Error("LookupBlock matched outside prefix")
-	}
-}
-
-func TestTrieWalkRecoversInsertedPrefixes(t *testing.T) {
-	var tr Trie[int]
-	rng := rand.New(rand.NewPCG(1, 2))
-	want := map[netip.Prefix]int{}
-	for i := 0; i < 200; i++ {
-		p := randV4Prefix(rng)
-		want[p] = i
-		if err := tr.Insert(p, i); err != nil {
-			t.Fatal(err)
+	for _, bad := range []string{
+		`{"Fam":2,"Key":0}`,
+		`{"Fam":0,"Key":16777216}`,
+		`{"Fam":1,"Key":281474976710656}`,
+		`{"Fam":-1,"Key":0}`,
+		`{"Fam":0,"Key":"1"}`,
+		`"10.0.0.0/24"`,
+	} {
+		var b Block
+		if err := json.Unmarshal([]byte(bad), &b); err == nil {
+			t.Errorf("Unmarshal(%s) = %v, want error", bad, b)
 		}
 	}
-	got := map[netip.Prefix]int{}
-	tr.Walk(func(p netip.Prefix, v int) bool {
-		got[p] = v
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("walk returned %d prefixes, want %d", len(got), len(want))
-	}
-	for p, v := range want {
-		if got[p] != v {
-			t.Errorf("walk[%s] = %d, want %d", p, got[p], v)
-		}
-	}
-}
-
-func TestTrieWalkEarlyStop(t *testing.T) {
-	var tr Trie[int]
-	for i := 0; i < 10; i++ {
-		tr.Insert(netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(i), 0, 0, 0}), 8), i)
-	}
-	n := 0
-	tr.Walk(func(netip.Prefix, int) bool { n++; return n < 3 })
-	if n != 3 {
-		t.Errorf("walk visited %d, want 3", n)
-	}
-}
-
-// Property: trie longest-match agrees with a naive linear scan.
-func TestTrieMatchesNaiveProperty(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 9))
-	for round := 0; round < 20; round++ {
-		var tr Trie[int]
-		prefixes := make([]netip.Prefix, 0, 50)
-		for i := 0; i < 50; i++ {
-			p := randV4Prefix(rng)
-			prefixes = append(prefixes, p)
-			tr.Insert(p, i)
-		}
-		for probe := 0; probe < 100; probe++ {
-			addr := netip.AddrFrom4([4]byte{byte(rng.Uint32()), byte(rng.Uint32()), byte(rng.Uint32()), byte(rng.Uint32())})
-			bestBits, bestIdx, bestOK := -1, -1, false
-			for i, p := range prefixes {
-				if p.Contains(addr) && p.Bits() > bestBits {
-					bestBits, bestIdx, bestOK = p.Bits(), i, true
-				}
-			}
-			// Later duplicates overwrite earlier ones in the trie; mimic that.
-			if bestOK {
-				for i := len(prefixes) - 1; i >= 0; i-- {
-					if prefixes[i] == prefixes[bestIdx] {
-						bestIdx = i
-						break
-					}
-				}
-			}
-			got, ok := tr.Lookup(addr)
-			if ok != bestOK || (ok && got != bestIdx) {
-				t.Fatalf("round %d: Lookup(%v) = %d,%v, naive = %d,%v", round, addr, got, ok, bestIdx, bestOK)
-			}
-		}
-	}
-}
-
-func TestTrieEmpty(t *testing.T) {
-	var tr Trie[int]
-	if _, ok := tr.Lookup(netip.MustParseAddr("1.2.3.4")); ok {
-		t.Error("empty trie matched")
-	}
-	if _, ok := tr.Get(netip.MustParsePrefix("0.0.0.0/0")); ok {
-		t.Error("empty trie Get matched")
-	}
-	tr.Walk(func(netip.Prefix, int) bool { t.Error("walk visited node in empty trie"); return false })
-}
-
-func BenchmarkTrieLookup(b *testing.B) {
-	var tr Trie[int]
-	rng := rand.New(rand.NewPCG(3, 4))
-	for i := 0; i < 10000; i++ {
-		tr.Insert(randV4Prefix(rng), i)
-	}
-	addrs := make([]netip.Addr, 1024)
-	for i := range addrs {
-		addrs[i] = netip.AddrFrom4([4]byte{byte(rng.Uint32()), byte(rng.Uint32()), byte(rng.Uint32()), byte(rng.Uint32())})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Lookup(addrs[i%len(addrs)])
+	b := V4Block(9, 9, 9)
+	if err := json.Unmarshal([]byte("null"), &b); err != nil || b != V4Block(9, 9, 9) {
+		t.Errorf("Unmarshal(null) changed the block to %v (%v)", b, err)
 	}
 }
 

@@ -110,7 +110,7 @@ func experimentX2(env *Env) (*Output, error) {
 	fmt.Fprintf(&sb, "Round trip: %d prefixes reloaded, lookups live.\n", m2.Len())
 	sample := 0
 	for b := range r.Detected {
-		if b.Fam != netaddr.IPv4 {
+		if b.Fam() != netaddr.IPv4 {
 			continue
 		}
 		if _, ok := m2.Lookup(b.HostAddr(1)); ok {

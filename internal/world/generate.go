@@ -131,7 +131,7 @@ func (g *generator) absorb(f *generator) {
 		g.ases = append(g.ases, a)
 	}
 	for _, bi := range f.w.Blocks {
-		if bi.Block.Fam == netaddr.IPv6 {
+		if bi.Block.IsV6() {
 			bi.Block = g.next48Block()
 		} else {
 			bi.Block = g.next24Block()
@@ -274,7 +274,7 @@ func (g *generator) next24Block() netaddr.Block {
 			g.next24 = (uint64(first) + 1) << 16
 			continue
 		}
-		return netaddr.Block{Fam: netaddr.IPv4, Key: key}
+		return netaddr.MakeBlock(netaddr.IPv4, key)
 	}
 }
 
@@ -289,7 +289,7 @@ func (g *generator) alloc24(n int) []netaddr.Block {
 
 // next48Block hands out the next /48 block under 2001::/16.
 func (g *generator) next48Block() netaddr.Block {
-	b := netaddr.Block{Fam: netaddr.IPv6, Key: g.next48}
+	b := netaddr.MakeBlock(netaddr.IPv6, g.next48)
 	g.next48++
 	return b
 }

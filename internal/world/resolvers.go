@@ -144,16 +144,16 @@ func (g *generator) assignAffinity(op *Operator, resolvers []*Resolver, publicBy
 				if w <= 0 || len(prs) == 0 {
 					continue
 				}
-				r := prs[int(b.Block.Key)%len(prs)]
+				r := prs[int(b.Block.Key())%len(prs)]
 				weights = append(weights, ResolverWeight{ResolverID: r.ID, Weight: w})
 			}
 		}
 		own := 1 - pub
-		primary := pool[int(b.Block.Key)%len(pool)]
+		primary := pool[int(b.Block.Key())%len(pool)]
 		if len(pool) == 1 {
 			weights = append(weights, ResolverWeight{ResolverID: primary.ID, Weight: own})
 		} else {
-			secondary := pool[int(b.Block.Key+1)%len(pool)]
+			secondary := pool[int(b.Block.Key()+1)%len(pool)]
 			weights = append(weights,
 				ResolverWeight{ResolverID: primary.ID, Weight: own * 0.7},
 				ResolverWeight{ResolverID: secondary.ID, Weight: own * 0.3},
