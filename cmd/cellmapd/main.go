@@ -24,14 +24,16 @@
 //	cellmapd -map cellmap.jsonl [-addr :8781]
 //	cellmapd -snapshots DIR [-poll 10s] [-live-spool SPOOLDIR -refresh 30s]
 //	cellmapd -snapshots DIR -federation-listen :8791 [-refresh 30s]
-//	cellmapd -cluster -shard i/N -topology FILE -snapshots DIR
+//	cellmapd -shard i/N -topology FILE -snapshots DIR
 //	cellmapd -gateway -topology FILE
 //
-//	GET  /v1/lookup?ip=1.2.3.4
+//	GET  /v1/lookup?ip=1.2.3.4[&gen=N]  (gen=N needs -snapshots)
 //	POST /v1/lookup/batch
 //	GET  /v1/info
-//	POST /v1/reload            (map-serving modes)
-//	GET  /v1/cluster/health    (cluster modes)
+//	GET  /v1/history?ip=1.2.3.4        (-snapshots)
+//	GET  /v1/generations               (-snapshots)
+//	POST /v1/reload                    (map-serving modes)
+//	GET  /v1/cluster/health            (cluster modes)
 //	GET  /metrics
 package main
 
@@ -88,9 +90,8 @@ func run(args []string) int {
 	keep := fs.Int("keep", live.DefaultKeep, "published generations retained by pruning")
 	worldSeed := fs.Uint64("world-seed", world.DefaultConfig().Seed, "synthetic world seed for live-mode side inputs")
 	worldScale := fs.Float64("world-scale", world.DefaultConfig().Scale, "synthetic world scale for live-mode side inputs")
-	topoPath := fs.String("topology", "", "cluster topology file (JSON), required by -cluster and -gateway")
-	clusterMode := fs.Bool("cluster", false, "serve as a cluster shard node: refuse addresses outside this shard's partition")
-	shardSpec := fs.String("shard", "", "this node's shard identity as i/N (with -cluster)")
+	topoPath := fs.String("topology", "", "cluster topology file (JSON), required by -shard and -gateway")
+	shardSpec := fs.String("shard", "", "serve as cluster shard node i of N (i/N): refuse addresses outside this shard's partition")
 	gatewayMode := fs.Bool("gateway", false, "serve as a cluster gateway: route lookups to shard nodes, no local map")
 	gatewayCache := fs.Int("gateway-cache", 65536, "gateway response cache capacity in addresses (0 disables); invalidated wholesale on generation change")
 	gatewayDegraded := fs.Bool("gateway-degraded", false, "serve partial batch results (marked degraded) when a minority of shards is dark, instead of failing the whole batch")
@@ -99,8 +100,8 @@ func run(args []string) int {
 
 	if *gatewayMode {
 		switch {
-		case *clusterMode || *shardSpec != "":
-			log.Print("-gateway and -cluster/-shard are mutually exclusive: a node is either a shard or a router")
+		case *shardSpec != "":
+			log.Print("-gateway and -shard are mutually exclusive: a node is either a shard or a router")
 			return 2
 		case *topoPath == "":
 			log.Print("-gateway requires -topology")
@@ -114,12 +115,8 @@ func run(args []string) int {
 		}
 		return runGateway(*topoPath, *addr, *gatewayCache, *gatewayDegraded)
 	}
-	if *clusterMode != (*shardSpec != "") {
-		log.Print("-cluster and -shard i/N go together")
-		return 2
-	}
-	if *clusterMode && *topoPath == "" {
-		log.Print("-cluster requires -topology")
+	if *shardSpec != "" && *topoPath == "" {
+		log.Print("-shard requires -topology")
 		return 2
 	}
 	if *liveSpool != "" && *snapDir == "" {
@@ -161,18 +158,20 @@ func run(args []string) int {
 
 	// With a snapshot store behind the daemon, every retained generation is
 	// servable: the history index answers gen=N lookups and timelines.
+	var res cellmap.Resolver
 	if store != nil {
 		hist, err := history.New(history.Config{Store: store, Metrics: reg})
 		if err != nil {
 			log.Print(err)
 			return 2
 		}
-		d.hist = hist
+		d.hist, res = hist, hist
 		log.Printf("history index over %d retained generations", len(hist.Generations()))
 	}
 
 	mux := httpmw.NewMux(reg)
-	if *clusterMode {
+	var gate cellmap.Gate
+	if *shardSpec != "" {
 		topo, err := cluster.LoadTopology(*topoPath)
 		if err != nil {
 			log.Print(err)
@@ -190,17 +189,11 @@ func run(args []string) int {
 		}
 		view.SetMaxInflight(*maxInflight)
 		view.EnableMetrics(reg)
-		if d.hist != nil {
-			cluster.MountShardHistory(mux, view, d.hist)
-		} else {
-			cluster.MountShard(mux, view)
-		}
+		view.MountHealth(mux)
+		gate = view
 		log.Printf("cluster node: shard %d of %d", id, topo.NumShards())
-	} else if d.hist != nil {
-		history.Mount(mux, d.sw, d.hist)
-	} else {
-		cellmap.MountSource(mux, d.sw)
 	}
+	cellmap.Mount(mux, d.sw, res, gate)
 	d.mountReload(mux)
 	mux.Handle("GET /metrics", reg.Handler())
 

@@ -264,3 +264,28 @@ func TestGatewayRejectsAggregationFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestShardFlagValidation pins the shard-role flag rules: -shard needs
+// -topology, and -gateway excludes -shard. Each refusal exits 2 during flag
+// validation and names the offending flag.
+func TestShardFlagValidation(t *testing.T) {
+	topo := filepath.Join(t.TempDir(), "topology.json")
+	var logs strings.Builder
+	log.SetOutput(&logs)
+	defer log.SetOutput(os.Stderr)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-shard", "0/2", "-map", "cellmap.jsonl", "-addr", "127.0.0.1:0"}, "-shard requires -topology"},
+		{[]string{"-gateway", "-shard", "0/2", "-topology", topo, "-addr", "127.0.0.1:0"}, "-gateway and -shard are mutually exclusive"},
+	} {
+		logs.Reset()
+		if code := run(tc.args); code != 2 {
+			t.Errorf("run %v = %d, want 2", tc.args, code)
+		}
+		if !strings.Contains(logs.String(), tc.want) {
+			t.Errorf("run %v logged %q, want %q", tc.args, logs.String(), tc.want)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/netip"
+	"strconv"
 )
 
 // LookupResponse is the JSON answer of the lookup service.
@@ -72,42 +73,113 @@ type Info struct {
 	Generation uint64 `json:"generation"`
 }
 
-// Router is the route-registration surface MountRoutes needs; both
+// Router is the route-registration surface Mount needs; both
 // *http.ServeMux and the instrumented httpmw.Mux satisfy it.
 type Router interface {
 	HandleFunc(pattern string, handler func(http.ResponseWriter, *http.Request))
 }
 
-// MountRoutes registers the lookup service's routes on r over an immutable
-// map; see MountSource for the general form.
-func MountRoutes(r Router, m *Map) {
-	MountSource(r, Static{M: m})
+// Resolver answers generation-addressed requests from a node's retained
+// history; *history.Index satisfies it. The timeline and generation-list
+// answers come back ready to encode, so this package need not know their
+// types.
+type Resolver interface {
+	At(seq uint64) (*Map, error)
+	TimelineBody(addr netip.Addr, name string) (any, error)
+	GenerationsBody() any
 }
 
-// MountSource registers the lookup service's routes on r — the lookup
-// microservice a CDN would put in front of the published dataset:
-//
-//	GET  /v1/lookup?ip=ADDR — per-address cellular lookup
-//	POST /v1/lookup/batch   — many addresses, one generation
-//	GET  /v1/info           — dataset metadata, including the generation
-//
-// Every request resolves src.Current() exactly once and answers entirely
-// from that map, so a concurrent hot swap can never make one response mix
-// two generations. Maps are immutable once built, so the handlers are safe
-// for any number of concurrent requests.
+// Gate restricts a node to its shard of the keyspace; *cluster.ShardView
+// satisfies it.
+type Gate interface {
+	// Guard wraps a lookup, batch or history handler with the shard's
+	// degradation policy (deadline enforcement, in-flight bound).
+	Guard(next http.HandlerFunc) http.HandlerFunc
+	// Misrouted returns nil when the shard owns addr; otherwise it counts
+	// the misroute and returns the error a 421 answer carries.
+	Misrouted(addr netip.Addr) error
+}
+
+// MountSource registers the lookup service over src alone: Mount with
+// neither history nor a shard gate.
 func MountSource(r Router, src Source) {
-	r.HandleFunc("GET /v1/lookup", func(w http.ResponseWriter, r *http.Request) {
+	Mount(r, src, nil, nil)
+}
+
+// Mount registers the lookup service's routes on r — the lookup
+// microservice a CDN would put in front of the published dataset, and the
+// one serving surface of every map-serving node:
+//
+//	GET  /v1/lookup?ip=ADDR[&gen=N] — per-address cellular lookup
+//	POST /v1/lookup/batch           — many addresses, one generation
+//	GET  /v1/info                   — dataset metadata, including the generation
+//	GET  /v1/history?ip=ADDR        — label change-points (res only)
+//	GET  /v1/generations            — retained generations (res only)
+//
+// res, when non-nil, answers gen=N from a pinned past generation (404 for
+// one no longer retained); without it gen=N is a 400. gate, when non-nil,
+// refuses addresses outside the shard with 421 and runs lookup, batch and
+// history behind gate.Guard; info and generations stay exempt. Checks run
+// in order: parse, then ownership, then resolving the generation — so a
+// misrouted request never pins a generation on the wrong shard. Pass an
+// absent input as untyped nil, not as a nil pointer.
+//
+// Every request resolves src.Current() (or res.At) exactly once and
+// answers entirely from that map, so a concurrent hot swap can never make
+// one response mix two generations; a gen=N answer takes the same
+// LookupAddr/WriteJSON path, byte-identical to serving N as current. Maps
+// are immutable once built, so the handlers are safe for any number of
+// concurrent requests.
+func Mount(r Router, src Source, res Resolver, gate Gate) {
+	guard := func(h http.HandlerFunc) http.HandlerFunc { return h }
+	if gate != nil {
+		guard = gate.Guard
+	}
+	owned := func(w http.ResponseWriter, addr netip.Addr) bool {
+		if gate == nil {
+			return true
+		}
+		if err := gate.Misrouted(addr); err != nil {
+			WriteError(w, http.StatusMisdirectedRequest, err.Error())
+			return false
+		}
+		return true
+	}
+	r.HandleFunc("GET /v1/lookup", guard(func(w http.ResponseWriter, r *http.Request) {
 		addr, name, ok := ParseLookupAddr(w, r)
+		if !ok || !owned(w, addr) {
+			return
+		}
+		seq, ok := ParseGen(w, r)
 		if !ok {
 			return
 		}
-		m, gen := src.Current()
-		WriteJSON(w, LookupAddr(m, gen, addr, name))
-	})
-	r.HandleFunc("POST /v1/lookup/batch", func(w http.ResponseWriter, r *http.Request) {
-		addrs, names, ok := DecodeBatch(w, r, DefaultBatchLimit)
+		if seq == 0 {
+			m, gen := src.Current()
+			WriteJSON(w, LookupAddr(m, gen, addr, name))
+			return
+		}
+		if res == nil {
+			WriteError(w, http.StatusBadRequest,
+				"gen parameter is not supported on nodes without history; use GET /v1/lookup?ip=X for the current generation")
+			return
+		}
+		m, err := res.At(seq)
+		if err != nil {
+			writeAtError(w, err)
+			return
+		}
+		WriteJSON(w, LookupAddr(m, seq, addr, name))
+	}))
+	r.HandleFunc("POST /v1/lookup/batch", guard(func(w http.ResponseWriter, r *http.Request) {
+		addrs, names, ok := DecodeBatch(w, r)
 		if !ok {
 			return
+		}
+		for _, a := range addrs {
+			if !owned(w, a) {
+				return
+			}
 		}
 		m, gen := src.Current()
 		resp := BatchResponse{Generation: gen, Results: make([]LookupResponse, 0, len(addrs))}
@@ -115,13 +187,7 @@ func MountSource(r Router, src Source) {
 			resp.Results = append(resp.Results, LookupAddr(m, gen, a, names[i]))
 		}
 		WriteJSON(w, resp)
-	})
-	MountInfo(r, src)
-}
-
-// MountInfo registers only GET /v1/info; cluster shard nodes mount it next
-// to their partition-filtered lookup routes.
-func MountInfo(r Router, src Source) {
+	}))
 	r.HandleFunc("GET /v1/info", func(w http.ResponseWriter, _ *http.Request) {
 		m, gen := src.Current()
 		WriteJSON(w, Info{
@@ -132,6 +198,24 @@ func MountInfo(r Router, src Source) {
 			TotalDU:    m.TotalDU(),
 			Generation: gen,
 		})
+	})
+	if res == nil {
+		return
+	}
+	r.HandleFunc("GET /v1/history", guard(func(w http.ResponseWriter, r *http.Request) {
+		addr, name, ok := ParseLookupAddr(w, r)
+		if !ok || !owned(w, addr) {
+			return
+		}
+		body, err := res.TimelineBody(addr, name)
+		if err != nil {
+			WriteError(w, http.StatusInternalServerError, "history walk: "+err.Error())
+			return
+		}
+		WriteJSON(w, body)
+	}))
+	r.HandleFunc("GET /v1/generations", func(w http.ResponseWriter, _ *http.Request) {
+		WriteJSON(w, res.GenerationsBody())
 	})
 }
 
@@ -175,17 +259,30 @@ func ParseLookupAddr(w http.ResponseWriter, r *http.Request) (netip.Addr, string
 	return addr, q, true
 }
 
-// DecodeBatch reads and validates a batch lookup body, enforcing the
-// address-count cap and the body-size bound. On any failure it writes the
-// JSON error response itself — 413 on overflow, 400 otherwise — and
-// returns ok=false. It returns the parsed addresses alongside the strings
-// the client sent (position-matched), so handlers can echo without
-// re-stringifying. Shared by the single-node handler, shard nodes, and
-// the gateway so every tier speaks the identical wire format.
-func DecodeBatch(w http.ResponseWriter, r *http.Request, limit int) ([]netip.Addr, []string, bool) {
-	if limit <= 0 {
-		limit = DefaultBatchLimit
+// ParseGen reads the optional gen query parameter: 0 when absent, else
+// the positive generation number. A malformed or zero value is answered
+// with a 400 here, and ok is false.
+func ParseGen(w http.ResponseWriter, r *http.Request) (seq uint64, ok bool) {
+	q := r.URL.Query()
+	if !q.Has("gen") {
+		return 0, true
 	}
+	seq, err := strconv.ParseUint(q.Get("gen"), 10, 64)
+	if err != nil || seq == 0 {
+		WriteError(w, http.StatusBadRequest, "bad gen: want a positive generation number")
+		return 0, false
+	}
+	return seq, true
+}
+
+// DecodeBatch reads and validates a batch lookup body, enforcing the
+// DefaultBatchLimit address-count cap and the body-size bound. On any
+// failure it writes the JSON error response itself — 413 on overflow, 400
+// otherwise — and returns ok=false. It returns the parsed addresses alongside the strings
+// the client sent (position-matched), so handlers can echo without
+// re-stringifying. Shared by Mount and the gateway so every tier speaks
+// the identical wire format and enforces the same cap.
+func DecodeBatch(w http.ResponseWriter, r *http.Request) ([]netip.Addr, []string, bool) {
 	// The batch path serves only the current generation; silently ignoring
 	// a gen parameter would answer a history query with current data.
 	// Reject it outright until batch history serving exists.
@@ -210,9 +307,9 @@ func DecodeBatch(w http.ResponseWriter, r *http.Request, limit int) ([]netip.Add
 		WriteError(w, http.StatusBadRequest, "empty batch: body must carry a non-empty ips array")
 		return nil, nil, false
 	}
-	if len(req.IPs) > limit {
+	if len(req.IPs) > DefaultBatchLimit {
 		WriteError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d addresses exceeds limit %d", len(req.IPs), limit))
+			fmt.Sprintf("batch of %d addresses exceeds limit %d", len(req.IPs), DefaultBatchLimit))
 		return nil, nil, false
 	}
 	addrs := make([]netip.Addr, 0, len(req.IPs))
@@ -227,13 +324,6 @@ func DecodeBatch(w http.ResponseWriter, r *http.Request, limit int) ([]netip.Add
 	return addrs, req.IPs, true
 }
 
-// Handler serves a cellular map on a plain mux; see MountRoutes.
-func Handler(m *Map) http.Handler {
-	mux := http.NewServeMux()
-	MountRoutes(mux, m)
-	return mux
-}
-
 // WriteJSON marshals v before touching the ResponseWriter, so an encoding
 // failure can still produce a well-formed 500 instead of a half-written
 // 200.
@@ -245,6 +335,44 @@ func WriteJSON(w http.ResponseWriter, v any) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(append(body, '\n'))
+}
+
+// PrunedError reports a generation-addressed request for a seq the store
+// no longer (or never) retained, carrying the oldest seq still available
+// so clients can re-anchor their walk.
+type PrunedError struct {
+	Seq    uint64
+	Oldest uint64 // 0 when the store retains nothing
+}
+
+func (e *PrunedError) Error() string {
+	if e.Oldest == 0 {
+		return fmt.Sprintf("generation %d is not retained (store is empty)", e.Seq)
+	}
+	return fmt.Sprintf("generation %d is not retained; oldest available is %d", e.Seq, e.Oldest)
+}
+
+// NotRetainedError is the JSON body of a 404 for a generation-addressed
+// request whose seq the store no longer retains. OldestGeneration lets the
+// client re-anchor: it names the earliest seq still answerable (absent
+// when the store retains nothing at all).
+type NotRetainedError struct {
+	Error            string `json:"error"`
+	OldestGeneration uint64 `json:"oldest_generation,omitempty"`
+}
+
+// writeAtError maps a Resolver.At failure onto the wire: a pruned seq is
+// the client's 404 (with the oldest retained seq to re-anchor on);
+// anything else is a server-side 500.
+func writeAtError(w http.ResponseWriter, err error) {
+	var perr *PrunedError
+	if errors.As(err, &perr) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusNotFound)
+		json.NewEncoder(w).Encode(NotRetainedError{Error: perr.Error(), OldestGeneration: perr.Oldest})
+		return
+	}
+	WriteError(w, http.StatusInternalServerError, "loading generation: "+err.Error())
 }
 
 // WriteError answers with the service's JSON error body convention.

@@ -14,7 +14,9 @@ func testServer(t *testing.T) (*httptest.Server, *Map) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(Handler(m))
+	mux := http.NewServeMux()
+	MountSource(mux, Static{M: m})
+	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return srv, m
 }

@@ -280,15 +280,15 @@ func TestGatewayPropagatesDeadline(t *testing.T) {
 	}
 }
 
-// shardMounts are the two ways a shard node mounts its serving routes —
-// without and with a history index over a snapshot store. Every
-// degradation guard must hold on both.
+// shardMounts are the two shard configurations of cellmap.Mount — without
+// and with a history index over a snapshot store. Every degradation guard
+// must hold on both.
 var shardMounts = []struct {
 	name  string
 	mount func(t *testing.T, mux *http.ServeMux, v *ShardView)
 }{
 	{"MountShard", func(_ *testing.T, mux *http.ServeMux, v *ShardView) { MountShard(mux, v) }},
-	{"MountShardHistory", func(t *testing.T, mux *http.ServeMux, v *ShardView) {
+	{"ShardWithHistory", func(t *testing.T, mux *http.ServeMux, v *ShardView) {
 		store, err := snapshot.Open(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
@@ -297,7 +297,8 @@ var shardMounts = []struct {
 		if err != nil {
 			t.Fatal(err)
 		}
-		MountShardHistory(mux, v, ix)
+		cellmap.Mount(mux, v.src, ix, v)
+		v.MountHealth(mux)
 	}},
 }
 
@@ -346,7 +347,7 @@ func TestShardRefusesExpiredDeadline(t *testing.T) {
 				{http.MethodGet, "/v1/lookup?ip=10.0.0.9", ""},
 				{http.MethodPost, "/v1/lookup/batch", `{"ips":["10.0.0.9"]}`},
 			}
-			if sm.name == "MountShardHistory" {
+			if sm.name == "ShardWithHistory" {
 				routes = append(routes, struct{ method, path, body string }{http.MethodGet, "/v1/history?ip=10.0.0.9", ""})
 			}
 			for _, r := range routes {

@@ -37,9 +37,6 @@ type GatewayConfig struct {
 	// shard's latency tracker is still cold. Once warm, the shard's p95
 	// (clamped to [1ms, 250ms]) replaces it. Default 25ms.
 	HedgeDelay time.Duration
-	// BatchLimit caps batch fan-out requests. Default
-	// cellmap.DefaultBatchLimit.
-	BatchLimit int
 	// CacheSize is the capacity (addresses) of the generation-keyed
 	// response cache; 0 disables caching. The cache holds answers of the
 	// newest generation the gateway has observed and is invalidated
@@ -82,9 +79,6 @@ func (c *GatewayConfig) fillDefaults() {
 	}
 	if c.HedgeDelay <= 0 {
 		c.HedgeDelay = 25 * time.Millisecond
-	}
-	if c.BatchLimit <= 0 {
-		c.BatchLimit = cellmap.DefaultBatchLimit
 	}
 	if c.GenRounds <= 0 {
 		c.GenRounds = 3
@@ -783,26 +777,19 @@ var ErrGenerationSplit = fmt.Errorf("cluster: shards split across generations, r
 //	GET  /v1/cluster/health  — the gateway's fleet view
 func (g *Gateway) Mount(r cellmap.Router) {
 	r.HandleFunc("GET /v1/lookup", func(w http.ResponseWriter, req *http.Request) {
-		query := req.URL.Query()
-		q := query.Get("ip")
-		if q == "" {
-			cellmap.WriteError(w, http.StatusBadRequest, "missing ip parameter")
+		addr, _, ok := cellmap.ParseLookupAddr(w, req)
+		if !ok {
 			return
 		}
-		addr, err := netip.ParseAddr(q)
-		if err != nil {
-			cellmap.WriteError(w, http.StatusBadRequest, "bad ip: "+err.Error())
+		seq, ok := cellmap.ParseGen(w, req)
+		if !ok {
 			return
 		}
 		var status int
 		var body []byte
-		if query.Has("gen") {
+		var err error
+		if seq != 0 {
 			// Generation-addressed: route around the cache entirely.
-			seq, perr := strconv.ParseUint(query.Get("gen"), 10, 64)
-			if perr != nil || seq == 0 {
-				cellmap.WriteError(w, http.StatusBadRequest, "bad gen: want a positive generation number")
-				return
-			}
 			status, body, err = g.LookupGen(req.Context(), addr, seq)
 		} else {
 			status, body, err = g.Lookup(req.Context(), addr)
@@ -830,7 +817,7 @@ func (g *Gateway) Mount(r cellmap.Router) {
 		w.Write(body)
 	})
 	r.HandleFunc("POST /v1/lookup/batch", func(w http.ResponseWriter, req *http.Request) {
-		addrs, _, ok := cellmap.DecodeBatch(w, req, g.cfg.BatchLimit)
+		addrs, _, ok := cellmap.DecodeBatch(w, req)
 		if !ok {
 			return
 		}

@@ -314,14 +314,21 @@ func TestGatewayBatchGenerationSplit(t *testing.T) {
 	}
 }
 
+// TestGatewayBatchLimit: the gateway enforces the same address-count cap
+// as every shard, so an oversized batch is refused at the edge.
 func TestGatewayBatchLimit(t *testing.T) {
 	m := mkMap(t, "2016-12", genOneEntries())
 	f := newTestFleet(t, 2, 1, m, 1)
-	_, srv, _ := f.gateway(t, func(c *GatewayConfig) {
-		c.BatchLimit = 4
-	})
-	body := `{"ips":["10.0.0.1","10.0.1.1","10.0.2.1","10.0.3.1","10.0.4.1"]}`
-	resp, err := http.Post(srv.URL+"/v1/lookup/batch", "application/json", strings.NewReader(body))
+	_, srv, _ := f.gateway(t, nil)
+	ips := make([]string, cellmap.DefaultBatchLimit+1)
+	for i := range ips {
+		ips[i] = fmt.Sprintf("10.0.%d.1", i%16)
+	}
+	body, err := json.Marshal(cellmap.BatchRequest{IPs: ips})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/v1/lookup/batch", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

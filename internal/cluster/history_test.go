@@ -71,7 +71,8 @@ func newHistoryFixture(t *testing.T, shards, shardID int) *historyFixture {
 		t.Fatal(err)
 	}
 	mux := http.NewServeMux()
-	MountShardHistory(mux, view, ix)
+	cellmap.Mount(mux, sw, ix, view)
+	view.MountHealth(mux)
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return &historyFixture{store: store, ix: ix, sw: sw, srv: srv, ring: ring}
@@ -153,7 +154,7 @@ func TestGatewayGenRoutesAroundCache(t *testing.T) {
 	if code != http.StatusNotFound {
 		t.Fatalf("gen=99: status %d (%s)", code, body)
 	}
-	var nre history.NotRetainedError
+	var nre cellmap.NotRetainedError
 	if err := json.Unmarshal(body, &nre); err != nil || nre.OldestGeneration != 1 {
 		t.Errorf("proxied 404 body = %s (%v)", body, err)
 	}

@@ -96,11 +96,6 @@ func (v *ShardView) EnableMetrics(reg *obs.Registry) {
 	v.mOwned.Set(int64(v.ownedEntries(m)))
 }
 
-// Owns reports whether this shard's partition covers addr.
-func (v *ShardView) Owns(addr netip.Addr) bool {
-	return v.ring.Owner(addr) == v.id
-}
-
 // ownedEntries counts entries the shard owns in m, caching per map
 // pointer so a hot-swap recomputes exactly once.
 func (v *ShardView) ownedEntries(m *cellmap.Map) int {
@@ -129,62 +124,20 @@ func (v *ShardView) ownedEntries(m *cellmap.Map) int {
 	return n
 }
 
-// MountShard registers the partition-filtered lookup service on r:
-//
-//	GET  /v1/lookup?ip=ADDR  — owned addresses only; 421 otherwise
-//	POST /v1/lookup/batch    — every address must be owned
-//	GET  /v1/cluster/health  — shard id, generation, owned entry count
-//	GET  /v1/info            — the usual dataset metadata
-//
-// Like the single-node service, every handler resolves the source exactly
-// once per request, so one response never mixes generations.
-//
-// Lookup and batch run behind two degradation guards: admission control
-// (SetMaxInflight; excess requests get 503 + Retry-After instead of
-// queueing) and deadline enforcement (a request whose propagated gateway
-// deadline — see DeadlineHeader — already passed gets 504 without touching
-// the map; its caller stopped listening).
+// MountShard registers the partition-filtered lookup service on r —
+// cellmap.Mount gated by v, without history — plus v's health route.
+// Addresses outside the partition get 421; lookup and batch run behind
+// v's degradation guards (see Guard).
 func MountShard(r cellmap.Router, v *ShardView) {
-	r.HandleFunc("GET /v1/lookup", v.guard(func(w http.ResponseWriter, req *http.Request) {
-		q := req.URL.Query().Get("ip")
-		if q == "" {
-			cellmap.WriteError(w, http.StatusBadRequest, "missing ip parameter")
-			return
-		}
-		addr, err := netip.ParseAddr(q)
-		if err != nil {
-			cellmap.WriteError(w, http.StatusBadRequest, "bad ip: "+err.Error())
-			return
-		}
-		if owner := v.ring.Owner(addr); owner != v.id {
-			v.mMisrouted.Inc()
-			cellmap.WriteError(w, http.StatusMisdirectedRequest,
-				fmt.Sprintf("address %s belongs to shard %d, this is shard %d", addr, owner, v.id))
-			return
-		}
-		m, gen := v.src.Current()
-		cellmap.WriteJSON(w, cellmap.LookupAddr(m, gen, addr, q))
-	}))
-	r.HandleFunc("POST /v1/lookup/batch", v.guard(func(w http.ResponseWriter, req *http.Request) {
-		addrs, names, ok := cellmap.DecodeBatch(w, req, cellmap.DefaultBatchLimit)
-		if !ok {
-			return
-		}
-		for _, a := range addrs {
-			if owner := v.ring.Owner(a); owner != v.id {
-				v.mMisrouted.Inc()
-				cellmap.WriteError(w, http.StatusMisdirectedRequest,
-					fmt.Sprintf("address %s belongs to shard %d, this is shard %d", a, owner, v.id))
-				return
-			}
-		}
-		m, gen := v.src.Current()
-		resp := cellmap.BatchResponse{Generation: gen, Results: make([]cellmap.LookupResponse, 0, len(addrs))}
-		for i, a := range addrs {
-			resp.Results = append(resp.Results, cellmap.LookupAddr(m, gen, a, names[i]))
-		}
-		cellmap.WriteJSON(w, resp)
-	}))
+	cellmap.Mount(r, v.src, nil, v)
+	v.MountHealth(r)
+}
+
+// MountHealth registers GET /v1/cluster/health: shard id, generation and
+// owned entry count, the facts the gateway's health checker routes on.
+// It stays outside the degradation guards so the gateway's view of a
+// shedding node remains accurate.
+func (v *ShardView) MountHealth(r cellmap.Router) {
 	r.HandleFunc("GET /v1/cluster/health", func(w http.ResponseWriter, _ *http.Request) {
 		m, gen := v.src.Current()
 		cellmap.WriteJSON(w, HealthResponse{
@@ -196,12 +149,27 @@ func MountShard(r cellmap.Router, v *ShardView) {
 			Period:       m.Period,
 		})
 	})
-	cellmap.MountInfo(r, v.src)
 }
 
-// guard wraps a serving handler with the shard's degradation policy:
-// deadline enforcement first (free), then the in-flight bound.
-func (v *ShardView) guard(next http.HandlerFunc) http.HandlerFunc {
+// Misrouted returns nil when this shard owns addr; otherwise it counts the
+// misroute and returns the error naming the owner that cellmap.Mount
+// answers with 421.
+func (v *ShardView) Misrouted(addr netip.Addr) error {
+	owner := v.ring.Owner(addr)
+	if owner == v.id {
+		return nil
+	}
+	v.mMisrouted.Inc()
+	return fmt.Errorf("address %s belongs to shard %d, this is shard %d", addr, owner, v.id)
+}
+
+// Guard wraps a serving handler with the shard's degradation policy:
+// deadline enforcement first (free) — a request whose propagated gateway
+// deadline (see DeadlineHeader) already passed gets 504 without touching
+// the map, since its caller stopped listening — then admission control
+// (SetMaxInflight; excess requests get 503 + Retry-After instead of
+// queueing).
+func (v *ShardView) Guard(next http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
 		if h := req.Header.Get(DeadlineHeader); h != "" {
 			if micros, err := strconv.ParseInt(h, 10, 64); err == nil {

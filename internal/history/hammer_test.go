@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"cellspot/internal/cellmap"
 	"cellspot/internal/snapshot"
 )
 
@@ -117,7 +118,7 @@ func TestHistoryPruneHammer(t *testing.T) {
 				seq := uint64(rng.Int63n(int64(latest.Load()))) + 1
 				m, err := ix.At(seq)
 				if err != nil {
-					var perr *PrunedError
+					var perr *cellmap.PrunedError
 					if errors.As(err, &perr) {
 						continue // cleanly pruned: the allowed outcome
 					}

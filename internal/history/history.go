@@ -10,7 +10,8 @@
 // next request that needs it. Loads pin the generation in the snapshot
 // store for their duration, so a concurrent Prune can never tear a read:
 // a generation either loads completely or the request gets a clean 404
-// naming the oldest seq still available.
+// naming the oldest seq still available. cellmap.Mount serves the routes
+// over an Index, which satisfies cellmap.Resolver.
 package history
 
 import (
@@ -72,21 +73,6 @@ func WriteMeta(dir string, meta GenMeta) error {
 type GenInfo struct {
 	Seq  uint64  `json:"generation"`
 	Meta GenMeta `json:"meta"`
-}
-
-// PrunedError reports a generation-addressed request for a seq the store
-// no longer (or never) retained, carrying the oldest seq still available
-// so clients can re-anchor their walk.
-type PrunedError struct {
-	Seq    uint64
-	Oldest uint64 // 0 when the store retains nothing
-}
-
-func (e *PrunedError) Error() string {
-	if e.Oldest == 0 {
-		return fmt.Sprintf("generation %d is not retained (store is empty)", e.Seq)
-	}
-	return fmt.Sprintf("generation %d is not retained; oldest available is %d", e.Seq, e.Oldest)
 }
 
 // Config parameterizes an Index.
@@ -244,6 +230,16 @@ func (ix *Index) Generations() []GenInfo {
 	return append([]GenInfo(nil), ix.gens...)
 }
 
+var _ cellmap.Resolver = (*Index)(nil)
+
+// GenerationsBody is the /v1/generations answer; with TimelineBody and At
+// it makes the index a cellmap.Resolver.
+func (ix *Index) GenerationsBody() any {
+	return struct {
+		Generations []GenInfo `json:"generations"`
+	}{ix.Generations()}
+}
+
 // Oldest returns the oldest retained seq; ok is false on an empty store.
 func (ix *Index) Oldest() (uint64, bool) {
 	ix.mu.Lock()
@@ -270,8 +266,8 @@ func (ix *Index) knownLocked(seq uint64) bool {
 
 // At returns the map of a retained generation, loading (and possibly
 // evicting) as needed. A seq the store does not retain returns a
-// *PrunedError carrying the oldest available seq. Concurrent calls for the
-// same seq share one load.
+// *cellmap.PrunedError carrying the oldest available seq. Concurrent
+// calls for the same seq share one load.
 func (ix *Index) At(seq uint64) (*cellmap.Map, error) {
 	ix.mu.Lock()
 	if r, ok := ix.resident[seq]; ok {
@@ -295,7 +291,7 @@ func (ix *Index) At(seq uint64) (*cellmap.Map, error) {
 		}
 		ix.mu.Lock()
 		if !ix.knownLocked(seq) {
-			perr := &PrunedError{Seq: seq, Oldest: ix.oldestLocked()}
+			perr := &cellmap.PrunedError{Seq: seq, Oldest: ix.oldestLocked()}
 			ix.mu.Unlock()
 			ix.mPruned404s.Inc()
 			return nil, perr
@@ -330,7 +326,7 @@ func (ix *Index) At(seq uint64) (*cellmap.Map, error) {
 	close(r.ready)
 
 	if err != nil {
-		var perr *PrunedError
+		var perr *cellmap.PrunedError
 		if errors.As(err, &perr) {
 			ix.mPruned404s.Inc()
 		}
@@ -351,7 +347,7 @@ func (ix *Index) load(seq uint64) (*cellmap.Map, error) {
 			return nil, err
 		}
 		ix.mu.Lock()
-		perr := &PrunedError{Seq: seq, Oldest: ix.oldestLocked()}
+		perr := &cellmap.PrunedError{Seq: seq, Oldest: ix.oldestLocked()}
 		ix.mu.Unlock()
 		return nil, perr
 	}
@@ -444,7 +440,7 @@ func (ix *Index) Timeline(addr netip.Addr, name string) (TimelineResponse, error
 	for _, gi := range gens {
 		m, err := ix.At(gi.Seq)
 		if err != nil {
-			var perr *PrunedError
+			var perr *cellmap.PrunedError
 			if errors.As(err, &perr) {
 				continue
 			}
@@ -470,4 +466,9 @@ func (ix *Index) Timeline(addr netip.Addr, name string) (TimelineResponse, error
 		prev = cur
 	}
 	return resp, nil
+}
+
+// TimelineBody is Timeline as the /v1/history answer of a cellmap.Resolver.
+func (ix *Index) TimelineBody(addr netip.Addr, name string) (any, error) {
+	return ix.Timeline(addr, name)
 }

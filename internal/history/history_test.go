@@ -183,9 +183,9 @@ func TestAtPrunedSeq(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = ix.At(1)
-	var perr *PrunedError
+	var perr *cellmap.PrunedError
 	if !errors.As(err, &perr) {
-		t.Fatalf("At(pruned) error = %v, want *PrunedError", err)
+		t.Fatalf("At(pruned) error = %v, want *cellmap.PrunedError", err)
 	}
 	if perr.Seq != 1 || perr.Oldest != 3 {
 		t.Errorf("PrunedError = %+v, want Seq 1 Oldest 3", perr)

@@ -62,7 +62,7 @@ func historyServer(t testing.TB, n int) (*httptest.Server, *snapshot.Store, *Ind
 	}
 	src := cellmap.NewSwappable(maps[n-1], uint64(n))
 	mux := http.NewServeMux()
-	Mount(mux, src, ix)
+	cellmap.Mount(mux, src, ix, nil)
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return srv, store, ix, maps
@@ -100,7 +100,7 @@ func TestGenLookupErrors(t *testing.T) {
 	if code != http.StatusNotFound {
 		t.Fatalf("pruned gen: status %d, want 404 (%s)", code, body)
 	}
-	var nre NotRetainedError
+	var nre cellmap.NotRetainedError
 	if err := json.Unmarshal(body, &nre); err != nil {
 		t.Fatalf("404 body is not JSON: %v (%s)", err, body)
 	}
