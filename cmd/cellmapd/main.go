@@ -10,7 +10,7 @@
 // generations: one fold-and-publish core (live.Aggregator) that folds
 // beacons into a sliding window and publishes a new generation every
 // -refresh interval. Exactly one of two input adapters feeds it. With
-// -live-spool the core tails a local beacond spool; with
+// -live-spool the core reads a local beacond spool's sealed shards; with
 // -federation-listen a second listener instead accepts sealed-shard
 // segments shipped by remote beacond collectors (-ship-to on their side)
 // and folds each exactly once. Both write the same checkpoint format into
@@ -81,7 +81,7 @@ func run(args []string) int {
 	snapDir := fs.String("snapshots", "", "snapshot store directory; boot from CURRENT and hot-swap to new generations")
 	poll := fs.Duration("poll", 10*time.Second, "snapshot store polling interval (0 disables polling)")
 	jitterSeedFlag := fs.Uint64("poll-jitter-seed", 0, "seed for the ±10% poll jitter (0 derives one from host+pid)")
-	liveSpool := fs.String("live-spool", "", "embed the live refresh loop, tailing this beacond spool directory")
+	liveSpool := fs.String("live-spool", "", "embed the live refresh loop, reading this beacond spool directory's sealed shards")
 	fedListen := fs.String("federation-listen", "", "accept federated spool segments from remote collectors on this address")
 	livePrefix := fs.String("live-prefix", live.DefaultSpoolPrefix, "spool file prefix tailed by the live refresh loop")
 	refresh := fs.Duration("refresh", live.DefaultInterval, "live refresh interval")
@@ -214,7 +214,7 @@ func run(args []string) int {
 		d.pollStore(ctx, &wg, *poll, seed)
 	}
 
-	// Aggregation plane, local input: tail the beacond spool and publish
+	// Aggregation plane, local input: read the beacond spool and publish
 	// generations into the store the poller above is watching.
 	if *liveSpool != "" {
 		inputs, err := liveInputs(*worldSeed, *worldScale)

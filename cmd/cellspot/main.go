@@ -393,7 +393,7 @@ func writeDetected(path string, detected netaddr.Set) error {
 // over the measured traffic — the "run the paper's method on your own
 // Zeek logs" entry point. With -out it additionally writes a beacon-record
 // spool (prefix "beacon", so 'cellspot classify -data' and cellmapd's live
-// tailer consume it unchanged), the normalized DEMAND dataset, and the
+// spool input consume it unchanged), the normalized DEMAND dataset, and the
 // detected cellular blocks.
 func runIngest(args []string) error {
 	fs := flag.NewFlagSet("ingest", flag.ExitOnError)

@@ -11,6 +11,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -24,6 +25,7 @@ import (
 	"cellspot/internal/netaddr"
 	"cellspot/internal/netinfo"
 	"cellspot/internal/obs"
+	"cellspot/internal/rum"
 	"cellspot/internal/snapshot"
 )
 
@@ -314,6 +316,82 @@ func (g *gateFS) Rename(oldpath, newpath string) error {
 		<-g.release
 	})
 	return g.FS.Rename(oldpath, newpath)
+}
+
+// TestReceiverOversizeLineFoldsOnce: a digest-valid segment holding a line
+// longer than logio.MaxLineBytes folds whole on its first POST, the long
+// line skipped and counted, and its retries are duplicates. The receiver
+// once refused such a segment with 400 after folding the lines before the
+// long one, and folded them again on every retry.
+func TestReceiverOversizeLineFoldsOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("posts a >16MB segment")
+	}
+	var payload bytes.Buffer
+	for i, rec := range genRecords(2, 17000, 1) {
+		b, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload.Write(append(b, '\n'))
+		if i == 0 {
+			payload.WriteString(`{"junk":"` + strings.Repeat("a", logio.MaxLineBytes) + `"}` + "\n")
+		}
+	}
+	p := newPlane(t, t.TempDir())
+	m := Manifest{
+		Format: ManifestFormat, Collector: "c-1", Shard: "beacon-0000.jsonl",
+		Length: int64(payload.Len()), SHA256: Digest(payload.Bytes()), Records: 3, ShardSize: int64(payload.Len()),
+	}
+	for i := 0; i < 3; i++ {
+		status, resp := postSegment(t, p.srv.URL, m, payload.Bytes())
+		if status != http.StatusOK || resp.Acked != m.Length || resp.Duplicate != (i > 0) {
+			t.Fatalf("POST %d: status %d %+v, want 200 acked %d duplicate=%v", i+1, status, resp, m.Length, i > 0)
+		}
+	}
+	if got := p.recv.Status().Records; got != 2 {
+		t.Fatalf("window holds %d records, want 2", got)
+	}
+	if v := p.counter("federation_recv_bad_lines_total"); v != 1 {
+		t.Fatalf("federation_recv_bad_lines_total = %d, want 1", v)
+	}
+}
+
+// TestShipperShipsEdgeOfRangeDays: a collector accepts any RFC 3339
+// timestamp, and one whose zone offset pushes its UTC day to year 10000
+// or -1 formats to an 11-byte day in the manifest. Such beacons ship like
+// any other, and the shards after them ship too. A manifest check that
+// parsed days once refused them with 400, which stopped the collector's
+// shipping for good.
+func TestShipperShipsEdgeOfRangeDays(t *testing.T) {
+	spool := t.TempDir()
+	col := rum.NewCollector(rum.WithSpool(logio.NewSpool(spool, "beacon", false, 1)))
+	srv := httptest.NewServer(col.Handler())
+	defer srv.Close()
+	for _, ts := range []string{"9999-12-31T23:00:00-05:00", "0000-01-01T00:30:00+01:00", "2016-12-15T12:00:00Z"} {
+		body := `{"ts":"` + ts + `","ip":"10.0.0.1","conn":"cellular"}` + "\n"
+		resp, err := http.Post(srv.URL+"/v1/beacons", "application/x-ndjson", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("beacon at %s: status %d, want 200", ts, resp.StatusCode)
+		}
+	}
+	if err := col.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	p := newPlane(t, t.TempDir())
+	s := newShipper(t, spool, "c-1", p.srv.URL, 0)
+	rep, err := s.PollOnce(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Segments != 3 || rep.Records != 3 || rep.LagBytes != 0 {
+		t.Fatalf("poll: %+v, want all 3 one-record shards shipped", rep)
+	}
 }
 
 // TestReceiverBackpressure: while a Tick drains the window into a publish,

@@ -54,13 +54,14 @@ const (
 	// StatusPath is the receiver's observability route.
 	StatusPath = "/v1/federation/status"
 
-	// MaxManifestBytes bounds the manifest line of a framed segment.
+	// MaxManifestBytes bounds the manifest line of a framed segment. A
+	// segment's payload is bounded by logio.MaxSegmentBytes, which no
+	// shipper-cut segment exceeds.
 	MaxManifestBytes = 16 << 10
-	// MaxSegmentBytes bounds one segment's payload. A shipper never cuts
-	// segments this large (its configured size is far smaller; oversized
-	// single lines are already capped at logio.MaxLineBytes), so the
-	// receiver can treat anything bigger as hostile or corrupt.
-	MaxSegmentBytes = logio.MaxLineBytes + (1 << 20)
+
+	// maxDayBytes bounds DayMin and DayMax: "-0001-12-31" and
+	// "10000-01-01" are the longest days a parsed timestamp formats to.
+	maxDayBytes = 11
 )
 
 // Manifest describes one content-addressed segment of a sealed spool
@@ -106,19 +107,28 @@ func (m Manifest) Validate() error {
 	if !validCollectorID(m.Collector) {
 		return fmt.Errorf("federation: invalid collector ID %q", m.Collector)
 	}
-	if m.Shard == "" || strings.ContainsAny(m.Shard, "/\\") {
+	// Bounding every free-form string keeps a manifest DecodeSegment
+	// accepts within MaxManifestBytes when EncodeSegment re-escapes it.
+	if m.Shard == "" || len(m.Shard) > 255 || strings.ContainsAny(m.Shard, "/\\") {
 		return fmt.Errorf("federation: invalid shard name %q", m.Shard)
+	}
+	// Days are bounded by length, not parsed: the shipper formats any
+	// timestamp a record carries, and a UTC year of -1 or 10000 (from a
+	// zone offset at either end of RFC 3339's range) gives an 11-byte day
+	// that time.Parse refuses. Refusing it would stop the shard for good.
+	if len(m.DayMin) > maxDayBytes || len(m.DayMax) > maxDayBytes {
+		return fmt.Errorf("federation: day %q..%q over %d bytes", m.DayMin, m.DayMax, maxDayBytes)
 	}
 	if m.Offset < 0 || m.Length < 0 || m.ShardSize < 0 {
 		return fmt.Errorf("federation: negative range in manifest (%d+%d of %d)", m.Offset, m.Length, m.ShardSize)
 	}
-	if m.Length > MaxSegmentBytes {
-		return fmt.Errorf("federation: segment length %d over the %d cap", m.Length, MaxSegmentBytes)
+	if m.Length > logio.MaxSegmentBytes {
+		return fmt.Errorf("federation: segment length %d over the %d cap", m.Length, logio.MaxSegmentBytes)
 	}
-	if m.Offset+m.Length > m.ShardSize {
+	if m.Offset > m.ShardSize-m.Length {
 		return fmt.Errorf("federation: segment %d+%d overruns shard size %d", m.Offset, m.Length, m.ShardSize)
 	}
-	if m.Length > 0 {
+	if m.Length > 0 || m.SHA256 != "" {
 		if len(m.SHA256) != sha256.Size*2 {
 			return fmt.Errorf("federation: sha256 %q is not a %d-hex digest", m.SHA256, sha256.Size*2)
 		}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"cellspot/internal/logio"
 )
 
 func validManifest(payload []byte) Manifest {
@@ -60,9 +62,10 @@ func TestManifestValidate(t *testing.T) {
 		{"negative offset", func(m *Manifest) { m.Offset = -1 }},
 		{"negative length", func(m *Manifest) { m.Length = -1; m.SHA256 = "" }},
 		{"range overruns shard", func(m *Manifest) { m.ShardSize = m.Length - 1 }},
-		{"oversized length", func(m *Manifest) { m.Length = MaxSegmentBytes + 1; m.ShardSize = m.Length }},
+		{"oversized length", func(m *Manifest) { m.Length = logio.MaxSegmentBytes + 1; m.ShardSize = m.Length }},
 		{"short digest", func(m *Manifest) { m.SHA256 = "abcd" }},
 		{"non-hex digest", func(m *Manifest) { m.SHA256 = strings.Repeat("zz", 32) }},
+		{"day over 11 bytes", func(m *Manifest) { m.DayMin = "2016-12-01T0" }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -105,4 +108,44 @@ func TestDecodeSegmentShortPayload(t *testing.T) {
 	if _, _, err := DecodeSegment(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated payload accepted")
 	}
+}
+
+// FuzzDecodeSegment: DecodeSegment faces the network. It must never panic,
+// and every segment it accepts must re-encode through EncodeSegment to the
+// same manifest and payload.
+func FuzzDecodeSegment(f *testing.F) {
+	payload := []byte(`{"ts":"2016-12-01T00:00:00Z","ip":"10.0.0.1"}` + "\n")
+	for _, m := range []Manifest{
+		validManifest(payload),
+		{Format: ManifestFormat, Collector: "eu-1", Shard: "beacon-0000.jsonl", Offset: 7, ShardSize: 9},
+	} {
+		var buf bytes.Buffer
+		if m.Length > 0 {
+			EncodeSegment(&buf, m, payload)
+		} else {
+			EncodeSegment(&buf, m, nil)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add([]byte("{}\n"))
+	// Escaping grows '<' sixfold on re-encode; an unbounded free-form
+	// field used to push a valid manifest past MaxManifestBytes.
+	f.Add([]byte(`{"format":"` + ManifestFormat + `","collector":"eu-1","shard":"s","shard_size":1,"day_min":"` + strings.Repeat("<", 3000) + `"}` + "\n"))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		m, payload, err := DecodeSegment(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		var enc bytes.Buffer
+		if err := EncodeSegment(&enc, m, payload); err != nil {
+			t.Fatalf("accepted segment does not re-encode: %v", err)
+		}
+		m2, payload2, err := DecodeSegment(&enc)
+		if err != nil {
+			t.Fatalf("re-encoded segment refused: %v", err)
+		}
+		if m2 != m || !bytes.Equal(payload2, payload) {
+			t.Fatalf("round trip changed the segment:\n%+v\n%+v", m, m2)
+		}
+	})
 }

@@ -1,8 +1,6 @@
 package federation
 
 import (
-	"bytes"
-	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -10,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cellspot/internal/beacon"
 	"cellspot/internal/live"
 	"cellspot/internal/logio"
 	"cellspot/internal/obs"
@@ -83,7 +80,7 @@ type ReceiverConfig struct {
 	//	federation_recv_throttled_total       429 backpressure responses
 	//	federation_recv_shed_total            429 admission-control refusals
 	//	federation_recv_probes_total          zero-length probes answered
-	//	federation_recv_bad_lines_total       malformed payload lines skipped
+	//	federation_recv_bad_lines_total       malformed or oversize payload lines skipped
 	//	federation_recv_fold_seconds          per-segment fold latency
 	Metrics *obs.Registry
 	// Logf, when non-nil, receives operational log lines.
@@ -197,7 +194,7 @@ func (r *Receiver) handleSegments(w http.ResponseWriter, req *http.Request) {
 		defer r.inflight.Add(-1)
 	}
 	start := time.Now()
-	m, payload, err := DecodeSegment(http.MaxBytesReader(w, req.Body, MaxManifestBytes+MaxSegmentBytes+2))
+	m, payload, err := DecodeSegment(http.MaxBytesReader(w, req.Body, MaxManifestBytes+logio.MaxSegmentBytes+2))
 	if err != nil {
 		r.mBadReq.Inc()
 		writeJSON(w, http.StatusBadRequest, SegmentResponse{Error: err.Error()})
@@ -270,33 +267,18 @@ func (r *Receiver) accept(f live.Folder, m Manifest, payload []byte) (int, Segme
 			return http.StatusBadRequest, SegmentResponse{Acked: acked, Durable: durable,
 				Error: "gzip shards must ship as one whole-file segment"}
 		}
-		zr, err := gzip.NewReader(bytes.NewReader(payload))
-		if err == nil {
-			text, err = readAllLimited(zr)
-		}
-		if err != nil {
+		var err error
+		if text, err = logio.Gunzip(payload); err != nil {
 			r.mBadReq.Inc()
 			return http.StatusBadRequest, SegmentResponse{Acked: acked, Durable: durable,
 				Error: "gzip payload unreadable: " + err.Error()}
 		}
 	}
 
-	records := 0
-	st, err := logio.Decode(bytes.NewReader(text), true, func(rec beacon.Record) error {
-		f.Add(m.Collector, rec)
-		records++
-		return nil
-	})
-	if err != nil {
-		// The digest matched, so this is not corruption in transit: the
-		// payload itself has an unscannable line. Refuse it so the
-		// problem surfaces at the collector instead of vanishing here.
-		r.mBadReq.Inc()
-		return http.StatusBadRequest, SegmentResponse{Acked: acked, Durable: durable, Error: err.Error()}
-	}
-	r.mBadLines.Add(uint64(st.Bad))
+	st := live.FoldPayload(f, m.Collector, text)
+	r.mBadLines.Add(uint64(st.Bad + st.Oversize))
 	r.mSegments.Inc()
-	r.mRecords.Add(uint64(records))
+	r.mRecords.Add(uint64(st.Records))
 	r.mBytes.Add(uint64(len(payload)))
 	f.Commit(key, m.Offset+m.Length)
 	return http.StatusOK, SegmentResponse{Acked: m.Offset + m.Length, Durable: durable}
@@ -305,36 +287,4 @@ func (r *Receiver) accept(f live.Folder, m Manifest, payload []byte) (int, Segme
 // handleStatus serves the aggregator's live.Status on StatusPath.
 func (r *Receiver) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, r.Status())
-}
-
-// readAllLimited reads a decompressed stream, refusing to balloon past the
-// decoded-size cap implied by MaxSegmentBytes times a sanity factor.
-func readAllLimited(zr *gzip.Reader) ([]byte, error) {
-	const cap = int64(MaxSegmentBytes) * 64 // gzip on JSONL rarely exceeds ~20x
-	var buf bytes.Buffer
-	n, err := buf.ReadFrom(&limitedReader{r: zr, n: cap})
-	if err != nil {
-		return nil, err
-	}
-	if n >= cap {
-		return nil, fmt.Errorf("decompressed payload over %d bytes", cap)
-	}
-	return buf.Bytes(), nil
-}
-
-type limitedReader struct {
-	r *gzip.Reader
-	n int64
-}
-
-func (l *limitedReader) Read(p []byte) (int, error) {
-	if l.n <= 0 {
-		return 0, fmt.Errorf("federation: decompression bomb")
-	}
-	if int64(len(p)) > l.n {
-		p = p[:l.n]
-	}
-	n, err := l.r.Read(p)
-	l.n -= int64(n)
-	return n, err
 }

@@ -2,7 +2,6 @@ package federation
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
@@ -12,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -25,8 +23,9 @@ const (
 
 	// DefaultSegmentBytes is the target segment size. Segments cut at line
 	// boundaries, so real segments run slightly short of this (or longer,
-	// up to one full line, when a single record overruns it).
-	DefaultSegmentBytes = 1 << 20
+	// up to one full line within logio.MaxSegmentBytes, when a single
+	// record overruns it).
+	DefaultSegmentBytes = logio.SegmentBytes
 	// DefaultShipInterval is the Run polling cadence.
 	DefaultShipInterval = 2 * time.Second
 	// DefaultMaxAttempts bounds delivery attempts per segment.
@@ -396,7 +395,7 @@ func (s *Shipper) shipShard(ctx context.Context, path string, rep *ShipReport) e
 			}
 			s.cfg.Logf("federation: %s/%s: rewinding %d -> %d", s.cfg.CollectorID, shard, p.Acked, resp.Acked)
 			p.Acked = resp.Acked
-			p.Durable = min64(p.Durable, resp.Acked)
+			p.Durable = min(p.Durable, resp.Acked)
 		case resp.status == http.StatusOK:
 			consecutiveRewinds = 0
 			if !resp.Duplicate {
@@ -443,7 +442,7 @@ func (s *Shipper) shipShard(ctx context.Context, path string, rep *ShipReport) e
 			rep.Rewinds++
 			s.cfg.Logf("federation: %s/%s: receiver lost acks, rewinding %d -> %d", s.cfg.CollectorID, shard, p.Acked, resp.Acked)
 			p.Acked = resp.Acked
-			p.Durable = min64(p.Durable, resp.Acked)
+			p.Durable = min(p.Durable, resp.Acked)
 			if err := s.setProgress(shard, p); err != nil {
 				return err
 			}
@@ -583,69 +582,16 @@ func (s *Shipper) Run(ctx context.Context) {
 	}
 }
 
-// cutSegment reads the next segment of a sealed shard: bytes
-// [offset, offset+n) ending on a line boundary, n at most segBytes unless
-// a single line overruns it. Gzip shards ship whole (a gzip stream cannot
-// be decoded from a mid-stream offset). It also scans the payload for the
-// record count and UTC day coverage the manifest advertises.
+// cutSegment reads the next segment of a sealed shard (see
+// logio.ReadSegment) and scans it for the record count and UTC day
+// coverage the manifest advertises.
 func cutSegment(path string, offset, size int64, segBytes int) (payload []byte, records int, dayMin, dayMax string, err error) {
-	gzipped := strings.HasSuffix(path, ".gz")
-	f, err := os.Open(path)
+	payload, text, err := logio.ReadSegment(path, offset, size, segBytes)
 	if err != nil {
 		return nil, 0, "", "", err
 	}
-	defer f.Close()
-
-	if gzipped {
-		if offset != 0 {
-			return nil, 0, "", "", fmt.Errorf("gzip shard acked mid-file at %d; cannot resume inside a gzip stream", offset)
-		}
-		payload = make([]byte, size)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return nil, 0, "", "", err
-		}
-		zr, err := gzip.NewReader(bytes.NewReader(payload))
-		if err != nil {
-			return nil, 0, "", "", fmt.Errorf("sealed gzip shard unreadable: %w", err)
-		}
-		text, err := io.ReadAll(zr)
-		if err != nil {
-			return nil, 0, "", "", fmt.Errorf("sealed gzip shard truncated: %w", err)
-		}
-		records, dayMin, dayMax = scanPayload(text)
-		return payload, records, dayMin, dayMax, nil
-	}
-
-	want := min64(int64(segBytes), size-offset)
-	buf := make([]byte, want)
-	if _, err := f.ReadAt(buf, offset); err != nil {
-		return nil, 0, "", "", err
-	}
-	if offset+want < size {
-		// Not at shard end: trim to the last complete line, or extend for
-		// one oversized line.
-		idx := bytes.LastIndexByte(buf, '\n')
-		if idx >= 0 {
-			buf = buf[:idx+1]
-		} else {
-			for int64(len(buf)) <= MaxSegmentBytes && offset+int64(len(buf)) < size {
-				ext := make([]byte, min64(int64(segBytes), size-offset-int64(len(buf))))
-				if _, err := f.ReadAt(ext, offset+int64(len(buf))); err != nil {
-					return nil, 0, "", "", err
-				}
-				if j := bytes.IndexByte(ext, '\n'); j >= 0 {
-					buf = append(buf, ext[:j+1]...)
-					break
-				}
-				buf = append(buf, ext...)
-			}
-			if buf[len(buf)-1] != '\n' && offset+int64(len(buf)) < size {
-				return nil, 0, "", "", fmt.Errorf("no line boundary within %d bytes at offset %d", MaxSegmentBytes, offset)
-			}
-		}
-	}
-	records, dayMin, dayMax = scanPayload(buf)
-	return buf, records, dayMin, dayMax, nil
+	records, dayMin, dayMax = scanPayload(text)
+	return payload, records, dayMin, dayMax, nil
 }
 
 // scanPayload counts complete lines and extracts the UTC day coverage
@@ -739,8 +685,8 @@ func scanSpool(dir, prefix string, progress map[string]ShardProgress) (SpoolStat
 		st.Shards++
 		st.SealedBytes += fi.Size()
 		p := progress[filepath.Base(path)]
-		st.AckedBytes += min64(p.Acked, fi.Size())
-		st.DurableBytes += min64(p.Durable, fi.Size())
+		st.AckedBytes += min(p.Acked, fi.Size())
+		st.DurableBytes += min(p.Durable, fi.Size())
 		if p.Acked < fi.Size() && (oldest.IsZero() || fi.ModTime().Before(oldest)) {
 			oldest = fi.ModTime()
 		}
@@ -749,13 +695,6 @@ func scanSpool(dir, prefix string, progress map[string]ShardProgress) (SpoolStat
 		st.OldestUnshippedAgeSeconds = time.Since(oldest).Seconds()
 	}
 	return st, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // sleepCtx sleeps for d or until ctx is done.

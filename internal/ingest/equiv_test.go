@@ -16,7 +16,10 @@ import (
 	"cellspot/internal/classify"
 	"cellspot/internal/demand"
 	"cellspot/internal/live"
+	"cellspot/internal/mapbuild"
 	"cellspot/internal/netaddr"
+	"cellspot/internal/obs"
+	"cellspot/internal/snapshot"
 )
 
 // equivEntries builds a deterministic mixed workload: IPv4 and IPv6
@@ -197,9 +200,10 @@ func TestEquivalenceOffline(t *testing.T) {
 }
 
 // TestEquivalenceLivePath runs the same workload through the live chain:
-// conn logs -> WriteSpool (gzip shards) -> Tailer -> one-source
-// MultiWindow, against a window fed by direct injection. The merged aggregates and classification
-// must be bit-identical.
+// conn logs -> WriteSpool (gzip shards of 17 records) -> one tick of a
+// local-spool live.Aggregator -> published map, against the map mapbuild
+// builds from a window fed by direct injection. The two must be
+// byte-identical.
 func TestEquivalenceLivePath(t *testing.T) {
 	entries := equivEntries()
 	root := writeEquivTree(t, entries, true)
@@ -210,14 +214,30 @@ func TestEquivalenceLivePath(t *testing.T) {
 	}
 
 	const days = 14 // workload spans ~10 days
-	tailed := live.NewMultiWindow(days)
-	tailer := live.NewTailer(spoolDir, "foreign")
-	n, err := tailer.Poll(func(rec beacon.Record) { tailed.Add(live.SpoolSource, rec) })
+	inputs := live.MapInputs{ASOf: func(netaddr.Block) (uint32, bool) { return 1, true }}
+	store, err := snapshot.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != len(entries) || tailer.Bad() != 0 {
-		t.Fatalf("tailer read %d records (%d bad), want %d", n, tailer.Bad(), len(entries))
+	reg := obs.NewRegistry()
+	agg, err := live.NewAggregator(live.Config{
+		SpoolDir: spoolDir, SpoolPrefix: "foreign", WindowDays: days,
+		Inputs: inputs, Store: store, Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := agg.Tick()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := reg.Counter("live_spool_bad_lines_total", "").Value()
+	if res.WindowRecords != len(entries) || bad != 0 {
+		t.Fatalf("window holds %d records (%d bad lines), want %d", res.WindowRecords, bad, len(entries))
+	}
+	got, err := os.ReadFile(res.Generation.Path(live.MapFile))
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	direct := live.NewMultiWindow(days)
@@ -228,15 +248,18 @@ func TestEquivalenceLivePath(t *testing.T) {
 		}
 		direct.Add(live.SpoolSource, rec)
 	}
-
-	if tailed.Records() != direct.Records() {
-		t.Fatalf("window records: tailed %d, direct %d", tailed.Records(), direct.Records())
+	m, err := mapbuild.Build(direct.Merged(), classify.DefaultThreshold, direct.Period(), inputs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	tailedAgg, directAgg := tailed.Merged(), direct.Merged()
-	if !tailedAgg.Equal(directAgg) {
-		t.Error("live-path BEACON aggregate differs from direct injection")
+	if m.Len() == 0 {
+		t.Fatal("direct map is empty; the equivalence is vacuous")
 	}
-	if got, want := classifySet(t, tailedAgg), classifySet(t, directAgg); !maps.Equal(got, want) {
-		t.Errorf("live-path classification differs: %d vs %d blocks", got.Len(), want.Len())
+	var want bytes.Buffer
+	if err := m.Write(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("live-path map (%d bytes) differs from the direct build (%d bytes)", len(got), want.Len())
 	}
 }

@@ -6,8 +6,8 @@
 // lines, plain or gzip, one directory per sensor — into the same
 // beacon.Record stream and DEMAND tallies the synthetic generators emit.
 // From there the existing machinery takes over unchanged: offline
-// classification, or conversion into a spool the live aggregator's
-// Tailer→window→publish path refreshes maps from.
+// classification, or conversion into a spool whose sealed shards the live
+// aggregator folds into its window and publishes maps from.
 //
 // An import-time subnet policy (always-include / never-include lists, in
 // the tradition of RITA's internal-subnet config) drops excluded address
@@ -281,9 +281,10 @@ func Import(cfg Config, fn func(beacon.Record)) (*Result, error) {
 
 // WriteSpool imports the conn-log tree into a beacon-record spool under
 // outDir — the bridge into the live path: point a live.Aggregator (or
-// cellmapd -live-spool) at the spool and its Tailer→window→publish chain
-// refreshes maps from foreign traffic exactly as it does from beacond's
-// own output. Returns the import result alongside the record count.
+// cellmapd -live-spool) at the spool and every tick folds its sealed
+// shards into the window and publishes maps from foreign traffic exactly
+// as it does from beacond's own output. Returns the import result
+// alongside the record count.
 func WriteSpool(cfg Config, outDir, prefix string, gzipped bool, maxPerFile int) (*Result, error) {
 	spool := logio.NewSpool(outDir, prefix, gzipped, maxPerFile)
 	var werr error

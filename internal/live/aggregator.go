@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,40 +11,41 @@ import (
 	"path/filepath"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
 	"cellspot/internal/beacon"
 	"cellspot/internal/history"
+	"cellspot/internal/logio"
 	"cellspot/internal/mapbuild"
 	"cellspot/internal/obs"
 	"cellspot/internal/snapshot"
 )
 
 // checkpoint is StateFile's on-disk form. Window and Acked keep the layout
-// of existing federation stores, so those restore without migration; Spool
-// is present only when a local spool fed the window. recover decodes it;
-// encodeCheckpoint writes the same bytes json.Marshal would.
+// of existing federation stores, so those restore without migration.
+// recover decodes it; encodeCheckpoint writes the same bytes json.Marshal
+// would.
 type checkpoint struct {
 	Format string           `json:"format"`
 	Window MultiWindowState `json:"window"`
-	// Acked maps an input stream key ("<collector>/<shard>") to its
-	// folded byte offset as of this generation. Keys sort
-	// deterministically in encoding/json.
-	Acked map[string]int64   `json:"acked"`
-	Spool map[string]FilePos `json:"spool,omitempty"`
+	// Acked maps an input stream key to its folded byte offset as of this
+	// generation: "<collector>/<shard>" for federation input, the bare
+	// shard name for the local spool. Keys sort deterministically in
+	// encoding/json.
+	Acked map[string]int64 `json:"acked"`
 }
 
 // Aggregator is the aggregation plane's one fold-and-publish core. Input
 // adapters fold records into its source-keyed MultiWindow — the local
-// spool Tailer on every Tick (with Config.SpoolDir set), the federation
+// spool reader on every Tick (with Config.SpoolDir set), the federation
 // receiver through Fold — and Tick drains the window into a generation
 // whose checkpoint binds the window state to the input positions that
 // produced it. Safe for concurrent use.
 type Aggregator struct {
 	cfg   Config
 	build *mapbuild.Builder
-	tail  *Tailer // nil without Config.SpoolDir
 
 	mu        sync.Mutex
 	win       *MultiWindow
@@ -66,7 +68,7 @@ type Aggregator struct {
 	mStale      *obs.Counter
 	mStragglers *obs.Counter
 	mTailed     *obs.Counter
-	mResets     *obs.Counter
+	mBadLines   *obs.Counter
 	mOversize   *obs.Counter
 	gRecords    *obs.Gauge
 	gBlocks     *obs.Gauge
@@ -99,9 +101,6 @@ func NewAggregator(cfg Config) (*Aggregator, error) {
 		acked:   make(map[string]int64),
 		durable: make(map[string]int64),
 	}
-	if cfg.SpoolDir != "" {
-		a.tail = NewTailer(cfg.SpoolDir, cfg.SpoolPrefix)
-	}
 	if reg := cfg.Metrics; reg != nil {
 		a.mTicks = reg.Counter("live_refresh_total", "Refresh ticks attempted.")
 		a.mErrors = reg.Counter("live_refresh_errors_total", "Refresh ticks that failed.")
@@ -117,9 +116,9 @@ func NewAggregator(cfg Config) (*Aggregator, error) {
 			return reg.Histogram("live_refresh_stage_seconds", "Latency of one stage of a refresh.", nil, obs.L("stage", name))
 		}
 		a.hMerge, a.hBuild, a.hCheckpoint, a.hWrite = stage("merge"), stage("build"), stage("checkpoint"), stage("publish")
-		if a.tail != nil {
+		if cfg.SpoolDir != "" {
 			a.mTailed = reg.Counter("live_tailed_records_total", "Spool records consumed.")
-			a.mResets = reg.Counter("live_spool_resets_total", "Spool files found truncated or rewritten, forcing a re-read.")
+			a.mBadLines = reg.Counter("live_spool_bad_lines_total", "Malformed spool lines skipped.")
 			a.mOversize = reg.Counter("live_spool_oversize_lines_total", "Spool lines skipped as longer than the line cap.")
 		}
 	}
@@ -152,21 +151,28 @@ func (a *Aggregator) recover(gen snapshot.Generation) error {
 		return fmt.Errorf("unknown checkpoint format %q", ck.Format)
 	}
 	// A spool-fed window restored into a receiver (or the reverse) would
-	// mix records whose input positions the new mode cannot track.
-	if (ck.Spool != nil) != (a.tail != nil) {
-		return errors.New("checkpoint written by the other input mode")
+	// mix records whose input positions the new mode cannot track. Local
+	// keys are bare shard names; collector keys always hold a '/'.
+	local := a.cfg.SpoolDir != ""
+	for key := range ck.Acked {
+		if strings.Contains(key, "/") == local {
+			return errors.New("checkpoint written by the other input mode")
+		}
 	}
 	win, err := RestoreMultiWindow(ck.Window, a.cfg.WindowDays)
 	if err != nil {
 		return err
 	}
+	// Records without the positions that produced them would fold a
+	// second time when their input is read again. Checkpoints of the
+	// former spool tailer kept its positions outside Acked.
+	if win.Records() > 0 && len(ck.Acked) == 0 {
+		return errors.New("checkpoint window has records but no input positions")
+	}
 	a.win = win
 	for k, v := range ck.Acked {
 		a.acked[k] = v
 		a.durable[k] = v
-	}
-	if a.tail != nil {
-		a.tail.Restore(ck.Spool)
 	}
 	return nil
 }
@@ -196,6 +202,50 @@ func (f Folder) Commit(key string, offset int64) {
 	f.a.pending++
 }
 
+// PayloadStats reports what FoldPayload made of one payload.
+type PayloadStats struct {
+	Records  int // records folded
+	Bad      int // malformed lines skipped
+	Oversize int // lines skipped as longer than logio.MaxLineBytes
+}
+
+// FoldPayload folds every record of an in-memory JSONL payload into the
+// window under source. Blank lines are skipped; malformed lines and lines
+// longer than logio.MaxLineBytes are skipped and counted. It cannot fail,
+// so an input adapter folds a payload whole or, by not calling it, not at
+// all.
+func FoldPayload(f Folder, source string, payload []byte) PayloadStats {
+	return eachRecord(payload, func(rec beacon.Record) { f.Add(source, rec) })
+}
+
+// eachRecord decodes a JSONL payload line by line for FoldPayload.
+func eachRecord(payload []byte, fn func(beacon.Record)) PayloadStats {
+	var st PayloadStats
+	for len(payload) > 0 {
+		line := payload
+		if i := bytes.IndexByte(payload, '\n'); i >= 0 {
+			line, payload = payload[:i], payload[i+1:]
+		} else {
+			payload = nil
+		}
+		raw := bytes.TrimSpace(line)
+		switch {
+		case len(raw) == 0:
+		case len(line) > logio.MaxLineBytes:
+			st.Oversize++
+		default:
+			var rec beacon.Record
+			if err := json.Unmarshal(raw, &rec); err != nil {
+				st.Bad++
+				continue
+			}
+			fn(rec)
+			st.Records++
+		}
+	}
+	return st
+}
+
 // Fold runs fn with the window open for folding. fn runs under the
 // aggregator's lock, so an input adapter's offset checks and the records
 // they admit are atomic with respect to Tick; it must not call back into
@@ -222,21 +272,81 @@ func (a *Aggregator) observe() {
 	a.seenStale, a.seenStragglers = a.win.Stale(), a.win.Stragglers()
 }
 
-// poll folds what the local spool gained since the last tick; a no-op
-// without one. Called with mu held.
+// poll folds every sealed spool byte past its shard's acked offset, as the
+// federation shipper and receiver do between them: a plain shard segment
+// by segment, each folded whole and committed at its end, and a gzip
+// shard whole, in bounded chunks, committed at its end. A line too long for any
+// segment is skipped and counted as oversize. A shard that fails is left
+// where it stands and poll goes on to the next, so one bad shard does not
+// hold back the rest; the failures are returned joined. A missing spool
+// directory is an empty spool; without Config.SpoolDir poll is a no-op.
+// Called with mu held.
 func (a *Aggregator) poll() error {
-	if a.tail == nil {
+	if a.cfg.SpoolDir == "" {
 		return nil
 	}
-	resets, oversize := a.tail.Resets(), a.tail.Oversize()
-	n, err := a.tail.Poll(func(rec beacon.Record) { a.add(SpoolSource, rec) })
-	a.mTailed.Add(uint64(n))
-	a.mResets.Add(uint64(a.tail.Resets() - resets))
-	a.mOversize.Add(uint64(a.tail.Oversize() - oversize))
-	if n > 0 {
-		a.pending++
+	files, err := logio.SpoolFiles(a.cfg.SpoolDir, a.cfg.SpoolPrefix)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil // the collector has not started yet
+	}
+	if err != nil {
+		return err
+	}
+	for _, path := range files {
+		err = errors.Join(err, a.pollShard(path))
 	}
 	return err
+}
+
+// pollShard folds one sealed shard past its acked offset. Called with mu
+// held.
+func (a *Aggregator) pollShard(path string) error {
+	shard := filepath.Base(path)
+	fi, err := os.Stat(path)
+	if err != nil {
+		return err
+	}
+	off, size := a.acked[shard], fi.Size()
+	if size < off {
+		// Sealed shards are immutable; a shrunk one means the spool was
+		// rebuilt under us. Refuse to guess.
+		return fmt.Errorf("live: %s: shard shrank below acked offset (%d < %d)", shard, size, off)
+	}
+	f := Folder{a}
+	fold := func(text []byte) {
+		st := FoldPayload(f, SpoolSource, text)
+		a.mTailed.Add(uint64(st.Records))
+		a.mBadLines.Add(uint64(st.Bad))
+		a.mOversize.Add(uint64(st.Oversize))
+	}
+	if strings.HasSuffix(shard, ".gz") && off < size {
+		// A gzip stream cannot be entered mid-way: the shard folds whole,
+		// from offset 0, and commits at its end.
+		if off != 0 {
+			return fmt.Errorf("live: %s: gzip shard acked mid-file at %d", shard, off)
+		}
+		if err := logio.EachGzipChunk(path, logio.SegmentBytes, fold); err != nil {
+			return err
+		}
+		f.Commit(shard, size)
+		return nil
+	}
+	for off < size {
+		seg, _, err := logio.ReadSegment(path, off, size, logio.SegmentBytes)
+		var long *logio.LongLineError
+		switch {
+		case errors.As(err, &long):
+			a.mOversize.Inc()
+			off = long.End
+		case err != nil:
+			return err
+		default:
+			fold(seg)
+			off += int64(len(seg))
+		}
+		f.Commit(shard, off)
+	}
+	return nil
 }
 
 // Status is a point-in-time view of the aggregator. The JSON form is the
@@ -290,20 +400,20 @@ type Refresh struct {
 // is live, acked offsets become durable. A tick with nothing folded since
 // the last publish publishes nothing — unless the store is still empty, in
 // which case a first (possibly empty) generation goes out so the serving
-// side has something to load.
+// side has something to load. A spool poll that fails still publishes what
+// it folded: the Refresh then comes back with the poll's error.
 func (a *Aggregator) Tick() (Refresh, error) {
 	start := time.Now()
 	a.mTicks.Inc()
 	res, err := a.tick()
 	if err != nil {
 		a.mErrors.Inc()
-		return res, err
 	}
 	if res.Published {
 		a.mPublish.Inc()
 		a.hRefresh.Observe(time.Since(start).Seconds())
 	}
-	return res, nil
+	return res, err
 }
 
 func (a *Aggregator) tick() (Refresh, error) {
@@ -312,12 +422,14 @@ func (a *Aggregator) tick() (Refresh, error) {
 		a.mu.Unlock()
 		return Refresh{}, errors.New("live: tick already in progress")
 	}
-	err := a.poll()
+	// A poll that fails part-way still publishes what it folded; the
+	// tick reports the failure alongside.
+	perr := a.poll()
 	a.observe()
-	if err != nil || (a.pending == 0 && a.published) {
+	if a.pending == 0 && a.published {
 		res := Refresh{WindowRecords: a.win.Records()}
 		a.mu.Unlock()
-		return res, err
+		return res, perr
 	}
 	a.draining = true
 	folds, fresh := a.pending, a.fresh
@@ -328,12 +440,8 @@ func (a *Aggregator) tick() (Refresh, error) {
 	meta := history.GenMeta{Threshold: a.cfg.Threshold}
 	meta.DayFirst, meta.DayLast, _ = a.win.DayRange()
 	acked := maps.Clone(a.acked)
-	var spool map[string]FilePos
-	if a.tail != nil {
-		spool = a.tail.Positions()
-	}
 	t = time.Now()
-	state := a.encodeCheckpoint(acked, spool)
+	state := a.encodeCheckpoint(acked)
 	a.hCheckpoint.Observe(time.Since(t).Seconds())
 	windowRecords := a.win.Records()
 	a.mu.Unlock()
@@ -352,7 +460,7 @@ func (a *Aggregator) tick() (Refresh, error) {
 	}
 	a.mu.Unlock()
 	if err != nil {
-		return Refresh{}, err
+		return Refresh{}, errors.Join(perr, err)
 	}
 	if _, err := a.cfg.Store.Prune(a.cfg.Keep); err != nil {
 		// Retention is housekeeping; the new generation is already live.
@@ -364,34 +472,28 @@ func (a *Aggregator) tick() (Refresh, error) {
 		NewRecords:    fresh,
 		WindowRecords: windowRecords,
 		Entries:       entries,
-	}, nil
+	}, perr
 }
 
 // encodeCheckpoint returns StateFile's contents for the window and the
 // given input positions: byte for byte json.Marshal(checkpoint{...}) plus
 // a newline, written in one pass. Called with mu held.
-func (a *Aggregator) encodeCheckpoint(acked map[string]int64, spool map[string]FilePos) []byte {
+func (a *Aggregator) encodeCheckpoint(acked map[string]int64) []byte {
 	dst := make([]byte, 0, a.stateLen+a.stateLen/8)
 	dst = append(dst, `{"format":`...)
 	dst = appendJSONString(dst, stateFormat)
 	dst = append(dst, `,"window":`...)
 	dst = a.win.appendState(dst)
 	dst = append(dst, `,"acked":`...)
-	dst = appendJSONObject(dst, acked, func(dst []byte, off int64) []byte {
-		return strconv.AppendInt(dst, off, 10)
-	})
-	if len(spool) > 0 { // omitempty
-		dst = append(dst, `,"spool":`...)
-		dst = appendJSONObject(dst, spool, appendFilePos)
-	}
+	dst = appendAcked(dst, acked)
 	dst = append(dst, "}\n"...)
 	a.stateLen = len(dst)
 	return dst
 }
 
-// appendJSONObject appends m as encoding/json writes a map: keys sorted,
+// appendAcked appends acked as encoding/json writes a map: keys sorted,
 // nil as null.
-func appendJSONObject[V any](dst []byte, m map[string]V, value func([]byte, V) []byte) []byte {
+func appendAcked(dst []byte, m map[string]int64) []byte {
 	if m == nil {
 		return append(dst, "null"...)
 	}
@@ -402,18 +504,8 @@ func appendJSONObject[V any](dst []byte, m map[string]V, value func([]byte, V) [
 		}
 		dst = appendJSONString(dst, k)
 		dst = append(dst, ':')
-		dst = value(dst, m[k])
+		dst = strconv.AppendInt(dst, m[k], 10)
 	}
-	return append(dst, '}')
-}
-
-func appendFilePos(dst []byte, p FilePos) []byte {
-	dst = append(dst, '{')
-	if p.Bytes != 0 { // omitempty
-		dst = append(appendIntField(dst, `"bytes":`, p.Bytes), ',')
-	}
-	dst = appendIntField(dst, `"lines":`, int64(p.Lines))
-	dst = appendIntField(dst, `,"size":`, p.Size)
 	return append(dst, '}')
 }
 
@@ -463,10 +555,10 @@ func (a *Aggregator) Run(ctx context.Context) {
 	defer t.Stop()
 	for {
 		res, err := a.Tick()
-		switch {
-		case err != nil:
+		if err != nil {
 			a.cfg.Logf("live: refresh: %v", err)
-		case res.Published:
+		}
+		if res.Published {
 			a.cfg.Logf("live: published %s: %d entries from %d window records (+%d new)",
 				res.Generation.Name(), res.Entries, res.WindowRecords, res.NewRecords)
 		}

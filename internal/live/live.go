@@ -7,11 +7,13 @@
 // process (cellmapd) polls the store and hot-swaps generations with zero
 // lookup downtime.
 //
-// Records reach the core through one of two input adapters: the Tailer,
-// which polls a local beacond spool on every tick, or the federation
-// receiver, which folds segments shipped by remote collectors. Either way
-// the core checkpoints its state — window buckets plus the input positions
-// that produced them — inside the generation it publishes, so the
+// Records reach the core through one of two inputs: the local spool
+// reader, which on every tick folds a beacond spool's sealed shards past
+// their acked byte offsets, or the federation receiver, which folds
+// segments shipped by remote collectors. Both read one acked offset per
+// shard and fold whole payloads through FoldPayload. Either way the core
+// checkpoints its state — window buckets plus the input positions that
+// produced them — inside the generation it publishes, so the
 // invariant "CURRENT's checkpoint describes exactly the records baked into
 // CURRENT's map" holds across crashes, and a restarted aggregator resumes
 // from the last published generation instead of re-reading its inputs.
@@ -33,8 +35,7 @@ const (
 	// MapFile is the published map's file name inside a generation.
 	MapFile = "cellmap.jsonl"
 	// StateFile is the aggregator checkpoint inside a generation: the
-	// window state plus the input positions (acked segment offsets, spool
-	// file positions) that produced it.
+	// window state plus the acked input offsets that produced it.
 	StateFile = "federation.json"
 
 	stateFormat = "cellspot-federation-checkpoint/1"
@@ -59,8 +60,8 @@ type MapInputs = mapbuild.Inputs
 
 // Config parameterizes an Aggregator.
 type Config struct {
-	// SpoolDir, when set, is a beacond spool directory that every Tick
-	// polls into the window under SpoolSource. Leave it empty when records
+	// SpoolDir, when set, is a beacond spool directory whose sealed
+	// shards every Tick folds into the window under SpoolSource. Leave it empty when records
 	// arrive through Fold instead (the federation receiver).
 	SpoolDir string
 	// SpoolPrefix is the spool file prefix (DefaultSpoolPrefix when "").
@@ -99,11 +100,14 @@ type Config struct {
 	//	live_window_sources         sources with records in the current window
 	//	live_pending_folds          folds awaiting the next publish
 	//
-	// and, with SpoolDir set, the spool tailer's:
+	// and, with SpoolDir set, the spool reader's:
 	//
 	//	live_tailed_records_total   spool records consumed
-	//	live_spool_resets_total     spool files found truncated/rewritten
+	//	live_spool_bad_lines_total  malformed spool lines skipped
 	//	live_spool_oversize_lines_total  lines skipped as over the line cap
+	//
+	// A sealed shard found smaller than its acked offset fails the tick
+	// and counts in live_refresh_errors_total.
 	Metrics *obs.Registry
 	// Logf, when non-nil, receives operational log lines from Run.
 	Logf func(format string, args ...any)

@@ -2,11 +2,13 @@ package live
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/netip"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -207,149 +209,10 @@ func TestWindowOrderIndependence(t *testing.T) {
 	}
 }
 
-// --- tailer -----------------------------------------------------------
-
-func TestTailerPlainIncrementalAndPartialLine(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "beacon-0000.jsonl")
-	line1 := `{"ts":"2016-12-01T00:00:00Z","ip":"10.0.0.1","conn":"cellular"}` + "\n"
-	line2 := `{"ts":"2016-12-01T01:00:00Z","ip":"10.0.1.1","conn":"wifi"}` + "\n"
-	// First flush ends mid-record.
-	if err := os.WriteFile(path, []byte(line1+line2[:20]), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	tl := NewTailer(dir, "beacon")
-	var got []string
-	poll := func() int {
-		n, err := tl.Poll(func(r beacon.Record) { got = append(got, r.IP.String()) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
-	if n := poll(); n != 1 {
-		t.Fatalf("poll 1 consumed %d, want 1 (partial line must stay pending)", n)
-	}
-	// Complete the torn line.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(line2[20:]); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if n := poll(); n != 1 {
-		t.Fatalf("poll 2 consumed %d, want 1", n)
-	}
-	if len(got) != 2 || got[0] != "10.0.0.1" || got[1] != "10.0.1.1" {
-		t.Fatalf("records = %v", got)
-	}
-	// Nothing new: no consumption, no error.
-	if n := poll(); n != 0 {
-		t.Fatalf("idle poll consumed %d", n)
-	}
-	if tl.Bad() != 0 {
-		t.Fatalf("bad lines = %d", tl.Bad())
-	}
-}
-
-func TestTailerSkipsMalformedCountsBad(t *testing.T) {
-	dir := t.TempDir()
-	content := `{"ts":"2016-12-01T00:00:00Z","ip":"10.0.0.1"}` + "\n" +
-		"this is not json\n" +
-		`{"ts":"2016-12-01T00:00:01Z","ip":"10.0.0.2"}` + "\n"
-	if err := os.WriteFile(filepath.Join(dir, "beacon-0000.jsonl"), []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	tl := NewTailer(dir, "beacon")
-	n, err := tl.Poll(func(beacon.Record) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 || tl.Bad() != 1 {
-		t.Fatalf("consumed %d bad %d, want 2/1", n, tl.Bad())
-	}
-}
-
-func TestTailerMissingDirIsEmpty(t *testing.T) {
-	tl := NewTailer(filepath.Join(t.TempDir(), "does-not-exist"), "beacon")
-	n, err := tl.Poll(func(beacon.Record) { t.Fatal("record from nowhere") })
-	if err != nil || n != 0 {
-		t.Fatalf("n=%d err=%v", n, err)
-	}
-}
-
-func TestTailerGzipTruncatedThenSealed(t *testing.T) {
-	dir := t.TempDir()
-	recs := []beacon.Record{
-		{Time: time.Unix(1480550400, 0).UTC(), IP: netip.MustParseAddr("10.2.0.1"), Conn: "cellular"},
-		{Time: time.Unix(1480550401, 0).UTC(), IP: netip.MustParseAddr("10.2.1.1"), Conn: "wifi"},
-		{Time: time.Unix(1480550402, 0).UTC(), IP: netip.MustParseAddr("10.2.2.1"), Conn: "cellular"},
-	}
-	// Build the complete gzip shard in a scratch dir, then replay a
-	// truncated prefix of it — the on-disk state while beacond is still
-	// writing — followed by the full file.
-	scratch := filepath.Join(t.TempDir(), "full.jsonl.gz")
-	fw, err := logio.Create(scratch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		if err := fw.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	full, err := os.ReadFile(scratch)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	path := filepath.Join(dir, "beacon-0000.jsonl.gz")
-	if err := os.WriteFile(path, full[:len(full)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	tl := NewTailer(dir, "beacon")
-	var got []string
-	poll := func() int {
-		n, err := tl.Poll(func(r beacon.Record) { got = append(got, r.IP.String()) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
-	n1 := poll()
-	// A truncated deflate stream may yield 0..2 complete records; it must
-	// not error and must not fabricate records.
-	if n1 > 2 {
-		t.Fatalf("truncated poll consumed %d", n1)
-	}
-	if err := os.WriteFile(path, full, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	n2 := poll()
-	if n1+n2 != len(recs) {
-		t.Fatalf("polls consumed %d+%d, want %d total", n1, n2, len(recs))
-	}
-	want := []string{"10.2.0.1", "10.2.1.1", "10.2.2.1"}
-	for i, ip := range want {
-		if got[i] != ip {
-			t.Fatalf("records = %v, want %v (no dupes, no gaps)", got, want)
-		}
-	}
-	// Unchanged sealed file: skipped without re-decoding.
-	if n := poll(); n != 0 {
-		t.Fatalf("sealed re-poll consumed %d", n)
-	}
-}
-
 // --- aggregator fed by the local spool ----------------------------------------------------------
 
-// TestLiveOfflineEquivalence replays a spool through the live path (tailer
-// → window → BuildMap via a full Aggregator publish) and rebuilds offline from
+// TestLiveOfflineEquivalence replays a spool through the live path (spool
+// reader → window → BuildMap via a full Aggregator publish) and rebuilds offline from
 // the same records over the same window; the two maps must serialize to
 // identical bytes. Covers plain and gzip spools.
 func TestLiveOfflineEquivalence(t *testing.T) {
@@ -692,10 +555,14 @@ func TestWindowBlocksGaugeTracksPublishedWindow(t *testing.T) {
 	}
 }
 
-// TestPreAggregatorStoreReReadsSpool: a store whose current generation has
-// no StateFile — last written before the aggregator, with the old
-// checkpoint.json — starts empty and re-reads the spool once, publishing
-// the same map a scratch build does.
+// TestPreAggregatorStoreReReadsSpool: a store whose current generation's
+// checkpoint the spool reader cannot resume from starts empty and re-reads
+// the spool once, publishing the same map a scratch build does. Two
+// legacy stores: one last written before the aggregator (no StateFile,
+// the old checkpoint.json), and one written by the former spool tailer,
+// whose StateFile kept file positions in a "spool" object and no acked
+// offsets — restoring its window with zero offsets would fold every record
+// twice.
 func TestPreAggregatorStoreReReadsSpool(t *testing.T) {
 	cell := netinfo.ConnCellular.String()
 	var recs []beacon.Record
@@ -717,34 +584,59 @@ func TestPreAggregatorStoreReReadsSpool(t *testing.T) {
 		}
 		return res
 	}
-
-	legacy := mustOpenStore(t)
-	if _, err := legacy.Publish(func(gen string) error {
-		if err := os.WriteFile(filepath.Join(gen, MapFile), nil, 0o644); err != nil {
-			return err
-		}
-		ck := `{"format":"cellspot-live-checkpoint/1","window_days":7,"latest_day":204,"buckets":[],"files":{"beacon-0000.jsonl":{"bytes":999999,"lines":20,"size":999999}}}`
-		return os.WriteFile(filepath.Join(gen, "checkpoint.json"), []byte(ck), 0o644)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	res := build(legacy)
-	if !res.Published || res.NewRecords != len(recs) {
-		t.Fatalf("first tick over a pre-aggregator store: %+v, want all %d records re-read", res, len(recs))
-	}
-	if res.Entries == 0 {
-		t.Fatal("published map is empty; the comparison below would be vacuous")
-	}
 	scratch := build(mustOpenStore(t))
-	got, err := os.ReadFile(res.Generation.Path(MapFile))
-	if err != nil {
-		t.Fatal(err)
-	}
 	want, err := os.ReadFile(scratch.Generation.Path(MapFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("map after the upgrade differs from a from-scratch build")
+	if scratch.Entries == 0 {
+		t.Fatal("published map is empty; the comparison below would be vacuous")
+	}
+
+	tailed := NewMultiWindow(DefaultWindowDays)
+	for _, rec := range recs {
+		tailed.Add(SpoolSource, rec)
+	}
+	window, err := json.Marshal(tailed.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spool []string
+	for _, shard := range []string{"beacon-0000.jsonl", "beacon-0001.jsonl"} {
+		fi, err := os.Stat(filepath.Join(dir, shard))
+		if err != nil {
+			t.Fatal(err)
+		}
+		spool = append(spool, fmt.Sprintf(`%q:{"bytes":%d,"lines":20,"size":%d}`, shard, fi.Size(), fi.Size()))
+	}
+	legacy := []struct{ name, file, content string }{
+		{"pre-aggregator", "checkpoint.json",
+			`{"format":"cellspot-live-checkpoint/1","window_days":7,"latest_day":204,"buckets":[],"files":{"beacon-0000.jsonl":{"bytes":999999,"lines":20,"size":999999}}}`},
+		{"spool tailer", StateFile,
+			`{"format":"` + stateFormat + `","window":` + string(window) + `,"acked":{},"spool":{` + strings.Join(spool, ",") + `}}` + "\n"},
+	}
+	for _, ck := range legacy {
+		t.Run(ck.name, func(t *testing.T) {
+			store := mustOpenStore(t)
+			if _, err := store.Publish(func(gen string) error {
+				if err := os.WriteFile(filepath.Join(gen, MapFile), nil, 0o644); err != nil {
+					return err
+				}
+				return os.WriteFile(filepath.Join(gen, ck.file), []byte(ck.content), 0o644)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			res := build(store)
+			if !res.Published || res.NewRecords != len(recs) || res.WindowRecords != len(recs) {
+				t.Fatalf("first tick over a legacy store: %+v, want all %d records read once", res, len(recs))
+			}
+			got, err := os.ReadFile(res.Generation.Path(MapFile))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatal("map after the upgrade differs from a from-scratch build")
+			}
+		})
 	}
 }

@@ -314,7 +314,7 @@ func FuzzRestoreMultiWindow(f *testing.F) {
 
 // TestCheckpointEncodingMatchesJSON: the checkpoint a tick writes is byte
 // for byte json.Marshal of the checkpoint struct recover decodes — names
-// that need escaping, per-RAT counts, nil and empty position maps, and an
+// that need escaping, per-RAT counts, nil and empty offset maps, and an
 // empty window included.
 func TestCheckpointEncodingMatchesJSON(t *testing.T) {
 	names := []string{"", "eu-1", `<&>"`, "tab\there", "line\u2028sep", "bad\xffutf8", "ünï", "\x01ctl"}
@@ -326,29 +326,26 @@ func TestCheckpointEncodingMatchesJSON(t *testing.T) {
 		full.Add(names[i%len(names)], rec)
 	}
 	acked := map[string]int64{}
-	spool := map[string]FilePos{}
 	for i, n := range names {
 		acked[n+"/0"] = int64(i * 1000)
-		spool[n+".jsonl"] = FilePos{Bytes: int64(i * 7), Lines: i, Size: int64(i * 9)}
+		acked[n+".jsonl"] = int64(i * 7)
 	}
 	cases := []struct {
 		name  string
 		win   *MultiWindow
 		acked map[string]int64
-		spool map[string]FilePos
 	}{
-		{"full", full, acked, spool},
-		{"empty spool", full, acked, map[string]FilePos{}},
-		{"nil maps", full, nil, nil},
-		{"empty window", NewMultiWindow(3), map[string]int64{}, nil},
+		{"full", full, acked},
+		{"nil acked", full, nil},
+		{"empty window", NewMultiWindow(3), map[string]int64{}},
 	}
 	for _, tc := range cases {
-		want, err := json.Marshal(checkpoint{Format: stateFormat, Window: tc.win.State(), Acked: tc.acked, Spool: tc.spool})
+		want, err := json.Marshal(checkpoint{Format: stateFormat, Window: tc.win.State(), Acked: tc.acked})
 		if err != nil {
 			t.Fatal(err)
 		}
 		a := &Aggregator{win: tc.win}
-		if got := a.encodeCheckpoint(tc.acked, tc.spool); !bytes.Equal(got, append(want, '\n')) {
+		if got := a.encodeCheckpoint(tc.acked); !bytes.Equal(got, append(want, '\n')) {
 			t.Fatalf("%s: checkpoint encoding differs from json.Marshal:\n got %s\nwant %s", tc.name, got, want)
 		}
 	}
@@ -377,7 +374,7 @@ func TestCheckpointEncodingAcrossTicks(t *testing.T) {
 			t.Fatal(err)
 		}
 		a.win = win
-		got := a.encodeCheckpoint(acked, nil)
+		got := a.encodeCheckpoint(acked)
 		if !bytes.Equal(got, append(want, '\n')) {
 			t.Fatalf("tick %d: checkpoint encoding differs from json.Marshal:\n got %s\nwant %s", i, got, want)
 		}

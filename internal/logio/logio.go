@@ -129,8 +129,10 @@ func (w *FileWriter) closeSync() error {
 // MaxLineBytes bounds one JSONL line. A longer line aborts the scan with
 // bufio.ErrTooLong in strict AND lenient modes: the scanner cannot
 // re-synchronize past a token it cannot buffer, so the failure is not a
-// skippable line. The live tailer and the ingest importer enforce the same
-// cap, so no reader of spooled or foreign logs buffers an unbounded line.
+// skippable line. The live spool reader and the federation receiver skip
+// and count longer lines instead (their segments are bounded in memory by
+// MaxSegmentBytes), and the ingest importer enforces the same cap, so no
+// reader of spooled or foreign logs buffers an unbounded line.
 const MaxLineBytes = 16 << 20
 
 // ReadStats reports what a lenient read encountered.
@@ -193,8 +195,9 @@ func DecodeFile[T any](path string, lenient bool, fn func(T) error) (ReadStats, 
 }
 
 // PartSuffix marks an actively written, not yet sealed shard file. Part
-// files never match IsShardName, so spool readers (the live tailer, the
-// federation shipper) only ever observe complete, sealed shards.
+// files never match IsShardName, so spool readers (the live aggregator's
+// local input, the federation shipper) only ever observe complete, sealed
+// shards.
 const PartSuffix = ".part"
 
 // Spool writes a long record stream sharded across numbered files in a

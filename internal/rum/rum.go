@@ -27,6 +27,13 @@ import (
 // MaxBodyBytes bounds one POST body; batches beyond it are rejected.
 const MaxBodyBytes = 16 << 20
 
+// MaxFieldBytes bounds a record's free-form string fields (browser, rat).
+// The spool encoder escapes '<', '>' and '&' sixfold, so one POST of an
+// unbounded field could write a spool line over logio.MaxLineBytes, which
+// no segment can carry: the federation shipper would stop at that shard
+// for good. Real values are a few dozen bytes.
+const MaxFieldBytes = 1 << 10
+
 // Collector receives and aggregates beacon records.
 type Collector struct {
 	mu        sync.Mutex
@@ -185,6 +192,9 @@ func validateRecord(rec beacon.Record) error {
 	}
 	if _, err := netinfo.ParseConnectionType(rec.Conn); err != nil {
 		return err
+	}
+	if len(rec.Browser) > MaxFieldBytes || len(rec.RAT) > MaxFieldBytes {
+		return fmt.Errorf("browser or rat over %d bytes", MaxFieldBytes)
 	}
 	return nil
 }

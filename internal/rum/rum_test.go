@@ -311,3 +311,48 @@ func TestEmptyBatch(t *testing.T) {
 		t.Errorf("empty batch returned %d", resp.StatusCode)
 	}
 }
+
+// TestCollectorRejectsOversizeFields: a record whose browser or rat is
+// over MaxFieldBytes is refused with 400 and nothing is spooled. A POST of
+// 2.85 MB of '<' in browser once spooled a line of about 17 MB, which no
+// federation segment can carry.
+func TestCollectorRejectsOversizeFields(t *testing.T) {
+	dir := t.TempDir()
+	col := NewCollector(WithSpool(logio.NewSpool(dir, "rum", false, 0)))
+	srv := httptest.NewServer(col.Handler())
+	defer srv.Close()
+	post := func(field, value string) int {
+		t.Helper()
+		body := `{"ts":"2016-12-15T12:00:00Z","ip":"9.9.9.1","conn":"cellular","` + field + `":"` + value + `"}` + "\n"
+		resp, err := http.Post(srv.URL+"/v1/beacons", "application/x-ndjson", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, field := range []string{"browser", "rat"} {
+		if code := post(field, strings.Repeat("<", 2_850_000)); code != http.StatusBadRequest {
+			t.Fatalf("hostile %s: status %d, want 400", field, code)
+		}
+		if code := post(field, strings.Repeat("a", MaxFieldBytes+1)); code != http.StatusBadRequest {
+			t.Fatalf("%s one byte over the cap: status %d, want 400", field, code)
+		}
+	}
+	if code := post("browser", strings.Repeat("<", MaxFieldBytes)); code != http.StatusOK {
+		t.Fatalf("browser at the cap: status %d, want 200", code)
+	}
+	if err := col.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var got []beacon.Record
+	if _, err := logio.DecodeSpool(dir, "rum", false, func(r beacon.Record) error {
+		got = append(got, r)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || len(got[0].Browser) != MaxFieldBytes {
+		t.Fatalf("spooled %d records, want only the one at the cap", len(got))
+	}
+}
