@@ -255,7 +255,8 @@ func BenchmarkAblationNoASFilters(b *testing.B) {
 }
 
 // BenchmarkAblationNoSmoothing measures AS-set churn without the paper's
-// 7-day demand smoothing.
+// 7-day demand smoothing. Each iteration includes the DEMAND draw that
+// demand.Day redoes to get day 0.
 func BenchmarkAblationNoSmoothing(b *testing.B) {
 	r := benchGlobal(b)
 	var res pipeline.SmoothingResult

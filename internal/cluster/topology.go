@@ -31,6 +31,12 @@ const TopologyFormat = "cellspot-topology/1"
 // keyspace imbalance within a few percent for small fleets.
 const DefaultVNodes = 64
 
+// MaxVNodes bounds a topology's vnodes. Every gateway and shard builds a
+// ring of shards×vnodes 16-byte points at boot, so an unbounded count
+// would turn one mistyped number into a multi-gigabyte allocation instead
+// of a validation error.
+const MaxVNodes = 4096
+
 // ShardSpec lists one shard's interchangeable replicas by base URL.
 type ShardSpec struct {
 	Replicas []string `json:"replicas"`
@@ -79,8 +85,8 @@ func (t Topology) Validate() error {
 	if t.Format != TopologyFormat {
 		return fmt.Errorf("cluster: topology format %q, want %q", t.Format, TopologyFormat)
 	}
-	if t.VNodes < 0 {
-		return fmt.Errorf("cluster: negative vnodes %d", t.VNodes)
+	if t.VNodes < 0 || t.VNodes > MaxVNodes {
+		return fmt.Errorf("cluster: vnodes %d outside [0, %d]", t.VNodes, MaxVNodes)
 	}
 	if len(t.Shards) == 0 {
 		return fmt.Errorf("cluster: topology has no shards")

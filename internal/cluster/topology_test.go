@@ -1,8 +1,12 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
+	"net/netip"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -58,12 +62,48 @@ func TestTopologyValidation(t *testing.T) {
 		"duplicate":     `{"format":"cellspot-topology/1","shards":[{"replicas":["http://a:1"]},{"replicas":["http://a:1"]}]}`,
 		"unknown field": `{"format":"cellspot-topology/1","shards":[{"replicas":["http://a:1"]}],"extra":1}`,
 		"neg vnodes":    `{"format":"cellspot-topology/1","vnodes":-3,"shards":[{"replicas":["http://a:1"]}]}`,
+		"huge vnodes":   `{"format":"cellspot-topology/1","vnodes":1000000000,"shards":[{"replicas":["http://a:1"]}]}`,
+		"vnodes over":   `{"format":"cellspot-topology/1","vnodes":4097,"shards":[{"replicas":["http://a:1"]}]}`,
 	}
 	for name, doc := range cases {
 		if _, err := ParseTopology(strings.NewReader(doc)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+}
+
+// FuzzParseTopology: ParseTopology never panics on arbitrary bytes, and
+// every topology it accepts builds its ring, names an in-range owner for a
+// fixed address, and survives a json.Marshal → ParseTopology round trip
+// unchanged.
+func FuzzParseTopology(f *testing.F) {
+	f.Add([]byte(validTopology))
+	f.Add([]byte(`{"format":"cellspot-topology/1","shards":[{"replicas":["http://a:1/"]}]}`))
+	f.Add([]byte(`{"format":"cellspot-topology/1","vnodes":4096,"shards":[{"replicas":["https://a"]},{"replicas":["http://b:2"]}]}`))
+	f.Add([]byte(`{"format":"cellspot-topology/1","vnodes":1000000000,"shards":[{"replicas":["http://a:1"]}]}`))
+	f.Add([]byte(`{"format":"cellspot-topology/1","shards":[{"replicas":["http://a:1"]},{"replicas":["http://a:1"]}]}`))
+	f.Add([]byte(`{"format":"nope/9","shards":[]}`))
+	addr := netip.MustParseAddr("192.0.2.7")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		topo, err := ParseTopology(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if o := topo.Ring().Owner(addr); o < 0 || o >= topo.NumShards() {
+			t.Fatalf("owner %d outside [0,%d)", o, topo.NumShards())
+		}
+		enc, err := json.Marshal(topo)
+		if err != nil {
+			t.Fatalf("marshal accepted topology: %v", err)
+		}
+		again, err := ParseTopology(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("re-parse of %s: %v", enc, err)
+		}
+		if !reflect.DeepEqual(topo, again) {
+			t.Fatalf("round trip changed topology: %+v -> %+v", topo, again)
+		}
+	})
 }
 
 func TestParseShardID(t *testing.T) {

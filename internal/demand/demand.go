@@ -154,11 +154,6 @@ func DefaultGenConfig() GenConfig {
 	return GenConfig{Seed: 3, Days: 7, Jitter: 0.15}
 }
 
-// Daily holds raw per-day, per-block request weights before smoothing.
-type Daily struct {
-	Days []map[netaddr.Block]float64
-}
-
 // Per-stage stream constants: dayStream drives the shared day factors,
 // jitterStream^shardIndex drives each shard's per-block noise.
 const (
@@ -170,13 +165,15 @@ const (
 // Boundaries depend only on the block list, never on the worker count.
 const genShardSize = 4096
 
-// GenerateDaily draws each day's raw per-block demand from the world:
-// block demand scaled by a shared day factor (weekends swell) and per-block
-// daily noise. Jitter sampling shards across cfg.Parallelism workers
-// (0 = GOMAXPROCS, 1 = serial) with one PCG stream per fixed-size shard;
-// shard outputs merge in shard order, so the result is bit-identical at
-// every parallelism level.
-func GenerateDaily(w *world.World, cfg GenConfig) (*Daily, error) {
+// rollup draws each day's raw per-block demand from the world — block
+// demand scaled by a shared day factor (weekends swell) and per-block daily
+// noise — and normalizes fold(days) per demand-carrying block, where days
+// holds the block's cfg.Days draws in day order. Jitter sampling shards
+// across cfg.Parallelism workers (0 = GOMAXPROCS, 1 = serial) with one PCG
+// stream per fixed-size shard, each writing its own span of one
+// block-major, day-minor slice, so the result is bit-identical at every
+// parallelism level.
+func rollup(w *world.World, cfg GenConfig, fold func(days []float64) float64) (*Dataset, error) {
 	if cfg.Days <= 0 {
 		return nil, fmt.Errorf("demand: Days must be positive")
 	}
@@ -192,69 +189,48 @@ func GenerateDaily(w *world.World, cfg GenConfig) (*Daily, error) {
 			blocks = append(blocks, b)
 		}
 	}
-	// Each shard emits its span's values block-major, day-minor.
-	nShards := par.Shards(len(blocks), genShardSize)
-	vals := make([][]float64, nShards)
-	par.Do(nShards, cfg.Parallelism, func(s int) {
+	vals := make([]float64, len(blocks)*cfg.Days)
+	par.Do(par.Shards(len(blocks), genShardSize), cfg.Parallelism, func(s int) {
 		rng := rand.New(rand.NewPCG(cfg.Seed, jitterStream^uint64(s)))
 		lo, hi := par.Span(s, len(blocks), genShardSize)
-		buf := make([]float64, 0, (hi-lo)*cfg.Days)
+		i := lo * cfg.Days
 		for _, b := range blocks[lo:hi] {
 			for d := 0; d < cfg.Days; d++ {
 				v := b.Demand * dayFactors[d]
 				if cfg.Jitter > 0 {
 					v *= traffic.LogNormal(rng, 0, cfg.Jitter)
 				}
-				buf = append(buf, v)
+				vals[i] = v
+				i++
 			}
 		}
-		vals[s] = buf
 	})
 
-	out := &Daily{Days: make([]map[netaddr.Block]float64, cfg.Days)}
-	for d := range out.Days {
-		out.Days[d] = make(map[netaddr.Block]float64, len(blocks))
-	}
-	for s := 0; s < nShards; s++ {
-		lo, hi := par.Span(s, len(blocks), genShardSize)
-		for i, b := range blocks[lo:hi] {
-			for d := 0; d < cfg.Days; d++ {
-				out.Days[d][b.Block] = vals[s][i*cfg.Days+d]
-			}
-		}
-	}
-	return out, nil
-}
-
-// Smooth combines the daily aggregates into the normalized dataset the
-// paper analyzes: per-block mean across the window, scaled to TotalDU.
-func (dl *Daily) Smooth() (*Dataset, error) {
-	raw := make(map[netaddr.Block]float64)
-	for _, day := range dl.Days {
-		for b, v := range day {
-			raw[b] += v
-		}
-	}
-	n := float64(len(dl.Days))
-	for b := range raw {
-		raw[b] /= n
+	raw := make(map[netaddr.Block]float64, len(blocks))
+	for i, b := range blocks {
+		raw[b.Block] = fold(vals[i*cfg.Days : (i+1)*cfg.Days])
 	}
 	return NewDataset(raw)
 }
 
-// Day normalizes a single day's aggregate — the no-smoothing ablation.
-func (dl *Daily) Day(i int) (*Dataset, error) {
-	if i < 0 || i >= len(dl.Days) {
-		return nil, fmt.Errorf("demand: day %d out of range [0,%d)", i, len(dl.Days))
-	}
-	return NewDataset(dl.Days[i])
+// Generate builds the normalized dataset the paper analyzes: each block's
+// mean across the window, summed in day order, scaled to TotalDU.
+func Generate(w *world.World, cfg GenConfig) (*Dataset, error) {
+	return rollup(w, cfg, func(days []float64) float64 {
+		sum := 0.0
+		for _, v := range days {
+			sum += v
+		}
+		return sum / float64(len(days))
+	})
 }
 
-// Generate is the common path: daily generation followed by smoothing.
-func Generate(w *world.World, cfg GenConfig) (*Dataset, error) {
-	daily, err := GenerateDaily(w, cfg)
-	if err != nil {
-		return nil, err
+// Day is day d of the window Generate smooths, normalized on its own — the
+// no-smoothing ablation's DEMAND. It redraws the whole window, so only a
+// caller that asks for a single day pays for it.
+func Day(w *world.World, cfg GenConfig, d int) (*Dataset, error) {
+	if d < 0 || d >= cfg.Days {
+		return nil, fmt.Errorf("demand: day %d out of range [0,%d)", d, cfg.Days)
 	}
-	return daily.Smooth()
+	return rollup(w, cfg, func(days []float64) float64 { return days[d] })
 }

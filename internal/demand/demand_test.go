@@ -1,6 +1,9 @@
 package demand
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 	"testing/quick"
@@ -96,17 +99,9 @@ func TestTopTiesCanonical(t *testing.T) {
 	}
 }
 
-func TestGenerateDailyAndSmooth(t *testing.T) {
+func TestGenerateSmoothsWindow(t *testing.T) {
 	w := smallWorld(t)
-	cfg := DefaultGenConfig()
-	daily, err := GenerateDaily(w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(daily.Days) != 7 {
-		t.Fatalf("days = %d", len(daily.Days))
-	}
-	ds, err := daily.Smooth()
+	ds, err := Generate(w, DefaultGenConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,15 +144,11 @@ func TestGenerateDailyAndSmooth(t *testing.T) {
 func TestGenerateDayVsSmoothChurn(t *testing.T) {
 	w := smallWorld(t)
 	cfg := DefaultGenConfig()
-	daily, err := GenerateDaily(w, cfg)
+	day0, err := Day(w, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	day0, err := daily.Day(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	smooth, err := daily.Smooth()
+	smooth, err := Generate(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,21 +174,71 @@ func TestGenerateDayVsSmoothChurn(t *testing.T) {
 	if mean > 0.6 {
 		t.Errorf("day-0 deviation %.3f too high", mean)
 	}
-	if _, err := daily.Day(7); err == nil {
+	if _, err := Day(w, cfg, 7); err == nil {
 		t.Error("out-of-range day accepted")
 	}
-	if _, err := daily.Day(-1); err == nil {
+	if _, err := Day(w, cfg, -1); err == nil {
 		t.Error("negative day accepted")
 	}
 }
 
 func TestGenerateErrors(t *testing.T) {
 	w := smallWorld(t)
-	if _, err := GenerateDaily(w, GenConfig{Days: 0}); err == nil {
+	if _, err := Generate(w, GenConfig{Days: 0}); err == nil {
 		t.Error("zero days accepted")
 	}
-	if _, err := GenerateDaily(w, GenConfig{Days: 7, Jitter: -0.1}); err == nil {
+	if _, err := Generate(w, GenConfig{Days: 7, Jitter: -0.1}); err == nil {
 		t.Error("negative jitter accepted")
+	}
+	if _, err := Day(w, GenConfig{Days: 7, Jitter: -0.1}, 0); err == nil {
+		t.Error("negative jitter accepted by Day")
+	}
+}
+
+// digest is a SHA-256 over every (block, DU bits) pair of ds in canonical
+// order.
+func digest(ds *Dataset) string {
+	h := sha256.New()
+	var buf [17]byte
+	ds.Each(func(b netaddr.Block, du float64) {
+		buf[0] = byte(b.Fam())
+		binary.BigEndian.PutUint64(buf[1:9], b.Key())
+		binary.BigEndian.PutUint64(buf[9:], math.Float64bits(du))
+		h.Write(buf[:])
+	})
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGenerateGoldenDigest pins Generate and Day bit for bit. The digests
+// were taken from the implementation that kept one map per day, so the
+// test fails if the draw, the shard streams or the day-order summation
+// ever change.
+func TestGenerateGoldenDigest(t *testing.T) {
+	const (
+		smoothed = "580f41ba32cb9a26bf482d72f9726f3da7c8a5ca0740c2211b0ee79e6a3d5190"
+		day0     = "90845f9742ec70ffa1f714db57ea948b7fd83722e834efb05904ca93896c0660"
+		day6     = "4b5c629775ee91fe4f97deed28e8a83e572fde786f9cb52c116f705a30c92184"
+	)
+	w := smallWorld(t)
+	for _, par := range []int{1, 4} {
+		cfg := DefaultGenConfig()
+		cfg.Parallelism = par
+		ds, err := Generate(w, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := digest(ds); got != smoothed {
+			t.Errorf("parallelism %d: Generate digest over %d blocks = %s, want %s", par, ds.Blocks(), got, smoothed)
+		}
+		for d, want := range map[int]string{0: day0, 6: day6} {
+			ds, err := Day(w, cfg, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := digest(ds); got != want {
+				t.Errorf("parallelism %d: Day(%d) digest = %s, want %s", par, d, got, want)
+			}
+		}
 	}
 }
 

@@ -11,17 +11,13 @@ import (
 
 	"cellspot/internal/demand"
 	"cellspot/internal/netaddr"
+	"cellspot/internal/world"
 )
 
-// Assoc is one client-block→resolver association weight.
-type Assoc struct {
-	Resolver netip.Addr
-	Weight   float64
-}
-
-// Affinity maps client blocks to their resolver associations. Weights per
-// block are expected to sum to ~1.
-type Affinity map[netaddr.Block][]Assoc
+// Affinity maps client blocks to their resolver association weights — the
+// world generator's own map, read in place. Weights per block are expected
+// to sum to ~1.
+type Affinity map[netaddr.Block][]world.ResolverWeight
 
 // Usage accumulates the demand a resolver serves, split by the client
 // block's classifier label.
@@ -66,10 +62,10 @@ func ResolverUsage(aff Affinity, ds *demand.Dataset, detected netaddr.Set) map[n
 		}
 		cell := detected.Has(block)
 		for _, a := range assocs {
-			u := out[a.Resolver]
+			u := out[a.Resolver.Addr]
 			if u == nil {
 				u = &Usage{}
-				out[a.Resolver] = u
+				out[a.Resolver.Addr] = u
 			}
 			if cell {
 				u.CellDU += du * a.Weight
@@ -193,7 +189,7 @@ func PublicDNSByAS(
 		}
 		for _, assoc := range assocs {
 			w := du * assoc.Weight
-			pu.ByProvider[providerOf(assoc.Resolver)] += w
+			pu.ByProvider[providerOf(assoc.Resolver.Addr)] += w
 			pu.Total += w
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"cellspot/internal/demand"
 	"cellspot/internal/netaddr"
+	"cellspot/internal/world"
 )
 
 var (
@@ -24,16 +25,16 @@ func fixture(t *testing.T) (Affinity, *demand.Dataset, netaddr.Set) {
 	t.Helper()
 	aff := Affinity{
 		cellBlock: {
-			{Resolver: resShared, Weight: 0.5},
-			{Resolver: resCell, Weight: 0.3},
-			{Resolver: resGoogle, Weight: 0.2},
+			{Resolver: &world.Resolver{Addr: resShared}, Weight: 0.5},
+			{Resolver: &world.Resolver{Addr: resCell}, Weight: 0.3},
+			{Resolver: &world.Resolver{Addr: resGoogle}, Weight: 0.2},
 		},
 		fixedBlock: {
-			{Resolver: resShared, Weight: 0.6},
-			{Resolver: resFixed, Weight: 0.4},
+			{Resolver: &world.Resolver{Addr: resShared}, Weight: 0.6},
+			{Resolver: &world.Resolver{Addr: resFixed}, Weight: 0.4},
 		},
 		idleBlock: {
-			{Resolver: resFixed, Weight: 1.0},
+			{Resolver: &world.Resolver{Addr: resFixed}, Weight: 1.0},
 		},
 	}
 	ds, err := demand.NewDataset(map[netaddr.Block]float64{

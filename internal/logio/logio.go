@@ -59,6 +59,19 @@ type FileWriter struct {
 	*Writer
 	f  faultline.File
 	gz *gzip.Writer
+	zn *countWriter // gzip output as it reaches f; nil for a plain file
+}
+
+// countWriter counts the bytes written through it.
+type countWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // Create opens path for writing (truncating), creating parent directories.
@@ -80,7 +93,8 @@ func CreateFS(path string, fs faultline.FS) (*FileWriter, error) {
 	// An active spool shard carries a .part suffix; compression is decided
 	// by the name it will seal to.
 	if strings.HasSuffix(strings.TrimSuffix(path, PartSuffix), ".gz") {
-		fw.gz = gzip.NewWriter(f)
+		fw.zn = &countWriter{w: f}
+		fw.gz = gzip.NewWriter(fw.zn)
 		fw.Writer = NewWriter(fw.gz)
 	} else {
 		fw.Writer = NewWriter(f)
@@ -201,7 +215,8 @@ func DecodeFile[T any](path string, lenient bool, fn func(T) error) (ReadStats, 
 const PartSuffix = ".part"
 
 // Spool writes a long record stream sharded across numbered files in a
-// directory, rotating after maxPerFile records.
+// directory, rotating after maxPerFile records. A gzip spool also rotates
+// once gzipShardBytes of compressed output have reached the active shard.
 //
 // Shards are sealed atomically: the active shard is written as
 // <name>.jsonl[.gz].part and renamed to its final name — after an fsync —
@@ -229,7 +244,8 @@ type Spool struct {
 }
 
 // NewSpool creates a spool writing files named <prefix>-NNNN.jsonl[.gz]
-// under dir. maxPerFile <= 0 means a single shard.
+// under dir. maxPerFile <= 0 means no rotation by record count: a plain
+// spool then writes a single shard, a gzip one rotates by size alone.
 func NewSpool(dir, prefix string, gzipped bool, maxPerFile int) *Spool {
 	return &Spool{dir: dir, prefix: prefix, gzip: gzipped, maxPerFile: maxPerFile, fs: faultline.OS()}
 }
@@ -247,6 +263,14 @@ func (s *Spool) Dir() string { return s.dir }
 
 // Prefix returns the spool's shard name prefix.
 func (s *Spool) Prefix() string { return s.prefix }
+
+// gzipShardBytes seals a gzip shard once this many compressed bytes have
+// reached its file, whatever its record count. Gzip shards ship and are
+// read whole, and a reader refuses one over MaxSegmentBytes, so a shard
+// must seal well under that cap: the margin covers what the write buffer
+// and the deflater still hold when the bound is passed, plus the last
+// record, for records far smaller than the margin.
+const gzipShardBytes = 8 << 20
 
 func (s *Spool) shardPath(i int) string {
 	ext := ".jsonl"
@@ -307,7 +331,8 @@ func (s *Spool) Write(v any) error {
 		return err
 	}
 	s.total++
-	if s.maxPerFile > 0 && s.cur.Count() >= s.maxPerFile {
+	if s.maxPerFile > 0 && s.cur.Count() >= s.maxPerFile ||
+		s.cur.zn != nil && s.cur.zn.n >= gzipShardBytes {
 		return s.seal()
 	}
 	return nil

@@ -3,7 +3,9 @@ package logio
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/base64"
 	"errors"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"strings"
@@ -136,5 +138,64 @@ func TestEachGzipChunk(t *testing.T) {
 	if len(lines) != 3 || string(lines[0]) != "ok" || string(lines[2]) != "ok" ||
 		len(lines[1]) <= MaxLineBytes || len(lines[1]) > MaxLineBytes+(64<<10) {
 		t.Fatalf("%d lines, long one %d bytes; want ok, a line cut just over %d, ok", len(lines), len(lines[1]), MaxLineBytes)
+	}
+}
+
+// TestGzipSpoolSealsBySize: a gzip spool with no record-count rotation
+// still seals each shard by compressed size, so every shard stays under
+// the segment cap and ReadSegment (the shipper's reader) takes it whole.
+func TestGzipSpoolSealsBySize(t *testing.T) {
+	type padded struct {
+		ID  int    `json:"id"`
+		Pad string `json:"pad"`
+	}
+	dir := t.TempDir()
+	sp := NewSpool(dir, "beacon", true, 0)
+	rng := rand.New(rand.NewPCG(1, 2))
+	raw := make([]byte, 48<<10)
+	n := 0
+	for {
+		files, err := SpoolFiles(dir, "beacon")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) >= 2 { // two shards sealed by size alone
+			break
+		}
+		if n*len(raw) > 4*gzipShardBytes {
+			t.Fatalf("%d records (%d MiB raw) written without sealing two shards", n, n*len(raw)>>20)
+		}
+		for i := range raw {
+			raw[i] = byte(rng.Uint32())
+		}
+		if err := sp.Write(padded{ID: n, Pad: base64.StdEncoding.EncodeToString(raw)}); err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	if err := sp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files, err := SpoolFiles(dir, "beacon")
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := 0
+	for _, path := range files {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() > MaxSegmentBytes {
+			t.Errorf("%s: %d bytes, over the %d segment cap", filepath.Base(path), fi.Size(), MaxSegmentBytes)
+		}
+		_, text, err := ReadSegment(path, 0, fi.Size(), SegmentBytes)
+		if err != nil {
+			t.Fatalf("%s: %v", filepath.Base(path), err)
+		}
+		records += bytes.Count(text, []byte("\n"))
+	}
+	if records != n {
+		t.Fatalf("read %d records across %d shards, wrote %d", records, len(files), n)
 	}
 }

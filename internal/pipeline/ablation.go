@@ -3,6 +3,7 @@ package pipeline
 import (
 	"cellspot/internal/aschar"
 	"cellspot/internal/classify"
+	"cellspot/internal/demand"
 	"cellspot/internal/netaddr"
 )
 
@@ -114,9 +115,10 @@ type SmoothingResult struct {
 	Flipped      int // ASes in exactly one of the two final sets
 }
 
-// AblationNoSmoothing reruns AS filtering on day-0 demand.
+// AblationNoSmoothing reruns AS filtering on day-0 demand, redrawn from
+// the run's world and DEMAND config.
 func AblationNoSmoothing(r *Result) (SmoothingResult, error) {
-	day0, err := r.Daily.Day(0)
+	day0, err := demand.Day(r.World, r.Config.Demand, 0)
 	if err != nil {
 		return SmoothingResult{}, err
 	}

@@ -162,6 +162,20 @@ func TestParallelSerialEquivalence(t *testing.T) {
 			diffSets(t, "Detected", serial.Detected, parallel.Detected)
 			diffFilter(t, serial.Filter, parallel.Filter)
 
+			// The no-smoothing ablation redraws day 0 at each run's own
+			// parallelism; the two draws must give the same AS churn.
+			smS, err := AblationNoSmoothing(serial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			smP, err := AblationNoSmoothing(parallel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if smS != smP {
+				t.Errorf("AblationNoSmoothing: %+v (serial) vs %+v (parallel)", smS, smP)
+			}
+
 			// Experiment metrics: identical maps from both runs.
 			envS := &Env{Cfg: serial.Config, global: serial}
 			envP := &Env{Cfg: parallel.Config, global: parallel}

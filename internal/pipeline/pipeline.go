@@ -65,7 +65,6 @@ type Result struct {
 
 	Beacon   *beacon.Aggregate
 	Demand   *demand.Dataset
-	Daily    *demand.Daily
 	Detected netaddr.Set
 
 	Stats    map[uint32]*aschar.Stats
@@ -74,7 +73,6 @@ type Result struct {
 
 	Macro *macro.Analysis
 
-	Affinity      dnsmap.Affinity
 	ResolverUsage map[netip.Addr]*dnsmap.Usage
 	PublicDNS     map[uint32]*dnsmap.PublicUsage
 
@@ -157,17 +155,12 @@ func RunOnWorld(w *world.World, cfg Config) (*Result, error) {
 	cfg.observeStage("beacon", start, agg.Blocks())
 
 	start = time.Now()
-	daily, err := demand.GenerateDaily(w, cfg.Demand)
+	ds, err := demand.Generate(w, cfg.Demand)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: demand: %w", err)
 	}
-	r.Daily = daily
-	ds, err := daily.Smooth()
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: smooth: %w", err)
-	}
 	r.Demand = ds
-	cfg.observeStage("demand", start, len(daily.Days)*ds.Blocks())
+	cfg.observeStage("demand", start, cfg.Demand.Days*ds.Blocks())
 
 	if err := r.Classify(cfg.Threshold); err != nil {
 		return nil, err
@@ -224,30 +217,10 @@ func (r *Result) Analyze() {
 
 	r.RDNS = rdns.Corroborate(r.Detected, rdns.FromWorld(r.World), r.ASOf)
 
-	r.Affinity = r.buildAffinity()
-	r.ResolverUsage = dnsmap.ResolverUsage(r.Affinity, r.Demand, r.Detected)
+	r.ResolverUsage = dnsmap.ResolverUsage(r.World.Affinity, r.Demand, r.Detected)
 	known := dnsmap.KnownPublicResolvers()
-	r.PublicDNS = dnsmap.PublicDNSByAS(r.Affinity, r.Demand, r.Detected, r.ASOf,
+	r.PublicDNS = dnsmap.PublicDNSByAS(r.World.Affinity, r.Demand, r.Detected, r.ASOf,
 		func(a netip.Addr) string { return known[a] })
-}
-
-// buildAffinity converts the world's resolver-ID affinity into the
-// address-keyed form the DNS analysis consumes (the measured dataset a CDN
-// derives from DNS/HTTP log correlation).
-func (r *Result) buildAffinity() dnsmap.Affinity {
-	out := make(dnsmap.Affinity, len(r.World.Affinity))
-	for block, ws := range r.World.Affinity {
-		assocs := make([]dnsmap.Assoc, 0, len(ws))
-		for _, rw := range ws {
-			res := r.World.ResolverByID(rw.ResolverID)
-			if res == nil {
-				continue
-			}
-			assocs = append(assocs, dnsmap.Assoc{Resolver: res.Addr, Weight: rw.Weight})
-		}
-		out[block] = assocs
-	}
-	return out
 }
 
 // MixedASSet returns the identified mixed cellular ASes as a set.

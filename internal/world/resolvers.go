@@ -41,7 +41,6 @@ func providerMix(cc string) [3]float64 {
 // cellular-only and fixed-only.
 func (g *generator) genResolvers() {
 	newResolver := func(r Resolver) *Resolver {
-		r.ID = len(g.w.Resolvers)
 		rp := &r
 		g.w.Resolvers = append(g.w.Resolvers, rp)
 		return rp
@@ -145,18 +144,18 @@ func (g *generator) assignAffinity(op *Operator, resolvers []*Resolver, publicBy
 					continue
 				}
 				r := prs[int(b.Block.Key())%len(prs)]
-				weights = append(weights, ResolverWeight{ResolverID: r.ID, Weight: w})
+				weights = append(weights, ResolverWeight{Resolver: r, Weight: w})
 			}
 		}
 		own := 1 - pub
 		primary := pool[int(b.Block.Key())%len(pool)]
 		if len(pool) == 1 {
-			weights = append(weights, ResolverWeight{ResolverID: primary.ID, Weight: own})
+			weights = append(weights, ResolverWeight{Resolver: primary, Weight: own})
 		} else {
 			secondary := pool[int(b.Block.Key()+1)%len(pool)]
 			weights = append(weights,
-				ResolverWeight{ResolverID: primary.ID, Weight: own * 0.7},
-				ResolverWeight{ResolverID: secondary.ID, Weight: own * 0.3},
+				ResolverWeight{Resolver: primary, Weight: own * 0.7},
+				ResolverWeight{Resolver: secondary, Weight: own * 0.3},
 			)
 		}
 		g.w.Affinity[b.Block] = weights

@@ -59,7 +59,6 @@ type BlockInfo struct {
 
 // Resolver is one recursive DNS resolver serving clients.
 type Resolver struct {
-	ID       int
 	Addr     netip.Addr
 	ASN      uint32 // operator AS, or the public provider's AS
 	Public   bool
@@ -74,8 +73,8 @@ type Resolver struct {
 // ResolverWeight is one entry of a block's resolver affinity: the fraction
 // of the block's resolutions handled by a resolver.
 type ResolverWeight struct {
-	ResolverID int
-	Weight     float64
+	Resolver *Resolver
+	Weight   float64
 }
 
 // Operator is an access network (or noise network) in the world.
@@ -142,14 +141,6 @@ type World struct {
 	// a large mixed European provider, a large dedicated U.S. MNO, and a
 	// large mixed Middle-East MNO (paper §4.2).
 	CarrierA, CarrierB, CarrierC *Operator
-}
-
-// ResolverByID returns the resolver with the given ID, or nil.
-func (w *World) ResolverByID(id int) *Resolver {
-	if id < 0 || id >= len(w.Resolvers) {
-		return nil
-	}
-	return w.Resolvers[id]
 }
 
 // OperatorByASN returns the operator owning the given AS, or nil.

@@ -269,12 +269,15 @@ func TestGenerateResolverAffinity(t *testing.T) {
 	if len(w.Affinity) == 0 {
 		t.Fatal("no affinity entries")
 	}
+	known := make(map[*Resolver]bool, len(w.Resolvers))
+	for _, r := range w.Resolvers {
+		known[r] = true
+	}
 	for blk, ws := range w.Affinity {
 		sum := 0.0
 		for _, rw := range ws {
-			r := w.ResolverByID(rw.ResolverID)
-			if r == nil {
-				t.Fatalf("block %v references unknown resolver %d", blk, rw.ResolverID)
+			if !known[rw.Resolver] {
+				t.Fatalf("block %v references a resolver outside w.Resolvers: %+v", blk, rw.Resolver)
 			}
 			if rw.Weight < 0 {
 				t.Fatalf("negative affinity weight on %v", blk)
