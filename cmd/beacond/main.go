@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"cellspot/internal/federation"
+	"cellspot/internal/live"
 	"cellspot/internal/logio"
 	"cellspot/internal/obs"
 	"cellspot/internal/obs/httpmw"
@@ -74,7 +75,7 @@ func run() int {
 	reg := obs.NewRegistry()
 	opts := []rum.Option{rum.WithMetrics(reg)}
 	if *spoolDir != "" {
-		opts = append(opts, rum.WithSpool(logio.NewSpool(*spoolDir, "beacon", *gzipped, *spoolMax)))
+		opts = append(opts, rum.WithSpool(logio.NewSpool(*spoolDir, live.DefaultSpoolPrefix, *gzipped, *spoolMax)))
 	}
 	if *token != "" {
 		opts = append(opts, rum.WithAuthToken(*token))
@@ -113,7 +114,7 @@ func run() int {
 		case shipper != nil:
 			st, err = shipper.Stats()
 		case *spoolDir != "":
-			st, err = federation.ScanSpool(*spoolDir, "beacon")
+			st, err = federation.ScanSpool(*spoolDir)
 		}
 		if err != nil {
 			w.Header().Set("Content-Type", "application/json")

@@ -83,7 +83,6 @@ func run(args []string) int {
 	jitterSeedFlag := fs.Uint64("poll-jitter-seed", 0, "seed for the ±10% poll jitter (0 derives one from host+pid)")
 	liveSpool := fs.String("live-spool", "", "embed the live refresh loop, reading this beacond spool directory's sealed shards")
 	fedListen := fs.String("federation-listen", "", "accept federated spool segments from remote collectors on this address")
-	livePrefix := fs.String("live-prefix", live.DefaultSpoolPrefix, "spool file prefix tailed by the live refresh loop")
 	refresh := fs.Duration("refresh", live.DefaultInterval, "live refresh interval")
 	windowDays := fs.Int("window-days", live.DefaultWindowDays, "sliding aggregation window in days")
 	threshold := fs.Float64("threshold", classify.DefaultThreshold, "classifier cellular-ratio threshold")
@@ -93,7 +92,6 @@ func run(args []string) int {
 	topoPath := fs.String("topology", "", "cluster topology file (JSON), required by -shard and -gateway")
 	shardSpec := fs.String("shard", "", "serve as cluster shard node i of N (i/N): refuse addresses outside this shard's partition")
 	gatewayMode := fs.Bool("gateway", false, "serve as a cluster gateway: route lookups to shard nodes, no local map")
-	gatewayCache := fs.Int("gateway-cache", 65536, "gateway response cache capacity in addresses (0 disables); invalidated wholesale on generation change")
 	gatewayDegraded := fs.Bool("gateway-degraded", false, "serve partial batch results (marked degraded) when a minority of shards is dark, instead of failing the whole batch")
 	maxInflight := fs.Int("max-inflight", 0, "admission-control bound on concurrently served requests (0 = unbounded): shard lookups shed with 503, federation segments with 429")
 	fs.Parse(args)
@@ -113,7 +111,7 @@ func run(args []string) int {
 			log.Print("-gateway publishes no generations; drop -federation-listen")
 			return 2
 		}
-		return runGateway(*topoPath, *addr, *gatewayCache, *gatewayDegraded)
+		return runGateway(*topoPath, *addr, *gatewayDegraded)
 	}
 	if *shardSpec != "" && *topoPath == "" {
 		log.Print("-shard requires -topology")
@@ -223,16 +221,15 @@ func run(args []string) int {
 			return 2
 		}
 		agg, err := live.NewAggregator(live.Config{
-			SpoolDir:    *liveSpool,
-			SpoolPrefix: *livePrefix,
-			WindowDays:  *windowDays,
-			Interval:    *refresh,
-			Threshold:   *threshold,
-			Inputs:      inputs,
-			Store:       store,
-			Keep:        *keep,
-			Metrics:     reg,
-			Logf:        log.Printf,
+			SpoolDir:   *liveSpool,
+			WindowDays: *windowDays,
+			Interval:   *refresh,
+			Threshold:  *threshold,
+			Inputs:     inputs,
+			Store:      store,
+			Keep:       *keep,
+			Metrics:    reg,
+			Logf:       log.Printf,
 		})
 		if err != nil {
 			log.Print(err)
@@ -313,7 +310,7 @@ func run(args []string) int {
 // runGateway is the -gateway lifecycle: no map, no store — just the
 // router, its generation-keyed response cache, its health loop, and
 // metrics.
-func runGateway(topoPath, addr string, cacheSize int, degraded bool) int {
+func runGateway(topoPath, addr string, degraded bool) int {
 	topo, err := cluster.LoadTopology(topoPath)
 	if err != nil {
 		log.Print(err)
@@ -323,7 +320,6 @@ func runGateway(topoPath, addr string, cacheSize int, degraded bool) int {
 	g, err := cluster.NewGateway(cluster.GatewayConfig{
 		Topology:      topo,
 		Registry:      reg,
-		CacheSize:     cacheSize,
 		AllowDegraded: degraded,
 		Logf:          log.Printf,
 	})

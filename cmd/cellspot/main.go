@@ -42,6 +42,7 @@ import (
 	"cellspot/internal/demand"
 	"cellspot/internal/evolve"
 	"cellspot/internal/ingest"
+	"cellspot/internal/live"
 	"cellspot/internal/logio"
 	"cellspot/internal/netaddr"
 	"cellspot/internal/pipeline"
@@ -263,7 +264,7 @@ func runGen(args []string) error {
 	if err != nil {
 		return err
 	}
-	spool := logio.NewSpool(*out, "beacon", *gzipped, 200_000)
+	spool := logio.NewSpool(*out, live.DefaultSpoolPrefix, *gzipped, 200_000)
 	for rec := range seq {
 		if err := spool.Write(rec); err != nil {
 			return err
@@ -324,7 +325,7 @@ func runClassify(args []string) error {
 	}
 
 	agg := beacon.NewAggregate()
-	st, err := logio.DecodeSpool(*dir, "beacon", true, func(r beacon.Record) error {
+	st, err := logio.DecodeSpool(*dir, live.DefaultSpoolPrefix, true, func(r beacon.Record) error {
 		agg.AddRecord(r)
 		return nil
 	})
@@ -392,9 +393,9 @@ func writeDetected(path string, detected netaddr.Set) error {
 // runIngest imports foreign conn logs and runs the classification stage
 // over the measured traffic — the "run the paper's method on your own
 // Zeek logs" entry point. With -out it additionally writes a beacon-record
-// spool (prefix "beacon", so 'cellspot classify -data' and cellmapd's live
-// spool input consume it unchanged), the normalized DEMAND dataset, and the
-// detected cellular blocks.
+// spool (prefix live.DefaultSpoolPrefix, so 'cellspot classify -data' and
+// cellmapd's live spool input consume it unchanged), the normalized DEMAND
+// dataset, and the detected cellular blocks.
 func runIngest(args []string) error {
 	fs := flag.NewFlagSet("ingest", flag.ExitOnError)
 	dir := fs.String("dir", "", "conn-log directory (required)")
@@ -424,7 +425,7 @@ func runIngest(args []string) error {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
 			return err
 		}
-		spool = logio.NewSpool(*out, "beacon", *gzipped, 200_000)
+		spool = logio.NewSpool(*out, live.DefaultSpoolPrefix, *gzipped, 200_000)
 		hook = func(rec beacon.Record) {
 			if werr == nil {
 				werr = spool.Write(rec)

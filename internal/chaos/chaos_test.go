@@ -250,7 +250,7 @@ func runFederationSchedule(t *testing.T, seed uint64) string {
 	const collector = "chaos-c1"
 	recs := chaosRecords(240)
 	spool := t.TempDir()
-	sp := logio.NewSpool(spool, "beacon", false, 60) // 4 sealed shards
+	sp := logio.NewSpool(spool, live.DefaultSpoolPrefix, false, 60) // 4 sealed shards
 	for _, rec := range recs {
 		if err := sp.Write(rec); err != nil {
 			t.Fatal(err)

@@ -17,10 +17,6 @@ import (
 //	half-open — exactly one probe request is let through; success closes
 //	            the breaker, failure re-opens it for another cooldown
 //
-// A successful answer slower than the latency budget (when one is set)
-// counts as a failure: a replica that technically answers but blows the
-// hedging budget is a brownout, and routing around it is the point.
-//
 // Ranking uses the read-only allow(); the mutating acquire() runs only when
 // a request is actually issued, so the half-open probe slot is never leaked
 // by a replica that was ranked but not contacted. Abandoned attempts
@@ -28,7 +24,6 @@ import (
 type breaker struct {
 	threshold int64
 	cooldown  time.Duration
-	latBudget time.Duration // 0 disables the latency criterion
 
 	mu       sync.Mutex
 	state    int // 0 closed, 1 half-open, 2 open
@@ -45,16 +40,13 @@ const (
 	breakerOpen
 )
 
-func newBreaker(threshold int64, cooldown, latBudget time.Duration, mState *obs.Gauge) *breaker {
-	return &breaker{threshold: threshold, cooldown: cooldown, latBudget: latBudget, mState: mState}
+func newBreaker(threshold int64, cooldown time.Duration, mState *obs.Gauge) *breaker {
+	return &breaker{threshold: threshold, cooldown: cooldown, mState: mState}
 }
 
 // allow reports whether ranking should consider this replica. Read-only:
 // it never claims the half-open probe slot.
 func (b *breaker) allow(now time.Time) bool {
-	if b == nil {
-		return true
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state != breakerOpen || now.Sub(b.openedAt) >= b.cooldown
@@ -63,9 +55,6 @@ func (b *breaker) allow(now time.Time) bool {
 // acquire claims the right to issue one request. An open breaker past its
 // cooldown transitions to half-open and grants the single probe slot.
 func (b *breaker) acquire(now time.Time) bool {
-	if b == nil {
-		return true
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -88,14 +77,11 @@ func (b *breaker) acquire(now time.Time) bool {
 }
 
 // record folds one completed attempt's outcome in.
-func (b *breaker) record(ok bool, dur time.Duration, now time.Time) {
-	if b == nil {
-		return
-	}
+func (b *breaker) record(ok bool, now time.Time) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.probing = false
-	if ok && (b.latBudget <= 0 || dur <= b.latBudget) {
+	if ok {
 		b.fails = 0
 		b.setState(breakerClosed)
 		return
@@ -107,7 +93,7 @@ func (b *breaker) record(ok bool, dur time.Duration, now time.Time) {
 		b.setState(breakerOpen)
 	case breakerClosed:
 		b.fails++
-		if b.threshold > 0 && b.fails >= b.threshold {
+		if b.fails >= b.threshold {
 			b.openedAt = now
 			b.fails = 0
 			b.setState(breakerOpen)
@@ -121,9 +107,6 @@ func (b *breaker) record(ok bool, dur time.Duration, now time.Time) {
 // cancelled (caller gone, hedge winner elsewhere), which says nothing about
 // the replica.
 func (b *breaker) abandon() {
-	if b == nil {
-		return
-	}
 	b.mu.Lock()
 	b.probing = false
 	b.mu.Unlock()
@@ -140,9 +123,6 @@ func (b *breaker) setState(s int) {
 
 // stateName snapshots the state for the health response.
 func (b *breaker) stateName() string {
-	if b == nil {
-		return "closed"
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {

@@ -69,9 +69,6 @@ func (c *lookupCache) generation() uint64 {
 // newer generation anywhere (health probe, response body) invalidates
 // everything from before it.
 func (c *lookupCache) observe(gen uint64) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	c.advanceLocked(gen)
 	c.mu.Unlock()
@@ -129,9 +126,6 @@ func (c *lookupCache) getMany(addrs []netip.Addr, out []cellmap.LookupResponse, 
 // is dropped — caching it would be the stale-read bug this design exists
 // to prevent.
 func (c *lookupCache) put(gen uint64, addr netip.Addr, resp cellmap.LookupResponse) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.advanceLocked(gen)
@@ -154,11 +148,8 @@ func (c *lookupCache) put(gen uint64, addr netip.Addr, resp cellmap.LookupRespon
 	c.mEntries.Set(int64(len(c.items)))
 }
 
-// len reports resident entries (tests and the health path).
+// len reports resident entries.
 func (c *lookupCache) len() int {
-	if c == nil {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.items)

@@ -25,15 +25,15 @@ import (
 
 func TestBreakerLifecycle(t *testing.T) {
 	now := time.Unix(1000, 0)
-	b := newBreaker(3, 50*time.Millisecond, 0, nil)
+	b := newBreaker(3, 50*time.Millisecond, nil)
 
 	for i := 0; i < 2; i++ {
-		b.record(false, 0, now)
+		b.record(false, now)
 	}
 	if got := b.stateName(); got != "closed" {
 		t.Fatalf("after 2 failures: %s, want closed", got)
 	}
-	b.record(false, 0, now)
+	b.record(false, now)
 	if got := b.stateName(); got != "open" {
 		t.Fatalf("after 3rd failure: %s, want open", got)
 	}
@@ -64,7 +64,7 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatal("probe slot not freed by abandon")
 	}
 	// Failed probe: open again for a full cooldown.
-	b.record(false, 0, later)
+	b.record(false, later)
 	if got := b.stateName(); got != "open" {
 		t.Fatalf("after failed probe: %s, want open", got)
 	}
@@ -73,29 +73,9 @@ func TestBreakerLifecycle(t *testing.T) {
 	if !b.acquire(final) {
 		t.Fatal("breaker refused probe after second cooldown")
 	}
-	b.record(true, 0, final)
+	b.record(true, final)
 	if got := b.stateName(); got != "closed" {
 		t.Fatalf("after successful probe: %s, want closed", got)
-	}
-}
-
-func TestBreakerLatencyBudget(t *testing.T) {
-	now := time.Unix(1000, 0)
-	b := newBreaker(2, 50*time.Millisecond, 10*time.Millisecond, nil)
-	// Technically successful answers over budget are brownout failures.
-	b.record(true, 20*time.Millisecond, now)
-	b.record(true, 30*time.Millisecond, now)
-	if got := b.stateName(); got != "open" {
-		t.Fatalf("slow successes did not trip the breaker: %s", got)
-	}
-	// A fast success closes it again via the half-open probe.
-	later := now.Add(60 * time.Millisecond)
-	if !b.acquire(later) {
-		t.Fatal("no probe after cooldown")
-	}
-	b.record(true, 1*time.Millisecond, later)
-	if got := b.stateName(); got != "closed" {
-		t.Fatalf("fast probe did not close: %s", got)
 	}
 }
 

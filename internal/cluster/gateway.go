@@ -38,26 +38,18 @@ type GatewayConfig struct {
 	// (clamped to [1ms, 250ms]) replaces it. Default 25ms.
 	HedgeDelay time.Duration
 	// CacheSize is the capacity (addresses) of the generation-keyed
-	// response cache; 0 disables caching. The cache holds answers of the
-	// newest generation the gateway has observed and is invalidated
+	// response cache. Default DefaultCacheSize. The cache holds answers of
+	// the newest generation the gateway has observed and is invalidated
 	// wholesale the moment a newer generation appears.
 	CacheSize int
-	// GenRounds is how many reconciliation rounds a mixed-generation
-	// batch gets before failing. Default 3.
-	GenRounds int
 	// HealthInterval is the health-check cadence. Default 1s.
 	HealthInterval time.Duration
-	// HealthTimeout bounds one health probe. Default 500ms.
-	HealthTimeout time.Duration
 	// BreakerThreshold is how many consecutive request-path failures open a
-	// replica's circuit breaker. Default 5; negative disables breakers.
+	// replica's circuit breaker. Default 5.
 	BreakerThreshold int
 	// BreakerCooldown is how long an open breaker refuses traffic before
 	// letting a half-open probe through. Default 1s.
 	BreakerCooldown time.Duration
-	// BreakerLatencyBudget, when positive, counts successful answers slower
-	// than this as breaker failures (brownout detection). Default off.
-	BreakerLatencyBudget time.Duration
 	// AllowDegraded opts the gateway into degraded batch mode: when a
 	// minority of a batch's shards cannot answer, the batch succeeds with
 	// per-address placeholders marked "degraded" instead of failing whole.
@@ -66,6 +58,18 @@ type GatewayConfig struct {
 	// Logf receives operational log lines; nil silences them.
 	Logf func(format string, args ...any)
 }
+
+// DefaultCacheSize is the response cache capacity, in addresses, when
+// GatewayConfig.CacheSize is not positive.
+const DefaultCacheSize = 65536
+
+const (
+	// genRounds is how many reconciliation rounds a mixed-generation batch
+	// gets before failing with ErrGenerationSplit.
+	genRounds = 3
+	// healthTimeout bounds one health probe.
+	healthTimeout = 500 * time.Millisecond
+)
 
 func (c *GatewayConfig) fillDefaults() {
 	if c.Client == nil {
@@ -80,16 +84,13 @@ func (c *GatewayConfig) fillDefaults() {
 	if c.HedgeDelay <= 0 {
 		c.HedgeDelay = 25 * time.Millisecond
 	}
-	if c.GenRounds <= 0 {
-		c.GenRounds = 3
+	if c.CacheSize <= 0 {
+		c.CacheSize = DefaultCacheSize
 	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = time.Second
 	}
-	if c.HealthTimeout <= 0 {
-		c.HealthTimeout = 500 * time.Millisecond
-	}
-	if c.BreakerThreshold == 0 {
+	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 5
 	}
 	if c.BreakerCooldown <= 0 {
@@ -109,7 +110,7 @@ type Gateway struct {
 	replicas [][]*replica // [shard][replica]
 	rr       []atomic.Uint64
 	lat      []*latencyTracker
-	cache    *lookupCache // nil when CacheSize is 0
+	cache    *lookupCache
 
 	mRequests  []*obs.Counter // per shard
 	mErrors    []*obs.Counter
@@ -134,9 +135,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		lat:  make([]*latencyTracker, cfg.Topology.NumShards()),
 	}
 	reg := cfg.Registry
-	if cfg.CacheSize > 0 {
-		g.cache = newLookupCache(cfg.CacheSize, reg)
-	}
+	g.cache = newLookupCache(cfg.CacheSize, reg)
 	g.mFanout = reg.Histogram("cluster_fanout_seconds",
 		"Batch scatter-gather wall time in seconds.", obs.DefBuckets)
 	g.mConflicts = reg.Counter("cluster_generation_conflicts_total",
@@ -154,25 +153,22 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 			"Hedge requests fired after the latency threshold.", label))
 		var reps []*replica
 		for j, u := range spec.Replicas {
-			rep := &replica{
+			repLabel := obs.L("replica", strconv.Itoa(j))
+			reps = append(reps, &replica{
 				shard: s,
 				index: j,
 				url:   strings.TrimSuffix(u, "/"),
-				mUp: reg.Gauge("cluster_replica_up",
-					"1 when the replica's last health probe succeeded.",
-					label, obs.L("replica", strconv.Itoa(j))),
-				mGen: reg.Gauge("cluster_replica_generation",
-					"Map generation the replica last reported.",
-					label, obs.L("replica", strconv.Itoa(j))),
-			}
-			if cfg.BreakerThreshold > 0 {
-				rep.br = newBreaker(int64(cfg.BreakerThreshold), cfg.BreakerCooldown,
-					cfg.BreakerLatencyBudget,
+				br: newBreaker(int64(cfg.BreakerThreshold), cfg.BreakerCooldown,
 					reg.Gauge("cluster_breaker_state",
 						"Replica circuit breaker: 0 closed, 1 half-open, 2 open.",
-						label, obs.L("replica", strconv.Itoa(j))))
-			}
-			reps = append(reps, rep)
+						label, repLabel)),
+				mUp: reg.Gauge("cluster_replica_up",
+					"1 when the replica's last health probe succeeded.",
+					label, repLabel),
+				mGen: reg.Gauge("cluster_replica_generation",
+					"Map generation the replica last reported.",
+					label, repLabel),
+			})
 		}
 		g.replicas = append(g.replicas, reps)
 	}
@@ -240,12 +236,12 @@ type tryResult struct {
 const DeadlineHeader = "X-Cellspot-Deadline"
 
 // issueOne sends build(rep), reports into ch, and owns the attempt's
-// bookkeeping (error counters, consecutive-failure count, breaker verdict,
-// latency sample, health flip on transport errors). Recording lives here —
-// not in the receive loop — because hedging abandons losers, and an
-// abandoned attempt's outcome must still be folded in. The one exception:
-// an attempt cancelled from outside (caller gone, or a hedge sibling won)
-// says nothing about the replica, so it records no verdict at all.
+// bookkeeping (error counters, breaker verdict, latency sample, health
+// flip on transport errors). Recording lives here — not in the receive
+// loop — because hedging abandons losers, and an abandoned attempt's
+// outcome must still be folded in. The one exception: an attempt
+// cancelled from outside (caller gone, or a hedge sibling won) says
+// nothing about the replica, so it records no verdict at all.
 func (g *Gateway) issueOne(ctx context.Context, rep *replica, build func(url string) (*http.Request, error), ch chan<- tryResult) {
 	g.mRequests[rep.shard].Inc()
 	start := time.Now()
@@ -254,13 +250,11 @@ func (g *Gateway) issueOne(ctx context.Context, rep *replica, build func(url str
 	if ctx.Err() != nil && res.err != nil {
 		rep.br.abandon()
 	} else if res.ok() {
-		rep.fails.Store(0)
-		rep.br.record(true, res.dur, time.Now())
+		rep.br.record(true, time.Now())
 		g.lat[rep.shard].observe(res.dur)
 	} else {
 		g.mErrors[rep.shard].Inc()
-		rep.fails.Add(1)
-		rep.br.record(false, res.dur, time.Now())
+		rep.br.record(false, time.Now())
 		if res.err != nil {
 			// Transport-level failure: flip the health view now instead of
 			// waiting for the next probe.
@@ -417,21 +411,18 @@ func clampDuration(d, lo, hi time.Duration) time.Duration {
 }
 
 // Lookup routes one address to its owning shard and returns the shard's
-// raw answer (status + body), ready to proxy. With caching enabled, a hit
-// answers locally from the cache's current generation; a miss is
-// forwarded (biased toward replicas at or past that generation) and the
-// answer cached under the generation it carries.
+// raw answer (status + body), ready to proxy. A cache hit answers locally
+// from the cache's current generation; a miss is forwarded (biased toward
+// replicas at or past that generation) and the answer cached under the
+// generation it carries.
 func (g *Gateway) Lookup(ctx context.Context, addr netip.Addr) (int, []byte, error) {
-	var minGen uint64
-	if g.cache != nil {
-		if resp, _, ok := g.cache.get(addr); ok {
-			body, err := json.Marshal(resp)
-			if err != nil {
-				return 0, nil, err
-			}
-			return http.StatusOK, append(body, '\n'), nil
+	resp, minGen, ok := g.cache.get(addr)
+	if ok {
+		body, err := json.Marshal(resp)
+		if err != nil {
+			return 0, nil, err
 		}
-		minGen = g.cache.generation()
+		return http.StatusOK, append(body, '\n'), nil
 	}
 	shard := g.ring.Owner(addr)
 	res, err := g.forward(ctx, shard, minGen, func(url string) (*http.Request, error) {
@@ -440,7 +431,7 @@ func (g *Gateway) Lookup(ctx context.Context, addr netip.Addr) (int, []byte, err
 	if err != nil {
 		return 0, nil, err
 	}
-	if g.cache != nil && res.status == http.StatusOK {
+	if res.status == http.StatusOK {
 		var lr cellmap.LookupResponse
 		if err := json.Unmarshal(res.body, &lr); err == nil {
 			g.cache.put(lr.Generation, addr, lr)
@@ -531,29 +522,6 @@ func (g *Gateway) shardFetch(ctx context.Context, shard int, minGen uint64, addr
 func (g *Gateway) Batch(ctx context.Context, addrs []netip.Addr) (cellmap.BatchResponse, error) {
 	start := time.Now()
 	defer func() { g.mFanout.Observe(time.Since(start).Seconds()) }()
-	resp, err := g.batchCached(ctx, addrs)
-	if err != nil {
-		return cellmap.BatchResponse{}, err
-	}
-	return resp, nil
-}
-
-// batchSpan counts the distinct shards a batch touches. Degraded-mode
-// minority decisions are made against the client's full batch, not a
-// cache-miss subset — otherwise a warm cache could shrink the miss set to
-// exactly the dark shard and flip "1 of 3 shards dark" into "1 of 1".
-func (g *Gateway) batchSpan(addrs []netip.Addr) int {
-	seen := make(map[int]struct{}, 4)
-	for _, a := range addrs {
-		seen[g.ring.Owner(a)] = struct{}{}
-	}
-	return len(seen)
-}
-
-func (g *Gateway) batchCached(ctx context.Context, addrs []netip.Addr) (cellmap.BatchResponse, error) {
-	if g.cache == nil {
-		return g.batchFetch(ctx, addrs, 0, 0)
-	}
 	span := g.batchSpan(addrs)
 	out := make([]cellmap.LookupResponse, len(addrs))
 	hit := make([]bool, len(addrs))
@@ -606,6 +574,18 @@ func (g *Gateway) batchCached(ctx context.Context, addrs []netip.Addr) (cellmap.
 	return cellmap.BatchResponse{Generation: fetched.Generation, Results: out, Degraded: fetched.Degraded}, nil
 }
 
+// batchSpan counts the distinct shards a batch touches. Degraded-mode
+// minority decisions are made against the client's full batch, not a
+// cache-miss subset — otherwise a warm cache could shrink the miss set to
+// exactly the dark shard and flip "1 of 3 shards dark" into "1 of 1".
+func (g *Gateway) batchSpan(addrs []netip.Addr) int {
+	seen := make(map[int]struct{}, 4)
+	for _, a := range addrs {
+		seen[g.ring.Owner(a)] = struct{}{}
+	}
+	return len(seen)
+}
+
 // batchFetch scatter-gathers a batch lookup across the owning shards and
 // merges the answers back into request order. minGen biases replica
 // selection toward replicas at or past that generation. span is the shard
@@ -616,7 +596,7 @@ func (g *Gateway) batchCached(ctx context.Context, addrs []netip.Addr) (cellmap.
 // every sub-answer carries the same generation. When a gather observes a
 // mix, the gateway re-queries the lagging shards — biased toward replicas
 // the health view says have reached the target generation — for up to
-// GenRounds rounds, then fails with ErrGenerationSplit rather than serve
+// genRounds rounds, then fails with ErrGenerationSplit rather than serve
 // a frankenbatch spanning two snapshots.
 func (g *Gateway) batchFetch(ctx context.Context, addrs []netip.Addr, minGen uint64, span int) (cellmap.BatchResponse, error) {
 	// Group addresses by owning shard, remembering request positions.
@@ -716,7 +696,7 @@ func (g *Gateway) batchFetch(ctx context.Context, addrs []netip.Addr, minGen uin
 			break
 		}
 		g.mConflicts.Inc()
-		if round >= g.cfg.GenRounds {
+		if round >= genRounds {
 			return cellmap.BatchResponse{}, ErrGenerationSplit
 		}
 		var lagging []int

@@ -138,11 +138,13 @@ func TestGatewayHedging(t *testing.T) {
 		rep.gen.Store(1)
 	}
 
-	addr := addrOwnedBy(t, f.ring, 0)
 	// Over several requests, round-robin starts on the stalled replica
 	// about half the time; each such request must be rescued by a hedge
-	// well before the client timeout.
+	// well before the client timeout. Every request asks for a different
+	// address, so none is answered from the gateway's cache.
+	addrs := coveredAddrs()
 	for i := 0; i < 6; i++ {
+		addr := addrs[i]
 		start := time.Now()
 		resp, err := http.Get(srv.URL + "/v1/lookup?ip=" + addr.String())
 		if err != nil {
@@ -221,30 +223,33 @@ func TestGatewayBatchGenerationReconciliation(t *testing.T) {
 	m2 := mkMap(t, "2017-01", genTwoEntries())
 	f := newTestFleet(t, 2, 2, m1, 1)
 
-	// Shard 0: both replicas at gen 2. Shard 1: replica 0 stuck at gen 1,
-	// replica 1 at gen 2.
-	f.swap(0, 0, m2, 2)
-	f.swap(0, 1, m2, 2)
-	f.swap(1, 1, m2, 2)
-
 	g, srv, reg := f.gateway(t, func(c *GatewayConfig) {
 		c.Backoff = time.Millisecond
 	})
 	g.CheckNow(context.Background())
 
-	addrs := coveredAddrs()
-	ips := make([]string, len(addrs))
-	for i, a := range addrs {
-		ips[i] = a.String()
-	}
-	body, err := json.Marshal(cellmap.BatchRequest{IPs: ips})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Shard 0: both replicas at gen 2. Shard 1: replica 0 stuck at gen 1,
+	// replica 1 at gen 2. The swap lands after the health sweep, so
+	// neither the health view nor the cache's generation floor steers
+	// the first gather of shard 1 away from the stale replica.
+	f.swap(0, 0, m2, 2)
+	f.swap(0, 1, m2, 2)
+	f.swap(1, 1, m2, 2)
+
 	// Run several batches: round-robin guarantees some first-round gathers
-	// hit the stale replica and need reconciliation.
+	// hit the stale replica and need reconciliation. Each batch asks for
+	// addresses no earlier batch did, so it misses the cache and fans out.
 	sawConflict := false
 	for i := 0; i < 8; i++ {
+		addrs := freshAddrs(i)
+		ips := make([]string, len(addrs))
+		for j, a := range addrs {
+			ips[j] = a.String()
+		}
+		body, err := json.Marshal(cellmap.BatchRequest{IPs: ips})
+		if err != nil {
+			t.Fatal(err)
+		}
 		resp, err := http.Post(srv.URL+"/v1/lookup/batch", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -292,7 +297,6 @@ func TestGatewayBatchGenerationSplit(t *testing.T) {
 
 	g, srv, _ := f.gateway(t, func(c *GatewayConfig) {
 		c.Backoff = time.Millisecond
-		c.GenRounds = 2
 	})
 	g.CheckNow(context.Background())
 
@@ -373,6 +377,24 @@ func TestGatewayHealthView(t *testing.T) {
 	}
 	if up != 3 || down != 1 {
 		t.Errorf("up=%d down=%d, want 3/1", up, down)
+	}
+}
+
+// TestHealthSweepCancelledKeepsView: a sweep cut short by its own context
+// (the health loop stopping) says nothing about the replicas, so the view
+// stays as the last completed sweep left it.
+func TestHealthSweepCancelledKeepsView(t *testing.T) {
+	m := mkMap(t, "2016-12", genOneEntries())
+	f := newTestFleet(t, 2, 1, m, 1)
+	g, _, _ := f.gateway(t, nil)
+	g.CheckNow(context.Background())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	g.CheckNow(ctx)
+	for _, r := range g.Health().Replicas {
+		if !r.Up {
+			t.Errorf("replica %d/%d marked down by a cancelled sweep", r.Shard, r.Replica)
+		}
 	}
 }
 

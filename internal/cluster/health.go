@@ -20,10 +20,9 @@ type replica struct {
 	index int
 	url   string // base URL, no trailing slash
 
-	up    atomic.Bool
-	gen   atomic.Uint64
-	fails atomic.Int64 // consecutive request-path failures
-	br    *breaker     // nil when breakers are disabled
+	up  atomic.Bool
+	gen atomic.Uint64
+	br  *breaker
 
 	mUp  *obs.Gauge
 	mGen *obs.Gauge
@@ -50,28 +49,34 @@ type GatewayHealth struct {
 }
 
 // checkReplica probes one replica's health endpoint and folds the answer
-// into the gateway's view.
+// into the gateway's view. A probe cut short because ctx ended (the health
+// loop stopping) says nothing about the replica and leaves its view as is.
 func (g *Gateway) checkReplica(ctx context.Context, rep *replica) {
-	ctx, cancel := context.WithTimeout(ctx, g.cfg.HealthTimeout)
+	probe, cancel := context.WithTimeout(ctx, healthTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.url+"/v1/cluster/health", nil)
+	down := func() {
+		if ctx.Err() == nil {
+			g.markDown(rep)
+		}
+	}
+	req, err := http.NewRequestWithContext(probe, http.MethodGet, rep.url+"/v1/cluster/health", nil)
 	if err != nil {
-		g.markDown(rep)
+		down()
 		return
 	}
 	resp, err := g.cfg.Client.Do(req)
 	if err != nil {
-		g.markDown(rep)
+		down()
 		return
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		g.markDown(rep)
+		down()
 		return
 	}
 	var h HealthResponse
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		g.markDown(rep)
+		down()
 		return
 	}
 	if h.Shard != rep.shard || h.Shards != g.ring.Shards() {
@@ -93,7 +98,6 @@ func (g *Gateway) checkReplica(ctx context.Context, rep *replica) {
 		g.logf("replica %s (shard %d) up at generation %d", rep.url, rep.shard, h.Generation)
 	}
 	rep.mUp.Set(1)
-	rep.fails.Store(0)
 }
 
 func (g *Gateway) markDown(rep *replica) {

@@ -168,6 +168,19 @@ func coveredAddrs() []netip.Addr {
 	return out
 }
 
+// freshAddrs returns coveredAddrs with k added to every address's last
+// byte: the same prefixes and shard owners, but addresses a gateway cache
+// that has only seen coveredAddrs (or other k) has not seen.
+func freshAddrs(k int) []netip.Addr {
+	var out []netip.Addr
+	for _, a := range coveredAddrs() {
+		b := a.As16()
+		b[15] += byte(k)
+		out = append(out, netip.AddrFrom16(b).Unmap())
+	}
+	return out
+}
+
 // addrOwnedBy finds a covered address the ring assigns to shard s.
 func addrOwnedBy(t testing.TB, ring *Ring, s int) netip.Addr {
 	t.Helper()

@@ -67,7 +67,7 @@ func testInputs() live.MapInputs {
 // rotation every perShard records, like a running beacond would.
 func writeSpool(t testing.TB, dir string, recs []beacon.Record, perShard int, gzipped bool) {
 	t.Helper()
-	sp := logio.NewSpool(dir, "beacon", gzipped, perShard)
+	sp := logio.NewSpool(dir, live.DefaultSpoolPrefix, gzipped, perShard)
 	for _, rec := range recs {
 		if err := sp.Write(rec); err != nil {
 			t.Fatal(err)
@@ -365,7 +365,7 @@ func TestReceiverOversizeLineFoldsOnce(t *testing.T) {
 // shipping for good.
 func TestShipperShipsEdgeOfRangeDays(t *testing.T) {
 	spool := t.TempDir()
-	col := rum.NewCollector(rum.WithSpool(logio.NewSpool(spool, "beacon", false, 1)))
+	col := rum.NewCollector(rum.WithSpool(logio.NewSpool(spool, live.DefaultSpoolPrefix, false, 1)))
 	srv := httptest.NewServer(col.Handler())
 	defer srv.Close()
 	for _, ts := range []string{"9999-12-31T23:00:00-05:00", "0000-01-01T00:30:00+01:00", "2016-12-15T12:00:00Z"} {

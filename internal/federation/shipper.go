@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"cellspot/internal/live"
 	"cellspot/internal/logio"
 	"cellspot/internal/obs"
 )
@@ -45,9 +46,6 @@ const (
 type ShipperConfig struct {
 	// SpoolDir is the collector's spool directory (required).
 	SpoolDir string
-	// Prefix is the spool shard prefix (live.DefaultSpoolPrefix's value,
-	// "beacon", when empty).
-	Prefix string
 	// CollectorID identifies this collector in manifests and receiver
 	// checkpoints (required; letters, digits, ".", "-", "_").
 	CollectorID string
@@ -155,9 +153,6 @@ func NewShipper(cfg ShipperConfig) (*Shipper, error) {
 	}
 	if cfg.Target == "" {
 		return nil, fmt.Errorf("federation: ShipperConfig.Target is required")
-	}
-	if cfg.Prefix == "" {
-		cfg.Prefix = "beacon"
 	}
 	if cfg.StateFile == "" {
 		cfg.StateFile = filepath.Join(cfg.SpoolDir, ".shipper-"+cfg.CollectorID+".json")
@@ -307,7 +302,7 @@ type ShipReport struct {
 // error stopped it); Run calls it on an interval.
 func (s *Shipper) PollOnce(ctx context.Context) (ShipReport, error) {
 	var rep ShipReport
-	files, err := logio.SpoolFiles(s.cfg.SpoolDir, s.cfg.Prefix)
+	files, err := logio.SpoolFiles(s.cfg.SpoolDir, live.DefaultSpoolPrefix)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return rep, nil // collector not started yet
@@ -651,8 +646,8 @@ type SpoolStats struct {
 // ScanSpool summarizes a sealed spool without shipping state: every sealed
 // shard counts as unshipped. beacond uses it for /v1/spool/stats when no
 // shipper is configured.
-func ScanSpool(dir, prefix string) (SpoolStats, error) {
-	return scanSpool(dir, prefix, nil)
+func ScanSpool(dir string) (SpoolStats, error) {
+	return scanSpool(dir, nil)
 }
 
 // Stats summarizes the spool this shipper watches, with acked and durable
@@ -664,12 +659,12 @@ func (s *Shipper) Stats() (SpoolStats, error) {
 		progress[shard] = *p
 	}
 	s.mu.Unlock()
-	return scanSpool(s.cfg.SpoolDir, s.cfg.Prefix, progress)
+	return scanSpool(s.cfg.SpoolDir, progress)
 }
 
-func scanSpool(dir, prefix string, progress map[string]ShardProgress) (SpoolStats, error) {
+func scanSpool(dir string, progress map[string]ShardProgress) (SpoolStats, error) {
 	var st SpoolStats
-	files, err := logio.SpoolFiles(dir, prefix)
+	files, err := logio.SpoolFiles(dir, live.DefaultSpoolPrefix)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return st, nil

@@ -209,7 +209,7 @@ func TestEquivalenceLivePath(t *testing.T) {
 	root := writeEquivTree(t, entries, true)
 
 	spoolDir := t.TempDir()
-	if _, err := WriteSpool(Config{Dir: root}, spoolDir, "foreign", true, 17); err != nil {
+	if _, err := WriteSpool(Config{Dir: root}, spoolDir, true, 17); err != nil {
 		t.Fatal(err)
 	}
 
@@ -221,7 +221,7 @@ func TestEquivalenceLivePath(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	agg, err := live.NewAggregator(live.Config{
-		SpoolDir: spoolDir, SpoolPrefix: "foreign", WindowDays: days,
+		SpoolDir: spoolDir, WindowDays: days,
 		Inputs: inputs, Store: store, Metrics: reg,
 	})
 	if err != nil {

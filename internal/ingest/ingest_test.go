@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"cellspot/internal/beacon"
+	"cellspot/internal/live"
 	"cellspot/internal/logio"
 	"cellspot/internal/obs"
 )
@@ -193,11 +194,11 @@ func TestImportLenientVsStrict(t *testing.T) {
 func TestWriteSpool(t *testing.T) {
 	root := copyTestdataTree(t)
 	out := t.TempDir()
-	res, err := WriteSpool(Config{Dir: root}, out, "foreign", true, 5)
+	res, err := WriteSpool(Config{Dir: root}, out, true, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	files, err := logio.SpoolFiles(out, "foreign")
+	files, err := logio.SpoolFiles(out, live.DefaultSpoolPrefix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestWriteSpool(t *testing.T) {
 	// The spool replays into the same aggregate the import built.
 	replay := beacon.NewAggregate()
 	n := 0
-	if _, err := logio.DecodeSpool(out, "foreign", false, func(rec beacon.Record) error {
+	if _, err := logio.DecodeSpool(out, live.DefaultSpoolPrefix, false, func(rec beacon.Record) error {
 		replay.AddRecord(rec)
 		n++
 		return nil

@@ -25,8 +25,8 @@ import (
 
 // checkpoint is StateFile's on-disk form. Window and Acked keep the layout
 // of existing federation stores, so those restore without migration.
-// recover decodes it; encodeCheckpoint writes the same bytes json.Marshal
-// would.
+// decodeCheckpoint reads it; encodeCheckpoint writes the same bytes
+// json.Marshal would.
 type checkpoint struct {
 	Format string           `json:"format"`
 	Window MultiWindowState `json:"window"`
@@ -143,38 +143,54 @@ func (a *Aggregator) recover(gen snapshot.Generation) error {
 	if err != nil {
 		return err
 	}
-	var ck checkpoint
-	if err := json.Unmarshal(raw, &ck); err != nil {
-		return err
-	}
-	if ck.Format != stateFormat {
-		return fmt.Errorf("unknown checkpoint format %q", ck.Format)
-	}
-	// A spool-fed window restored into a receiver (or the reverse) would
-	// mix records whose input positions the new mode cannot track. Local
-	// keys are bare shard names; collector keys always hold a '/'.
-	local := a.cfg.SpoolDir != ""
-	for key := range ck.Acked {
-		if strings.Contains(key, "/") == local {
-			return errors.New("checkpoint written by the other input mode")
-		}
-	}
-	win, err := RestoreMultiWindow(ck.Window, a.cfg.WindowDays)
+	win, acked, err := decodeCheckpoint(raw, a.cfg.WindowDays, a.cfg.SpoolDir != "")
 	if err != nil {
 		return err
+	}
+	a.win = win
+	for k, v := range acked {
+		a.acked[k] = v
+		a.durable[k] = v
+	}
+	return nil
+}
+
+// decodeCheckpoint parses StateFile bytes into the window they hold and
+// the input offsets that produced it, or refuses them. local says which
+// input mode resumes from it: the local spool (true) or federation.
+func decodeCheckpoint(raw []byte, days int, local bool) (*MultiWindow, map[string]int64, error) {
+	var ck checkpoint
+	if err := json.Unmarshal(raw, &ck); err != nil {
+		return nil, nil, err
+	}
+	if ck.Format != stateFormat {
+		return nil, nil, fmt.Errorf("unknown checkpoint format %q", ck.Format)
+	}
+	for key, off := range ck.Acked {
+		// A spool-fed window restored into a receiver (or the reverse)
+		// would mix records whose input positions the new mode cannot
+		// track. Local keys are bare shard names; collector keys always
+		// hold a '/'.
+		if strings.Contains(key, "/") == local {
+			return nil, nil, errors.New("checkpoint written by the other input mode")
+		}
+		// No input is read from before its start: a negative offset
+		// would fail every later read of that input.
+		if off < 0 {
+			return nil, nil, fmt.Errorf("checkpoint offset of %q is negative (%d)", key, off)
+		}
+	}
+	win, err := RestoreMultiWindow(ck.Window, days)
+	if err != nil {
+		return nil, nil, err
 	}
 	// Records without the positions that produced them would fold a
 	// second time when their input is read again. Checkpoints of the
 	// former spool tailer kept its positions outside Acked.
 	if win.Records() > 0 && len(ck.Acked) == 0 {
-		return errors.New("checkpoint window has records but no input positions")
+		return nil, nil, errors.New("checkpoint window has records but no input positions")
 	}
-	a.win = win
-	for k, v := range ck.Acked {
-		a.acked[k] = v
-		a.durable[k] = v
-	}
-	return nil
+	return win, ck.Acked, nil
 }
 
 // Folder is the aggregator as an input adapter sees it inside Fold: under
@@ -285,7 +301,7 @@ func (a *Aggregator) poll() error {
 	if a.cfg.SpoolDir == "" {
 		return nil
 	}
-	files, err := logio.SpoolFiles(a.cfg.SpoolDir, a.cfg.SpoolPrefix)
+	files, err := logio.SpoolFiles(a.cfg.SpoolDir, DefaultSpoolPrefix)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil // the collector has not started yet
 	}

@@ -46,7 +46,8 @@ const (
 
 	// DefaultInterval is the refresh cadence of Run.
 	DefaultInterval = 30 * time.Second
-	// DefaultSpoolPrefix matches beacond's spool file naming.
+	// DefaultSpoolPrefix is the spool shard prefix every spool writer and
+	// reader uses: beacond, cellspot, the shipper and the live spool input.
 	DefaultSpoolPrefix = "beacon"
 	// DefaultKeep is how many generations retention pruning preserves.
 	DefaultKeep = 5
@@ -64,8 +65,6 @@ type Config struct {
 	// shards every Tick folds into the window under SpoolSource. Leave it empty when records
 	// arrive through Fold instead (the federation receiver).
 	SpoolDir string
-	// SpoolPrefix is the spool file prefix (DefaultSpoolPrefix when "").
-	SpoolPrefix string
 	// WindowDays is the sliding window span (DefaultWindowDays when <= 0).
 	WindowDays int
 	// Interval is the Run refresh cadence (DefaultInterval when <= 0).
@@ -119,9 +118,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.Inputs.ASOf == nil {
 		return fmt.Errorf("live: Config.Inputs.ASOf is required")
-	}
-	if c.SpoolPrefix == "" {
-		c.SpoolPrefix = DefaultSpoolPrefix
 	}
 	if c.WindowDays <= 0 {
 		c.WindowDays = DefaultWindowDays

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/netip"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -639,4 +641,105 @@ func TestPreAggregatorStoreReReadsSpool(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestNegativeAckedOffsetStartsEmpty: a checkpoint whose acked offsets
+// include a negative one is unusable. The aggregator starts empty and
+// reads the whole spool once, instead of failing every tick on that
+// shard and never folding its records.
+func TestNegativeAckedOffsetStartsEmpty(t *testing.T) {
+	recs := spoolRecords(0, 40)
+	dir := t.TempDir()
+	writeShards(t, dir, 0, recs, 2, false)
+	window, err := json.Marshal(NewMultiWindow(DefaultWindowDays).State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := mustOpenStore(t)
+	if _, err := store.Publish(func(gen string) error {
+		if err := os.WriteFile(filepath.Join(gen, MapFile), nil, 0o644); err != nil {
+			return err
+		}
+		ck := `{"format":"` + stateFormat + `","window":` + string(window) + `,"acked":{"beacon-0000.jsonl":-5}}` + "\n"
+		return os.WriteFile(filepath.Join(gen, StateFile), []byte(ck), 0o644)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewAggregator(Config{
+		SpoolDir: dir,
+		Inputs:   MapInputs{ASOf: func(netaddr.Block) (uint32, bool) { return 1, true }},
+		Store:    store,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := a.Status().Acked; len(got) != 0 {
+		t.Fatalf("acked offsets %v restored from a checkpoint with a negative one", got)
+	}
+	res, err := a.Tick()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Published || res.NewRecords != len(recs) {
+		t.Fatalf("first tick: %+v, want all %d records folded", res, len(recs))
+	}
+}
+
+// FuzzRecoverCheckpoint: any StateFile bytes either are refused, or
+// restore a window plus input offsets that are all at least zero and
+// whose keys belong to the reading input mode. An accepted checkpoint,
+// written again as a tick writes it, decodes to the same window and
+// offsets.
+func FuzzRecoverCheckpoint(f *testing.F) {
+	dir := f.TempDir()
+	writeShards(f, dir, 0, spoolRecords(0, 30), 2, false)
+	store, err := snapshot.Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	a, err := NewAggregator(Config{
+		SpoolDir: dir,
+		Inputs:   MapInputs{ASOf: func(netaddr.Block) (uint32, bool) { return 1, true }},
+		Store:    store,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	res, err := a.Tick()
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed, err := os.ReadFile(res.Generation.Path(StateFile))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	empty := `{"format":"` + stateFormat + `","window":{"window_days":7,"latest_day":0,"non_empty":false,"sources":null},`
+	f.Add([]byte(empty + `"acked":{"beacon-0000.jsonl":-5}}`))
+	f.Add([]byte(empty + `"acked":{"eu-1/beacon-0000.jsonl":12}}`))
+	f.Add([]byte(empty + `"acked":null}`))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		for _, local := range []bool{true, false} {
+			win, acked, err := decodeCheckpoint(raw, 0, local)
+			if err != nil {
+				continue
+			}
+			for key, off := range acked {
+				if off < 0 {
+					t.Fatalf("accepted negative offset %q: %d", key, off)
+				}
+				if strings.Contains(key, "/") == local {
+					t.Fatalf("accepted key %q of the other input mode (local %v)", key, local)
+				}
+			}
+			again := (&Aggregator{win: win}).encodeCheckpoint(acked)
+			win2, acked2, err := decodeCheckpoint(again, 0, local)
+			if err != nil {
+				t.Fatalf("re-decoding an accepted checkpoint: %v\n%s", err, again)
+			}
+			if !reflect.DeepEqual(win2.State(), win.State()) || !maps.Equal(acked2, acked) {
+				t.Fatalf("checkpoint changed across a round trip:\n%s", again)
+			}
+		}
+	})
 }
