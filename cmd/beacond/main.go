@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"cellspot/internal/federation"
-	"cellspot/internal/live"
 	"cellspot/internal/logio"
 	"cellspot/internal/obs"
 	"cellspot/internal/obs/httpmw"
@@ -75,7 +74,7 @@ func run() int {
 	reg := obs.NewRegistry()
 	opts := []rum.Option{rum.WithMetrics(reg)}
 	if *spoolDir != "" {
-		opts = append(opts, rum.WithSpool(logio.NewSpool(*spoolDir, live.DefaultSpoolPrefix, *gzipped, *spoolMax)))
+		opts = append(opts, rum.WithSpool(logio.NewSpool(*spoolDir, logio.SpoolPrefix, *gzipped, *spoolMax)))
 	}
 	if *token != "" {
 		opts = append(opts, rum.WithAuthToken(*token))

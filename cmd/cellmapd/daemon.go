@@ -16,6 +16,7 @@ import (
 	"cellspot/internal/cellmap"
 	"cellspot/internal/history"
 	"cellspot/internal/live"
+	"cellspot/internal/obs/httpmw"
 	"cellspot/internal/snapshot"
 )
 
@@ -55,7 +56,7 @@ func bootDaemon(store *snapshot.Store, mapPath string, logf func(string, ...any)
 		}
 	}
 	if gen == 0 && mapPath != "" {
-		sm, err := readMapFile(mapPath)
+		sm, err := cellmap.ReadFile(mapPath)
 		if err != nil {
 			return nil, "", err
 		}
@@ -107,7 +108,7 @@ func (d *daemon) reload(force bool) (swapped bool, err error) {
 	if d.mapPath == "" || !force {
 		return false, nil
 	}
-	sm, err := readMapFile(d.mapPath)
+	sm, err := cellmap.ReadFile(d.mapPath)
 	if err != nil {
 		return false, err
 	}
@@ -117,7 +118,7 @@ func (d *daemon) reload(force bool) (swapped bool, err error) {
 }
 
 // mountReload registers the POST /v1/reload route.
-func (d *daemon) mountReload(r cellmap.Router) {
+func (d *daemon) mountReload(r httpmw.Router) {
 	r.HandleFunc("POST /v1/reload", func(w http.ResponseWriter, _ *http.Request) {
 		swapped, err := d.reload(true)
 		w.Header().Set("Content-Type", "application/json")
@@ -204,14 +205,4 @@ func jitterSeed() uint64 {
 	host, _ := os.Hostname()
 	fmt.Fprintf(h, "%s/%d", host, os.Getpid())
 	return h.Sum64()
-}
-
-// readMapFile loads a static exported map.
-func readMapFile(path string) (*cellmap.Map, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return cellmap.Read(f)
 }

@@ -18,7 +18,7 @@ import (
 	"time"
 
 	"cellspot/internal/cellmap"
-	"cellspot/internal/live"
+	"cellspot/internal/history"
 	"cellspot/internal/snapshot"
 )
 
@@ -42,15 +42,7 @@ func testMap(t *testing.T, period string, n int) *cellmap.Map {
 func publishGen(t *testing.T, store *snapshot.Store, m *cellmap.Map) snapshot.Generation {
 	t.Helper()
 	gen, err := store.Publish(func(staging string) error {
-		f, err := os.Create(filepath.Join(staging, live.MapFile))
-		if err != nil {
-			return err
-		}
-		if err := m.Write(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
+		return history.WriteGeneration(staging, m, "", "")
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -42,7 +42,6 @@ import (
 	"cellspot/internal/demand"
 	"cellspot/internal/evolve"
 	"cellspot/internal/ingest"
-	"cellspot/internal/live"
 	"cellspot/internal/logio"
 	"cellspot/internal/netaddr"
 	"cellspot/internal/pipeline"
@@ -178,15 +177,7 @@ func runExport(args []string) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	if err := m.Write(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := m.WriteFile(*out); err != nil {
 		return err
 	}
 	log.Printf("wrote %s: %d prefixes covering %.1f%% of demand (from %d detected blocks)",
@@ -202,12 +193,7 @@ func runLookup(args []string) error {
 	if fs.NArg() == 0 {
 		return fmt.Errorf("lookup: provide one or more IP addresses")
 	}
-	f, err := os.Open(*mapPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	m, err := cellmap.Read(f)
+	m, err := cellmap.ReadFile(*mapPath)
 	if err != nil {
 		return err
 	}
@@ -264,7 +250,7 @@ func runGen(args []string) error {
 	if err != nil {
 		return err
 	}
-	spool := logio.NewSpool(*out, live.DefaultSpoolPrefix, *gzipped, 200_000)
+	spool := logio.NewSpool(*out, logio.SpoolPrefix, *gzipped, 200_000)
 	for rec := range seq {
 		if err := spool.Write(rec); err != nil {
 			return err
@@ -325,7 +311,7 @@ func runClassify(args []string) error {
 	}
 
 	agg := beacon.NewAggregate()
-	st, err := logio.DecodeSpool(*dir, live.DefaultSpoolPrefix, true, func(r beacon.Record) error {
+	st, err := logio.DecodeSpool(*dir, logio.SpoolPrefix, true, func(r beacon.Record) error {
 		agg.AddRecord(r)
 		return nil
 	})
@@ -393,7 +379,7 @@ func writeDetected(path string, detected netaddr.Set) error {
 // runIngest imports foreign conn logs and runs the classification stage
 // over the measured traffic — the "run the paper's method on your own
 // Zeek logs" entry point. With -out it additionally writes a beacon-record
-// spool (prefix live.DefaultSpoolPrefix, so 'cellspot classify -data' and
+// spool (prefix logio.SpoolPrefix, so 'cellspot classify -data' and
 // cellmapd's live spool input consume it unchanged), the normalized DEMAND
 // dataset, and the detected cellular blocks.
 func runIngest(args []string) error {
@@ -425,7 +411,7 @@ func runIngest(args []string) error {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
 			return err
 		}
-		spool = logio.NewSpool(*out, live.DefaultSpoolPrefix, *gzipped, 200_000)
+		spool = logio.NewSpool(*out, logio.SpoolPrefix, *gzipped, 200_000)
 		hook = func(rec beacon.Record) {
 			if werr == nil {
 				werr = spool.Write(rec)

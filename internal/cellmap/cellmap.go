@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"os"
 	"sort"
 
 	"cellspot/internal/beacon"
@@ -218,6 +219,19 @@ func (m *Map) Write(w io.Writer) error {
 	return lw.Flush()
 }
 
+// WriteFile writes the map to a new file at path.
+func (m *Map) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := m.Write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
 // Stats summarizes a serialized map from its header line alone.
 type Stats struct {
 	Period    string
@@ -225,44 +239,58 @@ type Stats struct {
 	Entries   int
 }
 
-// ReadStats decodes just the header of a serialized map without loading
-// entries — the cheap metadata path the history index takes for legacy
-// generations that predate the meta sidecar.
-func ReadStats(r io.Reader) (Stats, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return Stats{}, fmt.Errorf("cellmap: read header: %w", err)
-		}
-		return Stats{}, fmt.Errorf("cellmap: empty input")
-	}
-	var hdr header
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		return Stats{}, fmt.Errorf("cellmap: parse header: %w", err)
-	}
-	if hdr.Format != formatName {
-		return Stats{}, fmt.Errorf("cellmap: unknown format %q", hdr.Format)
-	}
-	return Stats{Period: hdr.Period, Threshold: hdr.Threshold, Entries: hdr.Entries}, nil
+// ReadStats decodes just the header of the map file at path without
+// loading entries — the cheap metadata path the history index takes for
+// generations whose meta sidecar is missing or malformed.
+func ReadStats(path string) (Stats, error) {
+	return readFile(path, func(r io.Reader) (Stats, error) {
+		_, hdr, err := scanHeader(r)
+		return Stats{Period: hdr.Period, Threshold: hdr.Threshold, Entries: hdr.Entries}, err
+	})
 }
 
-// Read deserializes a map written by WriteTo and rebuilds the lookup index.
-func Read(r io.Reader) (*Map, error) {
+// ReadFile loads the map file at path.
+func ReadFile(path string) (*Map, error) {
+	return readFile(path, Read)
+}
+
+// readFile is the one place a map file is opened for reading.
+func readFile[T any](path string, read func(io.Reader) (T, error)) (T, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	defer f.Close()
+	return read(f)
+}
+
+// scanHeader reads and checks a serialized map's header line, returning
+// the scanner positioned at the first entry.
+func scanHeader(r io.Reader) (*bufio.Scanner, header, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("cellmap: read header: %w", err)
+			return nil, header{}, fmt.Errorf("cellmap: read header: %w", err)
 		}
-		return nil, fmt.Errorf("cellmap: empty input")
+		return nil, header{}, fmt.Errorf("cellmap: empty input")
 	}
 	var hdr header
 	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		return nil, fmt.Errorf("cellmap: parse header: %w", err)
+		return nil, header{}, fmt.Errorf("cellmap: parse header: %w", err)
 	}
 	if hdr.Format != formatName {
-		return nil, fmt.Errorf("cellmap: unknown format %q", hdr.Format)
+		return nil, header{}, fmt.Errorf("cellmap: unknown format %q", hdr.Format)
+	}
+	return sc, hdr, nil
+}
+
+// Read deserializes a map written by Write and rebuilds the lookup index.
+func Read(r io.Reader) (*Map, error) {
+	sc, hdr, err := scanHeader(r)
+	if err != nil {
+		return nil, err
 	}
 	m := &Map{Threshold: hdr.Threshold, Period: hdr.Period}
 	line := 1

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/netip"
 	"strconv"
+
+	"cellspot/internal/obs/httpmw"
 )
 
 // LookupResponse is the JSON answer of the lookup service.
@@ -73,12 +75,6 @@ type Info struct {
 	Generation uint64 `json:"generation"`
 }
 
-// Router is the route-registration surface Mount needs; both
-// *http.ServeMux and the instrumented httpmw.Mux satisfy it.
-type Router interface {
-	HandleFunc(pattern string, handler func(http.ResponseWriter, *http.Request))
-}
-
 // Resolver answers generation-addressed requests from a node's retained
 // history; *history.Index satisfies it. The timeline and generation-list
 // answers come back ready to encode, so this package need not know their
@@ -102,7 +98,7 @@ type Gate interface {
 
 // MountSource registers the lookup service over src alone: Mount with
 // neither history nor a shard gate.
-func MountSource(r Router, src Source) {
+func MountSource(r httpmw.Router, src Source) {
 	Mount(r, src, nil, nil)
 }
 
@@ -130,7 +126,7 @@ func MountSource(r Router, src Source) {
 // LookupAddr/WriteJSON path, byte-identical to serving N as current. Maps
 // are immutable once built, so the handlers are safe for any number of
 // concurrent requests.
-func Mount(r Router, src Source, res Resolver, gate Gate) {
+func Mount(r httpmw.Router, src Source, res Resolver, gate Gate) {
 	guard := func(h http.HandlerFunc) http.HandlerFunc { return h }
 	if gate != nil {
 		guard = gate.Guard

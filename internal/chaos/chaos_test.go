@@ -20,6 +20,7 @@ import (
 	"cellspot/internal/cluster"
 	"cellspot/internal/faultline"
 	"cellspot/internal/federation"
+	"cellspot/internal/history"
 	"cellspot/internal/live"
 	"cellspot/internal/logio"
 	"cellspot/internal/mapbuild"
@@ -250,7 +251,7 @@ func runFederationSchedule(t *testing.T, seed uint64) string {
 	const collector = "chaos-c1"
 	recs := chaosRecords(240)
 	spool := t.TempDir()
-	sp := logio.NewSpool(spool, live.DefaultSpoolPrefix, false, 60) // 4 sealed shards
+	sp := logio.NewSpool(spool, logio.SpoolPrefix, false, 60) // 4 sealed shards
 	for _, rec := range recs {
 		if err := sp.Write(rec); err != nil {
 			t.Fatal(err)
@@ -331,7 +332,7 @@ func runFederationSchedule(t *testing.T, seed uint64) string {
 	if err != nil || !ok {
 		t.Fatalf("no published generation (ok=%v err=%v)", ok, err)
 	}
-	got, err := os.ReadFile(cur.Path(live.MapFile))
+	got, err := os.ReadFile(cur.Path(history.MapFile))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 
 	"cellspot/internal/cellmap"
 	"cellspot/internal/obs"
+	"cellspot/internal/obs/httpmw"
 )
 
 // GatewayConfig parameterizes a Gateway. Zero values take the defaults
@@ -755,7 +756,7 @@ var ErrGenerationSplit = fmt.Errorf("cluster: shards split across generations, r
 //	GET  /v1/lookup?ip=ADDR  — routed to the owning shard
 //	POST /v1/lookup/batch    — scatter-gather, one generation
 //	GET  /v1/cluster/health  — the gateway's fleet view
-func (g *Gateway) Mount(r cellmap.Router) {
+func (g *Gateway) Mount(r httpmw.Router) {
 	r.HandleFunc("GET /v1/lookup", func(w http.ResponseWriter, req *http.Request) {
 		addr, _, ok := cellmap.ParseLookupAddr(w, req)
 		if !ok {

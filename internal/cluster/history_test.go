@@ -6,8 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -37,20 +35,7 @@ func newHistoryFixture(t *testing.T, shards, shardID int) *historyFixture {
 	publish := func(m *cellmap.Map) {
 		t.Helper()
 		if _, err := store.Publish(func(dir string) error {
-			f, err := os.Create(filepath.Join(dir, history.DefaultMapFile))
-			if err != nil {
-				return err
-			}
-			if err := m.Write(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			return history.WriteMeta(dir, history.GenMeta{
-				Entries: m.Len(), Period: m.Period, Threshold: m.Threshold,
-			})
+			return history.WriteGeneration(dir, m, "", "")
 		}); err != nil {
 			t.Fatal(err)
 		}

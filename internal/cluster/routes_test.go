@@ -8,8 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,6 +15,7 @@ import (
 
 	"cellspot/internal/cellmap"
 	"cellspot/internal/history"
+	"cellspot/internal/obs/httpmw"
 	"cellspot/internal/snapshot"
 )
 
@@ -34,40 +33,27 @@ var cfgNames = [numCfgs]string{"plain", "history", "shard", "shard+history"}
 
 // routeMounts builds each configuration's routes over the same source,
 // history index and shard view.
-var routeMounts = [numCfgs]func(r cellmap.Router, src cellmap.Source, ix *history.Index, v *ShardView){
-	cfgPlain: func(r cellmap.Router, src cellmap.Source, _ *history.Index, _ *ShardView) {
+var routeMounts = [numCfgs]func(r httpmw.Router, src cellmap.Source, ix *history.Index, v *ShardView){
+	cfgPlain: func(r httpmw.Router, src cellmap.Source, _ *history.Index, _ *ShardView) {
 		cellmap.MountSource(r, src)
 	},
-	cfgHistory: func(r cellmap.Router, src cellmap.Source, ix *history.Index, _ *ShardView) {
+	cfgHistory: func(r httpmw.Router, src cellmap.Source, ix *history.Index, _ *ShardView) {
 		cellmap.Mount(r, src, ix, nil)
 	},
-	cfgShard: func(r cellmap.Router, _ cellmap.Source, _ *history.Index, v *ShardView) { MountShard(r, v) },
-	cfgShardHistory: func(r cellmap.Router, src cellmap.Source, ix *history.Index, v *ShardView) {
+	cfgShard: func(r httpmw.Router, _ cellmap.Source, _ *history.Index, v *ShardView) { MountShard(r, v) },
+	cfgShardHistory: func(r httpmw.Router, src cellmap.Source, ix *history.Index, v *ShardView) {
 		cellmap.Mount(r, src, ix, v)
 		v.MountHealth(r)
 	},
 }
 
-// publishMaps publishes each map as the store's next generation, with the
-// metadata sidecar the live aggregator writes.
+// publishMaps publishes each map as the store's next generation through
+// the writer the live aggregator uses.
 func publishMaps(t *testing.T, store *snapshot.Store, maps ...*cellmap.Map) {
 	t.Helper()
 	for _, m := range maps {
 		if _, err := store.Publish(func(dir string) error {
-			f, err := os.Create(filepath.Join(dir, history.DefaultMapFile))
-			if err != nil {
-				return err
-			}
-			if err := m.Write(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			return history.WriteMeta(dir, history.GenMeta{
-				BuiltUnix: 1, Entries: m.Len(), Period: m.Period, Threshold: m.Threshold,
-			})
+			return history.WriteGeneration(dir, m, "", "")
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -11,6 +11,7 @@ import (
 	"cellspot/internal/cellmap"
 	"cellspot/internal/netaddr"
 	"cellspot/internal/obs"
+	"cellspot/internal/obs/httpmw"
 )
 
 // HealthResponse is the body of GET /v1/cluster/health on a shard node:
@@ -128,7 +129,7 @@ func (v *ShardView) ownedEntries(m *cellmap.Map) int {
 // cellmap.Mount gated by v, without history — plus v's health route.
 // Addresses outside the partition get 421; lookup and batch run behind
 // v's degradation guards (see Guard).
-func MountShard(r cellmap.Router, v *ShardView) {
+func MountShard(r httpmw.Router, v *ShardView) {
 	cellmap.Mount(r, v.src, nil, v)
 	v.MountHealth(r)
 }
@@ -137,7 +138,7 @@ func MountShard(r cellmap.Router, v *ShardView) {
 // owned entry count, the facts the gateway's health checker routes on.
 // It stays outside the degradation guards so the gateway's view of a
 // shedding node remains accurate.
-func (v *ShardView) MountHealth(r cellmap.Router) {
+func (v *ShardView) MountHealth(r httpmw.Router) {
 	r.HandleFunc("GET /v1/cluster/health", func(w http.ResponseWriter, _ *http.Request) {
 		m, gen := v.src.Current()
 		cellmap.WriteJSON(w, HealthResponse{

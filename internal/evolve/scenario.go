@@ -3,9 +3,6 @@ package evolve
 import (
 	"fmt"
 	"math/rand/v2"
-	"os"
-	"path/filepath"
-	"time"
 
 	"cellspot/internal/aschar"
 	"cellspot/internal/beacon"
@@ -277,32 +274,15 @@ func RunScenario(w *world.World, sc *Scenario, cfg Config) (*ScenarioRun, error)
 	return run, nil
 }
 
-// Publish writes each monthly map into the store as one generation —
-// map file plus metadata sidecar, exactly the layout the live aggregator
-// publishes — and returns the allocated sequence numbers, ascending. With
+// Publish writes each monthly map into the store as one generation
+// through history.WriteGeneration, the layout the live aggregator
+// publishes, and returns the allocated sequence numbers, ascending. With
 // keep > 0 the store is pruned to that many generations afterwards.
 func (r *ScenarioRun) Publish(store *snapshot.Store, keep int) ([]uint64, error) {
 	seqs := make([]uint64, 0, len(r.Maps))
 	for _, m := range r.Maps {
 		gen, err := store.Publish(func(dir string) error {
-			f, err := os.Create(filepath.Join(dir, history.DefaultMapFile))
-			if err != nil {
-				return err
-			}
-			if err := m.Write(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			return history.WriteMeta(dir, history.GenMeta{
-				BuiltUnix: time.Now().Unix(),
-				Entries:   m.Len(),
-				Period:    m.Period,
-				Threshold: m.Threshold,
-				RAT:       m.HasRAT(),
-			})
+			return history.WriteGeneration(dir, m, "", "")
 		})
 		if err != nil {
 			return seqs, fmt.Errorf("evolve: publish %s: %w", m.Period, err)

@@ -19,6 +19,7 @@ import (
 	"cellspot/internal/beacon"
 	"cellspot/internal/classify"
 	"cellspot/internal/faultline"
+	"cellspot/internal/history"
 	"cellspot/internal/live"
 	"cellspot/internal/logio"
 	"cellspot/internal/mapbuild"
@@ -67,7 +68,7 @@ func testInputs() live.MapInputs {
 // rotation every perShard records, like a running beacond would.
 func writeSpool(t testing.TB, dir string, recs []beacon.Record, perShard int, gzipped bool) {
 	t.Helper()
-	sp := logio.NewSpool(dir, live.DefaultSpoolPrefix, gzipped, perShard)
+	sp := logio.NewSpool(dir, logio.SpoolPrefix, gzipped, perShard)
 	for _, rec := range recs {
 		if err := sp.Write(rec); err != nil {
 			t.Fatal(err)
@@ -196,7 +197,7 @@ func currentMapBytes(t testing.TB, store *snapshot.Store) []byte {
 	if err != nil || !ok {
 		t.Fatalf("no current generation (ok=%v err=%v)", ok, err)
 	}
-	raw, err := os.ReadFile(cur.Path(live.MapFile))
+	raw, err := os.ReadFile(cur.Path(history.MapFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +366,7 @@ func TestReceiverOversizeLineFoldsOnce(t *testing.T) {
 // shipping for good.
 func TestShipperShipsEdgeOfRangeDays(t *testing.T) {
 	spool := t.TempDir()
-	col := rum.NewCollector(rum.WithSpool(logio.NewSpool(spool, live.DefaultSpoolPrefix, false, 1)))
+	col := rum.NewCollector(rum.WithSpool(logio.NewSpool(spool, logio.SpoolPrefix, false, 1)))
 	srv := httptest.NewServer(col.Handler())
 	defer srv.Close()
 	for _, ts := range []string{"9999-12-31T23:00:00-05:00", "0000-01-01T00:30:00+01:00", "2016-12-15T12:00:00Z"} {

@@ -11,12 +11,14 @@ import (
 	"cellspot/internal/live"
 	"cellspot/internal/logio"
 	"cellspot/internal/obs"
+	"cellspot/internal/obs/httpmw"
 	"cellspot/internal/snapshot"
 )
 
 const (
-	// DefaultMaxPending bounds segments folded between publishes before
-	// the receiver pushes back with 429.
+	// DefaultMaxPending bounds segments folded between publishes; beyond
+	// it the receiver answers 429 until the next Tick drains the backlog
+	// into a generation.
 	DefaultMaxPending = 4096
 	// DefaultRetryAfter is the Retry-After advertised on 429.
 	DefaultRetryAfter = 2 * time.Second
@@ -53,15 +55,11 @@ type ReceiverConfig struct {
 	Store *snapshot.Store
 	// Keep bounds retained generations (live.DefaultKeep when <= 0).
 	Keep int
-	// MaxPending bounds segments folded between publishes
-	// (DefaultMaxPending when <= 0); beyond it the receiver answers 429
-	// until the next Tick drains the backlog into a generation.
-	MaxPending int
 	// MaxInflight bounds concurrently decoded segment requests (0 =
 	// unbounded). Each in-flight request may buffer a full segment before
 	// the fold even starts, so under a shipper stampede this gate sheds
 	// with 429 + Retry-After before memory does; refused shippers back off
-	// and retry, exactly as for the pending-backlog 429.
+	// and retry, exactly as for the DefaultMaxPending backlog 429.
 	MaxInflight int
 	// RetryAfter is advertised on 429 (DefaultRetryAfter when <= 0).
 	RetryAfter time.Duration
@@ -95,7 +93,6 @@ type ReceiverConfig struct {
 type Receiver struct {
 	*live.Aggregator
 
-	maxPending  int
 	maxInflight int64
 	retryAfter  time.Duration
 	inflight    atomic.Int64
@@ -120,9 +117,6 @@ type Receiver struct {
 // starts empty with zero offsets — shippers will simply re-ship, and their
 // sealed spools make that safe.
 func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
-	if cfg.MaxPending <= 0 {
-		cfg.MaxPending = DefaultMaxPending
-	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = DefaultRetryAfter
 	}
@@ -141,7 +135,6 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 	}
 	r := &Receiver{
 		Aggregator:  agg,
-		maxPending:  cfg.MaxPending,
 		maxInflight: int64(cfg.MaxInflight),
 		retryAfter:  cfg.RetryAfter,
 	}
@@ -162,14 +155,8 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 	return r, nil
 }
 
-// Router is the mux surface MountRoutes needs; *http.ServeMux and
-// httpmw.Mux both satisfy it.
-type Router interface {
-	HandleFunc(pattern string, handler func(http.ResponseWriter, *http.Request))
-}
-
 // MountRoutes registers the federation routes on mux.
-func (r *Receiver) MountRoutes(mux Router) {
+func (r *Receiver) MountRoutes(mux httpmw.Router) {
 	mux.HandleFunc("POST "+SegmentsPath, r.handleSegments)
 	mux.HandleFunc("GET "+StatusPath, r.handleStatus)
 }
@@ -249,7 +236,7 @@ func (r *Receiver) accept(f live.Folder, m Manifest, payload []byte) (int, Segme
 	// Backpressure: the window is draining into a publish, or too much is
 	// pending. Folding now would either race the snapshot or grow the
 	// unpublished (crash-vulnerable) backlog without bound.
-	if f.Busy(r.maxPending) {
+	if f.Busy(DefaultMaxPending) {
 		r.mThrottled.Inc()
 		return http.StatusTooManyRequests, SegmentResponse{Acked: acked, Durable: durable, Error: "draining"}
 	}

@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"cellspot/internal/live"
 	"cellspot/internal/logio"
 	"cellspot/internal/obs"
 )
@@ -302,7 +301,7 @@ type ShipReport struct {
 // error stopped it); Run calls it on an interval.
 func (s *Shipper) PollOnce(ctx context.Context) (ShipReport, error) {
 	var rep ShipReport
-	files, err := logio.SpoolFiles(s.cfg.SpoolDir, live.DefaultSpoolPrefix)
+	files, err := logio.SpoolFiles(s.cfg.SpoolDir, logio.SpoolPrefix)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return rep, nil // collector not started yet
@@ -664,7 +663,7 @@ func (s *Shipper) Stats() (SpoolStats, error) {
 
 func scanSpool(dir string, progress map[string]ShardProgress) (SpoolStats, error) {
 	var st SpoolStats
-	files, err := logio.SpoolFiles(dir, live.DefaultSpoolPrefix)
+	files, err := logio.SpoolFiles(dir, logio.SpoolPrefix)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return st, nil

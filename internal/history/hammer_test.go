@@ -35,11 +35,11 @@ func TestHistoryPruneHammer(t *testing.T) {
 	}
 	publish := func(expect uint64) {
 		gen, err := store.Publish(func(dir string) error {
-			if err := os.WriteFile(filepath.Join(dir, DefaultMapFile),
+			if err := os.WriteFile(filepath.Join(dir, MapFile),
 				[]byte(mapJSONL(t, fmt.Sprintf("p%d", expect), genEntries(expect))), 0o644); err != nil {
 				return err
 			}
-			return WriteMeta(dir, GenMeta{Entries: 1, Period: fmt.Sprintf("p%d", expect), Threshold: 0.5, RAT: true})
+			return writeMeta(dir, GenMeta{Entries: 1, Period: fmt.Sprintf("p%d", expect), Threshold: 0.5, RAT: true})
 		})
 		if err != nil {
 			t.Errorf("publish %d: %v", expect, err)

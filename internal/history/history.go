@@ -23,6 +23,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"time"
 
 	"cellspot/internal/cellmap"
 	"cellspot/internal/obs"
@@ -30,10 +31,10 @@ import (
 )
 
 const (
+	// MapFile is the published map's file name inside a generation.
+	MapFile = "cellmap.jsonl"
 	// MetaFile is the per-generation metadata sidecar's file name.
 	MetaFile = "meta.json"
-	// DefaultMapFile matches live.MapFile; Config.MapFile overrides.
-	DefaultMapFile = "cellmap.jsonl"
 	// DefaultMaxResident is the LRU bound on generations held in memory.
 	DefaultMaxResident = 4
 
@@ -41,9 +42,10 @@ const (
 )
 
 // GenMeta is the cheap per-generation metadata the index keeps for every
-// retained generation. Publishers write it as a meta.json sidecar next to
-// the map; generations predating the sidecar get a fallback derived from
-// the map header and directory mtime (with RAT unknown, reported false).
+// retained generation. WriteGeneration writes it as a meta.json sidecar
+// next to the map; generations without a well-formed sidecar get a
+// fallback derived from the map header and directory mtime (with RAT
+// unknown, reported false).
 type GenMeta struct {
 	Format    string  `json:"format"`
 	BuiltUnix int64   `json:"built_unix"` // publish wall-clock, seconds
@@ -58,9 +60,28 @@ type GenMeta struct {
 	RAT bool `json:"rat"`
 }
 
-// WriteMeta writes the metadata sidecar into a generation (or staging)
-// directory, stamping the format name.
-func WriteMeta(dir string, meta GenMeta) error {
+// WriteGeneration writes m and its metadata sidecar into a generation's
+// staging directory: the one layout every publisher uses. The sidecar's
+// fields come from the map and the clock; dayFirst and dayLast are the
+// live window's day span, empty for builds that have none.
+func WriteGeneration(dir string, m *cellmap.Map, dayFirst, dayLast string) error {
+	if err := m.WriteFile(filepath.Join(dir, MapFile)); err != nil {
+		return err
+	}
+	return writeMeta(dir, GenMeta{
+		BuiltUnix: time.Now().Unix(),
+		Entries:   m.Len(),
+		Period:    m.Period,
+		Threshold: m.Threshold,
+		DayFirst:  dayFirst,
+		DayLast:   dayLast,
+		RAT:       m.HasRAT(),
+	})
+}
+
+// writeMeta writes the metadata sidecar into dir, stamping the format
+// name.
+func writeMeta(dir string, meta GenMeta) error {
 	meta.Format = metaFormat
 	raw, err := json.Marshal(meta)
 	if err != nil {
@@ -79,9 +100,6 @@ type GenInfo struct {
 type Config struct {
 	// Store is the snapshot store to index. Required.
 	Store *snapshot.Store
-	// MapFile is the map's file name inside each generation
-	// (DefaultMapFile when empty).
-	MapFile string
 	// MaxResident bounds how many generations stay loaded in memory
 	// (DefaultMaxResident when <= 0). The bound applies to fully loaded
 	// maps; in-flight loads are never evicted.
@@ -120,9 +138,6 @@ type Index struct {
 func New(cfg Config) (*Index, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("history: Config.Store is required")
-	}
-	if cfg.MapFile == "" {
-		cfg.MapFile = DefaultMapFile
 	}
 	if cfg.MaxResident <= 0 {
 		cfg.MaxResident = DefaultMaxResident
@@ -165,7 +180,7 @@ func (ix *Index) Refresh() error {
 			out = append(out, gi)
 			continue
 		}
-		meta, err := ix.readMeta(g)
+		meta, err := readMeta(g)
 		if err != nil {
 			// A generation pruned between ReadDir and the meta read, or
 			// debris without a map: skip it rather than fail the scan.
@@ -193,8 +208,8 @@ func (ix *Index) Refresh() error {
 }
 
 // readMeta loads a generation's sidecar, falling back to the map header
-// plus directory mtime for generations that predate the sidecar.
-func (ix *Index) readMeta(g snapshot.Generation) (GenMeta, error) {
+// plus directory mtime when the sidecar is missing or malformed.
+func readMeta(g snapshot.Generation) (GenMeta, error) {
 	raw, err := os.ReadFile(g.Path(MetaFile))
 	if err == nil {
 		var meta GenMeta
@@ -203,12 +218,7 @@ func (ix *Index) readMeta(g snapshot.Generation) (GenMeta, error) {
 		}
 		// Malformed sidecar: fall through to the header fallback.
 	}
-	f, err := os.Open(g.Path(ix.cfg.MapFile))
-	if err != nil {
-		return GenMeta{}, err
-	}
-	defer f.Close()
-	st, err := cellmap.ReadStats(f)
+	st, err := cellmap.ReadStats(g.Path(MapFile))
 	if err != nil {
 		return GenMeta{}, err
 	}
@@ -352,12 +362,7 @@ func (ix *Index) load(seq uint64) (*cellmap.Map, error) {
 		return nil, perr
 	}
 	defer ix.cfg.Store.Unpin(seq)
-	f, err := os.Open(gen.Path(ix.cfg.MapFile))
-	if err != nil {
-		return nil, fmt.Errorf("history: open gen %d: %w", seq, err)
-	}
-	defer f.Close()
-	m, err := cellmap.Read(f)
+	m, err := cellmap.ReadFile(gen.Path(MapFile))
 	if err != nil {
 		return nil, fmt.Errorf("history: read gen %d: %w", seq, err)
 	}

@@ -59,14 +59,14 @@ func mkMap(t testing.TB, period string, entries []hEntry) *cellmap.Map {
 func publishGen(t testing.TB, store *snapshot.Store, period string, entries []hEntry, noMeta bool) uint64 {
 	t.Helper()
 	gen, err := store.Publish(func(dir string) error {
-		if err := os.WriteFile(filepath.Join(dir, DefaultMapFile),
+		if err := os.WriteFile(filepath.Join(dir, MapFile),
 			[]byte(mapJSONL(t, period, entries)), 0o644); err != nil {
 			return err
 		}
 		if noMeta {
 			return nil
 		}
-		return WriteMeta(dir, GenMeta{
+		return writeMeta(dir, GenMeta{
 			BuiltUnix: 1480000000,
 			Entries:   len(entries),
 			Period:    period,

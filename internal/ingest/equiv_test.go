@@ -15,6 +15,7 @@ import (
 	"cellspot/internal/beacon"
 	"cellspot/internal/classify"
 	"cellspot/internal/demand"
+	"cellspot/internal/history"
 	"cellspot/internal/live"
 	"cellspot/internal/mapbuild"
 	"cellspot/internal/netaddr"
@@ -235,7 +236,7 @@ func TestEquivalenceLivePath(t *testing.T) {
 	if res.WindowRecords != len(entries) || bad != 0 {
 		t.Fatalf("window holds %d records (%d bad lines), want %d", res.WindowRecords, bad, len(entries))
 	}
-	got, err := os.ReadFile(res.Generation.Path(live.MapFile))
+	got, err := os.ReadFile(res.Generation.Path(history.MapFile))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -279,11 +279,6 @@ func Import(cfg Config, fn func(beacon.Record)) (*Result, error) {
 	return res, nil
 }
 
-// spoolPrefix is live.DefaultSpoolPrefix, the shard prefix beacond writes
-// and the live spool input reads. ingest cannot import live (live's tests
-// import pipeline, which imports ingest); TestWriteSpool pins the value.
-const spoolPrefix = "beacon"
-
 // WriteSpool imports the conn-log tree into a beacon-record spool under
 // outDir — the bridge into the live path: point a live.Aggregator (or
 // cellmapd -live-spool) at the spool and every tick folds its sealed
@@ -291,7 +286,7 @@ const spoolPrefix = "beacon"
 // as it does from beacond's own output. Returns the import result
 // alongside the record count.
 func WriteSpool(cfg Config, outDir string, gzipped bool, maxPerFile int) (*Result, error) {
-	spool := logio.NewSpool(outDir, spoolPrefix, gzipped, maxPerFile)
+	spool := logio.NewSpool(outDir, logio.SpoolPrefix, gzipped, maxPerFile)
 	var werr error
 	res, err := Import(cfg, func(rec beacon.Record) {
 		if werr == nil {

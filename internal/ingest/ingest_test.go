@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"cellspot/internal/beacon"
-	"cellspot/internal/live"
 	"cellspot/internal/logio"
 	"cellspot/internal/obs"
 )
@@ -198,7 +197,7 @@ func TestWriteSpool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	files, err := logio.SpoolFiles(out, live.DefaultSpoolPrefix)
+	files, err := logio.SpoolFiles(out, logio.SpoolPrefix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +208,7 @@ func TestWriteSpool(t *testing.T) {
 	// The spool replays into the same aggregate the import built.
 	replay := beacon.NewAggregate()
 	n := 0
-	if _, err := logio.DecodeSpool(out, live.DefaultSpoolPrefix, false, func(rec beacon.Record) error {
+	if _, err := logio.DecodeSpool(out, logio.SpoolPrefix, false, func(rec beacon.Record) error {
 		replay.AddRecord(rec)
 		n++
 		return nil

@@ -301,7 +301,7 @@ func (a *Aggregator) poll() error {
 	if a.cfg.SpoolDir == "" {
 		return nil
 	}
-	files, err := logio.SpoolFiles(a.cfg.SpoolDir, DefaultSpoolPrefix)
+	files, err := logio.SpoolFiles(a.cfg.SpoolDir, logio.SpoolPrefix)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil // the collector has not started yet
 	}
@@ -453,8 +453,7 @@ func (a *Aggregator) tick() (Refresh, error) {
 	agg := a.win.Merged()
 	a.hMerge.Observe(time.Since(t).Seconds())
 	period := a.win.Period()
-	meta := history.GenMeta{Threshold: a.cfg.Threshold}
-	meta.DayFirst, meta.DayLast, _ = a.win.DayRange()
+	dayFirst, dayLast, _ := a.win.DayRange()
 	acked := maps.Clone(a.acked)
 	t = time.Now()
 	state := a.encodeCheckpoint(acked)
@@ -462,7 +461,7 @@ func (a *Aggregator) tick() (Refresh, error) {
 	windowRecords := a.win.Records()
 	a.mu.Unlock()
 
-	gen, entries, err := a.publish(agg, period, meta, state)
+	gen, entries, err := a.publish(agg, period, dayFirst, dayLast, state)
 
 	a.mu.Lock()
 	a.draining = false
@@ -525,9 +524,9 @@ func appendAcked(dst []byte, m map[string]int64) []byte {
 	return append(dst, '}')
 }
 
-// publish builds the map from a drained aggregate and writes map,
-// checkpoint and metadata into one staged generation.
-func (a *Aggregator) publish(agg *beacon.Aggregate, period string, meta history.GenMeta, state []byte) (snapshot.Generation, int, error) {
+// publish builds the map from a drained aggregate and writes checkpoint,
+// map and metadata into one staged generation.
+func (a *Aggregator) publish(agg *beacon.Aggregate, period, dayFirst, dayLast string, state []byte) (snapshot.Generation, int, error) {
 	t := time.Now()
 	m, err := a.build.Build(agg, period)
 	a.hBuild.Observe(time.Since(t).Seconds())
@@ -536,25 +535,10 @@ func (a *Aggregator) publish(agg *beacon.Aggregate, period string, meta history.
 	}
 	t = time.Now()
 	gen, err := a.cfg.Store.Publish(func(dir string) error {
-		f, err := os.Create(filepath.Join(dir, MapFile))
-		if err != nil {
-			return err
-		}
-		if err := m.Write(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
 		if err := os.WriteFile(filepath.Join(dir, StateFile), state, 0o644); err != nil {
 			return err
 		}
-		meta.BuiltUnix = time.Now().Unix()
-		meta.Entries = m.Len()
-		meta.Period = m.Period
-		meta.RAT = m.HasRAT()
-		return history.WriteMeta(dir, meta)
+		return history.WriteGeneration(dir, m, dayFirst, dayLast)
 	})
 	a.hWrite.Observe(time.Since(t).Seconds())
 	if err != nil {

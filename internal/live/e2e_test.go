@@ -35,7 +35,7 @@ func TestEndToEndLiveServing(t *testing.T) {
 	// maxPerFile 400 with posts in multiples of 400 means every shard is
 	// sealed (flushed) by the time the aggregator polls.
 	spoolDir := t.TempDir()
-	sp := logio.NewSpool(spoolDir, DefaultSpoolPrefix, false, 400)
+	sp := logio.NewSpool(spoolDir, logio.SpoolPrefix, false, 400)
 	col := rum.NewCollector(rum.WithSpool(sp))
 	ingest := httptest.NewServer(col.Handler())
 	defer ingest.Close()

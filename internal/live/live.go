@@ -21,19 +21,18 @@ package live
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"cellspot/internal/cellmap"
 	"cellspot/internal/classify"
+	"cellspot/internal/history"
+	"cellspot/internal/logio"
 	"cellspot/internal/mapbuild"
 	"cellspot/internal/obs"
 	"cellspot/internal/snapshot"
 )
 
 const (
-	// MapFile is the published map's file name inside a generation.
-	MapFile = "cellmap.jsonl"
 	// StateFile is the aggregator checkpoint inside a generation: the
 	// window state plus the acked input offsets that produced it.
 	StateFile = "federation.json"
@@ -46,9 +45,9 @@ const (
 
 	// DefaultInterval is the refresh cadence of Run.
 	DefaultInterval = 30 * time.Second
-	// DefaultSpoolPrefix is the spool shard prefix every spool writer and
-	// reader uses: beacond, cellspot, the shipper and the live spool input.
-	DefaultSpoolPrefix = "beacon"
+	// DefaultSpoolPrefix is logio.SpoolPrefix under the name perfbench
+	// uses.
+	DefaultSpoolPrefix = logio.SpoolPrefix
 	// DefaultKeep is how many generations retention pruning preserves.
 	DefaultKeep = 5
 )
@@ -139,10 +138,5 @@ func (c *Config) fillDefaults() error {
 
 // ReadGenerationMap loads the published map of a generation.
 func ReadGenerationMap(gen snapshot.Generation) (*cellmap.Map, error) {
-	f, err := os.Open(gen.Path(MapFile))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return cellmap.Read(f)
+	return cellmap.ReadFile(gen.Path(history.MapFile))
 }

@@ -17,7 +17,9 @@ import (
 
 	"cellspot/internal/aschar"
 	"cellspot/internal/beacon"
+	"cellspot/internal/cellmap"
 	"cellspot/internal/faultline"
+	"cellspot/internal/history"
 	"cellspot/internal/logio"
 	"cellspot/internal/mapbuild"
 	"cellspot/internal/netaddr"
@@ -247,7 +249,7 @@ func TestLiveOfflineEquivalence(t *testing.T) {
 			if res.NewRecords != len(fx.Records) {
 				t.Fatalf("consumed %d records, want %d", res.NewRecords, len(fx.Records))
 			}
-			liveBytes, err := os.ReadFile(res.Generation.Path(MapFile))
+			liveBytes, err := os.ReadFile(res.Generation.Path(history.MapFile))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -349,11 +351,11 @@ func TestCheckpointRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(res2.Generation.Path(MapFile))
+	got, err := os.ReadFile(res2.Generation.Path(history.MapFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile(res3.Generation.Path(MapFile))
+	want, err := os.ReadFile(res3.Generation.Path(history.MapFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,6 +416,56 @@ func TestFirstTickOnEmptySpoolPublishesEmptyGeneration(t *testing.T) {
 	}
 	if m.Len() != 0 || m.Period != "live:empty" {
 		t.Fatalf("bootstrap map: len=%d period=%q", m.Len(), m.Period)
+	}
+}
+
+// TestTickSidecarMatchesMap: a ticked generation's meta.json carries the
+// threshold of its cellmap.jsonl header and the window's day range.
+func TestTickSidecarMatchesMap(t *testing.T) {
+	cell := netinfo.ConnCellular.String()
+	spool := t.TempDir()
+	writeShards(t, spool, 0, []beacon.Record{
+		recAt(100, "10.0.0.1", cell),
+		recAt(102, "10.0.0.2", cell),
+		recAt(103, "10.0.1.1", "wifi"),
+	}, 1, false)
+	u, err := NewAggregator(Config{
+		SpoolDir:  spool,
+		Threshold: 0.7,
+		Inputs:    MapInputs{ASOf: func(netaddr.Block) (uint32, bool) { return 64496, true }},
+		Store:     mustOpenStore(t),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := u.Tick()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Published {
+		t.Fatal("tick did not publish")
+	}
+	raw, err := os.ReadFile(res.Generation.Path(history.MetaFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta history.GenMeta
+	if err := json.Unmarshal(raw, &meta); err != nil {
+		t.Fatal(err)
+	}
+	st, err := cellmap.ReadStats(res.Generation.Path(history.MapFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Threshold != 0.7 || meta.Threshold != st.Threshold {
+		t.Errorf("sidecar threshold %g, map header threshold %g, want both 0.7", meta.Threshold, st.Threshold)
+	}
+	if meta.Entries != st.Entries || meta.Period != st.Period {
+		t.Errorf("sidecar %d entries, period %q; map header %d, %q", meta.Entries, meta.Period, st.Entries, st.Period)
+	}
+	first, last, ok := u.win.DayRange()
+	if !ok || meta.DayFirst != first || meta.DayLast != last {
+		t.Errorf("sidecar days %q..%q, window DayRange %q..%q (ok %v)", meta.DayFirst, meta.DayLast, first, last, ok)
 	}
 }
 
@@ -587,7 +639,7 @@ func TestPreAggregatorStoreReReadsSpool(t *testing.T) {
 		return res
 	}
 	scratch := build(mustOpenStore(t))
-	want, err := os.ReadFile(scratch.Generation.Path(MapFile))
+	want, err := os.ReadFile(scratch.Generation.Path(history.MapFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -621,7 +673,7 @@ func TestPreAggregatorStoreReReadsSpool(t *testing.T) {
 		t.Run(ck.name, func(t *testing.T) {
 			store := mustOpenStore(t)
 			if _, err := store.Publish(func(gen string) error {
-				if err := os.WriteFile(filepath.Join(gen, MapFile), nil, 0o644); err != nil {
+				if err := os.WriteFile(filepath.Join(gen, history.MapFile), nil, 0o644); err != nil {
 					return err
 				}
 				return os.WriteFile(filepath.Join(gen, ck.file), []byte(ck.content), 0o644)
@@ -632,7 +684,7 @@ func TestPreAggregatorStoreReReadsSpool(t *testing.T) {
 			if !res.Published || res.NewRecords != len(recs) || res.WindowRecords != len(recs) {
 				t.Fatalf("first tick over a legacy store: %+v, want all %d records read once", res, len(recs))
 			}
-			got, err := os.ReadFile(res.Generation.Path(MapFile))
+			got, err := os.ReadFile(res.Generation.Path(history.MapFile))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -657,7 +709,7 @@ func TestNegativeAckedOffsetStartsEmpty(t *testing.T) {
 	}
 	store := mustOpenStore(t)
 	if _, err := store.Publish(func(gen string) error {
-		if err := os.WriteFile(filepath.Join(gen, MapFile), nil, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(gen, history.MapFile), nil, 0o644); err != nil {
 			return err
 		}
 		ck := `{"format":"` + stateFormat + `","window":` + string(window) + `,"acked":{"beacon-0000.jsonl":-5}}` + "\n"

@@ -208,6 +208,11 @@ func DecodeFile[T any](path string, lenient bool, fn func(T) error) (ReadStats, 
 	return Decode(r, lenient, fn)
 }
 
+// SpoolPrefix is the shard prefix of the beacon-record spool. beacond,
+// cellspot and ingest write it; the federation shipper and the live
+// spool input read it.
+const SpoolPrefix = "beacon"
+
 // PartSuffix marks an actively written, not yet sealed shard file. Part
 // files never match IsShardName, so spool readers (the live aggregator's
 // local input, the federation shipper) only ever observe complete, sealed

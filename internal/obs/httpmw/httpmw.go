@@ -68,9 +68,14 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // Unwrap exposes the underlying writer to http.ResponseController.
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
+// Router is the route-registration surface the serving packages mount
+// onto; both *http.ServeMux and Mux satisfy it.
+type Router interface {
+	HandleFunc(pattern string, handler func(http.ResponseWriter, *http.Request))
+}
+
 // Mux is an http.ServeMux whose routes are instrumented via Wrap, each
-// labeled with its registered pattern. It satisfies the Router interfaces
-// the serving packages mount onto.
+// labeled with its registered pattern.
 type Mux struct {
 	mux *http.ServeMux
 	reg *obs.Registry

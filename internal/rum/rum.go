@@ -22,6 +22,7 @@ import (
 	"cellspot/internal/logio"
 	"cellspot/internal/netinfo"
 	"cellspot/internal/obs"
+	"cellspot/internal/obs/httpmw"
 )
 
 // MaxBodyBytes bounds one POST body; batches beyond it are rejected.
@@ -126,17 +127,11 @@ func (c *Collector) Close() error {
 	return c.spool.Close()
 }
 
-// Router is the route-registration surface MountRoutes needs; both
-// *http.ServeMux and the instrumented httpmw.Mux satisfy it.
-type Router interface {
-	HandleFunc(pattern string, handler func(http.ResponseWriter, *http.Request))
-}
-
 // MountRoutes registers the collector's routes on r:
 //
 //	POST /v1/beacons — NDJSON beacon records (one JSON object per line)
 //	GET  /v1/stats   — collector counters as JSON
-func (c *Collector) MountRoutes(r Router) {
+func (c *Collector) MountRoutes(r httpmw.Router) {
 	r.HandleFunc("POST /v1/beacons", c.handleBeacons)
 	r.HandleFunc("GET /v1/stats", c.handleStats)
 }
