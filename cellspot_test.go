@@ -3,6 +3,8 @@ package cellspot
 import (
 	"strings"
 	"testing"
+
+	"cellspot/internal/aschar"
 )
 
 func smallConfig() Config {
@@ -88,12 +90,22 @@ func TestRunCaseStudyFacade(t *testing.T) {
 	if r.World.CarrierA == nil || r.World.CarrierB == nil || r.World.CarrierC == nil {
 		t.Fatal("case study carriers missing")
 	}
-	if r.NetworkByASN(r.World.CarrierA.AS.Number) == nil {
+	if networkByASN(r, r.World.CarrierA.AS.Number) == nil {
 		t.Error("carrier A not among identified cellular networks")
 	}
-	if r.NetworkByASN(4294967295) != nil {
-		t.Error("NetworkByASN invented a network")
+	if networkByASN(r, 4294967295) != nil {
+		t.Error("networkByASN invented a network")
 	}
+}
+
+// networkByASN returns the characterized network for an AS, or nil.
+func networkByASN(r *Result, asNum uint32) *aschar.Network {
+	for i := range r.Networks {
+		if r.Networks[i].ASN == asNum {
+			return &r.Networks[i]
+		}
+	}
+	return nil
 }
 
 func TestExperimentIDsStable(t *testing.T) {

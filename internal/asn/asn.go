@@ -149,17 +149,6 @@ func (r *Registry) All() []*AS { return r.all }
 // Len returns the number of ASes.
 func (r *Registry) Len() int { return len(r.all) }
 
-// CountRole returns the number of ASes with the given ground-truth role.
-func (r *Registry) CountRole(role Role) int {
-	n := 0
-	for _, a := range r.all {
-		if a.Role == role {
-			n++
-		}
-	}
-	return n
-}
-
 // Snapshot is a CAIDA-style AS-classification dataset: a partial map from AS
 // number to class. ASes absent from the snapshot have ClassUnknown, exactly
 // like ASes missing from the real CAIDA file.
@@ -167,30 +156,10 @@ type Snapshot struct {
 	classes map[uint32]Class
 }
 
-// SnapshotOption configures BuildSnapshot.
-type SnapshotOption func(*snapshotOpts)
-
-type snapshotOpts struct {
-	dropEvery int // hide every n'th AS to model CAIDA incompleteness
-}
-
-// WithDropEvery hides every n'th AS (by sorted position) from the snapshot,
-// modelling the real dataset's missing entries. n <= 0 disables dropping.
-func WithDropEvery(n int) SnapshotOption {
-	return func(o *snapshotOpts) { o.dropEvery = n }
-}
-
 // BuildSnapshot derives a classification snapshot from a registry.
-func BuildSnapshot(r *Registry, opts ...SnapshotOption) *Snapshot {
-	var o snapshotOpts
-	for _, fn := range opts {
-		fn(&o)
-	}
+func BuildSnapshot(r *Registry) *Snapshot {
 	s := &Snapshot{classes: make(map[uint32]Class, r.Len())}
-	for i, a := range r.All() {
-		if o.dropEvery > 0 && (i+1)%o.dropEvery == 0 {
-			continue // missing from the dataset
-		}
+	for _, a := range r.All() {
 		if a.Class == ClassUnknown {
 			continue
 		}
@@ -203,9 +172,6 @@ func BuildSnapshot(r *Registry, opts ...SnapshotOption) *Snapshot {
 func (s *Snapshot) Class(n uint32) Class {
 	return s.classes[n]
 }
-
-// Len returns the number of classified ASes in the snapshot.
-func (s *Snapshot) Len() int { return len(s.classes) }
 
 // DefaultClassFor returns the class an AS of the given role would carry in a
 // CAIDA-style dataset. Access operators and transit networks are

@@ -39,8 +39,7 @@ type Record struct {
 func (r Record) HasAPI() bool { return r.Conn != "" }
 
 // Counts tallies one block's beacon activity. The per-RAT fields split
-// Cell by radio generation; logs predating the RAT column leave them zero
-// (RATKnown() == 0 with Cell > 0 marks a legacy tally).
+// Cell by radio generation; logs predating the RAT column leave them zero.
 type Counts struct {
 	Hits   int `json:"hits"`              // all beacon responses
 	API    int `json:"api"`               // responses with Network Information data
@@ -49,10 +48,6 @@ type Counts struct {
 	Cell4G int `json:"cell_4g,omitempty"` // cellular labels on a 4G radio
 	Cell5G int `json:"cell_5g,omitempty"` // cellular labels on a 5G radio
 }
-
-// RATKnown returns the number of cellular labels carrying a radio
-// generation; always <= Cell, and 0 on legacy data.
-func (c Counts) RATKnown() int { return c.Cell3G + c.Cell4G + c.Cell5G }
 
 // addRAT increments the counter for one radio generation.
 func (c *Counts) addRAT(r netinfo.RAT, n int) {

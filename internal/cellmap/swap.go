@@ -1,7 +1,6 @@
 package cellmap
 
 import (
-	"net/netip"
 	"sync/atomic"
 
 	"cellspot/internal/obs"
@@ -87,9 +86,4 @@ func (s *Swappable) Swap(m *Map, gen uint64) {
 	s.mSwaps.Inc()
 	s.mGen.Set(int64(gen))
 	s.mEntries.Set(int64(m.Len()))
-}
-
-// Lookup resolves addr against the currently served generation.
-func (s *Swappable) Lookup(addr netip.Addr) (Entry, bool) {
-	return s.cur.Load().m.Lookup(addr)
 }

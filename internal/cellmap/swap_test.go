@@ -181,11 +181,15 @@ func TestSwappableHTTPSwapVisibility(t *testing.T) {
 // and serve without touching metrics (nil obs handles no-op).
 func TestSwappableMetricsOptional(t *testing.T) {
 	sw := NewSwappable(Empty("none"), 0)
-	if _, ok := sw.Lookup(netip.MustParseAddr("10.0.0.1")); ok {
+	lookup := func() (Entry, bool) {
+		m, _ := sw.Current()
+		return m.Lookup(netip.MustParseAddr("10.0.0.1"))
+	}
+	if _, ok := lookup(); ok {
 		t.Fatal("empty map answered a lookup")
 	}
 	sw.Swap(genMap(t, 5, 2), 1)
-	if e, ok := sw.Lookup(netip.MustParseAddr("10.0.0.1")); !ok || e.ASN != 5 {
+	if e, ok := lookup(); !ok || e.ASN != 5 {
 		t.Fatalf("after swap: %+v ok=%v", e, ok)
 	}
 }
@@ -231,7 +235,8 @@ func BenchmarkSwapUnderLoad(b *testing.B) {
 		local := make([]float64, 0, 1024)
 		for pb.Next() {
 			start := time.Now()
-			if _, ok := sw.Lookup(addr); !ok {
+			m, _ := sw.Current()
+			if _, ok := m.Lookup(addr); !ok {
 				b.Error("lookup missed")
 				return
 			}

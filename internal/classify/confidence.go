@@ -52,25 +52,6 @@ func Confident(cell, api int, threshold, z float64) (bool, error) {
 	return hi < threshold || lo >= threshold, nil
 }
 
-// MinHitsForConfidence returns the smallest number of API-enabled hits at
-// which a block with true cellular share p would yield a settled label at
-// the threshold (assuming observed counts near expectation). Returns 0
-// when p sits exactly on the threshold (no sample size settles it), capped
-// at maxN when more hits than maxN would be needed.
-func MinHitsForConfidence(p, threshold, z float64, maxN int) int {
-	if p == threshold {
-		return 0
-	}
-	for n := 1; n <= maxN; n++ {
-		k := int(p*float64(n) + 0.5)
-		ok, err := Confident(k, n, threshold, z)
-		if err == nil && ok {
-			return n
-		}
-	}
-	return maxN
-}
-
 // ConfidentFraction reports the fraction of classified blocks (those with
 // API hits) whose labels are settled at the given confidence — a data
 // quality diagnostic for a BEACON aggregate.

@@ -58,27 +58,6 @@ func TestConfident(t *testing.T) {
 	}
 }
 
-func TestMinHitsForConfidence(t *testing.T) {
-	// A 95%-cellular block settles quickly at the 0.5 threshold.
-	n1 := MinHitsForConfidence(0.95, 0.5, Z95(), 1000)
-	if n1 == 0 || n1 > 20 {
-		t.Errorf("p=0.95 needs %d hits, want a handful", n1)
-	}
-	// A 55%-cellular block needs far more evidence.
-	n2 := MinHitsForConfidence(0.55, 0.5, Z95(), 10000)
-	if n2 <= n1*5 {
-		t.Errorf("p=0.55 needs %d hits, want >> %d", n2, n1)
-	}
-	// Exactly at the threshold: unsettleable.
-	if got := MinHitsForConfidence(0.5, 0.5, Z95(), 1000); got != 0 {
-		t.Errorf("p=threshold returned %d", got)
-	}
-	// Cap respected.
-	if got := MinHitsForConfidence(0.501, 0.5, Z95(), 50); got != 50 {
-		t.Errorf("cap returned %d", got)
-	}
-}
-
 func TestConfidentFraction(t *testing.T) {
 	counts := map[int][2]int{
 		0: {19, 20}, // settled high

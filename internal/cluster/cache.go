@@ -58,13 +58,6 @@ func newLookupCache(capacity int, reg *obs.Registry) *lookupCache {
 	}
 }
 
-// generation returns the generation the cache currently holds.
-func (c *lookupCache) generation() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gen
-}
-
 // observe folds an externally seen generation into the cache: seeing a
 // newer generation anywhere (health probe, response body) invalidates
 // everything from before it.
@@ -146,13 +139,6 @@ func (c *lookupCache) put(gen uint64, addr netip.Addr, resp cellmap.LookupRespon
 		delete(c.items, victim.addr)
 	}
 	c.mEntries.Set(int64(len(c.items)))
-}
-
-// len reports resident entries.
-func (c *lookupCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.items)
 }
 
 func (c *lookupCache) touchLocked(it *cacheItem) {

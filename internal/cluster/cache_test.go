@@ -394,3 +394,17 @@ func TestGatewayCacheRefetchOnMidBatchSwap(t *testing.T) {
 		t.Fatalf("cache generation %d after refetch, want 2", g.cache.generation())
 	}
 }
+
+// generation returns the generation the cache currently holds.
+func (c *lookupCache) generation() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.gen
+}
+
+// len reports resident entries.
+func (c *lookupCache) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.items)
+}

@@ -176,9 +176,6 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	return g, nil
 }
 
-// Ring exposes the gateway's partitioning (shared with shard nodes).
-func (g *Gateway) Ring() *Ring { return g.ring }
-
 // replicaOrder ranks a shard's replicas for one request: healthy replicas
 // at or above minGen first, then healthy laggards, then everything else —
 // each class rotated round-robin so load spreads across equals. minGen 0

@@ -69,9 +69,6 @@ func NewShardView(src cellmap.Source, ring *Ring, id int) (*ShardView, error) {
 	return &ShardView{src: src, ring: ring, id: id}, nil
 }
 
-// ID returns the shard index this view serves.
-func (v *ShardView) ID() int { return v.id }
-
 // SetMaxInflight bounds concurrent lookup/batch requests (0 = unbounded).
 // Call before mounting; the limit is read without synchronization.
 func (v *ShardView) SetMaxInflight(n int) {

@@ -8,7 +8,6 @@ package demand
 import (
 	"fmt"
 	"math/rand/v2"
-	"sort"
 
 	"cellspot/internal/netaddr"
 	"cellspot/internal/par"
@@ -108,25 +107,6 @@ func (d *Dataset) Equal(other *Dataset) bool {
 		}
 	}
 	return true
-}
-
-// Top returns the n highest-demand blocks in descending DU order, ties in
-// canonical block order.
-func (d *Dataset) Top(n int) []BlockDU {
-	all := make([]BlockDU, 0, len(d.du))
-	for b, v := range d.du {
-		all = append(all, BlockDU{Block: b, DU: v})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].DU != all[j].DU {
-			return all[i].DU > all[j].DU
-		}
-		return all[i].Block.Less(all[j].Block)
-	})
-	if n < len(all) {
-		all = all[:n]
-	}
-	return all
 }
 
 // BlockDU pairs a block with its demand units.

@@ -174,16 +174,6 @@ func (t *Trace) Record(op Op, d Decision) {
 	t.mu.Unlock()
 }
 
-// Len returns the number of recorded events.
-func (t *Trace) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
-}
-
 // Faults counts recorded events that injected something.
 func (t *Trace) Faults() int {
 	if t == nil {

@@ -186,9 +186,6 @@ func (db *DB) ByContinent(ct Continent) []*Country {
 	return out
 }
 
-// Len returns the number of countries.
-func (db *DB) Len() int { return len(db.countries) }
-
 // TotalDemandShare sums the (unnormalized) demand shares.
 func (db *DB) TotalDemandShare() float64 {
 	s := 0.0
@@ -196,13 +193,4 @@ func (db *DB) TotalDemandShare() float64 {
 		s += c.DemandShare
 	}
 	return s
-}
-
-// SubscribersByContinent sums mobile subscriptions (millions) per continent.
-func (db *DB) SubscribersByContinent() map[Continent]float64 {
-	out := make(map[Continent]float64, int(numContinents))
-	for _, c := range db.countries {
-		out[c.Continent] += c.SubscribersM
-	}
-	return out
 }

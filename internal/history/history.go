@@ -250,16 +250,6 @@ func (ix *Index) GenerationsBody() any {
 	}{ix.Generations()}
 }
 
-// Oldest returns the oldest retained seq; ok is false on an empty store.
-func (ix *Index) Oldest() (uint64, bool) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if len(ix.gens) == 0 {
-		return 0, false
-	}
-	return ix.gens[0].Seq, true
-}
-
 // oldestLocked requires ix.mu held.
 func (ix *Index) oldestLocked() uint64 {
 	if len(ix.gens) == 0 {

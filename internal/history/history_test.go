@@ -118,9 +118,6 @@ func TestIndexBootMetadata(t *testing.T) {
 	if g2.Seq != 2 || g2.Meta.BuiltUnix != 1480000000 || g2.Meta.DayFirst != "2016-12-01" || g2.Meta.DayLast != "2016-12-31" {
 		t.Errorf("sidecar meta = %+v", g2)
 	}
-	if oldest, ok := ix.Oldest(); !ok || oldest != 1 {
-		t.Errorf("Oldest() = %d, %v", oldest, ok)
-	}
 }
 
 func TestAtLoadsEvictsAndReloads(t *testing.T) {

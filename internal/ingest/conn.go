@@ -160,23 +160,3 @@ func (e *Entry) Weight() float64 {
 	}
 	return float64(w)
 }
-
-// FromRecord builds a conn entry encoding a beacon record — the inverse of
-// Record, used by tests, fixtures and the synthetic conn-log generator.
-// Identity fields not derivable from the record (responder, ports, proto)
-// get fixed plausible values the importer ignores; byte counters default
-// to zero and may be set by the caller to shape DEMAND.
-func FromRecord(rec beacon.Record) Entry {
-	return Entry{
-		TS:       Time{rec.Time},
-		OrigH:    rec.IP.String(),
-		OrigP:    49152,
-		RespH:    "203.0.113.10",
-		RespP:    443,
-		Proto:    "tcp",
-		Service:  "http",
-		Duration: float64(rec.PageLoadMS) / 1000,
-		NetType:  rec.Conn,
-		Browser:  rec.Browser,
-	}
-}

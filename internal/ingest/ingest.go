@@ -278,31 +278,3 @@ func Import(cfg Config, fn func(beacon.Record)) (*Result, error) {
 	}
 	return res, nil
 }
-
-// WriteSpool imports the conn-log tree into a beacon-record spool under
-// outDir — the bridge into the live path: point a live.Aggregator (or
-// cellmapd -live-spool) at the spool and every tick folds its sealed
-// shards into the window and publishes maps from foreign traffic exactly
-// as it does from beacond's own output. Returns the import result
-// alongside the record count.
-func WriteSpool(cfg Config, outDir string, gzipped bool, maxPerFile int) (*Result, error) {
-	spool := logio.NewSpool(outDir, logio.SpoolPrefix, gzipped, maxPerFile)
-	var werr error
-	res, err := Import(cfg, func(rec beacon.Record) {
-		if werr == nil {
-			werr = spool.Write(rec)
-		}
-	})
-	if err != nil {
-		spool.Close()
-		return nil, err
-	}
-	if werr != nil {
-		spool.Close()
-		return nil, fmt.Errorf("ingest: write spool: %w", werr)
-	}
-	if err := spool.Close(); err != nil {
-		return nil, fmt.Errorf("ingest: close spool: %w", err)
-	}
-	return res, nil
-}

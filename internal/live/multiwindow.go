@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"strconv"
 	"time"
 
@@ -59,36 +58,6 @@ type BlockState struct {
 	Cell3G int    `json:"cell_3g,omitempty"`
 	Cell4G int    `json:"cell_4g,omitempty"`
 	Cell5G int    `json:"cell_5g,omitempty"`
-}
-
-// encodeBuckets serializes day buckets in ascending day order with sorted
-// blocks, so the checkpoint bytes are deterministic for a given state.
-func encodeBuckets(buckets map[int64]*dayBucket) []DayState {
-	days := make([]int64, 0, len(buckets))
-	for day := range buckets {
-		days = append(days, day)
-	}
-	sort.Slice(days, func(i, j int) bool { return days[i] < days[j] })
-	out := make([]DayState, 0, len(days))
-	for _, day := range days {
-		b := buckets[day]
-		ds := DayState{Day: day}
-		blocks := make([]netaddr.Block, 0, len(b.agg.PerBlock))
-		for blk := range b.agg.PerBlock {
-			blocks = append(blocks, blk)
-		}
-		netaddr.SortBlocks(blocks)
-		for _, blk := range blocks {
-			c := b.agg.PerBlock[blk]
-			ds.Blocks = append(ds.Blocks, BlockState{
-				Block: netaddr.FormatIndex(blk),
-				Hits:  c.Hits, API: c.API, Cell: c.Cell,
-				Cell3G: c.Cell3G, Cell4G: c.Cell4G, Cell5G: c.Cell5G,
-			})
-		}
-		out = append(out, ds)
-	}
-	return out
 }
 
 // decodeBuckets rebuilds a bucket map from its serialized form. It rejects
@@ -180,9 +149,6 @@ func NewMultiWindow(days int) *MultiWindow {
 	}
 	return &MultiWindow{days: days, sources: make(map[string]map[int64]*dayBucket)}
 }
-
-// Days returns the window span in days.
-func (m *MultiWindow) Days() int { return m.days }
 
 func (m *MultiWindow) oldest() int64 { return m.latest - int64(m.days) + 1 }
 
@@ -315,29 +281,11 @@ type SourceState struct {
 	Buckets   []DayState `json:"buckets"`
 }
 
-// State serializes the window. Straggler/stale tallies are process-local
-// observability, not window content, and are not part of the state.
-func (m *MultiWindow) State() MultiWindowState {
-	st := MultiWindowState{Days: m.days, Latest: m.latest, NonEmpty: m.nonEmpty}
-	srcs := make([]string, 0, len(m.sources))
-	for src := range m.sources {
-		srcs = append(srcs, src)
-	}
-	sort.Strings(srcs)
-	for _, src := range srcs {
-		st.Sources = append(st.Sources, SourceState{
-			Collector: src,
-			Buckets:   encodeBuckets(m.sources[src]),
-		})
-	}
-	return st
-}
-
-// appendState appends the JSON form of State to dst: byte for byte what
-// json.Marshal(m.State()) gives, written in one pass straight from the
-// buckets instead of through the intermediate []BlockState and the
-// reflective encoder. A refresh encodes every retained bucket, so this is
-// on the freshness path.
+// appendState appends the window's MultiWindowState JSON form to dst: byte
+// for byte what json.Marshal of that struct gives, written in one pass
+// straight from the buckets instead of through the intermediate
+// []BlockState and the reflective encoder. A refresh encodes every
+// retained bucket, so this is on the freshness path.
 func (m *MultiWindow) appendState(dst []byte) []byte {
 	dst = append(dst, `{"window_days":`...)
 	dst = strconv.AppendInt(dst, int64(m.days), 10)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"cellspot/internal/beacon"
@@ -383,4 +384,55 @@ func TestCheckpointEncodingAcrossTicks(t *testing.T) {
 		}
 		last = got
 	}
+}
+
+// Days returns the window span in days.
+func (m *MultiWindow) Days() int { return m.days }
+
+// State serializes the window. Straggler/stale tallies are process-local
+// observability, not window content, and are not part of the state.
+func (m *MultiWindow) State() MultiWindowState {
+	st := MultiWindowState{Days: m.days, Latest: m.latest, NonEmpty: m.nonEmpty}
+	srcs := make([]string, 0, len(m.sources))
+	for src := range m.sources {
+		srcs = append(srcs, src)
+	}
+	sort.Strings(srcs)
+	for _, src := range srcs {
+		st.Sources = append(st.Sources, SourceState{
+			Collector: src,
+			Buckets:   encodeBuckets(m.sources[src]),
+		})
+	}
+	return st
+}
+
+// encodeBuckets serializes day buckets in ascending day order with sorted
+// blocks, so the checkpoint bytes are deterministic for a given state.
+func encodeBuckets(buckets map[int64]*dayBucket) []DayState {
+	days := make([]int64, 0, len(buckets))
+	for day := range buckets {
+		days = append(days, day)
+	}
+	sort.Slice(days, func(i, j int) bool { return days[i] < days[j] })
+	out := make([]DayState, 0, len(days))
+	for _, day := range days {
+		b := buckets[day]
+		ds := DayState{Day: day}
+		blocks := make([]netaddr.Block, 0, len(b.agg.PerBlock))
+		for blk := range b.agg.PerBlock {
+			blocks = append(blocks, blk)
+		}
+		netaddr.SortBlocks(blocks)
+		for _, blk := range blocks {
+			c := b.agg.PerBlock[blk]
+			ds.Blocks = append(ds.Blocks, BlockState{
+				Block: netaddr.FormatIndex(blk),
+				Hits:  c.Hits, API: c.API, Cell: c.Cell,
+				Cell3G: c.Cell3G, Cell4G: c.Cell4G, Cell5G: c.Cell5G,
+			})
+		}
+		out = append(out, ds)
+	}
+	return out
 }

@@ -263,12 +263,6 @@ func (s *Spool) SetFS(fs faultline.FS) {
 	}
 }
 
-// Dir returns the spool directory.
-func (s *Spool) Dir() string { return s.dir }
-
-// Prefix returns the spool's shard name prefix.
-func (s *Spool) Prefix() string { return s.prefix }
-
 // gzipShardBytes seals a gzip shard once this many compressed bytes have
 // reached its file, whatever its record count. Gzip shards ship and are
 // read whole, and a reader refuses one over MaxSegmentBytes, so a shard

@@ -324,3 +324,35 @@ func TestZeroAllocLookup(t *testing.T) {
 		}
 	}
 }
+
+// Len returns the number of stored prefixes.
+func (m *Matcher) Len() int {
+	if m == nil {
+		return 0
+	}
+	return m.n
+}
+
+// Stats describes the built structure, for the tests and benchmarks that
+// check its size.
+type Stats struct {
+	Prefixes int // stored prefixes
+	Base     int // maximal prefixes (trie leaves)
+	Chain    int // nested-ancestor chain entries
+	Nodes    int // trie nodes (leaves + internal, incl. reserved slots)
+	Bytes    int // total size of the flat arrays
+}
+
+// Stats reports the matcher's layout.
+func (m *Matcher) Stats() Stats {
+	if m == nil {
+		return Stats{}
+	}
+	return Stats{
+		Prefixes: m.n,
+		Base:     len(m.base),
+		Chain:    len(m.chain),
+		Nodes:    len(m.nodes) / 2,
+		Bytes:    len(m.nodes)*4 + len(m.base)*24 + len(m.chain)*12,
+	}
+}

@@ -169,14 +169,6 @@ func (b Block) Prefix() netip.Prefix {
 	return netip.PrefixFrom(b.Addr(), 48)
 }
 
-// Bits returns the prefix length of the block: 24 for IPv4, 48 for IPv6.
-func (b Block) Bits() int {
-	if b.Fam() == IPv4 {
-		return 24
-	}
-	return 48
-}
-
 // HostAddr returns the host'th address inside the block. For IPv4 blocks
 // host is taken modulo 256; for IPv6 the host index is placed in the low
 // 64 bits of the interface identifier.
@@ -222,38 +214,6 @@ func ParseBlock(s string) (Block, error) {
 	return BlockFromAddr(p.Addr()), nil
 }
 
-// MustParseBlock is ParseBlock that panics on error; for tests and tables.
-func MustParseBlock(s string) Block {
-	b, err := ParseBlock(s)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
-// Contains reports whether addr falls inside the block.
-func (b Block) Contains(addr netip.Addr) bool {
-	return BlockFromAddr(addr) == b
-}
-
-// Next returns the block immediately following b in address order within the
-// same family. The key wraps silently at the end of the family's space.
-func (b Block) Next() Block {
-	f := b.Fam()
-	return MakeBlock(f, (b.Key()+1)&maxKey(f))
-}
-
-// Range enumerates n consecutive blocks starting at b.
-func (b Block) Range(n int) []Block {
-	out := make([]Block, 0, n)
-	cur := b
-	for i := 0; i < n; i++ {
-		out = append(out, cur)
-		cur = cur.Next()
-	}
-	return out
-}
-
 // Set is a set of blocks.
 type Set map[Block]struct{}
 
@@ -289,8 +249,8 @@ func (s Set) CountFamily(f Family) int {
 	return n
 }
 
-// FormatIndex renders a block key as a compact hexadecimal token, used in
-// log filenames and debug output. ParseIndex reverses it.
+// FormatIndex renders a block key as the compact hexadecimal token that
+// live checkpoints store; ParseIndex reverses it.
 func FormatIndex(b Block) string {
 	return b.Fam().String() + "-" + strconv.FormatUint(b.Key(), 16)
 }

@@ -110,21 +110,6 @@ func (b Browser) String() string {
 	return fmt.Sprintf("Browser(%d)", uint8(b))
 }
 
-// Browsers lists all modelled browser families.
-func Browsers() []Browser {
-	out := make([]Browser, numBrowsers)
-	for i := range out {
-		out[i] = Browser(i)
-	}
-	return out
-}
-
-// IsGoogle reports whether the browser is Google-developed; the paper finds
-// 96.7% of API-enabled requests came from Google browsers in Dec 2016.
-func (b Browser) IsGoogle() bool {
-	return b == ChromeMobile || b == AndroidWebKit || b == ChromeDesktop
-}
-
 // Month is a calendar month in the measurement timeline.
 type Month struct {
 	Year int
@@ -242,44 +227,14 @@ func ExpectedAPIShare(m Month, cellFrac float64) (total float64, byBrowser map[B
 	return total, byBrowser
 }
 
-// Model captures the paper's two documented label-noise mechanisms plus the
-// background mix of rare connection types.
+// Model captures the paper's label-noise mechanism on fixed lines.
 type Model struct {
-	// TetherRate is the probability that a cellular client's hit reports
-	// "wifi" because the reporting device sits behind a mobile hotspot or
-	// tether (the API sees only the device's own interface).
-	TetherRate float64
 	// SwitchRaceRate is the probability that a fixed-line client's hit
 	// reports "cellular" because the interface changed between IP capture
 	// and API invocation — the paper's only cellular false-positive path.
 	SwitchRaceRate float64
 }
 
-// DefaultModel mirrors the noise levels implied by the paper's validation:
-// cellular subnets rarely show 100% cellular labels (tethering), while
+// DefaultModel mirrors the noise level implied by the paper's validation:
 // cellular false positives are "very few".
-var DefaultModel = Model{TetherRate: 0.08, SwitchRaceRate: 0.002}
-
-// Report samples the ConnectionType a Network-Information-enabled hit
-// reports, given the ground-truth access type of the client's IP block.
-func (m Model) Report(rng *rand.Rand, cellular bool) ConnectionType {
-	if cellular {
-		if rng.Float64() < m.TetherRate {
-			return ConnWiFi
-		}
-		return ConnCellular
-	}
-	u := rng.Float64()
-	switch {
-	case u < m.SwitchRaceRate:
-		return ConnCellular
-	case u < m.SwitchRaceRate+0.85:
-		return ConnWiFi
-	case u < m.SwitchRaceRate+0.85+0.145:
-		return ConnEthernet
-	case u < m.SwitchRaceRate+0.85+0.145+0.003:
-		return ConnWiMAX
-	default:
-		return ConnBluetooth
-	}
-}
+var DefaultModel = Model{SwitchRaceRate: 0.002}

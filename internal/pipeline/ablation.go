@@ -4,7 +4,6 @@ import (
 	"cellspot/internal/aschar"
 	"cellspot/internal/classify"
 	"cellspot/internal/demand"
-	"cellspot/internal/netaddr"
 )
 
 // Ablations quantify the design choices the paper argues for. Each takes a
@@ -46,12 +45,8 @@ type ThresholdResult struct {
 }
 
 // AblationThreshold replays subnet classification at the given thresholds
-// and scores each against ground truth. It restores the Result's original
-// detection set before returning.
+// and scores each against ground truth.
 func AblationThreshold(r *Result, thresholds []float64) ([]ThresholdResult, error) {
-	orig := r.Detected
-	defer func() { r.Detected = orig }()
-
 	out := make([]ThresholdResult, 0, len(thresholds))
 	for _, th := range thresholds {
 		cls, err := classify.New(th)
@@ -154,10 +149,4 @@ func AblationNoSmoothing(r *Result) (SmoothingResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// DetectedOfFamily counts detected blocks of one family — a helper shared
-// by benchmarks and commands.
-func DetectedOfFamily(det netaddr.Set, fam netaddr.Family) int {
-	return det.CountFamily(fam)
 }

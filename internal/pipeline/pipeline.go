@@ -233,27 +233,3 @@ func (r *Result) MixedASSet() map[uint32]bool {
 	}
 	return out
 }
-
-// NetworkByASN returns the characterized network for an AS, or nil.
-func (r *Result) NetworkByASN(asNum uint32) *aschar.Network {
-	for i := range r.Networks {
-		if r.Networks[i].ASN == asNum {
-			return &r.Networks[i]
-		}
-	}
-	return nil
-}
-
-// TruthConfusion scores the subnet classifier against the whole world's
-// ground truth (not just one carrier), by count and by demand.
-func (r *Result) TruthConfusion() (byCount, byDemand classify.Confusion) {
-	for _, bi := range r.World.Blocks {
-		if bi.Demand <= 0 {
-			continue // score active space, as the paper's carriers do
-		}
-		det := r.Detected.Has(bi.Block)
-		byCount.Add(bi.Cellular, det, 1)
-		byDemand.Add(bi.Cellular, det, r.Demand.DU(bi.Block))
-	}
-	return byCount, byDemand
-}

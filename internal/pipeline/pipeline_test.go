@@ -62,7 +62,7 @@ func TestRunHeadlineNumbers(t *testing.T) {
 
 func TestRunSubnetAccuracy(t *testing.T) {
 	r := testRun(t)
-	byCount, byDemand := r.TruthConfusion()
+	byCount, byDemand := truthConfusion(r)
 	// Demand-weighted detection is strong; count recall is intentionally
 	// low (low-activity cellular blocks have no beacons).
 	if p := byDemand.Precision(); p < 0.88 {
@@ -74,6 +74,20 @@ func TestRunSubnetAccuracy(t *testing.T) {
 	if rec := byCount.Recall(); rec > 0.7 {
 		t.Errorf("count recall = %.3f — low-activity FNs missing?", rec)
 	}
+}
+
+// truthConfusion scores the subnet classifier against the whole world's
+// ground truth (not just one carrier), by count and by demand.
+func truthConfusion(r *Result) (byCount, byDemand classify.Confusion) {
+	for _, bi := range r.World.Blocks {
+		if bi.Demand <= 0 {
+			continue // score active space, as the paper's carriers do
+		}
+		det := r.Detected.Has(bi.Block)
+		byCount.Add(bi.Cellular, det, 1)
+		byDemand.Add(bi.Cellular, det, r.Demand.DU(bi.Block))
+	}
+	return byCount, byDemand
 }
 
 func TestRunFilterFunnelShape(t *testing.T) {

@@ -8,7 +8,6 @@ package rdns
 
 import (
 	"fmt"
-	"net/netip"
 	"strings"
 
 	"cellspot/internal/asn"
@@ -33,20 +32,11 @@ func (t *Table) Add(b netaddr.Block, name string) {
 	t.names[b] = name
 }
 
-// Lookup returns the PTR name for the block containing addr.
-func (t *Table) Lookup(addr netip.Addr) (string, bool) {
-	name, ok := t.names[netaddr.BlockFromAddr(addr)]
-	return name, ok
-}
-
 // LookupBlock returns the block's PTR name.
 func (t *Table) LookupBlock(b netaddr.Block) (string, bool) {
 	name, ok := t.names[b]
 	return name, ok
 }
-
-// Len returns the number of named blocks.
-func (t *Table) Len() int { return len(t.names) }
 
 // FromWorld synthesizes a PTR table for a world: proxy services carry
 // telltale proxy names, clouds and VPN egress their own conventions, access

@@ -1,5 +1,5 @@
 // Package report renders experiment output: fixed-width text tables for the
-// paper's tables and numeric series (plus CSV) for its figures. Rendering
+// paper's tables and numeric series for its figures. Rendering
 // is deterministic so experiment output can be diffed across runs.
 package report
 
@@ -169,22 +169,4 @@ func (s *Series) Render(w io.Writer, maxRows int) error {
 		t.Row(cells...)
 	}
 	return t.Render(w)
-}
-
-// RenderCSV writes the series as CSV with a header row.
-func (s *Series) RenderCSV(w io.Writer) error {
-	var b strings.Builder
-	b.WriteString(strings.Join(s.Columns, ","))
-	b.WriteByte('\n')
-	for _, r := range s.Rows {
-		for i, v := range r {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-		}
-		b.WriteByte('\n')
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
 }

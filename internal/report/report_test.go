@@ -114,16 +114,3 @@ func TestSeriesSampling(t *testing.T) {
 		t.Error("sampling dropped endpoints")
 	}
 }
-
-func TestSeriesCSV(t *testing.T) {
-	s := NewSeries("csv", "threshold", "f1")
-	s.MustAdd(0.5, 0.99)
-	var sb strings.Builder
-	if err := s.RenderCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want := "threshold,f1\n0.5,0.99\n"
-	if sb.String() != want {
-		t.Errorf("csv = %q, want %q", sb.String(), want)
-	}
-}

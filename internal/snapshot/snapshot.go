@@ -52,9 +52,6 @@ type Generation struct {
 	Dir string
 }
 
-// IsZero reports whether g names no generation.
-func (g Generation) IsZero() bool { return g.Dir == "" }
-
 // Name returns the directory base name, e.g. "gen-00000042".
 func (g Generation) Name() string { return genName(g.Seq) }
 
@@ -144,9 +141,6 @@ func (s *Store) Unpin(seq uint64) {
 	}
 	s.pins[seq]--
 }
-
-// Dir returns the store root.
-func (s *Store) Dir() string { return s.dir }
 
 // Current returns the generation CURRENT points at. ok is false when the
 // store has never published (no CURRENT file); a CURRENT that names a

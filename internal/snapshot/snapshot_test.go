@@ -57,7 +57,8 @@ func TestPublishAndCurrent(t *testing.T) {
 }
 
 func TestPublishFailureLeavesStoreUnchanged(t *testing.T) {
-	s, err := Open(t.TempDir())
+	root := t.TempDir()
+	s, err := Open(root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestPublishFailureLeavesStoreUnchanged(t *testing.T) {
 		t.Fatalf("after failed publish: cur=%+v ok=%v err=%v, want seq 1", cur, ok, err)
 	}
 	// No staging debris.
-	entries, err := os.ReadDir(s.Dir())
+	entries, err := os.ReadDir(root)
 	if err != nil {
 		t.Fatal(err)
 	}

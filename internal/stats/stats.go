@@ -62,12 +62,6 @@ func NewWeightedECDF(samples, ws []float64) (*ECDF, error) {
 	return e, nil
 }
 
-// N returns the number of samples (including zero-weight ones).
-func (e *ECDF) N() int { return len(e.xs) }
-
-// TotalWeight returns the sum of sample weights.
-func (e *ECDF) TotalWeight() float64 { return e.tw }
-
 // At returns P(X <= x), the fraction of total weight at or below x.
 // An empty ECDF returns 0.
 func (e *ECDF) At(x float64) float64 {
@@ -119,29 +113,6 @@ func (e *ECDF) Points(n int) []Point {
 
 // Point is one (x, y) sample of a curve.
 type Point struct{ X, Y float64 }
-
-// Quantiles evaluates the ECDF's quantile function at each q.
-func (e *ECDF) Quantiles(qs ...float64) []float64 {
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = e.Quantile(q)
-	}
-	return out
-}
-
-// Mean returns the weighted mean of the samples; NaN when empty.
-func (e *ECDF) Mean() float64 {
-	if e.tw == 0 {
-		return math.NaN()
-	}
-	sum, prev := 0.0, 0.0
-	for i, x := range e.xs {
-		w := e.ws[i] - prev
-		prev = e.ws[i]
-		sum += x * w
-	}
-	return sum / e.tw
-}
 
 // RankShare sorts values descending and returns, for each rank (1-based),
 // the value's share of the total. It reproduces the paper's "ranked demand"
@@ -237,28 +208,4 @@ func Gini(values []float64) (float64, error) {
 	}
 	n := float64(len(sorted))
 	return (2*weighted - (n+1)*cum) / (n * cum), nil
-}
-
-// Sum returns the sum of values.
-func Sum(values []float64) float64 {
-	s := 0.0
-	for _, v := range values {
-		s += v
-	}
-	return s
-}
-
-// Normalize scales values so they sum to total, returning a new slice.
-// If the input sums to zero the result is all zeros.
-func Normalize(values []float64, total float64) []float64 {
-	s := Sum(values)
-	out := make([]float64, len(values))
-	if s == 0 {
-		return out
-	}
-	f := total / s
-	for i, v := range values {
-		out[i] = v * f
-	}
-	return out
 }

@@ -17,9 +17,6 @@ func TestECDFBasic(t *testing.T) {
 			t.Errorf("At(%g) = %g, want %g", c.x, got, c.want)
 		}
 	}
-	if e.N() != 4 || e.TotalWeight() != 4 {
-		t.Errorf("N/TotalWeight = %d/%g", e.N(), e.TotalWeight())
-	}
 }
 
 func TestECDFWeighted(t *testing.T) {
@@ -55,9 +52,6 @@ func TestECDFEmpty(t *testing.T) {
 	if !math.IsNaN(e.Quantile(0.5)) {
 		t.Error("empty Quantile not NaN")
 	}
-	if !math.IsNaN(e.Mean()) {
-		t.Error("empty Mean not NaN")
-	}
 	if pts := e.Points(10); pts != nil {
 		t.Errorf("empty Points = %v", pts)
 	}
@@ -74,16 +68,8 @@ func TestQuantile(t *testing.T) {
 	if got := e.Quantile(1); got != 50 {
 		t.Errorf("q1 = %g, want 50", got)
 	}
-	qs := e.Quantiles(0.2, 0.8)
-	if qs[0] != 10 || qs[1] != 40 {
-		t.Errorf("Quantiles = %v", qs)
-	}
-}
-
-func TestMean(t *testing.T) {
-	e, _ := NewWeightedECDF([]float64{1, 3}, []float64{1, 3})
-	if got := e.Mean(); math.Abs(got-2.5) > 1e-12 {
-		t.Errorf("weighted mean = %g, want 2.5", got)
+	if q20, q80 := e.Quantile(0.2), e.Quantile(0.8); q20 != 10 || q80 != 40 {
+		t.Errorf("q0.2, q0.8 = %g, %g, want 10, 40", q20, q80)
 	}
 }
 
@@ -193,17 +179,6 @@ func TestGiniProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	out := Normalize([]float64{1, 3}, 100)
-	if out[0] != 25 || out[1] != 75 {
-		t.Errorf("Normalize = %v", out)
-	}
-	zero := Normalize([]float64{0, 0}, 100)
-	if zero[0] != 0 || zero[1] != 0 {
-		t.Errorf("Normalize zero = %v", zero)
 	}
 }
 

@@ -1,15 +1,13 @@
 // Package traffic provides the workload-shaping primitives the synthetic
 // world uses to reproduce the paper's demand distributions: bounded Zipf
 // rank weights for heavy-tailed popularity, log-normal noise, explicit
-// heavy-hitter splits (the CGNAT concentration behind Fig 8), discrete
-// samplers, and per-day demand factors for the 7-day DEMAND window.
+// heavy-hitter splits (the CGNAT concentration behind Fig 8), binomial and
+// Poisson draws, and per-day demand factors for the 7-day DEMAND window.
 package traffic
 
 import (
-	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
 )
 
 // ZipfWeights returns n weights proportional to 1/rank^s, normalized to sum
@@ -115,48 +113,6 @@ func GradualSplit(rng *rand.Rand, n int) []float64 {
 	}
 	return out
 }
-
-// Discrete is a cumulative-weight discrete sampler over indices [0, n).
-type Discrete struct {
-	cum []float64
-}
-
-// NewDiscrete builds a sampler from non-negative weights. At least one
-// weight must be positive.
-func NewDiscrete(weights []float64) (*Discrete, error) {
-	if len(weights) == 0 {
-		return nil, fmt.Errorf("traffic: empty weight vector")
-	}
-	cum := make([]float64, len(weights))
-	total := 0.0
-	for i, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			return nil, fmt.Errorf("traffic: bad weight %g at index %d", w, i)
-		}
-		total += w
-		cum[i] = total
-	}
-	if total <= 0 {
-		return nil, fmt.Errorf("traffic: all weights zero")
-	}
-	for i := range cum {
-		cum[i] /= total
-	}
-	return &Discrete{cum: cum}, nil
-}
-
-// Sample draws an index with probability proportional to its weight.
-func (d *Discrete) Sample(rng *rand.Rand) int {
-	u := rng.Float64()
-	i := sort.SearchFloat64s(d.cum, u)
-	if i >= len(d.cum) {
-		i = len(d.cum) - 1
-	}
-	return i
-}
-
-// Len returns the number of categories.
-func (d *Discrete) Len() int { return len(d.cum) }
 
 // DailyFactors returns `days` multiplicative demand factors with mean ~1,
 // modelling the day-to-day variation the paper smooths out with its 7-day

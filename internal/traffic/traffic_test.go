@@ -9,9 +9,17 @@ import (
 	"cellspot/internal/stats"
 )
 
+func sum(xs []float64) float64 {
+	s := 0.0
+	for _, x := range xs {
+		s += x
+	}
+	return s
+}
+
 func almostOne(t *testing.T, name string, xs []float64) {
 	t.Helper()
-	if s := stats.Sum(xs); math.Abs(s-1) > 1e-9 {
+	if s := sum(xs); math.Abs(s-1) > 1e-9 {
 		t.Errorf("%s sums to %g, want 1", name, s)
 	}
 }
@@ -104,50 +112,13 @@ func TestGradualSplit(t *testing.T) {
 	}
 }
 
-func TestDiscreteSampler(t *testing.T) {
-	d, err := NewDiscrete([]float64{1, 0, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Len() != 3 {
-		t.Errorf("Len = %d", d.Len())
-	}
-	rng := rand.New(rand.NewPCG(2, 2))
-	counts := [3]int{}
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[d.Sample(rng)]++
-	}
-	if counts[1] != 0 {
-		t.Errorf("zero-weight category sampled %d times", counts[1])
-	}
-	if got := float64(counts[0]) / n; math.Abs(got-0.25) > 0.01 {
-		t.Errorf("category 0 rate = %g, want 0.25", got)
-	}
-}
-
-func TestDiscreteErrors(t *testing.T) {
-	if _, err := NewDiscrete(nil); err == nil {
-		t.Error("empty weights accepted")
-	}
-	if _, err := NewDiscrete([]float64{0, 0}); err == nil {
-		t.Error("all-zero weights accepted")
-	}
-	if _, err := NewDiscrete([]float64{1, -1}); err == nil {
-		t.Error("negative weight accepted")
-	}
-	if _, err := NewDiscrete([]float64{math.NaN()}); err == nil {
-		t.Error("NaN weight accepted")
-	}
-}
-
 func TestDailyFactors(t *testing.T) {
 	rng := rand.New(rand.NewPCG(4, 4))
 	f := DailyFactors(rng, 7, 0.05)
 	if len(f) != 7 {
 		t.Fatalf("len = %d", len(f))
 	}
-	mean := stats.Sum(f) / 7
+	mean := sum(f) / 7
 	if math.Abs(mean-1) > 1e-9 {
 		t.Errorf("mean = %g, want 1", mean)
 	}
@@ -263,14 +234,5 @@ func BenchmarkHeavySplit(b *testing.B) {
 	rng := rand.New(rand.NewPCG(1, 1))
 	for i := 0; i < b.N; i++ {
 		HeavySplit(rng, 514, 25, 0.993)
-	}
-}
-
-func BenchmarkDiscreteSample(b *testing.B) {
-	rng := rand.New(rand.NewPCG(1, 1))
-	d, _ := NewDiscrete(ZipfWeights(10000, 1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.Sample(rng)
 	}
 }

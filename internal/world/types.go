@@ -143,27 +143,6 @@ type World struct {
 	CarrierA, CarrierB, CarrierC *Operator
 }
 
-// OperatorByASN returns the operator owning the given AS, or nil.
-func (w *World) OperatorByASN(n uint32) *Operator {
-	for _, op := range w.Operators {
-		if op.AS.Number == n {
-			return op
-		}
-	}
-	return nil
-}
-
-// TruthCellularBlocks returns the ground-truth cellular block set.
-func (w *World) TruthCellularBlocks() netaddr.Set {
-	s := make(netaddr.Set)
-	for _, b := range w.Blocks {
-		if b.Cellular {
-			s.Add(b.Block)
-		}
-	}
-	return s
-}
-
 // CarrierTruth exports an operator's ground-truth prefix labels the way the
 // paper's carriers provided them: every owned block with demand, labeled
 // cellular or fixed-line. Zero-demand inventory is included for cellular
