@@ -14,10 +14,11 @@ import (
 	"cellspot/internal/world"
 )
 
-// Affinity maps client blocks to their resolver association weights — the
-// world generator's own map, read in place. Weights per block are expected
-// to sum to ~1.
-type Affinity map[netaddr.Block][]world.ResolverWeight
+// Affinity appends a client block's resolver association weights to dst
+// and returns the extended slice; a block without any appends nothing. The
+// pipeline passes the world's World.AppendAffinity, which derives them on
+// request. Weights per block are expected to sum to ~1.
+type Affinity func(dst []world.ResolverWeight, b netaddr.Block) []world.ResolverWeight
 
 // Usage accumulates the demand a resolver serves, split by the client
 // block's classifier label.
@@ -39,27 +40,17 @@ func (u Usage) CellFraction() float64 {
 	return u.CellDU / t
 }
 
-// sortedBlocks returns the affinity's client blocks in canonical order, so
-// the per-resolver floating-point sums below are reproducible run to run.
-func (a Affinity) sortedBlocks() []netaddr.Block {
-	blocks := make([]netaddr.Block, 0, len(a))
-	for b := range a {
-		blocks = append(blocks, b)
-	}
-	netaddr.SortBlocks(blocks)
-	return blocks
-}
-
 // ResolverUsage joins affinity, demand, and subnet labels into per-resolver
-// usage.
+// usage. It walks the DEMAND dataset in canonical block order, so the
+// per-resolver floating-point sums are reproducible run to run.
 func ResolverUsage(aff Affinity, ds *demand.Dataset, detected netaddr.Set) map[netip.Addr]*Usage {
 	out := make(map[netip.Addr]*Usage)
-	for _, block := range aff.sortedBlocks() {
-		assocs := aff[block]
-		du := ds.DU(block)
+	var assocs []world.ResolverWeight
+	ds.Each(func(block netaddr.Block, du float64) {
 		if du == 0 {
-			continue
+			return
 		}
+		assocs = aff(assocs[:0], block)
 		cell := detected.Has(block)
 		for _, a := range assocs {
 			u := out[a.Resolver.Addr]
@@ -73,7 +64,7 @@ func ResolverUsage(aff Affinity, ds *demand.Dataset, detected netaddr.Set) map[n
 				u.FixedDU += du * a.Weight
 			}
 		}
-	}
+	})
 	return out
 }
 
@@ -169,18 +160,17 @@ func PublicDNSByAS(
 	providerOf func(netip.Addr) string,
 ) map[uint32]*PublicUsage {
 	out := make(map[uint32]*PublicUsage)
-	for _, block := range aff.sortedBlocks() {
-		assocs := aff[block]
-		if !detected.Has(block) {
-			continue // Fig 10 covers cellular client demand
+	var assocs []world.ResolverWeight
+	ds.Each(func(block netaddr.Block, du float64) {
+		if du == 0 || !detected.Has(block) {
+			return // Fig 10 covers cellular client demand
 		}
-		du := ds.DU(block)
-		if du == 0 {
-			continue
+		if assocs = aff(assocs[:0], block); len(assocs) == 0 {
+			return
 		}
 		a, ok := asOf(block)
 		if !ok {
-			continue
+			return
 		}
 		pu := out[a]
 		if pu == nil {
@@ -192,7 +182,7 @@ func PublicDNSByAS(
 			pu.ByProvider[providerOf(assoc.Resolver.Addr)] += w
 			pu.Total += w
 		}
-	}
+	})
 	return out
 }
 

@@ -3,6 +3,7 @@ package dnsmap
 import (
 	"math"
 	"net/netip"
+	"reflect"
 	"testing"
 
 	"cellspot/internal/demand"
@@ -21,9 +22,16 @@ var (
 	idleBlock  = netaddr.V4Block(30, 0, 0)
 )
 
+// mapAffinity serves a stored block→weights map as an Affinity.
+func mapAffinity(m map[netaddr.Block][]world.ResolverWeight) Affinity {
+	return func(dst []world.ResolverWeight, b netaddr.Block) []world.ResolverWeight {
+		return append(dst, m[b]...)
+	}
+}
+
 func fixture(t *testing.T) (Affinity, *demand.Dataset, netaddr.Set) {
 	t.Helper()
-	aff := Affinity{
+	aff := mapAffinity(map[netaddr.Block][]world.ResolverWeight{
 		cellBlock: {
 			{Resolver: &world.Resolver{Addr: resShared}, Weight: 0.5},
 			{Resolver: &world.Resolver{Addr: resCell}, Weight: 0.3},
@@ -36,7 +44,7 @@ func fixture(t *testing.T) (Affinity, *demand.Dataset, netaddr.Set) {
 		idleBlock: {
 			{Resolver: &world.Resolver{Addr: resFixed}, Weight: 1.0},
 		},
-	}
+	})
 	ds, err := demand.NewDataset(map[netaddr.Block]float64{
 		cellBlock:  25,
 		fixedBlock: 75,
@@ -165,5 +173,128 @@ func TestKnownPublicResolvers(t *testing.T) {
 		if providers[p] != 2 {
 			t.Errorf("%s has %d addresses, want 2", p, providers[p])
 		}
+	}
+}
+
+// oracleResolverUsage and oraclePublicDNSByAS are the joins as they ran
+// over the stored affinity map: its blocks sorted into canonical order,
+// each looked up in DEMAND and skipped at zero DU. The Dataset walk must
+// visit the same blocks in the same order, so every sum stays bit-equal.
+func oracleResolverUsage(aff map[netaddr.Block][]world.ResolverWeight, ds *demand.Dataset, detected netaddr.Set) map[netip.Addr]*Usage {
+	out := make(map[netip.Addr]*Usage)
+	for _, block := range sortedBlocks(aff) {
+		du := ds.DU(block)
+		if du == 0 {
+			continue
+		}
+		cell := detected.Has(block)
+		for _, a := range aff[block] {
+			u := out[a.Resolver.Addr]
+			if u == nil {
+				u = &Usage{}
+				out[a.Resolver.Addr] = u
+			}
+			if cell {
+				u.CellDU += du * a.Weight
+			} else {
+				u.FixedDU += du * a.Weight
+			}
+		}
+	}
+	return out
+}
+
+func oraclePublicDNSByAS(
+	aff map[netaddr.Block][]world.ResolverWeight,
+	ds *demand.Dataset,
+	detected netaddr.Set,
+	asOf func(netaddr.Block) (uint32, bool),
+	providerOf func(netip.Addr) string,
+) map[uint32]*PublicUsage {
+	out := make(map[uint32]*PublicUsage)
+	for _, block := range sortedBlocks(aff) {
+		if !detected.Has(block) {
+			continue
+		}
+		du := ds.DU(block)
+		if du == 0 {
+			continue
+		}
+		a, ok := asOf(block)
+		if !ok {
+			continue
+		}
+		pu := out[a]
+		if pu == nil {
+			pu = &PublicUsage{ByProvider: make(map[string]float64)}
+			out[a] = pu
+		}
+		for _, assoc := range aff[block] {
+			w := du * assoc.Weight
+			pu.ByProvider[providerOf(assoc.Resolver.Addr)] += w
+			pu.Total += w
+		}
+	}
+	return out
+}
+
+func sortedBlocks(aff map[netaddr.Block][]world.ResolverWeight) []netaddr.Block {
+	blocks := make([]netaddr.Block, 0, len(aff))
+	for b := range aff {
+		blocks = append(blocks, b)
+	}
+	netaddr.SortBlocks(blocks)
+	return blocks
+}
+
+// TestJoinsMatchSortedMapWalk runs both joins on a Scale-0.01 world
+// through World.AppendAffinity and compares them with the oracles over the
+// same affinity stored as a map. The detected set adds the proxy and
+// tether-heavy false positives to the true cellular blocks, so both labels
+// and blocks without an affinity take part.
+func TestJoinsMatchSortedMapWalk(t *testing.T) {
+	cfg := world.DefaultConfig()
+	cfg.Seed, cfg.Scale = 1, 0.01
+	w, err := world.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := demand.Generate(w, demand.DefaultGenConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := make(map[netaddr.Block][]world.ResolverWeight)
+	detected := make(netaddr.Set)
+	for _, b := range w.Blocks {
+		if ws := w.AppendAffinity(nil, b.Block); len(ws) > 0 {
+			stored[b.Block] = ws
+		}
+		if b.Cellular || b.CellLabelProb > 0.5 {
+			detected.Add(b.Block)
+		}
+	}
+	asOf := func(b netaddr.Block) (uint32, bool) {
+		bi := w.BlockIndex[b]
+		if bi == nil {
+			return 0, false
+		}
+		return bi.ASN, true
+	}
+	known := KnownPublicResolvers()
+	providerOf := func(a netip.Addr) string { return known[a] }
+
+	gotUsage := ResolverUsage(w.AppendAffinity, ds, detected)
+	if len(gotUsage) == 0 {
+		t.Fatal("no resolver usage")
+	}
+	if want := oracleResolverUsage(stored, ds, detected); !reflect.DeepEqual(gotUsage, want) {
+		t.Errorf("ResolverUsage differs from the sorted-map walk (%d vs %d resolvers)", len(gotUsage), len(want))
+	}
+	gotPublic := PublicDNSByAS(w.AppendAffinity, ds, detected, asOf, providerOf)
+	if len(gotPublic) == 0 {
+		t.Fatal("no public-DNS usage")
+	}
+	if want := oraclePublicDNSByAS(stored, ds, detected, asOf, providerOf); !reflect.DeepEqual(gotPublic, want) {
+		t.Errorf("PublicDNSByAS differs from the sorted-map walk (%d vs %d ASes)", len(gotPublic), len(want))
 	}
 }

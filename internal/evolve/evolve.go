@@ -202,8 +202,10 @@ func monthSnapshot(month netinfo.Month, detected netaddr.Set, ds *demand.Dataset
 }
 
 // cloneWorld shallow-copies a world with fresh BlockInfo values so monthly
-// mutation never touches the caller's world. Registry, countries, resolvers
-// and affinity are immutable here and shared.
+// mutation never touches the caller's world. Registry, countries and
+// resolvers are immutable here and shared. The clone's resolver affinity
+// (World.AppendAffinity) follows its mutated blocks, but evolve reads none
+// of it.
 func cloneWorld(w *world.World) *world.World {
 	clone := *w
 	clone.Blocks = make([]*world.BlockInfo, len(w.Blocks))

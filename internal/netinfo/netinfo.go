@@ -227,14 +227,9 @@ func ExpectedAPIShare(m Month, cellFrac float64) (total float64, byBrowser map[B
 	return total, byBrowser
 }
 
-// Model captures the paper's label-noise mechanism on fixed lines.
-type Model struct {
-	// SwitchRaceRate is the probability that a fixed-line client's hit
-	// reports "cellular" because the interface changed between IP capture
-	// and API invocation — the paper's only cellular false-positive path.
-	SwitchRaceRate float64
-}
-
-// DefaultModel mirrors the noise level implied by the paper's validation:
-// cellular false positives are "very few".
-var DefaultModel = Model{SwitchRaceRate: 0.002}
+// SwitchRaceRate is the probability that a fixed-line client's hit reports
+// "cellular" because the interface changed between IP capture and API
+// invocation — the paper's only cellular false-positive path on fixed
+// lines. The level mirrors the paper's validation: cellular false
+// positives are "very few".
+const SwitchRaceRate = 0.002

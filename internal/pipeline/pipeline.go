@@ -217,9 +217,9 @@ func (r *Result) Analyze() {
 
 	r.RDNS = rdns.Corroborate(r.Detected, rdns.FromWorld(r.World), r.ASOf)
 
-	r.ResolverUsage = dnsmap.ResolverUsage(r.World.Affinity, r.Demand, r.Detected)
+	r.ResolverUsage = dnsmap.ResolverUsage(r.World.AppendAffinity, r.Demand, r.Detected)
 	known := dnsmap.KnownPublicResolvers()
-	r.PublicDNS = dnsmap.PublicDNSByAS(r.World.Affinity, r.Demand, r.Detected, r.ASOf,
+	r.PublicDNS = dnsmap.PublicDNSByAS(r.World.AppendAffinity, r.Demand, r.Detected, r.ASOf,
 		func(a netip.Addr) string { return known[a] })
 }
 

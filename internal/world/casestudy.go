@@ -47,7 +47,6 @@ func GenerateCaseStudy(cs CaseStudyConfig) (*World, error) {
 			Config:     cfg,
 			Countries:  cfg.Countries,
 			BlockIndex: make(map[netaddr.Block]*BlockInfo),
-			Affinity:   make(map[netaddr.Block][]ResolverWeight),
 		},
 		duUnit: 1, // demand is denominated directly in DU
 	}

@@ -73,7 +73,6 @@ func Generate(cfg Config) (*World, error) {
 			Config:     cfg,
 			Countries:  cfg.Countries,
 			BlockIndex: make(map[netaddr.Block]*BlockInfo),
-			Affinity:   make(map[netaddr.Block][]ResolverWeight),
 		},
 	}
 	for _, f := range frags {
@@ -684,7 +683,7 @@ func (g *generator) genFixedArm(op *Operator, c *geo.Country, demand float64, nB
 			Cellular:      false,
 			WebActive:     true,
 			Demand:        demand * weights[i],
-			CellLabelProb: netinfo.DefaultModel.SwitchRaceRate,
+			CellLabelProb: netinfo.SwitchRaceRate,
 		})
 	}
 }
@@ -713,7 +712,7 @@ func (g *generator) genFixedV6(c *geo.Country, n int, mixedOps []*Operator, fixe
 				Cellular:      false,
 				WebActive:     true,
 				Demand:        demands[i] * w[j],
-				CellLabelProb: netinfo.DefaultModel.SwitchRaceRate,
+				CellLabelProb: netinfo.SwitchRaceRate,
 			})
 		}
 	}

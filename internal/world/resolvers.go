@@ -4,6 +4,7 @@ import (
 	"net/netip"
 
 	"cellspot/internal/asn"
+	"cellspot/internal/netaddr"
 )
 
 // Public DNS providers modelled after the paper's Fig 10: GoogleDNS,
@@ -35,10 +36,10 @@ func providerMix(cc string) [3]float64 {
 }
 
 // genResolvers creates public resolvers, per-operator resolver fleets, and
-// the block→resolver affinity for every demand-carrying block of an access
-// operator. Mixed operators share ~60% of their resolvers between cellular
-// and fixed-line customers (paper Fig 9); the remainder split evenly into
-// cellular-only and fixed-only.
+// the resolver plan every demand-carrying block of an access operator
+// derives its affinity from (World.AppendAffinity). Mixed operators share
+// ~60% of their resolvers between cellular and fixed-line customers (paper
+// Fig 9); the remainder split evenly into cellular-only and fixed-only.
 func (g *generator) genResolvers() {
 	newResolver := func(r Resolver) *Resolver {
 		rp := &r
@@ -46,18 +47,19 @@ func (g *generator) genResolvers() {
 		return rp
 	}
 
-	publicByProvider := make(map[string][]*Resolver, 3)
-	for _, p := range publicProviders {
+	g.w.publicDNS = make([][]*Resolver, len(publicProviders))
+	for pi, p := range publicProviders {
 		for _, a := range p.addrs {
 			r := newResolver(Resolver{
 				Addr: netip.MustParseAddr(a), ASN: p.asnum,
 				Public: true, Provider: p.name,
 				ServesCell: true, ServesFixed: true,
 			})
-			publicByProvider[p.name] = append(publicByProvider[p.name], r)
+			g.w.publicDNS[pi] = append(g.w.publicDNS[pi], r)
 		}
 	}
 
+	g.w.dnsPlans = make(map[uint32]*dnsPlan)
 	for _, op := range g.w.Operators {
 		if !op.AS.Role.IsCellularAccess() && op.AS.Role != asn.RoleFixedISP {
 			continue
@@ -101,65 +103,82 @@ func (g *generator) genResolvers() {
 			resolvers = append(resolvers, newResolver(r))
 		}
 		op.Resolvers = resolvers
-		g.assignAffinity(op, resolvers, publicByProvider)
+		g.w.dnsPlans[op.AS.Number] = newDNSPlan(op)
 	}
 }
 
-// assignAffinity wires each of the operator's demand-carrying blocks to
-// resolvers: a public-DNS share split across providers, the rest to two of
-// the operator's own resolvers chosen deterministically per block.
-func (g *generator) assignAffinity(op *Operator, resolvers []*Resolver, publicByProvider map[string][]*Resolver) {
-	var cellCapable, fixedCapable []*Resolver
-	for _, r := range resolvers {
+// dnsPlan is what an access operator's blocks derive their resolver
+// affinity from: a public-DNS share split across providers by the
+// country's mix, the rest to two resolvers of the pool serving the
+// block's access type.
+type dnsPlan struct {
+	cell, fixed []*Resolver // never empty: each falls back to the whole fleet
+	publicShare float64     // the public-DNS share of cellular blocks
+	mix         [3]float64  // providerMix of the operator's country
+}
+
+// newDNSPlan splits an operator's resolver fleet into its cell-capable and
+// fixed-capable pools.
+func newDNSPlan(op *Operator) *dnsPlan {
+	p := &dnsPlan{publicShare: op.PublicDNSShare, mix: providerMix(op.AS.Country)}
+	for _, r := range op.Resolvers {
 		if r.ServesCell {
-			cellCapable = append(cellCapable, r)
+			p.cell = append(p.cell, r)
 		}
 		if r.ServesFixed {
-			fixedCapable = append(fixedCapable, r)
+			p.fixed = append(p.fixed, r)
 		}
 	}
-	mix := providerMix(op.AS.Country)
+	if len(p.cell) == 0 {
+		p.cell = op.Resolvers
+	}
+	if len(p.fixed) == 0 {
+		p.fixed = op.Resolvers
+	}
+	return p
+}
 
-	for _, b := range op.Blocks {
-		if b.Demand <= 0 {
-			continue
-		}
-		pub := 0.05 // broadband users switching resolvers individually
-		if b.Cellular {
-			pub = op.PublicDNSShare // cell implies operator adoption
-		}
-		pool := fixedCapable
-		if b.Cellular {
-			pool = cellCapable
-		}
-		if len(pool) == 0 {
-			pool = resolvers
-		}
-		var weights []ResolverWeight
-		if pub > 0 {
-			for pi, p := range publicProviders {
-				prs := publicByProvider[p.name]
-				w := pub * mix[pi]
-				if w <= 0 || len(prs) == 0 {
-					continue
-				}
-				r := prs[int(b.Block.Key())%len(prs)]
-				weights = append(weights, ResolverWeight{Resolver: r, Weight: w})
-			}
-		}
-		own := 1 - pub
-		primary := pool[int(b.Block.Key())%len(pool)]
-		if len(pool) == 1 {
-			weights = append(weights, ResolverWeight{Resolver: primary, Weight: own})
-		} else {
-			secondary := pool[int(b.Block.Key()+1)%len(pool)]
-			weights = append(weights,
-				ResolverWeight{Resolver: primary, Weight: own * 0.7},
-				ResolverWeight{Resolver: secondary, Weight: own * 0.3},
-			)
-		}
-		g.w.Affinity[b.Block] = weights
+// AppendAffinity appends block b's resolver affinity to dst and returns
+// the extended slice: the fraction of b's resolutions each resolver
+// handles. Only demand-carrying blocks of access operators have one; any
+// other block appends nothing. The weights are derived on each call from
+// the block's key, its Cellular flag and its operator's resolver plan, so
+// no per-block affinity is stored and no randomness is drawn.
+func (w *World) AppendAffinity(dst []ResolverWeight, b netaddr.Block) []ResolverWeight {
+	bi := w.BlockIndex[b]
+	if bi == nil || bi.Demand <= 0 {
+		return dst
 	}
+	p := w.dnsPlans[bi.ASN]
+	if p == nil {
+		return dst
+	}
+	key := int(bi.Block.Key())
+	pub := 0.05 // broadband users switching resolvers individually
+	pool := p.fixed
+	if bi.Cellular {
+		pub = p.publicShare // cell implies operator adoption
+		pool = p.cell
+	}
+	if pub > 0 {
+		for pi, prs := range w.publicDNS {
+			wt := pub * p.mix[pi]
+			if wt <= 0 || len(prs) == 0 {
+				continue
+			}
+			dst = append(dst, ResolverWeight{Resolver: prs[key%len(prs)], Weight: wt})
+		}
+	}
+	own := 1 - pub
+	primary := pool[key%len(pool)]
+	if len(pool) == 1 {
+		return append(dst, ResolverWeight{Resolver: primary, Weight: own})
+	}
+	secondary := pool[(key+1)%len(pool)]
+	return append(dst,
+		ResolverWeight{Resolver: primary, Weight: own * 0.7},
+		ResolverWeight{Resolver: secondary, Weight: own * 0.3},
+	)
 }
 
 // pickCarriers selects the three named validation operators: the largest

@@ -126,13 +126,18 @@ type World struct {
 	CellOperators []*Operator
 
 	// Blocks is every block in the world; BlockIndex maps a block key to
-	// its info. Affinity holds each web-active block's resolver weights.
+	// its info. A block's resolver affinity is not stored: AppendAffinity
+	// derives it from the block and its operator's resolver plan.
 	Blocks     []*BlockInfo
 	BlockIndex map[netaddr.Block]*BlockInfo
-	Affinity   map[netaddr.Block][]ResolverWeight
 
 	// Resolvers lists all resolvers, operator-owned and public.
 	Resolvers []*Resolver
+
+	// dnsPlans holds each access operator's resolver plan by AS number,
+	// and publicDNS the public resolvers of each publicProviders entry.
+	dnsPlans  map[uint32]*dnsPlan
+	publicDNS [][]*Resolver
 
 	// TotalDemand is the sum of block demand (unnormalized units).
 	TotalDemand float64

@@ -1,11 +1,13 @@
 package world
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"cellspot/internal/asn"
 	"cellspot/internal/geo"
+	"cellspot/internal/netaddr"
 )
 
 // testWorld generates one small world per test binary run.
@@ -266,27 +268,40 @@ func TestGenerateDeterminism(t *testing.T) {
 
 func TestGenerateResolverAffinity(t *testing.T) {
 	w := testWorld(t)
-	if len(w.Affinity) == 0 {
-		t.Fatal("no affinity entries")
-	}
 	known := make(map[*Resolver]bool, len(w.Resolvers))
 	for _, r := range w.Resolvers {
 		known[r] = true
 	}
-	for blk, ws := range w.Affinity {
+	withAffinity := 0
+	var ws []ResolverWeight
+	for _, b := range w.Blocks {
+		ws = w.AppendAffinity(ws[:0], b.Block)
+		if len(ws) == 0 {
+			continue
+		}
+		withAffinity++
+		if b.Demand <= 0 {
+			t.Fatalf("zero-demand block %v has an affinity", b.Block)
+		}
 		sum := 0.0
 		for _, rw := range ws {
 			if !known[rw.Resolver] {
-				t.Fatalf("block %v references a resolver outside w.Resolvers: %+v", blk, rw.Resolver)
+				t.Fatalf("block %v references a resolver outside w.Resolvers: %+v", b.Block, rw.Resolver)
 			}
 			if rw.Weight < 0 {
-				t.Fatalf("negative affinity weight on %v", blk)
+				t.Fatalf("negative affinity weight on %v", b.Block)
 			}
 			sum += rw.Weight
 		}
 		if math.Abs(sum-1) > 1e-6 {
-			t.Fatalf("affinity weights for %v sum to %g", blk, sum)
+			t.Fatalf("affinity weights for %v sum to %g", b.Block, sum)
 		}
+	}
+	if withAffinity == 0 {
+		t.Fatal("no block has an affinity")
+	}
+	if ws = w.AppendAffinity(ws[:0], netaddr.V4Block(0, 0, 1)); len(ws) != 0 {
+		t.Errorf("a block outside the world has affinity %+v", ws)
 	}
 	// Mixed operators share resolvers (paper: ~60%).
 	shared, total := 0, 0
@@ -440,4 +455,143 @@ func TestContinentBlockTableMatchesPaper(t *testing.T) {
 	if frac < 0.070 || frac > 0.076 {
 		t.Errorf("cellular fraction of active space = %.4f, want ~0.073", frac)
 	}
+}
+
+// oracleAffinity is the block→resolver affinity the generator stored
+// before World.AppendAffinity derived it on request, kept as the oracle the
+// derivation must reproduce exactly. It rebuilds the generator's inputs
+// from the world: the public resolvers by provider in creation order, and
+// each access operator's own fleet.
+func oracleAffinity(w *World) map[netaddr.Block][]ResolverWeight {
+	publicByProvider := make(map[string][]*Resolver, 3)
+	for _, r := range w.Resolvers {
+		if r.Public {
+			publicByProvider[r.Provider] = append(publicByProvider[r.Provider], r)
+		}
+	}
+	aff := make(map[netaddr.Block][]ResolverWeight)
+	for _, op := range w.Operators {
+		if !op.AS.Role.IsCellularAccess() && op.AS.Role != asn.RoleFixedISP {
+			continue
+		}
+		oracleAssignAffinity(aff, op, op.Resolvers, publicByProvider)
+	}
+	return aff
+}
+
+// oracleAssignAffinity is the generator's former assignAffinity: it wires
+// each of the operator's demand-carrying blocks to resolvers, a public-DNS
+// share split across providers, the rest to two of the operator's own
+// resolvers chosen deterministically per block.
+func oracleAssignAffinity(aff map[netaddr.Block][]ResolverWeight, op *Operator, resolvers []*Resolver, publicByProvider map[string][]*Resolver) {
+	var cellCapable, fixedCapable []*Resolver
+	for _, r := range resolvers {
+		if r.ServesCell {
+			cellCapable = append(cellCapable, r)
+		}
+		if r.ServesFixed {
+			fixedCapable = append(fixedCapable, r)
+		}
+	}
+	mix := providerMix(op.AS.Country)
+
+	for _, b := range op.Blocks {
+		if b.Demand <= 0 {
+			continue
+		}
+		pub := 0.05 // broadband users switching resolvers individually
+		if b.Cellular {
+			pub = op.PublicDNSShare // cell implies operator adoption
+		}
+		pool := fixedCapable
+		if b.Cellular {
+			pool = cellCapable
+		}
+		if len(pool) == 0 {
+			pool = resolvers
+		}
+		var weights []ResolverWeight
+		if pub > 0 {
+			for pi, p := range publicProviders {
+				prs := publicByProvider[p.name]
+				w := pub * mix[pi]
+				if w <= 0 || len(prs) == 0 {
+					continue
+				}
+				r := prs[int(b.Block.Key())%len(prs)]
+				weights = append(weights, ResolverWeight{Resolver: r, Weight: w})
+			}
+		}
+		own := 1 - pub
+		primary := pool[int(b.Block.Key())%len(pool)]
+		if len(pool) == 1 {
+			weights = append(weights, ResolverWeight{Resolver: primary, Weight: own})
+		} else {
+			secondary := pool[int(b.Block.Key()+1)%len(pool)]
+			weights = append(weights,
+				ResolverWeight{Resolver: primary, Weight: own * 0.7},
+				ResolverWeight{Resolver: secondary, Weight: own * 0.3},
+			)
+		}
+		aff[b.Block] = weights
+	}
+}
+
+// TestAppendAffinityMatchesOracle pins the derived affinity to the stored
+// one it replaced: every block of a global or case-study world gets the
+// oracle's weights, with the same resolvers in the same order and every
+// float64 equal, and every block the oracle skipped gets none.
+func TestAppendAffinityMatchesOracle(t *testing.T) {
+	check := func(t *testing.T, w *World) {
+		t.Helper()
+		want := oracleAffinity(w)
+		if len(want) == 0 {
+			t.Fatal("oracle assigned no affinity")
+		}
+		matched := 0
+		var got []ResolverWeight
+		for _, b := range w.Blocks {
+			got = w.AppendAffinity(got[:0], b.Block)
+			ws, ok := want[b.Block]
+			if !ok {
+				if len(got) != 0 {
+					t.Fatalf("block %v: got %+v, the oracle assigns none", b.Block, got)
+				}
+				continue
+			}
+			matched++
+			if len(got) != len(ws) {
+				t.Fatalf("block %v: %d weights, oracle %d", b.Block, len(got), len(ws))
+			}
+			for i := range ws {
+				if got[i].Resolver != ws[i].Resolver || got[i].Weight != ws[i].Weight {
+					t.Fatalf("block %v weight %d: got {%v %v}, oracle {%v %v}", b.Block, i,
+						got[i].Resolver.Addr, got[i].Weight, ws[i].Resolver.Addr, ws[i].Weight)
+				}
+			}
+		}
+		if matched != len(want) {
+			t.Fatalf("oracle covers %d blocks, %d of them are in w.Blocks", len(want), matched)
+		}
+	}
+	for _, seed := range []uint64{1, 2, 3} {
+		for _, scale := range []float64{0.005, 0.01} {
+			cfg := DefaultConfig()
+			cfg.Seed, cfg.Scale = seed, scale
+			t.Run(fmt.Sprintf("seed%d/scale%g", seed, scale), func(t *testing.T) {
+				w, err := Generate(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(t, w)
+			})
+		}
+	}
+	t.Run("casestudy", func(t *testing.T) {
+		w, err := GenerateCaseStudy(CaseStudyConfig{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, w)
+	})
 }
