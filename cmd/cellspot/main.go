@@ -251,8 +251,12 @@ func runGen(args []string) error {
 		return err
 	}
 	spool := logio.NewSpool(*out, logio.SpoolPrefix, *gzipped, 200_000)
+	var line []byte
 	for rec := range seq {
-		if err := spool.Write(rec); err != nil {
+		if line, err = beacon.AppendRecord(line[:0], rec); err != nil {
+			return err
+		}
+		if err := spool.WriteLine(line); err != nil {
 			return err
 		}
 	}
@@ -311,15 +315,20 @@ func runClassify(args []string) error {
 	}
 
 	agg := beacon.NewAggregate()
+	refused := 0
 	st, err := logio.DecodeSpool(*dir, logio.SpoolPrefix, true, func(r beacon.Record) error {
+		if r.Validate() != nil {
+			refused++
+			return nil
+		}
 		agg.AddRecord(r)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	log.Printf("beacon: %d records aggregated (%d malformed lines skipped), %d blocks",
-		st.Records, st.Bad, agg.Blocks())
+	log.Printf("beacon: %d records aggregated (%d malformed or invalid lines skipped), %d blocks",
+		st.Records-refused, st.Bad+refused, agg.Blocks())
 
 	cls, err := classify.New(*threshold)
 	if err != nil {
@@ -412,9 +421,12 @@ func runIngest(args []string) error {
 			return err
 		}
 		spool = logio.NewSpool(*out, logio.SpoolPrefix, *gzipped, 200_000)
+		var line []byte
 		hook = func(rec beacon.Record) {
 			if werr == nil {
-				werr = spool.Write(rec)
+				if line, werr = beacon.AppendRecord(line[:0], rec); werr == nil {
+					werr = spool.WriteLine(line)
+				}
 			}
 		}
 	}

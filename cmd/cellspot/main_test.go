@@ -1,6 +1,7 @@
 package main
 
 import (
+	"net/netip"
 	"os"
 	"path/filepath"
 	"strings"
@@ -232,5 +233,37 @@ func TestIngestFlagValidation(t *testing.T) {
 	// Policy-less run over an empty tree succeeds with zero records.
 	if err := runIngest([]string{"-dir", logs}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClassifySkipsInvalidRecords: spool lines the collector would refuse
+// are skipped, not aggregated. A record with no ip once folded into block
+// ::/48, so a run of cellular-labelled ones made that block "cellular".
+func TestClassifySkipsInvalidRecords(t *testing.T) {
+	dir := t.TempDir()
+	if err := runGen([]string{"-out", dir, "-scale", "0.001", "-hits", "20000"}); err != nil {
+		t.Fatal(err)
+	}
+	spools, _ := filepath.Glob(filepath.Join(dir, "beacon-*.jsonl"))
+	f, err := os.OpenFile(spools[0], os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	invalid := `{"ts":"2016-12-01T00:00:00Z","conn":"cellular","browser":"x","plt_ms":1}` + "\n"
+	if _, err := f.WriteString(strings.Repeat(invalid, 200)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := runClassify([]string{"-data", dir}); err != nil {
+		t.Fatal(err)
+	}
+	detected, err := os.ReadFile(filepath.Join(dir, "detected.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zero := netaddr.BlockFromAddr(netip.Addr{}).String(); strings.Contains(string(detected), `"`+zero+`"`) {
+		t.Fatalf("invalid records made block %s cellular", zero)
 	}
 }

@@ -38,6 +38,30 @@ type Record struct {
 // HasAPI reports whether the hit carried Network Information data.
 func (r Record) HasAPI() bool { return r.Conn != "" }
 
+// MaxFieldBytes bounds a record's free-form string fields (browser, rat).
+// The spool encoder escapes '<', '>' and '&' sixfold, so one POST of an
+// unbounded field could write a spool line over logio.MaxLineBytes, which
+// no segment can carry: the federation shipper would stop at that shard
+// for good. Real values are a few dozen bytes.
+const MaxFieldBytes = 1 << 10
+
+// Validate is the one rule every record must pass to be collected or
+// folded: a valid IP, a known Network Information token (or none), and
+// browser and rat within MaxFieldBytes. The collector refuses a POST with
+// a record that fails it; the fold paths skip such a line as bad.
+func (r Record) Validate() error {
+	if !r.IP.IsValid() {
+		return fmt.Errorf("missing or invalid IP")
+	}
+	if _, err := netinfo.ParseConnectionType(r.Conn); err != nil {
+		return err
+	}
+	if len(r.Browser) > MaxFieldBytes || len(r.RAT) > MaxFieldBytes {
+		return fmt.Errorf("browser or rat over %d bytes", MaxFieldBytes)
+	}
+	return nil
+}
+
 // Counts tallies one block's beacon activity. The per-RAT fields split
 // Cell by radio generation; logs predating the RAT column leave them zero.
 type Counts struct {

@@ -253,7 +253,11 @@ func runFederationSchedule(t *testing.T, seed uint64) string {
 	spool := t.TempDir()
 	sp := logio.NewSpool(spool, logio.SpoolPrefix, false, 60) // 4 sealed shards
 	for _, rec := range recs {
-		if err := sp.Write(rec); err != nil {
+		line, err := beacon.AppendRecord(nil, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sp.WriteLine(line); err != nil {
 			t.Fatal(err)
 		}
 	}

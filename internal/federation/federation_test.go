@@ -70,7 +70,11 @@ func writeSpool(t testing.TB, dir string, recs []beacon.Record, perShard int, gz
 	t.Helper()
 	sp := logio.NewSpool(dir, logio.SpoolPrefix, gzipped, perShard)
 	for _, rec := range recs {
-		if err := sp.Write(rec); err != nil {
+		line, err := beacon.AppendRecord(nil, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sp.WriteLine(line); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -78,7 +78,7 @@ type ReceiverConfig struct {
 	//	federation_recv_throttled_total       429 backpressure responses
 	//	federation_recv_shed_total            429 admission-control refusals
 	//	federation_recv_probes_total          zero-length probes answered
-	//	federation_recv_bad_lines_total       malformed or oversize payload lines skipped
+	//	federation_recv_bad_lines_total       malformed, invalid or oversize payload lines skipped
 	//	federation_recv_fold_seconds          per-segment fold latency
 	Metrics *obs.Registry
 	// Logf, when non-nil, receives operational log lines.
@@ -149,7 +149,7 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 		r.mThrottled = reg.Counter("federation_recv_throttled_total", "Segments pushed back with 429 while draining.")
 		r.mShed = reg.Counter("federation_recv_shed_total", "Segment requests refused by admission control (in-flight bound).")
 		r.mProbes = reg.Counter("federation_recv_probes_total", "Zero-length durability probes answered.")
-		r.mBadLines = reg.Counter("federation_recv_bad_lines_total", "Malformed payload lines skipped while folding.")
+		r.mBadLines = reg.Counter("federation_recv_bad_lines_total", "Malformed or invalid payload lines skipped while folding.")
 		r.hFold = reg.Histogram("federation_recv_fold_seconds", "Per-segment verify+fold latency.", nil)
 	}
 	return r, nil

@@ -165,8 +165,12 @@ func WriteSpool(cfg Config, outDir string, gzipped bool, maxPerFile int) (*Resul
 	spool := logio.NewSpool(outDir, logio.SpoolPrefix, gzipped, maxPerFile)
 	var werr error
 	res, err := Import(cfg, func(rec beacon.Record) {
-		if werr == nil {
-			werr = spool.Write(rec)
+		if werr != nil {
+			return
+		}
+		var line []byte
+		if line, werr = beacon.AppendRecord(nil, rec); werr == nil {
+			werr = spool.WriteLine(line)
 		}
 	})
 	if err != nil {

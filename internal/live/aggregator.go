@@ -118,7 +118,7 @@ func NewAggregator(cfg Config) (*Aggregator, error) {
 		a.hMerge, a.hBuild, a.hCheckpoint, a.hWrite = stage("merge"), stage("build"), stage("checkpoint"), stage("publish")
 		if cfg.SpoolDir != "" {
 			a.mTailed = reg.Counter("live_tailed_records_total", "Spool records consumed.")
-			a.mBadLines = reg.Counter("live_spool_bad_lines_total", "Malformed spool lines skipped.")
+			a.mBadLines = reg.Counter("live_spool_bad_lines_total", "Malformed or invalid spool lines skipped.")
 			a.mOversize = reg.Counter("live_spool_oversize_lines_total", "Spool lines skipped as longer than the line cap.")
 		}
 	}
@@ -221,13 +221,14 @@ func (f Folder) Commit(key string, offset int64) {
 // PayloadStats reports what FoldPayload made of one payload.
 type PayloadStats struct {
 	Records  int // records folded
-	Bad      int // malformed lines skipped
+	Bad      int // malformed lines, and records beacon.Record.Validate refuses, skipped
 	Oversize int // lines skipped as longer than logio.MaxLineBytes
 }
 
 // FoldPayload folds every record of an in-memory JSONL payload into the
-// window under source. Blank lines are skipped; malformed lines and lines
-// longer than logio.MaxLineBytes are skipped and counted. It cannot fail,
+// window under source. Blank lines are skipped; malformed lines, records
+// the collector would refuse (beacon.Record.Validate) and lines longer
+// than logio.MaxLineBytes are skipped and counted. It cannot fail,
 // so an input adapter folds a payload whole or, by not calling it, not at
 // all.
 func FoldPayload(f Folder, source string, payload []byte) PayloadStats {
@@ -251,7 +252,7 @@ func eachRecord(payload []byte, fn func(beacon.Record)) PayloadStats {
 			st.Oversize++
 		default:
 			var rec beacon.Record
-			if err := json.Unmarshal(raw, &rec); err != nil {
+			if beacon.DecodeRecord(raw, &rec) != nil || rec.Validate() != nil {
 				st.Bad++
 				continue
 			}
@@ -496,7 +497,7 @@ func (a *Aggregator) tick() (Refresh, error) {
 func (a *Aggregator) encodeCheckpoint(acked map[string]int64) []byte {
 	dst := make([]byte, 0, a.stateLen+a.stateLen/8)
 	dst = append(dst, `{"format":`...)
-	dst = appendJSONString(dst, stateFormat)
+	dst = beacon.AppendJSONString(dst, stateFormat)
 	dst = append(dst, `,"window":`...)
 	dst = a.win.appendState(dst)
 	dst = append(dst, `,"acked":`...)
@@ -517,7 +518,7 @@ func appendAcked(dst []byte, m map[string]int64) []byte {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendJSONString(dst, k)
+		dst = beacon.AppendJSONString(dst, k)
 		dst = append(dst, ':')
 		dst = strconv.AppendInt(dst, m[k], 10)
 	}

@@ -101,7 +101,7 @@ type Config struct {
 	// and, with SpoolDir set, the spool reader's:
 	//
 	//	live_tailed_records_total   spool records consumed
-	//	live_spool_bad_lines_total  malformed spool lines skipped
+	//	live_spool_bad_lines_total  malformed or invalid spool lines skipped
 	//	live_spool_oversize_lines_total  lines skipped as over the line cap
 	//
 	// A sealed shard found smaller than its acked offset fails the tick

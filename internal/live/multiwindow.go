@@ -1,7 +1,6 @@
 package live
 
 import (
-	"encoding/json"
 	"fmt"
 	"maps"
 	"slices"
@@ -308,7 +307,7 @@ func (m *MultiWindow) appendState(dst []byte) []byte {
 			dst = append(dst, ',')
 		}
 		dst = append(dst, `{"collector":`...)
-		dst = appendJSONString(dst, src)
+		dst = beacon.AppendJSONString(dst, src)
 		dst = append(dst, `,"buckets":[`...)
 		buckets := m.sources[src]
 		for j, day := range slices.Sorted(maps.Keys(buckets)) {
@@ -350,31 +349,19 @@ func appendBlockState(dst []byte, blk netaddr.Block, c *beacon.Counts) []byte {
 	dst = append(dst, blk.Fam().String()...)
 	dst = append(dst, '-')
 	dst = strconv.AppendUint(dst, blk.Key(), 16)
-	dst = appendIntField(dst, `","hits":`, int64(c.Hits))
-	dst = appendIntField(dst, `,"api":`, int64(c.API))
-	dst = appendIntField(dst, `,"cell":`, int64(c.Cell))
+	dst = beacon.AppendIntField(dst, `","hits":`, int64(c.Hits))
+	dst = beacon.AppendIntField(dst, `,"api":`, int64(c.API))
+	dst = beacon.AppendIntField(dst, `,"cell":`, int64(c.Cell))
 	if c.Cell3G != 0 {
-		dst = appendIntField(dst, `,"cell_3g":`, int64(c.Cell3G))
+		dst = beacon.AppendIntField(dst, `,"cell_3g":`, int64(c.Cell3G))
 	}
 	if c.Cell4G != 0 {
-		dst = appendIntField(dst, `,"cell_4g":`, int64(c.Cell4G))
+		dst = beacon.AppendIntField(dst, `,"cell_4g":`, int64(c.Cell4G))
 	}
 	if c.Cell5G != 0 {
-		dst = appendIntField(dst, `,"cell_5g":`, int64(c.Cell5G))
+		dst = beacon.AppendIntField(dst, `,"cell_5g":`, int64(c.Cell5G))
 	}
 	return append(dst, '}')
-}
-
-func appendIntField(dst []byte, key string, n int64) []byte {
-	return strconv.AppendInt(append(dst, key...), n, 10)
-}
-
-// appendJSONString appends s as encoding/json quotes it (HTML-escaped,
-// invalid UTF-8 replaced). Only names go through it — collectors, input
-// stream keys, spool files — so the reflective encoder's cost is noise.
-func appendJSONString(dst []byte, s string) []byte {
-	q, _ := json.Marshal(s) // a string always encodes
-	return append(dst, q...)
 }
 
 // RestoreMultiWindow rebuilds a window from its serialized state. days

@@ -275,13 +275,31 @@ func TestLocalSpoolShrunkShardIsTickError(t *testing.T) {
 	}
 }
 
+// TestFoldRefusesWhatTheCollectorRefuses: a shipped or spooled line that
+// the collector would have refused, here one with no ip and an unknown
+// conn token, is skipped as bad. It used to fold as one API hit into
+// block ::/48.
+func TestFoldRefusesWhatTheCollectorRefuses(t *testing.T) {
+	payload := []byte(`{"ts":"2016-12-01T00:00:00Z","browser":"x","conn":"bogus"}` + "\n" +
+		`{"ts":"2016-12-01T00:00:00Z","ip":"10.0.0.1","conn":"bogus","browser":"x","plt_ms":1}` + "\n" +
+		`{"ts":"2016-12-01T00:00:00Z","ip":"10.0.0.1","conn":"cellular","browser":"x","plt_ms":1}` + "\n")
+	var got []beacon.Record
+	st := eachRecord(payload, func(r beacon.Record) { got = append(got, r) })
+	if st.Records != 1 || st.Bad != 2 || len(got) != 1 || got[0].Conn != "cellular" {
+		t.Fatalf("stats %+v, folded %+v; want only the valid record folded and two bad lines", st, got)
+	}
+}
+
 // FuzzFoldPayload checks the payload decoder behind FoldPayload against
-// logio.Decode in lenient mode, the reference: wherever Decode succeeds,
-// both yield the same records in the same order, and records plus bad and
-// oversize lines always add up to the non-blank lines.
+// logio.Decode in lenient mode plus beacon.Record.Validate, the reference:
+// wherever Decode succeeds, both yield the same valid records in the same
+// order and the same count of malformed or invalid lines, and records plus
+// bad and oversize lines always add up to the non-blank lines.
 func FuzzFoldPayload(f *testing.F) {
 	f.Add([]byte(`{"ts":"2016-12-01T00:00:00Z","ip":"10.0.0.1","conn":"cellular"}` + "\n\n \r\nnot json\n" + `{"ip":"2001:db8::1","rat":"4g"}`))
 	f.Add([]byte(`{"ts":"2016-12-01T00:00:00+01:00","ip":"10.0.0.1"}` + "\r\n\x85\n{}"))
+	f.Add([]byte(`{"ts":"2016-12-01T00:00:00Z","browser":"x","conn":"bogus"}` + "\n" +
+		`{"ts":"2016-12-01T00:00:00Z","ip":"10.0.0.1","conn":"cellular","rat":"4g","browser":"x","plt_ms":7}`))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var got []beacon.Record
 		st := eachRecord(payload, func(r beacon.Record) { got = append(got, r) })
@@ -295,14 +313,19 @@ func FuzzFoldPayload(f *testing.F) {
 			t.Fatalf("stats %+v over %d records and %d non-blank lines", st, len(got), nonBlank)
 		}
 		var want []beacon.Record
+		invalid := 0
 		ref, err := logio.Decode(bytes.NewReader(payload), true, func(r beacon.Record) error {
+			if r.Validate() != nil {
+				invalid++
+				return nil
+			}
 			want = append(want, r)
 			return nil
 		})
 		if err != nil {
 			return
 		}
-		if st.Bad != ref.Bad || st.Oversize != 0 {
+		if st.Bad != ref.Bad+invalid || st.Oversize != 0 {
 			t.Fatalf("stats %+v, reference %+v", st, ref)
 		}
 		gotJSON, _ := json.Marshal(got)

@@ -47,6 +47,21 @@ func (w *Writer) Write(v any) error {
 	return nil
 }
 
+// WriteLine appends one record already encoded as JSON: line, which must
+// hold one JSON value and no newline, then a newline, as Write would
+// frame it.
+func (w *Writer) WriteLine(line []byte) error {
+	_, err := w.bw.Write(line)
+	if err == nil {
+		err = w.bw.WriteByte('\n')
+	}
+	if err != nil {
+		return fmt.Errorf("logio: write record %d: %w", w.n, err)
+	}
+	w.n++
+	return nil
+}
+
 // Count returns the number of records written.
 func (w *Writer) Count() int { return w.n }
 
@@ -312,8 +327,9 @@ func (s *Spool) init() error {
 	return nil
 }
 
-// Write appends one record, rotating shards as needed.
-func (s *Spool) Write(v any) error {
+// WriteLine appends one record already encoded as JSON (see
+// Writer.WriteLine), rotating shards as needed.
+func (s *Spool) WriteLine(line []byte) error {
 	if !s.inited {
 		if err := s.init(); err != nil {
 			return err
@@ -326,7 +342,7 @@ func (s *Spool) Write(v any) error {
 		}
 		s.cur = fw
 	}
-	if err := s.cur.Write(v); err != nil {
+	if err := s.cur.WriteLine(line); err != nil {
 		return err
 	}
 	s.total++

@@ -3,6 +3,7 @@ package logio
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -14,6 +15,40 @@ import (
 type rec struct {
 	ID   int    `json:"id"`
 	Name string `json:"name"`
+}
+
+// writeJSON spools v as one pre-encoded JSON line.
+func writeJSON(sp *Spool, v any) error {
+	line, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	return sp.WriteLine(line)
+}
+
+// TestWriteLineFramesLikeWrite: a pre-encoded line is framed exactly as
+// Write frames the value it encodes, and counts as one record.
+func TestWriteLineFramesLikeWrite(t *testing.T) {
+	var viaWrite, viaLine bytes.Buffer
+	w, l := NewWriter(&viaWrite), NewWriter(&viaLine)
+	for i := 0; i < 3; i++ {
+		v := rec{ID: i, Name: "<a&b>"}
+		line, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Write(v); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.WriteLine(line); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Flush()
+	l.Flush()
+	if l.Count() != 3 || !bytes.Equal(viaLine.Bytes(), viaWrite.Bytes()) {
+		t.Fatalf("WriteLine: count %d, bytes %q; Write: %q", l.Count(), viaLine.Bytes(), viaWrite.Bytes())
+	}
 }
 
 func TestWriterAndDecode(t *testing.T) {
@@ -135,7 +170,7 @@ func TestSpoolSharding(t *testing.T) {
 	dir := t.TempDir()
 	sp := NewSpool(dir, "beacon", false, 40)
 	for i := 0; i < 100; i++ {
-		if err := sp.Write(rec{ID: i}); err != nil {
+		if err := writeJSON(sp, rec{ID: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -175,7 +210,7 @@ func TestSpoolGzipAndEmptyClose(t *testing.T) {
 	}
 	sp = NewSpool(dir, "d", true, 0)
 	for i := 0; i < 10; i++ {
-		if err := sp.Write(rec{ID: i}); err != nil {
+		if err := writeJSON(sp, rec{ID: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -263,7 +298,7 @@ func TestSpoolSealsAtomically(t *testing.T) {
 	dir := t.TempDir()
 	sp := NewSpool(dir, "beacon", false, 100)
 	for i := 0; i < 60; i++ { // under maxPerFile: shard 0 never rotates
-		if err := sp.Write(rec{ID: i}); err != nil {
+		if err := writeJSON(sp, rec{ID: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -283,7 +318,7 @@ func TestSpoolSealsAtomically(t *testing.T) {
 	// every sealed shard is complete, no .part survives a clean Close.
 	sp2 := NewSpool(dir, "beacon", false, 100)
 	for i := 0; i < 150; i++ {
-		if err := sp2.Write(rec{ID: i}); err != nil {
+		if err := writeJSON(sp2, rec{ID: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -323,7 +358,7 @@ func TestSpoolResumesNumbering(t *testing.T) {
 	dir := t.TempDir()
 	sp := NewSpool(dir, "beacon", false, 10)
 	for i := 0; i < 25; i++ {
-		if err := sp.Write(rec{ID: i}); err != nil {
+		if err := writeJSON(sp, rec{ID: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -331,7 +366,7 @@ func TestSpoolResumesNumbering(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp2 := NewSpool(dir, "beacon", false, 10)
-	if err := sp2.Write(rec{ID: 100}); err != nil {
+	if err := writeJSON(sp2, rec{ID: 100}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sp2.Close(); err != nil {

@@ -168,7 +168,7 @@ func TestGzipSpoolSealsBySize(t *testing.T) {
 		for i := range raw {
 			raw[i] = byte(rng.Uint32())
 		}
-		if err := sp.Write(padded{ID: n, Pad: base64.StdEncoding.EncodeToString(raw)}); err != nil {
+		if err := writeJSON(sp, padded{ID: n, Pad: base64.StdEncoding.EncodeToString(raw)}); err != nil {
 			t.Fatal(err)
 		}
 		n++

@@ -28,7 +28,7 @@ func TestSpoolSealCrashLeavesNoTornShard(t *testing.T) {
 
 	var sealErr error
 	for i := 0; i < 4; i++ {
-		if err := sp.Write(faultRec{N: i}); err != nil {
+		if err := writeJSON(sp, faultRec{N: i}); err != nil {
 			sealErr = err
 			break
 		}
@@ -59,7 +59,7 @@ func TestSpoolSealCrashLeavesNoTornShard(t *testing.T) {
 	// Restart: fresh spool sweeps the debris and starts over at shard 0.
 	sp2 := NewSpool(dir, "beacon", false, 2)
 	for i := 0; i < 2; i++ {
-		if err := sp2.Write(faultRec{N: 100 + i}); err != nil {
+		if err := writeJSON(sp2, faultRec{N: 100 + i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -90,7 +90,7 @@ func TestSpoolSealSyncErrorFailsSeal(t *testing.T) {
 	sp := NewSpool(dir, "beacon", false, 1)
 	sp.SetFS(ffs)
 
-	err := sp.Write(faultRec{N: 1}) // maxPerFile=1 seals immediately
+	err := writeJSON(sp, faultRec{N: 1}) // maxPerFile=1 seals immediately
 	if !errors.Is(err, faultline.ErrInjected) {
 		t.Fatalf("seal with failing fsync: err = %v, want ErrInjected", err)
 	}

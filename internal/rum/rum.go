@@ -7,6 +7,7 @@
 package rum
 
 import (
+	"bytes"
 	"context"
 	"crypto/subtle"
 	"encoding/json"
@@ -20,7 +21,6 @@ import (
 
 	"cellspot/internal/beacon"
 	"cellspot/internal/logio"
-	"cellspot/internal/netinfo"
 	"cellspot/internal/obs"
 	"cellspot/internal/obs/httpmw"
 )
@@ -28,18 +28,16 @@ import (
 // MaxBodyBytes bounds one POST body; batches beyond it are rejected.
 const MaxBodyBytes = 16 << 20
 
-// MaxFieldBytes bounds a record's free-form string fields (browser, rat).
-// The spool encoder escapes '<', '>' and '&' sixfold, so one POST of an
-// unbounded field could write a spool line over logio.MaxLineBytes, which
-// no segment can carry: the federation shipper would stop at that shard
-// for good. Real values are a few dozen bytes.
-const MaxFieldBytes = 1 << 10
+// bodyHint bounds what a POST's Content-Length alone makes the collector
+// allocate before reading the body.
+const bodyHint = 1 << 20
 
 // Collector receives and aggregates beacon records.
 type Collector struct {
 	mu        sync.Mutex
 	agg       *beacon.Aggregate
 	spool     *logio.Spool
+	line      []byte // spool encode buffer, reused under mu
 	authToken string
 	received  int
 	rejected  int
@@ -152,26 +150,23 @@ func (c *Collector) handleBeacons(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	body := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
-	dec := json.NewDecoder(body)
+	// Size the buffer from the declared length, so an honest body reads
+	// without regrowth, up to a bound the header alone cannot raise.
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), bodyHint)+bytes.MinRead))
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	body := buf.Bytes()
 	var batch []beacon.Record
-	for {
-		var rec beacon.Record
-		err := dec.Decode(&rec)
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			c.reject(1)
-			http.Error(w, fmt.Sprintf("bad record after %d: %v", len(batch), err), http.StatusBadRequest)
-			return
-		}
-		if err := validateRecord(rec); err != nil {
-			c.reject(1)
-			http.Error(w, fmt.Sprintf("invalid record %d: %v", len(batch), err), http.StatusBadRequest)
-			return
-		}
-		batch = append(batch, rec)
+	msg, ok := "", false
+	if err == nil {
+		batch, msg, ok = decodeCanonicalBatch(body)
+	}
+	if !ok {
+		batch, msg = decodeBatch(io.MultiReader(bytes.NewReader(body), failReader{err}))
+	}
+	if msg != "" {
+		c.reject(1)
+		http.Error(w, msg, http.StatusBadRequest)
+		return
 	}
 	if err := c.accept(batch); err != nil {
 		http.Error(w, "spool failure", http.StatusInternalServerError)
@@ -181,17 +176,61 @@ func (c *Collector) handleBeacons(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, `{"accepted":%d}`+"\n", len(batch))
 }
 
-func validateRecord(rec beacon.Record) error {
-	if !rec.IP.IsValid() {
-		return fmt.Errorf("missing or invalid IP")
+// decodeCanonicalBatch is decodeBatch's fast path over a body read whole
+// without error: every line canonical (beacon.ParseCanonical), the last
+// one with or without its newline. It gives what decodeBatch gives, and
+// reports false, for decodeBatch to decide, at the first line that is not
+// canonical.
+func decodeCanonicalBatch(body []byte) (batch []beacon.Record, msg string, ok bool) {
+	for len(body) > 0 {
+		line := body
+		if i := bytes.IndexByte(body, '\n'); i >= 0 {
+			line, body = body[:i], body[i+1:]
+		} else {
+			body = nil
+		}
+		rec, ok := beacon.ParseCanonical(line)
+		if !ok {
+			return nil, "", false
+		}
+		if err := rec.Validate(); err != nil {
+			return nil, fmt.Sprintf("invalid record %d: %v", len(batch), err), true
+		}
+		batch = append(batch, rec)
 	}
-	if _, err := netinfo.ParseConnectionType(rec.Conn); err != nil {
-		return err
+	return batch, "", true
+}
+
+// decodeBatch decodes and validates a stream of JSON records. msg is the
+// 400 message for the first record that does not decode or validate.
+func decodeBatch(r io.Reader) (batch []beacon.Record, msg string) {
+	dec := json.NewDecoder(r)
+	for {
+		var rec beacon.Record
+		err := dec.Decode(&rec)
+		if errors.Is(err, io.EOF) {
+			return batch, ""
+		}
+		if err != nil {
+			return nil, fmt.Sprintf("bad record after %d: %v", len(batch), err)
+		}
+		if err := rec.Validate(); err != nil {
+			return nil, fmt.Sprintf("invalid record %d: %v", len(batch), err)
+		}
+		batch = append(batch, rec)
 	}
-	if len(rec.Browser) > MaxFieldBytes || len(rec.RAT) > MaxFieldBytes {
-		return fmt.Errorf("browser or rat over %d bytes", MaxFieldBytes)
+}
+
+// failReader replays a body read's error after its bytes (io.EOF when
+// the read ended cleanly), so decodeBatch sees what reading the request
+// body itself would have shown it.
+type failReader struct{ err error }
+
+func (f failReader) Read([]byte) (int, error) {
+	if f.err == nil {
+		return 0, io.EOF
 	}
-	return nil
+	return 0, f.err
 }
 
 func (c *Collector) accept(batch []beacon.Record) error {
@@ -199,7 +238,12 @@ func (c *Collector) accept(batch []beacon.Record) error {
 	defer c.mu.Unlock()
 	for _, rec := range batch {
 		if c.spool != nil {
-			if err := c.spool.Write(rec); err != nil {
+			line, err := beacon.AppendRecord(c.line[:0], rec)
+			if err != nil {
+				return err
+			}
+			c.line = line
+			if err := c.spool.WriteLine(line); err != nil {
 				return err
 			}
 			c.mSpooled.Inc()
@@ -265,18 +309,15 @@ func (cl *Client) Post(ctx context.Context, records []beacon.Record) error {
 }
 
 func (cl *Client) postBatch(ctx context.Context, batch []beacon.Record) error {
-	pr, pw := io.Pipe()
-	go func() {
-		enc := json.NewEncoder(pw)
-		for _, rec := range batch {
-			if err := enc.Encode(rec); err != nil {
-				pw.CloseWithError(err)
-				return
-			}
+	var body []byte
+	for _, rec := range batch {
+		var err error
+		if body, err = beacon.AppendRecord(body, rec); err != nil {
+			return err
 		}
-		pw.Close()
-	}()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, cl.BaseURL+"/v1/beacons", pr)
+		body = append(body, '\n')
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, cl.BaseURL+"/v1/beacons", bytes.NewReader(body))
 	if err != nil {
 		return err
 	}

@@ -1,10 +1,16 @@
 package rum
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -313,7 +319,7 @@ func TestEmptyBatch(t *testing.T) {
 }
 
 // TestCollectorRejectsOversizeFields: a record whose browser or rat is
-// over MaxFieldBytes is refused with 400 and nothing is spooled. A POST of
+// over beacon.MaxFieldBytes is refused with 400 and nothing is spooled. A POST of
 // 2.85 MB of '<' in browser once spooled a line of about 17 MB, which no
 // federation segment can carry.
 func TestCollectorRejectsOversizeFields(t *testing.T) {
@@ -335,11 +341,11 @@ func TestCollectorRejectsOversizeFields(t *testing.T) {
 		if code := post(field, strings.Repeat("<", 2_850_000)); code != http.StatusBadRequest {
 			t.Fatalf("hostile %s: status %d, want 400", field, code)
 		}
-		if code := post(field, strings.Repeat("a", MaxFieldBytes+1)); code != http.StatusBadRequest {
+		if code := post(field, strings.Repeat("a", beacon.MaxFieldBytes+1)); code != http.StatusBadRequest {
 			t.Fatalf("%s one byte over the cap: status %d, want 400", field, code)
 		}
 	}
-	if code := post("browser", strings.Repeat("<", MaxFieldBytes)); code != http.StatusOK {
+	if code := post("browser", strings.Repeat("<", beacon.MaxFieldBytes)); code != http.StatusOK {
 		t.Fatalf("browser at the cap: status %d, want 200", code)
 	}
 	if err := col.Close(); err != nil {
@@ -352,7 +358,112 @@ func TestCollectorRejectsOversizeFields(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || len(got[0].Browser) != MaxFieldBytes {
+	if len(got) != 1 || len(got[0].Browser) != beacon.MaxFieldBytes {
 		t.Fatalf("spooled %d records, want only the one at the cap", len(got))
+	}
+}
+
+// referenceHandle is the collector's POST handling as a plain
+// encoding/json decoder loop over the capped body, spooling each record
+// through an encoding/json encoder: what the collector must answer and
+// spool for body, whichever path it takes.
+func referenceHandle(body []byte) (status int, resp string, spool []byte) {
+	w := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/v1/beacons", bytes.NewReader(body))
+	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, MaxBodyBytes))
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for n := 0; ; n++ {
+		var r beacon.Record
+		err := dec.Decode(&r)
+		if errors.Is(err, io.EOF) {
+			fmt.Fprintf(w, `{"accepted":%d}`+"\n", n)
+			return w.Code, w.Body.String(), buf.Bytes()
+		}
+		if err == nil {
+			if verr := r.Validate(); verr != nil {
+				http.Error(w, fmt.Sprintf("invalid record %d: %v", n, verr), http.StatusBadRequest)
+				return w.Code, w.Body.String(), nil
+			}
+		} else {
+			http.Error(w, fmt.Sprintf("bad record after %d: %v", n, err), http.StatusBadRequest)
+			return w.Code, w.Body.String(), nil
+		}
+		if err := enc.Encode(r); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// TestCollectorMatchesDecoderLoop: over canonical bodies, which take the
+// fast path, and bodies that fall back to encoding/json, the collector
+// answers with the status and body the reference decoder loop gives and
+// spools the bytes its encoder writes.
+func TestCollectorMatchesDecoderLoop(t *testing.T) {
+	var canon []byte
+	for _, r := range []beacon.Record{
+		rec("10.1.1.5", "cellular"), rec("10.1.1.6", "wifi"), rec("2001:db8::7", ""),
+		{Time: time.Date(2016, 12, 1, 0, 0, 0, 5, time.UTC), IP: netip.MustParseAddr("10.0.0.1"), Conn: "cellular", RAT: "5g", Browser: "Other", PageLoadMS: -3},
+	} {
+		line, err := beacon.AppendRecord(nil, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		canon = append(append(canon, line...), '\n')
+	}
+	first := canon[:bytes.IndexByte(canon, '\n')+1]
+	bogus := []byte(`{"ts":"2016-12-01T00:00:00Z","ip":"10.0.0.9","conn":"bogus","browser":"x","plt_ms":1}` + "\n")
+	noIP := []byte(`{"ts":"2016-12-01T00:00:00Z","browser":"x","conn":"bogus"}` + "\n")
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	// Records past MaxBodyBytes: the read fails mid-record.
+	var huge []byte
+	for len(huge) <= MaxBodyBytes {
+		huge = append(huge, canon...)
+	}
+	bodies := map[string][]byte{
+		"canonical":          canon,
+		"no final newline":   bytes.TrimSuffix(canon, []byte("\n")),
+		"empty":              nil,
+		"blank line":         []byte("\n"),
+		"crlf":               bytes.ReplaceAll(canon, []byte("\n"), []byte("\r\n")),
+		"split object":       cat(first[:40], []byte("\n"), first[40:], canon),
+		"two on one line":    cat(bytes.TrimSuffix(first, []byte("\n")), canon),
+		"trailing garbage":   cat(canon, []byte("}garbage\n")),
+		"invalid canonical":  cat(canon, bogus, canon),
+		"invalid fallback":   cat(canon, noIP),
+		"escaped html":       cat(canon, []byte(`{"ts":"2016-12-01T00:00:00Z","ip":"10.0.0.2","browser":"<b>","plt_ms":1}`+"\n")),
+		"reordered":          cat([]byte(`{"ip":"10.0.0.2","ts":"2016-12-01T00:00:00Z","browser":"x","plt_ms":1}`+"\n"), canon),
+		"over max body":      huge,
+		"bad then oversized": cat([]byte("{nope}\n"), huge),
+	}
+	for name, body := range bodies {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			col := NewCollector(WithSpool(logio.NewSpool(dir, "rum", false, 0)))
+			w := httptest.NewRecorder()
+			col.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/beacons", bytes.NewReader(body)))
+			if err := col.Close(); err != nil {
+				t.Fatal(err)
+			}
+			var spooled []byte
+			files, err := logio.SpoolFiles(dir, "rum")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range files {
+				b, err := os.ReadFile(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				spooled = append(spooled, b...)
+			}
+			status, resp, want := referenceHandle(body)
+			if w.Code != status || w.Body.String() != resp {
+				t.Fatalf("answer %d %q, reference %d %q", w.Code, w.Body.String(), status, resp)
+			}
+			if !bytes.Equal(spooled, want) {
+				t.Fatalf("spooled %q, reference %q", spooled, want)
+			}
+		})
 	}
 }
