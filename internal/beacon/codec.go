@@ -3,6 +3,7 @@ package beacon
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"strconv"
 	"time"
 	"unicode/utf8"
@@ -68,6 +69,25 @@ func DecodeRecord(data []byte, r *Record) error {
 	return json.Unmarshal(data, r)
 }
 
+// Replay gives the bytes a read returned, then the read's error (io.EOF
+// when the read ended cleanly). A caller that read a body whole for the
+// fast path hands its fallback decoder this reader, so the decoder sees
+// what reading the body itself would have shown it: a json.Decoder stops
+// at the end of its first value, so whether it meets the error depends on
+// how far into the bytes that value runs.
+func Replay(read []byte, err error) io.Reader {
+	return io.MultiReader(bytes.NewReader(read), failReader{err})
+}
+
+type failReader struct{ err error }
+
+func (f failReader) Read([]byte) (int, error) {
+	if f.err == nil {
+		return 0, io.EOF
+	}
+	return 0, f.err
+}
+
 // ParseCanonical decodes data when it is exactly a canonical record line
 // (see AppendRecord), with no trailing newline, and reports whether it
 // was. A false return says nothing about whether data is a valid record;
@@ -106,28 +126,28 @@ type canonicalLine struct {
 // cutCanonical cuts data into its values when it has the canonical form.
 func cutCanonical(data []byte) (l canonicalLine, ok bool) {
 	var v []byte
-	if l.ts, data, ok = canonicalField(data, `{"ts":`); !ok {
+	if l.ts, data, ok = CanonicalField(data, `{"ts":`); !ok {
 		return l, false
 	}
-	if v, data, ok = canonicalField(data, `,"ip":`); !ok {
+	if v, data, ok = CanonicalField(data, `,"ip":`); !ok {
 		return l, false
 	}
 	l.ip = v[1 : len(v)-1]
 	// conn and rat are omitted when empty, so a present one is non-empty.
-	if v, rest, ok := canonicalField(data, `,"conn":`); ok && len(v) > 2 {
+	if v, rest, ok := CanonicalField(data, `,"conn":`); ok && len(v) > 2 {
 		l.conn, data = v[1:len(v)-1], rest
 	}
-	if v, rest, ok := canonicalField(data, `,"rat":`); ok && len(v) > 2 {
+	if v, rest, ok := CanonicalField(data, `,"rat":`); ok && len(v) > 2 {
 		l.rat, data = v[1:len(v)-1], rest
 	}
-	if v, data, ok = canonicalField(data, `,"browser":`); !ok {
+	if v, data, ok = CanonicalField(data, `,"browser":`); !ok {
 		return l, false
 	}
 	l.browser = v[1 : len(v)-1]
 	if data, ok = bytes.CutPrefix(data, []byte(`,"plt_ms":`)); !ok {
 		return l, false
 	}
-	if l.pltMS, data, ok = canonicalInt(data); !ok || len(data) != 1 || data[0] != '}' {
+	if l.pltMS, data, ok = CanonicalInt(data); !ok || len(data) != 1 || data[0] != '}' {
 		return l, false
 	}
 	return l, true
@@ -146,9 +166,11 @@ var plain = func() (t [256]bool) {
 	return t
 }()
 
-// canonicalField cuts key and the canonical string after it from data.
-// It returns the string with its quotes and the rest of data.
-func canonicalField(data []byte, key string) (quoted, rest []byte, ok bool) {
+// CanonicalField cuts key and the canonical string after it from data: a
+// quoted run of printable ASCII holding no '"', '\\', '<', '>' or '&', so
+// one that AppendJSONString writes unescaped and encoding/json reads back
+// unchanged. It returns the string with its quotes and the rest of data.
+func CanonicalField(data []byte, key string) (quoted, rest []byte, ok bool) {
 	data, ok = bytes.CutPrefix(data, []byte(key))
 	if !ok || len(data) == 0 || data[0] != '"' {
 		return nil, nil, false
@@ -163,11 +185,11 @@ func canonicalField(data []byte, key string) (quoted, rest []byte, ok bool) {
 	return data[:i+1], data[i+1:], true
 }
 
-// canonicalInt cuts an integer as AppendIntField writes it: an optional
+// CanonicalInt cuts an integer as AppendIntField writes it: an optional
 // minus sign, then digits with no leading zero, and not "-0". Eighteen
 // digits at most, so it cannot overflow; longer ones are left to
 // encoding/json.
-func canonicalInt(data []byte) (n int, rest []byte, ok bool) {
+func CanonicalInt(data []byte) (n int, rest []byte, ok bool) {
 	neg := len(data) > 0 && data[0] == '-'
 	if neg {
 		data = data[1:]

@@ -31,9 +31,10 @@ func allocTestMap(t testing.TB) *Map {
 }
 
 // TestZeroAllocServingPath is the allocation regression gate for the
-// single-node request path: Map.Lookup and LookupAddr must both run
-// without allocating, on hits and misses, v4 and v6. CI runs this test by
-// name so a regression fails the build.
+// single-node request path: Map.Lookup, LookupAddr and encoding the
+// answer into a buffer with room for it must all run without allocating,
+// on hits and misses, v4 and v6. CI runs this test by name so a
+// regression fails the build.
 func TestZeroAllocServingPath(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under -race")
@@ -63,6 +64,15 @@ func TestZeroAllocServingPath(t *testing.T) {
 				LookupAddr(m, 3, p.addr, name)
 			}); n != 0 {
 				t.Errorf("LookupAddr(%s) allocates %.1f times per op, want 0", p.addr, n)
+			}
+		})
+		t.Run("AppendLookupResponse/"+p.name, func(t *testing.T) {
+			resp := LookupAddr(m, 3, p.addr, p.addr.String())
+			buf := make([]byte, 0, 256)
+			if n := testing.AllocsPerRun(1000, func() {
+				buf, _ = AppendLookupResponse(buf[:0], resp)
+			}); n != 0 {
+				t.Errorf("AppendLookupResponse(%s) allocates %.1f times per op, want 0", p.addr, n)
 			}
 		})
 	}

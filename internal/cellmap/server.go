@@ -1,13 +1,16 @@
 package cellmap
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/netip"
 	"strconv"
+	"sync"
 
+	"cellspot/internal/beacon"
 	"cellspot/internal/obs/httpmw"
 )
 
@@ -287,9 +290,8 @@ func DecodeBatch(w http.ResponseWriter, r *http.Request) ([]netip.Addr, []string
 			"gen parameter is not supported on batch lookups; use GET /v1/lookup?ip=X&gen=N per address")
 		return nil, nil, false
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBatchBody)
-	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	ips, err := readBatch(w, r)
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			WriteError(w, http.StatusRequestEntityTooLarge,
@@ -299,17 +301,17 @@ func DecodeBatch(w http.ResponseWriter, r *http.Request) ([]netip.Addr, []string
 		WriteError(w, http.StatusBadRequest, "bad batch request: "+err.Error())
 		return nil, nil, false
 	}
-	if len(req.IPs) == 0 {
+	if len(ips) == 0 {
 		WriteError(w, http.StatusBadRequest, "empty batch: body must carry a non-empty ips array")
 		return nil, nil, false
 	}
-	if len(req.IPs) > DefaultBatchLimit {
+	if len(ips) > DefaultBatchLimit {
 		WriteError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d addresses exceeds limit %d", len(req.IPs), DefaultBatchLimit))
+			fmt.Sprintf("batch of %d addresses exceeds limit %d", len(ips), DefaultBatchLimit))
 		return nil, nil, false
 	}
-	addrs := make([]netip.Addr, 0, len(req.IPs))
-	for i, s := range req.IPs {
+	addrs := make([]netip.Addr, 0, len(ips))
+	for i, s := range ips {
 		a, err := netip.ParseAddr(s)
 		if err != nil {
 			WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad ip at index %d: %v", i, err))
@@ -317,20 +319,52 @@ func DecodeBatch(w http.ResponseWriter, r *http.Request) ([]netip.Addr, []string
 		}
 		addrs = append(addrs, a)
 	}
-	return addrs, req.IPs, true
+	return addrs, ips, true
 }
 
-// WriteJSON marshals v before touching the ResponseWriter, so an encoding
-// failure can still produce a well-formed 500 instead of a half-written
-// 200.
+// bufPool holds the buffers batch bodies are read into and answers are
+// encoded into. Neither outlives its request: the strings decoded from a
+// body are copies, and a Write does not retain what it writes.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// readBatch reads a batch body under the maxBatchBody bound and returns
+// its ips. A canonical body, read without error, takes the codec's fast
+// path. Any other body, and any read that failed, is replayed, bytes
+// then error, through the json.Decoder that decides it: the decoder reads
+// only up to the end of the first value, so trailing bytes and a body
+// over the bound behave as they do when it reads the request directly.
+func readBatch(w http.ResponseWriter, r *http.Request) ([]string, error) {
+	bp := bufPool.Get().(*[]byte)
+	defer bufPool.Put(bp)
+	buf := bytes.NewBuffer((*bp)[:0])
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBatchBody))
+	*bp = buf.Bytes()
+	if err == nil {
+		if ips, ok := parseBatchRequest(*bp); ok {
+			return ips, nil
+		}
+	}
+	var req BatchRequest
+	if err := json.NewDecoder(beacon.Replay(*bp, err)).Decode(&req); err != nil {
+		return nil, err
+	}
+	return req.IPs, nil
+}
+
+// WriteJSON encodes v (AppendJSON) before touching the ResponseWriter, so
+// an encoding failure can still produce a well-formed 500 instead of a
+// half-written 200.
 func WriteJSON(w http.ResponseWriter, v any) {
-	body, err := json.Marshal(v)
+	bp := bufPool.Get().(*[]byte)
+	defer bufPool.Put(bp)
+	body, err := AppendJSON((*bp)[:0], v)
 	if err != nil {
 		WriteError(w, http.StatusInternalServerError, "encoding response: "+err.Error())
 		return
 	}
+	*bp = body
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(body, '\n'))
+	w.Write(body)
 }
 
 // PrunedError reports a generation-addressed request for a seq the store

@@ -3,11 +3,11 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/netip"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -416,11 +416,12 @@ func clampDuration(d, lo, hi time.Duration) time.Duration {
 func (g *Gateway) Lookup(ctx context.Context, addr netip.Addr) (int, []byte, error) {
 	resp, minGen, ok := g.cache.get(addr)
 	if ok {
-		body, err := json.Marshal(resp)
+		// 256 bytes hold most answers: a v6 hit with its RAT split runs to ~200.
+		body, err := cellmap.AppendJSON(make([]byte, 0, 256), resp)
 		if err != nil {
 			return 0, nil, err
 		}
-		return http.StatusOK, append(body, '\n'), nil
+		return http.StatusOK, body, nil
 	}
 	shard := g.ring.Owner(addr)
 	res, err := g.forward(ctx, shard, minGen, func(url string) (*http.Request, error) {
@@ -431,7 +432,7 @@ func (g *Gateway) Lookup(ctx context.Context, addr netip.Addr) (int, []byte, err
 	}
 	if res.status == http.StatusOK {
 		var lr cellmap.LookupResponse
-		if err := json.Unmarshal(res.body, &lr); err == nil {
+		if err := cellmap.DecodeLookupResponse(res.body, &lr); err == nil {
 			g.cache.put(lr.Generation, addr, lr)
 		}
 	}
@@ -471,14 +472,8 @@ func (g *Gateway) History(ctx context.Context, addr netip.Addr) (int, []byte, er
 
 // shardFetch posts one sub-batch to a shard and decodes the answer.
 func (g *Gateway) shardFetch(ctx context.Context, shard int, minGen uint64, addrs []netip.Addr) (cellmap.BatchResponse, error) {
-	ips := make([]string, len(addrs))
-	for i, a := range addrs {
-		ips[i] = a.String()
-	}
-	payload, err := json.Marshal(cellmap.BatchRequest{IPs: ips})
-	if err != nil {
-		return cellmap.BatchResponse{}, err
-	}
+	// Room for v4 addresses, quoted and comma-separated; v6 ones grow it.
+	payload := cellmap.AppendBatchRequest(make([]byte, 0, 16+16*len(addrs)), addrs)
 	res, err := g.forward(ctx, shard, minGen, func(url string) (*http.Request, error) {
 		req, err := http.NewRequest(http.MethodPost, url+"/v1/lookup/batch", bytes.NewReader(payload))
 		if err != nil {
@@ -495,7 +490,7 @@ func (g *Gateway) shardFetch(ctx context.Context, shard int, minGen uint64, addr
 			shard, res.status, strings.TrimSpace(string(res.body)))
 	}
 	var br cellmap.BatchResponse
-	if err := json.Unmarshal(res.body, &br); err != nil {
+	if err := cellmap.DecodeBatchResponse(res.body, &br); err != nil {
 		return cellmap.BatchResponse{}, fmt.Errorf("shard %d: bad batch body: %w", shard, err)
 	}
 	if len(br.Results) != len(addrs) {
@@ -816,23 +811,34 @@ func (g *Gateway) Mount(r httpmw.Router) {
 }
 
 // latencyTracker keeps a small ring of recent request latencies per shard
-// and answers "what is p95 right now" for the hedging policy. A mutex is
-// fine here: the gateway path does network I/O around it.
+// and answers "what is p95 right now" for the hedging policy. Next to the
+// ring it keeps the same samples sorted, so observe moves one sample out
+// and one in, and p95 is one index. A mutex is fine here: the gateway path
+// does network I/O around it.
 type latencyTracker struct {
 	mu      sync.Mutex
-	samples [128]time.Duration
-	n       int // filled entries
-	idx     int // next write position
+	samples [128]time.Duration // in arrival order
+	sorted  [128]time.Duration // sorted[:n] holds samples[:n], ascending
+	n       int                // filled entries
+	idx     int                // next write position
 }
 
 func (t *latencyTracker) observe(d time.Duration) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := t.n
+	if n == len(t.samples) {
+		// d overwrites the oldest sample: take one copy of it out.
+		i, _ := slices.BinarySearch(t.sorted[:n], t.samples[t.idx])
+		copy(t.sorted[i:], t.sorted[i+1:n])
+		n--
+	}
+	j, _ := slices.BinarySearch(t.sorted[:n], d)
+	copy(t.sorted[j+1:n+1], t.sorted[j:n])
+	t.sorted[j] = d
+	t.n = n + 1
 	t.samples[t.idx] = d
 	t.idx = (t.idx + 1) % len(t.samples)
-	if t.n < len(t.samples) {
-		t.n++
-	}
-	t.mu.Unlock()
 }
 
 // p95 returns the 95th-percentile latency, or ok=false while fewer than
@@ -843,13 +849,5 @@ func (t *latencyTracker) p95() (time.Duration, bool) {
 	if t.n < 16 {
 		return 0, false
 	}
-	tmp := make([]time.Duration, t.n)
-	copy(tmp, t.samples[:t.n])
-	// Insertion sort: n <= 128 and this runs once per request at most.
-	for i := 1; i < len(tmp); i++ {
-		for j := i; j > 0 && tmp[j] < tmp[j-1]; j-- {
-			tmp[j], tmp[j-1] = tmp[j-1], tmp[j]
-		}
-	}
-	return tmp[(len(tmp)*95)/100], true
+	return t.sorted[t.n*95/100], true
 }

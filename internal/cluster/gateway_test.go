@@ -5,9 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -419,5 +422,67 @@ func TestQuorumGenDeprioritizesLaggards(t *testing.T) {
 			t.Errorf("trial %d: lagging replica ranked %v, want last", trial,
 				[]int{order[0].index, order[1].index, order[2].index})
 		}
+	}
+}
+
+// p95Ref is the hedge p95 as it was computed before the sorted window:
+// copy the filled ring, sort the copy, index it.
+func p95Ref(t *latencyTracker) (time.Duration, bool) {
+	if t.n < 16 {
+		return 0, false
+	}
+	tmp := slices.Clone(t.samples[:t.n])
+	slices.Sort(tmp)
+	return tmp[len(tmp)*95/100], true
+}
+
+// TestLatencyTrackerP95MatchesSort drives trackers through more samples
+// than the ring holds, from value sets small enough to repeat durations
+// often, and checks after every observe that p95 equals the copy-and-sort
+// rule (the cold answer below 16 samples included) and that the sorted
+// window holds exactly the ring's samples.
+func TestLatencyTrackerP95MatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 11))
+	for _, distinct := range []int{1, 3, 40, 1 << 30} {
+		tr := &latencyTracker{}
+		for i := 0; i < 3*len(tr.samples)+17; i++ {
+			tr.observe(time.Duration(rng.IntN(distinct)))
+			got, gotOK := tr.p95()
+			want, wantOK := p95Ref(tr)
+			if got != want || gotOK != wantOK {
+				t.Fatalf("%d distinct values, after %d samples: p95 = %v (%v), copy-and-sort %v (%v)",
+					distinct, i+1, got, gotOK, want, wantOK)
+			}
+			ring := slices.Clone(tr.samples[:tr.n])
+			slices.Sort(ring)
+			if !slices.Equal(ring, tr.sorted[:tr.n]) {
+				t.Fatalf("%d distinct values, after %d samples: sorted window %v, ring holds %v",
+					distinct, i+1, tr.sorted[:tr.n], ring)
+			}
+		}
+	}
+}
+
+// TestLatencyTrackerConcurrent observes and reads one tracker from several
+// goroutines at once, as issueOne and hedgedTry do, then checks that the
+// sorted window still holds exactly the ring's samples.
+func TestLatencyTrackerConcurrent(t *testing.T) {
+	tr := &latencyTracker{}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				tr.observe(time.Duration((g*7919 + i*104729) % 1000))
+				tr.p95()
+			}
+		}(g)
+	}
+	wg.Wait()
+	ring := slices.Clone(tr.samples[:tr.n])
+	slices.Sort(ring)
+	if tr.n != len(tr.samples) || !slices.Equal(ring, tr.sorted[:tr.n]) {
+		t.Fatalf("after concurrent use: %d samples, sorted window %v, ring holds %v", tr.n, tr.sorted[:tr.n], ring)
 	}
 }

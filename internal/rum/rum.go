@@ -161,7 +161,7 @@ func (c *Collector) handleBeacons(w http.ResponseWriter, r *http.Request) {
 		batch, msg, ok = decodeCanonicalBatch(body)
 	}
 	if !ok {
-		batch, msg = decodeBatch(io.MultiReader(bytes.NewReader(body), failReader{err}))
+		batch, msg = decodeBatch(beacon.Replay(body, err))
 	}
 	if msg != "" {
 		c.reject(1)
@@ -219,18 +219,6 @@ func decodeBatch(r io.Reader) (batch []beacon.Record, msg string) {
 		}
 		batch = append(batch, rec)
 	}
-}
-
-// failReader replays a body read's error after its bytes (io.EOF when
-// the read ended cleanly), so decodeBatch sees what reading the request
-// body itself would have shown it.
-type failReader struct{ err error }
-
-func (f failReader) Read([]byte) (int, error) {
-	if f.err == nil {
-		return 0, io.EOF
-	}
-	return 0, f.err
 }
 
 func (c *Collector) accept(batch []beacon.Record) error {
