@@ -8,6 +8,7 @@ package demand
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"cellspot/internal/netaddr"
 	"cellspot/internal/par"
@@ -29,31 +30,40 @@ type Dataset struct {
 // NewDataset builds a normalized dataset from raw per-block weights.
 // Weights may be any non-negative values; they are scaled to sum to TotalDU.
 func NewDataset(raw map[netaddr.Block]float64) (*Dataset, error) {
-	// Sum and scale in canonical block order: float addition is not
-	// associative, and map iteration order would otherwise make two runs
-	// of the same world differ in their last bits.
-	keys := make([]netaddr.Block, 0, len(raw))
+	entries := make([]BlockDU, 0, len(raw))
 	for b, v := range raw {
-		if v < 0 {
-			return nil, fmt.Errorf("demand: negative demand for %v", b)
-		}
-		keys = append(keys, b)
+		entries = append(entries, BlockDU{Block: b, DU: v})
 	}
-	netaddr.SortBlocks(keys)
+	return newDataset(entries)
+}
+
+// newDataset sorts entries, one per distinct block, into canonical block
+// order and scales their weights to sum to TotalDU; it reorders entries in
+// place. Summing and scaling run in that order because float addition is
+// not associative: map or shard order would make two runs of the same
+// world differ in their last bits. A negative weight is reported for the
+// first such block in canonical order, so the error is the same on every
+// call.
+func newDataset(entries []BlockDU) (*Dataset, error) {
+	slices.SortFunc(entries, func(a, b BlockDU) int { return a.Block.Compare(b.Block) })
 	sum := 0.0
-	for _, b := range keys {
-		sum += raw[b]
+	for _, e := range entries {
+		if e.DU < 0 {
+			return nil, fmt.Errorf("demand: negative demand for %v", e.Block)
+		}
+		sum += e.DU
 	}
-	d := &Dataset{du: make(map[netaddr.Block]float64, len(raw))}
+	d := &Dataset{du: make(map[netaddr.Block]float64, len(entries))}
 	if sum == 0 {
 		return d, nil
 	}
+	d.keys = make([]netaddr.Block, 0, len(entries))
 	f := TotalDU / sum
-	for _, b := range keys {
-		if v := raw[b]; v > 0 {
-			d.du[b] = v * f
-			d.keys = append(d.keys, b)
-			d.total += v * f
+	for _, e := range entries {
+		if e.DU > 0 {
+			d.du[e.Block] = e.DU * f
+			d.keys = append(d.keys, e.Block)
+			d.total += e.DU * f
 		}
 	}
 	return d, nil
@@ -186,11 +196,11 @@ func rollup(w *world.World, cfg GenConfig, fold func(days []float64) float64) (*
 		}
 	})
 
-	raw := make(map[netaddr.Block]float64, len(blocks))
+	entries := make([]BlockDU, len(blocks))
 	for i, b := range blocks {
-		raw[b.Block] = fold(vals[i*cfg.Days : (i+1)*cfg.Days])
+		entries[i] = BlockDU{Block: b.Block, DU: fold(vals[i*cfg.Days : (i+1)*cfg.Days])}
 	}
-	return NewDataset(raw)
+	return newDataset(entries)
 }
 
 // Generate builds the normalized dataset the paper analyzes: each block's

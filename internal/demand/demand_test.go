@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -59,6 +60,28 @@ func TestNewDatasetErrors(t *testing.T) {
 	d, err := NewDataset(nil)
 	if err != nil || d.Total() != 0 || d.Blocks() != 0 {
 		t.Error("empty dataset mishandled")
+	}
+}
+
+// TestNewDatasetNegativeErrorStable pins the error for an input with more
+// than one negative block: it names the first in canonical order on every
+// call, whatever order map iteration reaches them in.
+func TestNewDatasetNegativeErrorStable(t *testing.T) {
+	raw := map[netaddr.Block]float64{
+		netaddr.V4Block(9, 0, 0):        -2,
+		netaddr.V4Block(3, 0, 0):        -1,
+		netaddr.V4Block(1, 0, 0):        5,
+		netaddr.V6Block(0x200100000001): -3,
+	}
+	want := fmt.Sprintf("demand: negative demand for %v", netaddr.V4Block(3, 0, 0))
+	for i := 0; i < 20; i++ {
+		_, err := NewDataset(raw)
+		if err == nil {
+			t.Fatal("negative demand accepted")
+		}
+		if err.Error() != want {
+			t.Fatalf("call %d: error %q, want %q", i, err, want)
+		}
 	}
 }
 

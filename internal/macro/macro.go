@@ -110,53 +110,58 @@ func Build(in Inputs) *Analysis {
 		}
 	}
 
-	isCell := func(b netaddr.Block, asNum uint32) bool {
-		if !in.Detected.Has(b) {
-			return false
+	// Many blocks share an AS, and the whois, country and continent
+	// lookups depend on the AS alone, so each AS resolves once per call.
+	memo := make(map[uint32]asRow)
+	rowOf := func(b netaddr.Block) (asRow, bool) {
+		asNum, ok := in.ASOf(b)
+		if !ok {
+			return asRow{}, false
 		}
-		return in.CellularASes == nil || in.CellularASes[asNum]
+		r, ok := memo[asNum]
+		if !ok {
+			if c, known := countryOfAS(in, asNum); known {
+				r = asRow{
+					country:   a.ByCountry[c.Code],
+					continent: a.ByContinent[c.Continent],
+					cellAS:    in.CellularASes == nil || in.CellularASes[asNum],
+				}
+			}
+			memo[asNum] = r
+		}
+		return r, r.country != nil
 	}
 	if in.Demand != nil {
 		in.Demand.Each(func(b netaddr.Block, du float64) {
-			asNum, ok := in.ASOf(b)
+			r, ok := rowOf(b)
 			if !ok {
 				return
 			}
-			c, ok := countryOfAS(in, asNum)
-			if !ok {
-				return
-			}
-			cs := a.ByCountry[c.Code]
-			cs.TotalDU += du
-			cell := isCell(b, asNum)
+			r.country.TotalDU += du
+			cell := r.cellAS && in.Detected.Has(b)
 			if cell {
-				cs.CellDU += du
+				r.country.CellDU += du
 			}
-			if c.ExcludeDemand {
+			if r.country.Country.ExcludeDemand {
 				a.ExcludedDU += du
 				return
 			}
-			cont := a.ByContinent[c.Continent]
-			cont.TotalDU += du
+			r.continent.TotalDU += du
 			a.GlobalDU += du
 			if cell {
-				cont.CellDU += du
+				r.continent.CellDU += du
 				a.GlobalCellDU += du
 			}
 		})
 	}
 	if in.Beacon != nil {
 		for b := range in.Beacon.PerBlock {
-			asNum, ok := in.ASOf(b)
+			r, ok := rowOf(b)
 			if !ok {
 				continue
 			}
-			c, ok := countryOfAS(in, asNum)
-			if !ok {
-				continue
-			}
-			cs, cont := a.ByCountry[c.Code], a.ByContinent[c.Continent]
-			cell := isCell(b, asNum)
+			cs, cont := r.country, r.continent
+			cell := r.cellAS && in.Detected.Has(b)
 			if b.IsV6() {
 				cs.Active48++
 				cont.Active48++
@@ -175,6 +180,15 @@ func Build(in Inputs) *Analysis {
 		}
 	}
 	return a
+}
+
+// asRow is what Build needs of one AS: the rows its blocks add to and
+// whether its detected blocks count as cellular. A nil country marks an
+// AS with no known country, whose blocks Build skips.
+type asRow struct {
+	country   *CountryStats
+	continent *ContinentStats
+	cellAS    bool
 }
 
 // countryOfAS resolves an AS number to its country profile.

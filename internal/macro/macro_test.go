@@ -4,10 +4,13 @@ import (
 	"math"
 	"testing"
 
+	"cellspot/internal/aschar"
 	"cellspot/internal/beacon"
+	"cellspot/internal/classify"
 	"cellspot/internal/demand"
 	"cellspot/internal/geo"
 	"cellspot/internal/netaddr"
+	"cellspot/internal/world"
 )
 
 // fixture: two countries (US included, CN excluded) with one cellular and
@@ -205,5 +208,192 @@ func TestBuildNilDatasets(t *testing.T) {
 	a := Build(in)
 	if a.GlobalDU != 0 || a.ByCountry["US"].Active24 != 0 {
 		t.Error("nil datasets produced data")
+	}
+}
+
+// oracleBuild is Build with every lookup made per block: ASOf, CountryOf,
+// Countries.Lookup, the country and continent rows and the cellular-AS
+// check for each demand and beacon block. Build resolves each AS once;
+// it must reproduce this bit for bit.
+func oracleBuild(in Inputs) *Analysis {
+	a := &Analysis{
+		ByCountry:   make(map[string]*CountryStats),
+		ByContinent: make(map[geo.Continent]*ContinentStats),
+	}
+	for _, ct := range geo.Continents() {
+		a.ByContinent[ct] = &ContinentStats{Continent: ct}
+	}
+	for _, c := range in.Countries.All() {
+		a.ByCountry[c.Code] = &CountryStats{Country: c}
+		if !c.ExcludeDemand {
+			a.ByContinent[c.Continent].SubscribersM += c.SubscribersM
+		}
+	}
+	isCell := func(b netaddr.Block, asNum uint32) bool {
+		if !in.Detected.Has(b) {
+			return false
+		}
+		return in.CellularASes == nil || in.CellularASes[asNum]
+	}
+	in.Demand.Each(func(b netaddr.Block, du float64) {
+		asNum, ok := in.ASOf(b)
+		if !ok {
+			return
+		}
+		c, ok := countryOfAS(in, asNum)
+		if !ok {
+			return
+		}
+		cs := a.ByCountry[c.Code]
+		cs.TotalDU += du
+		cell := isCell(b, asNum)
+		if cell {
+			cs.CellDU += du
+		}
+		if c.ExcludeDemand {
+			a.ExcludedDU += du
+			return
+		}
+		cont := a.ByContinent[c.Continent]
+		cont.TotalDU += du
+		a.GlobalDU += du
+		if cell {
+			cont.CellDU += du
+			a.GlobalCellDU += du
+		}
+	})
+	for b := range in.Beacon.PerBlock {
+		asNum, ok := in.ASOf(b)
+		if !ok {
+			continue
+		}
+		c, ok := countryOfAS(in, asNum)
+		if !ok {
+			continue
+		}
+		cs, cont := a.ByCountry[c.Code], a.ByContinent[c.Continent]
+		cell := isCell(b, asNum)
+		if b.IsV6() {
+			cs.Active48++
+			cont.Active48++
+			if cell {
+				cs.Cell48++
+				cont.Cell48++
+			}
+		} else {
+			cs.Active24++
+			cont.Active24++
+			if cell {
+				cs.Cell24++
+				cont.Cell24++
+			}
+		}
+	}
+	return a
+}
+
+// sameBits reports whether two floats have the same bit pattern.
+func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+
+// diffAnalysis reports every field of got that differs from want, floats
+// compared by their bits.
+func diffAnalysis(t *testing.T, name string, got, want *Analysis) {
+	t.Helper()
+	if !sameBits(got.GlobalDU, want.GlobalDU) || !sameBits(got.GlobalCellDU, want.GlobalCellDU) ||
+		!sameBits(got.ExcludedDU, want.ExcludedDU) {
+		t.Errorf("%s: globals %v/%v/%v, want %v/%v/%v", name,
+			got.GlobalDU, got.GlobalCellDU, got.ExcludedDU, want.GlobalDU, want.GlobalCellDU, want.ExcludedDU)
+	}
+	if len(got.ByCountry) != len(want.ByCountry) {
+		t.Errorf("%s: %d countries, want %d", name, len(got.ByCountry), len(want.ByCountry))
+	}
+	for code, w := range want.ByCountry {
+		g := got.ByCountry[code]
+		if g == nil {
+			t.Errorf("%s: country %s missing", name, code)
+			continue
+		}
+		if g.Country != w.Country || !sameBits(g.TotalDU, w.TotalDU) || !sameBits(g.CellDU, w.CellDU) ||
+			g.Active24 != w.Active24 || g.Active48 != w.Active48 || g.Cell24 != w.Cell24 || g.Cell48 != w.Cell48 {
+			t.Errorf("%s: country %s = %+v, want %+v", name, code, *g, *w)
+		}
+	}
+	if len(got.ByContinent) != len(want.ByContinent) {
+		t.Errorf("%s: %d continents, want %d", name, len(got.ByContinent), len(want.ByContinent))
+	}
+	for ct, w := range want.ByContinent {
+		g := got.ByContinent[ct]
+		if g == nil {
+			t.Errorf("%s: continent %v missing", name, ct)
+			continue
+		}
+		if g.Continent != w.Continent || !sameBits(g.TotalDU, w.TotalDU) || !sameBits(g.CellDU, w.CellDU) ||
+			!sameBits(g.SubscribersM, w.SubscribersM) || g.Active24 != w.Active24 ||
+			g.Active48 != w.Active48 || g.Cell24 != w.Cell24 || g.Cell48 != w.Cell48 {
+			t.Errorf("%s: continent %v = %+v, want %+v", name, ct, *g, *w)
+		}
+	}
+}
+
+// TestBuildMatchesPerBlockOracle runs Build and oracleBuild on a Scale-0.005
+// world, with every detected block counted and with only the ASes that
+// pass the paper's AS filter. Some blocks lose their AS and some ASes
+// their country, so the memo's unknown rows are exercised too.
+func TestBuildMatchesPerBlockOracle(t *testing.T) {
+	wcfg := world.DefaultConfig()
+	wcfg.Scale = 0.005
+	w, err := world.Generate(wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := beacon.Generate(w, beacon.DefaultGenConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := demand.Generate(w, demand.DefaultGenConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls, err := classify.New(classify.DefaultThreshold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	detected := cls.Classify(agg)
+	asOf := func(b netaddr.Block) (uint32, bool) {
+		bi := w.BlockIndex[b]
+		if bi == nil || b.Key()%17 == 0 {
+			return 0, false
+		}
+		return bi.ASN, true
+	}
+	countryOf := func(a uint32) (string, bool) {
+		as, ok := w.Registry.Lookup(a)
+		switch {
+		case !ok:
+			return "", false
+		case a%13 == 0:
+			return "XX", true // not in the country table
+		}
+		return as.Country, true
+	}
+	stats := aschar.BuildStats(aschar.Inputs{Detected: detected, Beacon: agg, Demand: ds, ASOf: asOf})
+	fr := aschar.Filter(stats, aschar.DefaultRules(w.Snapshot))
+	cellASes := make(map[uint32]bool, len(fr.AfterRule3))
+	for _, a := range fr.AfterRule3 {
+		cellASes[a] = true
+	}
+	if len(cellASes) == 0 {
+		t.Fatal("no AS passed the filter; the restricted case would test nothing")
+	}
+	in := Inputs{
+		Demand: ds, Beacon: agg, Detected: detected,
+		ASOf: asOf, CountryOf: countryOf, Countries: w.Countries,
+	}
+	diffAnalysis(t, "all detected", Build(in), oracleBuild(in))
+	in.CellularASes = cellASes
+	got, want := Build(in), oracleBuild(in)
+	diffAnalysis(t, "cellular ASes", got, want)
+	if want.GlobalCellDU == 0 || want.ExcludedDU == 0 {
+		t.Errorf("oracle reads GlobalCellDU %v, ExcludedDU %v: the world exercises too little", want.GlobalCellDU, want.ExcludedDU)
 	}
 }

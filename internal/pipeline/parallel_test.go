@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"testing"
 
 	"cellspot/internal/aschar"
@@ -108,6 +110,129 @@ func diffMetrics(t *testing.T, id string, a, b map[string]float64) {
 	}
 }
 
+// bitDiff returns the path of the first place where a and b differ, or ""
+// when they hold the same values. It follows pointers, matches map
+// entries by key and compares floats by their bits, so it is stricter
+// than reflect.DeepEqual: -0 differs from +0, and a NaN equals itself.
+func bitDiff(path string, a, b reflect.Value) string {
+	switch a.Kind() {
+	case reflect.Pointer:
+		if a.IsNil() || b.IsNil() {
+			if a.IsNil() != b.IsNil() {
+				return path + ": nil on one side"
+			}
+			return ""
+		}
+		return bitDiff(path, a.Elem(), b.Elem())
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if d := bitDiff(path+"."+a.Type().Field(i).Name, a.Field(i), b.Field(i)); d != "" {
+				return d
+			}
+		}
+	case reflect.Slice:
+		if a.Len() != b.Len() {
+			return fmt.Sprintf("%s: length %d vs %d", path, a.Len(), b.Len())
+		}
+		for i := 0; i < a.Len(); i++ {
+			if d := bitDiff(fmt.Sprintf("%s[%d]", path, i), a.Index(i), b.Index(i)); d != "" {
+				return d
+			}
+		}
+	case reflect.Map:
+		if a.Len() != b.Len() {
+			return fmt.Sprintf("%s: %d entries vs %d", path, a.Len(), b.Len())
+		}
+		for it := a.MapRange(); it.Next(); {
+			k := fmt.Sprintf("%s[%v]", path, it.Key())
+			bv := b.MapIndex(it.Key())
+			if !bv.IsValid() {
+				return k + ": missing on one side"
+			}
+			if d := bitDiff(k, it.Value(), bv); d != "" {
+				return d
+			}
+		}
+	case reflect.Float32, reflect.Float64:
+		if math.Float64bits(a.Float()) != math.Float64bits(b.Float()) {
+			return fmt.Sprintf("%s: %v vs %v", path, a.Float(), b.Float())
+		}
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		if a.Int() != b.Int() {
+			return fmt.Sprintf("%s: %d vs %d", path, a.Int(), b.Int())
+		}
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		if a.Uint() != b.Uint() {
+			return fmt.Sprintf("%s: %d vs %d", path, a.Uint(), b.Uint())
+		}
+	case reflect.Bool:
+		if a.Bool() != b.Bool() {
+			return fmt.Sprintf("%s: %v vs %v", path, a.Bool(), b.Bool())
+		}
+	case reflect.String:
+		if a.String() != b.String() {
+			return fmt.Sprintf("%s: %q vs %q", path, a.String(), b.String())
+		}
+	default:
+		return fmt.Sprintf("%s: cannot compare a %v", path, a.Kind())
+	}
+	return ""
+}
+
+func TestBitDiff(t *testing.T) {
+	type row struct {
+		N  int
+		DU float64
+	}
+	nan := math.NaN()
+	same := []struct{ a, b any }{
+		{map[uint32]*row{1: {2, 0.5}}, map[uint32]*row{1: {2, 0.5}}},
+		{[]float64{nan}, []float64{nan}},
+		{(*row)(nil), (*row)(nil)},
+	}
+	for _, c := range same {
+		if d := bitDiff("v", reflect.ValueOf(c.a), reflect.ValueOf(c.b)); d != "" {
+			t.Errorf("%v vs %v: %s", c.a, c.b, d)
+		}
+	}
+	differ := []struct{ a, b any }{
+		{map[uint32]*row{1: {2, 0.5}}, map[uint32]*row{1: {2, 0.25}}},
+		{map[uint32]*row{1: {2, 0.5}}, map[uint32]*row{3: {2, 0.5}}},
+		{[]float64{0}, []float64{math.Copysign(0, -1)}},
+		{[]row{{1, 0}}, []row{{2, 0}}},
+		{&row{}, (*row)(nil)},
+		{map[string]float64{"a": 1}, map[string]float64{"a": 1, "b": 1}},
+	}
+	for _, c := range differ {
+		if d := bitDiff("v", reflect.ValueOf(c.a), reflect.ValueOf(c.b)); d == "" {
+			t.Errorf("%v vs %v: no difference reported", c.a, c.b)
+		}
+	}
+}
+
+// diffAnalysis compares every output Analyze writes, floats bitwise. The
+// branches that write them run on separate goroutines in a parallel run,
+// so each must match the serial oracle on its own.
+func diffAnalysis(t *testing.T, serial, parallel *Result) {
+	t.Helper()
+	outputs := []struct {
+		name string
+		s, p any
+	}{
+		{"Stats", serial.Stats, parallel.Stats},
+		{"Networks", serial.Networks, parallel.Networks},
+		{"Macro", serial.Macro, parallel.Macro},
+		{"RDNS", serial.RDNS, parallel.RDNS},
+		{"ResolverUsage", serial.ResolverUsage, parallel.ResolverUsage},
+		{"PublicDNS", serial.PublicDNS, parallel.PublicDNS},
+	}
+	for _, o := range outputs {
+		if d := bitDiff(o.name, reflect.ValueOf(o.s), reflect.ValueOf(o.p)); d != "" {
+			t.Errorf("serial vs parallel: %s", d)
+		}
+	}
+}
+
 // globalExperiments are the experiments that draw on the global run alone;
 // caseExperiments need the three-carrier case study.
 var globalExperiments = []string{"T1", "T2", "F1", "F2", "T4", "T5", "T6", "F4", "F5", "F7", "T7", "F9", "F10", "T8", "F11", "F12", "X2"}
@@ -161,6 +286,7 @@ func TestParallelSerialEquivalence(t *testing.T) {
 
 			diffSets(t, "Detected", serial.Detected, parallel.Detected)
 			diffFilter(t, serial.Filter, parallel.Filter)
+			diffAnalysis(t, serial, parallel)
 
 			// The no-smoothing ablation redraws day 0 at each run's own
 			// parallelism; the two draws must give the same AS churn.
@@ -215,6 +341,7 @@ func TestParallelSerialEquivalenceCaseStudy(t *testing.T) {
 			}
 			diffSets(t, "Detected", serial.Detected, parallel.Detected)
 			diffFilter(t, serial.Filter, parallel.Filter)
+			diffAnalysis(t, serial, parallel)
 
 			envS := &Env{Cfg: serial.Config, caseStudy: serial}
 			envP := &Env{Cfg: parallel.Config, caseStudy: parallel}

@@ -17,6 +17,7 @@ import (
 	"cellspot/internal/macro"
 	"cellspot/internal/netaddr"
 	"cellspot/internal/obs"
+	"cellspot/internal/par"
 	"cellspot/internal/rdns"
 	"cellspot/internal/world"
 )
@@ -31,12 +32,13 @@ type Config struct {
 	MinHits   int     // AS filter rule 2 (paper: 300 responses)
 
 	// Parallelism is the worker count for the sharded hot stages (world
-	// generation, BEACON synthesis, DEMAND jitter, classification):
-	// 0 = GOMAXPROCS, 1 = the serial oracle path. Run and RunOnWorld copy
-	// it into the stage configs, overriding their own Parallelism fields.
-	// Results are bit-identical at every setting — each shard draws from
-	// its own PCG(seed, streamConst^shardIndex) stream and shard outputs
-	// merge in shard order.
+	// generation, BEACON synthesis, DEMAND jitter, classification) and
+	// for Analyze's independent branches: 0 = GOMAXPROCS, 1 = the serial
+	// oracle path. Run and RunOnWorld copy it into the stage configs,
+	// overriding their own Parallelism fields. Results are bit-identical
+	// at every setting — each shard draws from its own
+	// PCG(seed, streamConst^shardIndex) stream, shard outputs merge in
+	// shard order, and each Analyze branch writes its own fields.
 	Parallelism int
 
 	// Metrics, when non-nil, receives per-stage wall-time histograms and
@@ -185,7 +187,33 @@ func (r *Result) Classify(threshold float64) error {
 }
 
 // Analyze runs the AS, macro and DNS stages from the current detection set.
+// Its three branches are independent: each reads only inputs complete
+// before Analyze starts, writes only its own Result fields and runs
+// serially inside, so they run concurrently under Config.Parallelism
+// (1 runs them in order) and every float keeps its summation order. No
+// branch may call ResolverAS, whose lazy index is written on first use.
 func (r *Result) Analyze() {
+	// par.Do hands out branches in index order, so the AS branch, the
+	// longest, starts first and the two shorter ones share the other
+	// worker when there are two.
+	par.Do(3, r.Config.Parallelism, func(i int) {
+		switch i {
+		case 0:
+			r.analyzeASes()
+		case 1:
+			r.RDNS = rdns.Corroborate(r.Detected, rdns.FromWorld(r.World), r.ASOf)
+		case 2:
+			r.ResolverUsage = dnsmap.ResolverUsage(r.World.AppendAffinity, r.Demand, r.Detected)
+			known := dnsmap.KnownPublicResolvers()
+			r.PublicDNS = dnsmap.PublicDNSByAS(r.World.AppendAffinity, r.Demand, r.Detected, r.ASOf,
+				func(a netip.Addr) string { return known[a] })
+		}
+	})
+}
+
+// analyzeASes is Analyze's AS branch: per-AS stats, the AS filter, the
+// characterized networks and the macroscopic rollup over them.
+func (r *Result) analyzeASes() {
 	in := aschar.Inputs{
 		Detected: r.Detected,
 		Beacon:   r.Beacon,
@@ -214,13 +242,6 @@ func (r *Result) Analyze() {
 		Countries:    r.World.Countries,
 		CellularASes: cellASes,
 	})
-
-	r.RDNS = rdns.Corroborate(r.Detected, rdns.FromWorld(r.World), r.ASOf)
-
-	r.ResolverUsage = dnsmap.ResolverUsage(r.World.AppendAffinity, r.Demand, r.Detected)
-	known := dnsmap.KnownPublicResolvers()
-	r.PublicDNS = dnsmap.PublicDNSByAS(r.World.AppendAffinity, r.Demand, r.Detected, r.ASOf,
-		func(a netip.Addr) string { return known[a] })
 }
 
 // MixedASSet returns the identified mixed cellular ASes as a set.
