@@ -70,99 +70,166 @@ func BuildStats(in Inputs) map[uint32]*Stats {
 
 // Rollup is the demand side of BuildStats: each AS's block count and
 // total demand over a DEMAND dataset, summed in the dataset's canonical
-// block order. It depends only on the dataset and the block→AS mapping,
-// so a caller that builds stats for a sequence of beacon aggregates over
-// the same inputs pays the walk over every demand block once. The
-// dataset is immutable, which is what makes the rollup safe to keep.
+// block order, and each demand row's AS, resolved once. It depends only
+// on the dataset and the block→AS mapping, so a caller that builds stats
+// for a sequence of beacon aggregates over the same inputs pays the walk
+// over every demand block once. The dataset is immutable, which is what
+// makes the rollup safe to keep and to share between goroutines.
 type Rollup struct {
 	demand *demand.Dataset // nil: no demand-side input
 	asOf   func(netaddr.Block) (uint32, bool)
-	base   []Stats // Blocks and TotalDU per AS with mapped demand
+	base   []Stats          // Blocks and TotalDU per AS with mapped demand
+	asIdx  []int32          // demand row → index into base, -1 when unmapped
+	idx    map[uint32]int32 // AS → index into base
 }
 
 // NewRollup walks the dataset once; d may be nil.
 func NewRollup(d *demand.Dataset, asOf func(netaddr.Block) (uint32, bool)) *Rollup {
-	r := &Rollup{demand: d, asOf: asOf}
+	r := &Rollup{demand: d, asOf: asOf, idx: make(map[uint32]int32)}
 	if d == nil {
 		return r
 	}
-	idx := make(map[uint32]int)
-	d.Each(func(b netaddr.Block, du float64) {
+	r.asIdx = make([]int32, d.Blocks())
+	// Blocks are allocated to ASes in runs, so consecutive rows mostly
+	// share an AS: the last one found answers before the AS map is asked.
+	last, lastIdx := uint32(0), int32(-1)
+	for row := range r.asIdx {
+		b, du := d.At(row)
 		a, ok := asOf(b)
 		if !ok {
-			return
+			r.asIdx[row] = -1
+			continue
 		}
-		i, ok := idx[a]
-		if !ok {
-			i = len(r.base)
-			idx[a] = i
-			r.base = append(r.base, Stats{ASN: a})
+		i := lastIdx
+		if i < 0 || a != last {
+			var known bool
+			if i, known = r.idx[a]; !known {
+				i = int32(len(r.base))
+				r.idx[a] = i
+				r.base = append(r.base, Stats{ASN: a})
+			}
+			last, lastIdx = a, i
 		}
+		r.asIdx[row] = i
 		r.base[i].Blocks++
 		r.base[i].TotalDU += du
-	})
+	}
 	return r
 }
 
-func (r *Rollup) hasDemand(b netaddr.Block) bool {
-	return r.demand != nil && r.demand.Has(b)
+// ASes returns the number of ASes with mapped demand; Resolve numbers
+// them 0 to ASes()-1.
+func (r *Rollup) ASes() int { return len(r.base) }
+
+// ASN returns the number of the AS with index i.
+func (r *Rollup) ASN(i int) uint32 { return r.base[i].ASN }
+
+// EachRow calls fn for every demand row in canonical block order with
+// the row's block, its demand units and its AS index (-1 when the
+// block maps to no AS).
+func (r *Rollup) EachRow(fn func(b netaddr.Block, du float64, as int)) {
+	for row, i := range r.asIdx {
+		b, du := r.demand.At(row)
+		fn(b, du, int(i))
+	}
+}
+
+// Resolve maps a block to its AS: a demand row through the column
+// NewRollup filled, any other block through asOf. i is the AS's index
+// when the AS has mapped demand, and -1 otherwise.
+func (r *Rollup) Resolve(b netaddr.Block) (asNum uint32, i int, ok bool) {
+	if row, ok := r.row(b); ok {
+		i := r.asIdx[row]
+		if i < 0 {
+			return 0, -1, false
+		}
+		return r.base[i].ASN, int(i), true
+	}
+	a, ok := r.asOf(b)
+	if !ok {
+		return 0, -1, false
+	}
+	if i, known := r.idx[a]; known {
+		return a, int(i), true
+	}
+	return a, -1, true
 }
 
 // Stats completes the rollup with one beacon aggregate and its detected
 // set, returning exactly what BuildStats returns for the same inputs.
 // Its cost scales with the aggregate and the detected set, not with the
-// dataset: CellDU sums the detected demand blocks in the same canonical
-// order BuildStats's single pass used, so every float is bit-identical.
+// dataset. A block with demand finds its AS in the row column; only
+// beacon-only blocks ask asOf. CellDU sums each AS's detected demand rows
+// in ascending row order, which is canonical block order, so every float
+// is bit-identical to a single pass over the dataset.
 func (r *Rollup) Stats(detected netaddr.Set, agg *beacon.Aggregate) map[uint32]*Stats {
 	vals := slices.Clone(r.base)
-	stats := make(map[uint32]*Stats, len(vals))
-	for i := range vals {
-		stats[vals[i].ASN] = &vals[i]
-	}
-	get := func(a uint32) *Stats {
-		s := stats[a]
-		if s == nil {
-			s = &Stats{ASN: a}
-			stats[a] = s
-		}
-		return s
-	}
-	var cell []netaddr.Block
+	var more map[uint32]*Stats // ASes with no mapped demand
+	var cellRows []int
 	for b := range detected {
-		if r.hasDemand(b) {
-			cell = append(cell, b)
+		if row, ok := r.row(b); ok {
+			if i := r.asIdx[row]; i >= 0 {
+				vals[i].addCellBlock(b)
+				cellRows = append(cellRows, row)
+			}
 		}
 	}
-	netaddr.SortBlocks(cell)
-	for _, b := range cell {
-		a, ok := r.asOf(b)
-		if !ok {
-			continue
-		}
-		s := get(a)
-		s.addCellBlock(b)
-		s.CellDU += r.demand.DU(b)
+	slices.Sort(cellRows)
+	for _, row := range cellRows {
+		_, du := r.demand.At(row)
+		vals[r.asIdx[row]].CellDU += du
 	}
 	if agg != nil {
 		for b, c := range agg.PerBlock {
-			a, ok := r.asOf(b)
-			if !ok {
-				continue
-			}
-			s := get(a)
-			s.Hits += c.Hits
-			s.APIHits += c.API
-			s.CellHits += c.Cell
-			if !r.hasDemand(b) {
+			var s *Stats
+			if row, ok := r.row(b); ok {
+				i := r.asIdx[row]
+				if i < 0 {
+					continue
+				}
+				s = &vals[i]
+			} else {
 				// Beacon-only block (no recorded demand).
+				a, ok := r.asOf(b)
+				if !ok {
+					continue
+				}
+				if i, known := r.idx[a]; known {
+					s = &vals[i]
+				} else if s = more[a]; s == nil {
+					if more == nil {
+						more = make(map[uint32]*Stats)
+					}
+					s = &Stats{ASN: a}
+					more[a] = s
+				}
 				s.Blocks++
 				if detected.Has(b) {
 					s.addCellBlock(b)
 				}
 			}
+			s.Hits += c.Hits
+			s.APIHits += c.API
+			s.CellHits += c.Cell
 		}
 	}
+	stats := make(map[uint32]*Stats, len(vals)+len(more))
+	for i := range vals {
+		stats[vals[i].ASN] = &vals[i]
+	}
+	for a, s := range more {
+		stats[a] = s
+	}
 	return stats
+}
+
+// row is the block's demand row, if the rollup has demand and the block
+// is in it.
+func (r *Rollup) row(b netaddr.Block) (int, bool) {
+	if r.demand == nil {
+		return 0, false
+	}
+	return r.demand.Row(b)
 }
 
 func (s *Stats) addCellBlock(b netaddr.Block) {

@@ -19,11 +19,15 @@ import (
 // TotalDU is the platform-wide Demand Unit total after normalization.
 const TotalDU = 100000.0
 
-// Dataset is the normalized per-block demand rollup. It is immutable
-// once built, so callers may keep values derived from it.
+// Dataset is the normalized per-block demand rollup: a row table in
+// canonical block order, with a Block→row index. Row order is canonical
+// order, so a caller that accumulates over rows in ascending order sums
+// its floats in the same order Each does. It is immutable once built, so
+// callers may keep values derived from it, row numbers included.
 type Dataset struct {
-	du    map[netaddr.Block]float64
-	keys  []netaddr.Block // canonical iteration order
+	keys  []netaddr.Block // row → block, canonical order
+	du    []float64       // row → demand units
+	row   map[netaddr.Block]int32
 	total float64
 }
 
@@ -47,48 +51,66 @@ func NewDataset(raw map[netaddr.Block]float64) (*Dataset, error) {
 func newDataset(entries []BlockDU) (*Dataset, error) {
 	slices.SortFunc(entries, func(a, b BlockDU) int { return a.Block.Compare(b.Block) })
 	sum := 0.0
+	n := 0
 	for _, e := range entries {
 		if e.DU < 0 {
 			return nil, fmt.Errorf("demand: negative demand for %v", e.Block)
 		}
+		if e.DU > 0 {
+			n++
+		}
 		sum += e.DU
 	}
-	d := &Dataset{du: make(map[netaddr.Block]float64, len(entries))}
+	d := &Dataset{}
 	if sum == 0 {
 		return d, nil
 	}
-	d.keys = make([]netaddr.Block, 0, len(entries))
+	d.keys = make([]netaddr.Block, 0, n)
+	d.du = make([]float64, 0, n)
+	d.row = make(map[netaddr.Block]int32, n)
 	f := TotalDU / sum
 	for _, e := range entries {
 		if e.DU > 0 {
-			d.du[e.Block] = e.DU * f
+			d.row[e.Block] = int32(len(d.keys))
 			d.keys = append(d.keys, e.Block)
+			d.du = append(d.du, e.DU*f)
 			d.total += e.DU * f
 		}
 	}
 	return d, nil
 }
 
-// DU returns the block's demand units (0 when unobserved).
-func (d *Dataset) DU(b netaddr.Block) float64 { return d.du[b] }
+// Row returns the block's row: its rank among the dataset's blocks in
+// canonical order. ok reports whether the block has recorded demand.
+func (d *Dataset) Row(b netaddr.Block) (int, bool) {
+	i, ok := d.row[b]
+	return int(i), ok
+}
 
-// Has reports whether the block has recorded demand.
-func (d *Dataset) Has(b netaddr.Block) bool {
-	_, ok := d.du[b]
-	return ok
+// At returns row i's block and demand units.
+func (d *Dataset) At(i int) (netaddr.Block, float64) { return d.keys[i], d.du[i] }
+
+// DU returns the block's demand units (0 when unobserved).
+func (d *Dataset) DU(b netaddr.Block) float64 {
+	i, ok := d.row[b]
+	if !ok {
+		return 0
+	}
+	return d.du[i]
 }
 
 // Total returns the dataset's DU total (TotalDU, modulo floating point,
 // unless the dataset is empty).
 func (d *Dataset) Total() float64 { return d.total }
 
-// Blocks returns the number of blocks with demand.
-func (d *Dataset) Blocks() int { return len(d.du) }
+// Blocks returns the number of blocks with demand, which is also the
+// number of rows.
+func (d *Dataset) Blocks() int { return len(d.keys) }
 
 // CountFamily returns the number of demand-carrying blocks of a family.
 func (d *Dataset) CountFamily(f netaddr.Family) int {
 	n := 0
-	for b := range d.du {
+	for _, b := range d.keys {
 		if b.Fam() == f {
 			n++
 		}
@@ -99,24 +121,15 @@ func (d *Dataset) CountFamily(f netaddr.Family) int {
 // Each iterates over all (block, DU) pairs in canonical block order, so
 // downstream floating-point accumulations are reproducible run to run.
 func (d *Dataset) Each(fn func(netaddr.Block, float64)) {
-	for _, b := range d.keys {
-		fn(b, d.du[b])
+	for i, b := range d.keys {
+		fn(b, d.du[i])
 	}
 }
 
 // Equal reports whether two datasets hold bit-identical DU values for the
 // same block set.
 func (d *Dataset) Equal(other *Dataset) bool {
-	if len(d.du) != len(other.du) {
-		return false
-	}
-	for b, v := range d.du {
-		ov, ok := other.du[b]
-		if !ok || v != ov {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(d.keys, other.keys) && slices.Equal(d.du, other.du)
 }
 
 // BlockDU pairs a block with its demand units.

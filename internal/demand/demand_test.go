@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"maps"
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -277,6 +279,148 @@ func TestNormalizationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// refDataset is the map-based dataset the row table replaced: raw
+// weights summed in canonical block order, scaled to TotalDU, zero
+// weights dropped. keys is the canonical order Each must follow.
+type refDataset struct {
+	du   map[netaddr.Block]float64
+	keys []netaddr.Block
+}
+
+func newRefDataset(raw map[netaddr.Block]float64) refDataset {
+	var all []netaddr.Block
+	for b := range raw {
+		all = append(all, b)
+	}
+	netaddr.SortBlocks(all)
+	sum := 0.0
+	for _, b := range all {
+		sum += raw[b]
+	}
+	ref := refDataset{du: make(map[netaddr.Block]float64)}
+	if sum == 0 {
+		return ref
+	}
+	for _, b := range all {
+		if raw[b] > 0 {
+			ref.du[b] = raw[b] * (TotalDU / sum)
+			ref.keys = append(ref.keys, b)
+		}
+	}
+	return ref
+}
+
+// TestDatasetRows builds datasets from random raw maps over both families,
+// with zero and tiny weights and some whose weights sum to 0, and checks
+// every accessor of the row table against the map-based reference.
+func TestDatasetRows(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 11))
+	block := func() netaddr.Block {
+		if rng.IntN(3) == 0 {
+			return netaddr.MakeBlock(netaddr.IPv6, 0x2001_0000_0000+rng.Uint64N(1<<12))
+		}
+		return netaddr.MakeBlock(netaddr.IPv4, 1<<16+rng.Uint64N(1<<12))
+	}
+	var zeroSums, unequal int
+	for trial := 0; trial < 300; trial++ {
+		raw := make(map[netaddr.Block]float64)
+		n := rng.IntN(60)
+		allZero := trial%10 == 0
+		for i := 0; i < n; i++ {
+			var v float64
+			switch k := rng.IntN(6); {
+			case allZero || k == 0:
+				v = 0
+			case k == 1:
+				v = math.SmallestNonzeroFloat64 * float64(1+rng.IntN(4))
+			case k == 2:
+				v = rng.Float64() * 1e-300
+			default:
+				v = rng.Float64() * float64(int(1)<<rng.IntN(40))
+			}
+			raw[block()] = v
+		}
+		d, err := NewDataset(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newRefDataset(raw)
+		if len(ref.keys) == 0 {
+			zeroSums++
+		}
+
+		var i int
+		d.Each(func(b netaddr.Block, du float64) {
+			if i >= len(ref.keys) || b != ref.keys[i] || math.Float64bits(du) != math.Float64bits(ref.du[b]) {
+				t.Fatalf("trial %d: Each row %d = %v %v, want the reference's", trial, i, b, du)
+			}
+			if row, ok := d.Row(b); !ok || row != i {
+				t.Fatalf("trial %d: Row(%v) = %d,%v, want %d", trial, b, row, ok, i)
+			}
+			if ab, adu := d.At(i); ab != b || math.Float64bits(adu) != math.Float64bits(du) {
+				t.Fatalf("trial %d: At(%d) = %v %v, want %v %v", trial, i, ab, adu, b, du)
+			}
+			i++
+		})
+		if i != len(ref.keys) || d.Blocks() != len(ref.keys) {
+			t.Fatalf("trial %d: Each visited %d rows and Blocks reads %d, want %d", trial, i, d.Blocks(), len(ref.keys))
+		}
+		probes := []netaddr.Block{block(), block(), netaddr.MakeBlock(netaddr.IPv4, 0)}
+		for b := range raw {
+			probes = append(probes, b)
+		}
+		for _, b := range probes {
+			want, has := ref.du[b]
+			if _, ok := d.Row(b); ok != has || math.Float64bits(d.DU(b)) != math.Float64bits(want) {
+				t.Fatalf("trial %d: %v has a row %v and DU %v, want %v %v", trial, b, ok, d.DU(b), has, want)
+			}
+		}
+		for _, f := range []netaddr.Family{netaddr.IPv4, netaddr.IPv6} {
+			want := 0
+			for b := range ref.du {
+				if b.Fam() == f {
+					want++
+				}
+			}
+			if got := d.CountFamily(f); got != want {
+				t.Fatalf("trial %d: CountFamily(%v) = %d, want %d", trial, f, got, want)
+			}
+		}
+
+		same, err := NewDataset(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !d.Equal(same) || !same.Equal(d) {
+			t.Fatalf("trial %d: a dataset differs from its rebuild", trial)
+		}
+		// Change one weight, then drop that block: Equal must agree with
+		// comparing the references.
+		for b, v := range raw {
+			changed := maps.Clone(raw)
+			changed[b] = v*3 + 1
+			for range 2 {
+				other, err := NewDataset(changed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := maps.Equal(ref.du, newRefDataset(changed).du)
+				if d.Equal(other) != want {
+					t.Fatalf("trial %d: Equal = %v, want %v", trial, !want, want)
+				}
+				if !want {
+					unequal++
+				}
+				delete(changed, b)
+			}
+			break
+		}
+	}
+	if zeroSums == 0 || unequal == 0 {
+		t.Fatalf("%d trials had weights summing to 0 and %d compared unequal: too few", zeroSums, unequal)
 	}
 }
 

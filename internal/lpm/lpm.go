@@ -79,7 +79,6 @@ type Matcher struct {
 	nodes []uint32
 	base  []baseEntry
 	chain []chainEntry
-	n     int // stored prefixes
 }
 
 // buildKey is one entry in the unified space during Build.
@@ -144,7 +143,7 @@ func Build(entries []Entry) (*Matcher, error) {
 				keys[i].hi, keys[i].lo, keys[i].plen)
 		}
 	}
-	m := &Matcher{n: len(keys)}
+	m := &Matcher{}
 	if len(keys) == 0 {
 		return m, nil
 	}

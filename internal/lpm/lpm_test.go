@@ -330,7 +330,7 @@ func (m *Matcher) Len() int {
 	if m == nil {
 		return 0
 	}
-	return m.n
+	return len(m.base) + len(m.chain) // a prefix is a base or a chain entry
 }
 
 // Stats describes the built structure, for the tests and benchmarks that
@@ -349,7 +349,7 @@ func (m *Matcher) Stats() Stats {
 		return Stats{}
 	}
 	return Stats{
-		Prefixes: m.n,
+		Prefixes: m.Len(),
 		Base:     len(m.base),
 		Chain:    len(m.chain),
 		Nodes:    len(m.nodes) / 2,

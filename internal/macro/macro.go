@@ -11,8 +11,8 @@ package macro
 import (
 	"sort"
 
+	"cellspot/internal/aschar"
 	"cellspot/internal/beacon"
-	"cellspot/internal/demand"
 	"cellspot/internal/geo"
 	"cellspot/internal/netaddr"
 )
@@ -78,12 +78,13 @@ type Analysis struct {
 
 // Inputs bundles the measurement data for the macroscopic rollup.
 type Inputs struct {
-	Demand   *demand.Dataset
+	// Rollup carries DEMAND and the BGP-style block→AS mapping, with each
+	// demand block's AS already resolved. Required; build it with a nil
+	// dataset for a rollup without demand.
+	Rollup   *aschar.Rollup
 	Beacon   *beacon.Aggregate
 	Detected netaddr.Set
-	// ASOf maps a block to its AS (BGP-style); CountryOf maps an AS to
-	// its registered country (whois-style).
-	ASOf      func(netaddr.Block) (uint32, bool)
+	// CountryOf maps an AS to its registered country (whois-style).
 	CountryOf func(uint32) (string, bool)
 	Countries *geo.DB
 
@@ -112,52 +113,67 @@ func Build(in Inputs) *Analysis {
 
 	// Many blocks share an AS, and the whois, country and continent
 	// lookups depend on the AS alone, so each AS resolves once per call.
-	memo := make(map[uint32]asRow)
-	rowOf := func(b netaddr.Block) (asRow, bool) {
-		asNum, ok := in.ASOf(b)
-		if !ok {
-			return asRow{}, false
+	resolve := func(asNum uint32) asRow {
+		var r asRow
+		if c, known := countryOfAS(in, asNum); known {
+			r = asRow{
+				country:   a.ByCountry[c.Code],
+				continent: a.ByContinent[c.Continent],
+				cellAS:    in.CellularASes == nil || in.CellularASes[asNum],
+			}
 		}
-		r, ok := memo[asNum]
-		if !ok {
-			if c, known := countryOfAS(in, asNum); known {
-				r = asRow{
-					country:   a.ByCountry[c.Code],
-					continent: a.ByContinent[c.Continent],
-					cellAS:    in.CellularASes == nil || in.CellularASes[asNum],
-				}
-			}
-			memo[asNum] = r
+		return r
+	}
+	// Every AS of the rollup has demand rows, so each one is resolved up
+	// front; beacon-only ASes resolve on first sight.
+	memo := make([]asRow, in.Rollup.ASes())
+	for i := range memo {
+		memo[i] = resolve(in.Rollup.ASN(i))
+	}
+	more := make(map[uint32]asRow)
+	rowOf := func(asNum uint32, i int) asRow {
+		if i >= 0 {
+			return memo[i]
 		}
-		return r, r.country != nil
+		r, ok := more[asNum]
+		if !ok {
+			r = resolve(asNum)
+			more[asNum] = r
+		}
+		return r
 	}
-	if in.Demand != nil {
-		in.Demand.Each(func(b netaddr.Block, du float64) {
-			r, ok := rowOf(b)
-			if !ok {
-				return
-			}
-			r.country.TotalDU += du
-			cell := r.cellAS && in.Detected.Has(b)
-			if cell {
-				r.country.CellDU += du
-			}
-			if r.country.Country.ExcludeDemand {
-				a.ExcludedDU += du
-				return
-			}
-			r.continent.TotalDU += du
-			a.GlobalDU += du
-			if cell {
-				r.continent.CellDU += du
-				a.GlobalCellDU += du
-			}
-		})
-	}
+	in.Rollup.EachRow(func(b netaddr.Block, du float64, i int) {
+		if i < 0 {
+			return
+		}
+		r := memo[i]
+		if r.country == nil {
+			return
+		}
+		r.country.TotalDU += du
+		cell := r.cellAS && in.Detected.Has(b)
+		if cell {
+			r.country.CellDU += du
+		}
+		if r.country.Country.ExcludeDemand {
+			a.ExcludedDU += du
+			return
+		}
+		r.continent.TotalDU += du
+		a.GlobalDU += du
+		if cell {
+			r.continent.CellDU += du
+			a.GlobalCellDU += du
+		}
+	})
 	if in.Beacon != nil {
 		for b := range in.Beacon.PerBlock {
-			r, ok := rowOf(b)
+			asNum, i, ok := in.Rollup.Resolve(b)
 			if !ok {
+				continue
+			}
+			r := rowOf(asNum, i)
+			if r.country == nil {
 				continue
 			}
 			cs, cont := r.country, r.continent

@@ -13,9 +13,43 @@ import (
 	"cellspot/internal/world"
 )
 
+// The fixture's blocks: one cellular and one fixed block per country.
+var (
+	usCell   = netaddr.V4Block(10, 0, 0)
+	usFixed  = netaddr.V4Block(10, 0, 1)
+	cnCell   = netaddr.V4Block(20, 0, 0)
+	jpCellV6 = netaddr.V6Block(0x200100000001)
+	jpFixed  = netaddr.V4Block(30, 0, 0)
+)
+
+// fixtureASOf is the fixture's block→AS mapping.
+func fixtureASOf(b netaddr.Block) (uint32, bool) {
+	switch b {
+	case usCell, usFixed:
+		return 1, true
+	case cnCell:
+		return 2, true
+	case jpCellV6, jpFixed:
+		return 3, true
+	}
+	return 0, false
+}
+
+// fixtureDemand is the fixture's DEMAND.
+func fixtureDemand(t *testing.T) *demand.Dataset {
+	t.Helper()
+	ds, err := demand.NewDataset(map[netaddr.Block]float64{
+		usCell: 20, usFixed: 60, cnCell: 10, jpCellV6: 5, jpFixed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
 // fixture: two countries (US included, CN excluded) with one cellular and
 // one fixed block each.
-func fixture(t *testing.T) (Inputs, netaddr.Block, netaddr.Block) {
+func fixture(t *testing.T) Inputs {
 	t.Helper()
 	db, err := geo.NewDB([]geo.Country{
 		{Code: "US", Name: "United States", Continent: geo.NorthAmerica, SubscribersM: 400, DemandShare: 10},
@@ -25,32 +59,9 @@ func fixture(t *testing.T) (Inputs, netaddr.Block, netaddr.Block) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	usCell := netaddr.V4Block(10, 0, 0)
-	usFixed := netaddr.V4Block(10, 0, 1)
-	cnCell := netaddr.V4Block(20, 0, 0)
-	jpCellV6 := netaddr.V6Block(0x200100000001)
-	jpFixed := netaddr.V4Block(30, 0, 0)
-
-	ds, err := demand.NewDataset(map[netaddr.Block]float64{
-		usCell: 20, usFixed: 60, cnCell: 10, jpCellV6: 5, jpFixed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	agg := beacon.NewAggregate()
 	for _, b := range []netaddr.Block{usCell, usFixed, cnCell, jpCellV6, jpFixed} {
 		agg.Add(b, 100, 10, 0)
-	}
-	asOf := func(b netaddr.Block) (uint32, bool) {
-		switch b {
-		case usCell, usFixed:
-			return 1, true
-		case cnCell:
-			return 2, true
-		case jpCellV6, jpFixed:
-			return 3, true
-		}
-		return 0, false
 	}
 	countryOf := func(a uint32) (string, bool) {
 		switch a {
@@ -64,18 +75,17 @@ func fixture(t *testing.T) (Inputs, netaddr.Block, netaddr.Block) {
 		return "", false
 	}
 	in := Inputs{
-		Demand:    ds,
+		Rollup:    aschar.NewRollup(fixtureDemand(t), fixtureASOf),
 		Beacon:    agg,
 		Detected:  netaddr.NewSet(usCell, cnCell, jpCellV6),
-		ASOf:      asOf,
 		CountryOf: countryOf,
 		Countries: db,
 	}
-	return in, usCell, jpCellV6
+	return in
 }
 
 func TestBuildGlobalFractions(t *testing.T) {
-	in, _, _ := fixture(t)
+	in := fixture(t)
 	a := Build(in)
 	// Included demand: US 80, JP 10 (of raw units; normalized to DU).
 	// Included cellular: US 20, JP 5.
@@ -93,7 +103,7 @@ func TestBuildGlobalFractions(t *testing.T) {
 }
 
 func TestBuildCountryAndContinent(t *testing.T) {
-	in, _, _ := fixture(t)
+	in := fixture(t)
 	a := Build(in)
 	us := a.ByCountry["US"]
 	if math.Abs(us.CellFrac()-0.25) > 1e-9 {
@@ -133,7 +143,7 @@ func TestBuildCountryAndContinent(t *testing.T) {
 }
 
 func TestCellShareOfGlobal(t *testing.T) {
-	in, _, _ := fixture(t)
+	in := fixture(t)
 	a := Build(in)
 	if got := a.CellShareOfGlobal("US"); math.Abs(got-0.8) > 1e-9 {
 		t.Errorf("US share = %g, want 0.8", got)
@@ -147,7 +157,7 @@ func TestCellShareOfGlobal(t *testing.T) {
 }
 
 func TestTopCountries(t *testing.T) {
-	in, _, _ := fixture(t)
+	in := fixture(t)
 	a := Build(in)
 	top := a.TopCountriesByCellDU(geo.Asia, 10)
 	if len(top) != 1 || top[0].Country.Code != "JP" {
@@ -166,7 +176,7 @@ func TestTopCountries(t *testing.T) {
 }
 
 func TestScatter(t *testing.T) {
-	in, _, _ := fixture(t)
+	in := fixture(t)
 	a := Build(in)
 	pts := a.Scatter()
 	if len(pts) != 2 {
@@ -187,13 +197,13 @@ func TestScatter(t *testing.T) {
 }
 
 func TestBuildSkipsUnmapped(t *testing.T) {
-	in, _, _ := fixture(t)
-	in.ASOf = func(netaddr.Block) (uint32, bool) { return 0, false }
+	in := fixture(t)
+	in.Rollup = aschar.NewRollup(fixtureDemand(t), func(netaddr.Block) (uint32, bool) { return 0, false })
 	a := Build(in)
 	if a.GlobalDU != 0 {
 		t.Error("unmapped blocks contributed demand")
 	}
-	in2, _, _ := fixture(t)
+	in2 := fixture(t)
 	in2.CountryOf = func(uint32) (string, bool) { return "XX", true } // not in DB
 	a2 := Build(in2)
 	if a2.GlobalDU != 0 {
@@ -202,8 +212,8 @@ func TestBuildSkipsUnmapped(t *testing.T) {
 }
 
 func TestBuildNilDatasets(t *testing.T) {
-	in, _, _ := fixture(t)
-	in.Demand = nil
+	in := fixture(t)
+	in.Rollup = aschar.NewRollup(nil, fixtureASOf)
 	in.Beacon = nil
 	a := Build(in)
 	if a.GlobalDU != 0 || a.ByCountry["US"].Active24 != 0 {
@@ -211,11 +221,13 @@ func TestBuildNilDatasets(t *testing.T) {
 	}
 }
 
-// oracleBuild is Build with every lookup made per block: ASOf, CountryOf,
+// oracleBuild is Build with every lookup made per block: asOf, CountryOf,
 // Countries.Lookup, the country and continent rows and the cellular-AS
-// check for each demand and beacon block. Build resolves each AS once;
-// it must reproduce this bit for bit.
-func oracleBuild(in Inputs) *Analysis {
+// check for each block of ds and of the beacon aggregate. Build reads
+// each demand block's AS from in.Rollup and resolves each AS once; it
+// must reproduce this bit for bit when in.Rollup is built over ds and
+// asOf.
+func oracleBuild(in Inputs, ds *demand.Dataset, asOf func(netaddr.Block) (uint32, bool)) *Analysis {
 	a := &Analysis{
 		ByCountry:   make(map[string]*CountryStats),
 		ByContinent: make(map[geo.Continent]*ContinentStats),
@@ -235,8 +247,8 @@ func oracleBuild(in Inputs) *Analysis {
 		}
 		return in.CellularASes == nil || in.CellularASes[asNum]
 	}
-	in.Demand.Each(func(b netaddr.Block, du float64) {
-		asNum, ok := in.ASOf(b)
+	ds.Each(func(b netaddr.Block, du float64) {
+		asNum, ok := asOf(b)
 		if !ok {
 			return
 		}
@@ -263,7 +275,7 @@ func oracleBuild(in Inputs) *Analysis {
 		}
 	})
 	for b := range in.Beacon.PerBlock {
-		asNum, ok := in.ASOf(b)
+		asNum, ok := asOf(b)
 		if !ok {
 			continue
 		}
@@ -335,10 +347,19 @@ func diffAnalysis(t *testing.T, name string, got, want *Analysis) {
 	}
 }
 
+// hasRow reports whether b has recorded demand in ds.
+func hasRow(ds *demand.Dataset, b netaddr.Block) bool {
+	_, ok := ds.Row(b)
+	return ok
+}
+
 // TestBuildMatchesPerBlockOracle runs Build and oracleBuild on a Scale-0.005
 // world, with every detected block counted and with only the ASes that
 // pass the paper's AS filter. Some blocks lose their AS and some ASes
-// their country, so the memo's unknown rows are exercised too.
+// their country, so the memo's unknown rows are exercised too. DEMAND
+// leaves out some blocks and every block of some ASes, so the beacon
+// aggregate holds beacon-only blocks both of ASes the rollup indexes and
+// of ASes it has never seen.
 func TestBuildMatchesPerBlockOracle(t *testing.T) {
 	wcfg := world.DefaultConfig()
 	wcfg.Scale = 0.005
@@ -350,7 +371,17 @@ func TestBuildMatchesPerBlockOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := demand.Generate(w, demand.DefaultGenConfig())
+	full, err := demand.Generate(w, demand.DefaultGenConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := make(map[netaddr.Block]float64, full.Blocks())
+	full.Each(func(b netaddr.Block, du float64) {
+		if b.Key()%11 != 0 && w.BlockIndex[b].ASN%7 != 0 {
+			raw[b] = du
+		}
+	})
+	ds, err := demand.NewDataset(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +407,27 @@ func TestBuildMatchesPerBlockOracle(t *testing.T) {
 		}
 		return as.Country, true
 	}
-	stats := aschar.BuildStats(aschar.Inputs{Detected: detected, Beacon: agg, Demand: ds, ASOf: asOf})
+	ru := aschar.NewRollup(ds, asOf)
+	var unmappedRows, indexedOnly, unindexed int
+	ru.EachRow(func(_ netaddr.Block, _ float64, i int) {
+		if i < 0 {
+			unmappedRows++
+		}
+	})
+	for b := range agg.PerBlock {
+		if _, i, ok := ru.Resolve(b); ok && !hasRow(ds, b) {
+			if i >= 0 {
+				indexedOnly++
+			} else {
+				unindexed++
+			}
+		}
+	}
+	if unmappedRows == 0 || indexedOnly == 0 || unindexed == 0 {
+		t.Fatalf("rollup covers too little: %d unmapped demand rows, %d beacon-only blocks of indexed ASes, %d of unindexed ones",
+			unmappedRows, indexedOnly, unindexed)
+	}
+	stats := ru.Stats(detected, agg)
 	fr := aschar.Filter(stats, aschar.DefaultRules(w.Snapshot))
 	cellASes := make(map[uint32]bool, len(fr.AfterRule3))
 	for _, a := range fr.AfterRule3 {
@@ -386,12 +437,12 @@ func TestBuildMatchesPerBlockOracle(t *testing.T) {
 		t.Fatal("no AS passed the filter; the restricted case would test nothing")
 	}
 	in := Inputs{
-		Demand: ds, Beacon: agg, Detected: detected,
-		ASOf: asOf, CountryOf: countryOf, Countries: w.Countries,
+		Rollup: ru, Beacon: agg, Detected: detected,
+		CountryOf: countryOf, Countries: w.Countries,
 	}
-	diffAnalysis(t, "all detected", Build(in), oracleBuild(in))
+	diffAnalysis(t, "all detected", Build(in), oracleBuild(in, ds, asOf))
 	in.CellularASes = cellASes
-	got, want := Build(in), oracleBuild(in)
+	got, want := Build(in), oracleBuild(in, ds, asOf)
 	diffAnalysis(t, "cellular ASes", got, want)
 	if want.GlobalCellDU == 0 || want.ExcludedDU == 0 {
 		t.Errorf("oracle reads GlobalCellDU %v, ExcludedDU %v: the world exercises too little", want.GlobalCellDU, want.ExcludedDU)

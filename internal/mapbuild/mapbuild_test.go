@@ -197,7 +197,7 @@ func (w world) aggregates(seed uint64) []*beacon.Aggregate {
 	}
 	beaconOnly := beacon.NewAggregate()
 	for _, b := range w.owned {
-		if !w.in.Demand.Has(b) {
+		if _, ok := w.in.Demand.Row(b); !ok {
 			beaconOnly.Add(b, 100, 100, 90)
 		} else {
 			beaconOnly.Add(b, 100, 100, 0)
@@ -246,7 +246,9 @@ func TestBuilderMatchesSinglePassOracle(t *testing.T) {
 					if _, ok := in.ASOf(b); !ok {
 						continue
 					}
-					if in.Demand != nil && in.Demand.Has(b) {
+					if in.Demand == nil {
+						beaconOnly++
+					} else if _, ok := in.Demand.Row(b); ok {
 						withDemand++
 					} else {
 						beaconOnly++

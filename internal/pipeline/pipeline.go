@@ -201,7 +201,7 @@ func (r *Result) Analyze() {
 		case 0:
 			r.analyzeASes()
 		case 1:
-			r.RDNS = rdns.Corroborate(r.Detected, rdns.FromWorld(r.World), r.ASOf)
+			r.RDNS = rdns.Corroborate(r.Detected, rdns.Names(r.World), r.ASOf)
 		case 2:
 			r.ResolverUsage = dnsmap.ResolverUsage(r.World.AppendAffinity, r.Demand, r.Detected)
 			known := dnsmap.KnownPublicResolvers()
@@ -212,15 +212,12 @@ func (r *Result) Analyze() {
 }
 
 // analyzeASes is Analyze's AS branch: per-AS stats, the AS filter, the
-// characterized networks and the macroscopic rollup over them.
+// characterized networks and the macroscopic rollup over them. Stats and
+// the macroscopic rollup read one demand rollup, so DEMAND's blocks are
+// resolved to their ASes once.
 func (r *Result) analyzeASes() {
-	in := aschar.Inputs{
-		Detected: r.Detected,
-		Beacon:   r.Beacon,
-		Demand:   r.Demand,
-		ASOf:     r.ASOf,
-	}
-	r.Stats = aschar.BuildStats(in)
+	ru := aschar.NewRollup(r.Demand, r.ASOf)
+	r.Stats = ru.Stats(r.Detected, r.Beacon)
 	rules := aschar.Rules{
 		MinCellDU: r.Config.MinCellDU,
 		MinHits:   r.Config.MinHits,
@@ -234,10 +231,9 @@ func (r *Result) analyzeASes() {
 		cellASes[a] = true
 	}
 	r.Macro = macro.Build(macro.Inputs{
-		Demand:       r.Demand,
+		Rollup:       ru,
 		Beacon:       r.Beacon,
 		Detected:     r.Detected,
-		ASOf:         r.ASOf,
 		CountryOf:    r.CountryOf,
 		Countries:    r.World.Countries,
 		CellularASes: cellASes,

@@ -1,13 +1,13 @@
 // Package rdns models the reverse-DNS corroboration step of the paper's §5:
 // the authors confirmed straw-man false positives by looking at PTR records
 // — Google's proxy addresses resolve to google-proxy-*.google.com, Opera
-// Mini's to *.opera-mini.net. This package provides a PTR table populated
-// from the synthetic world and pattern heuristics that flag proxy/VPN/cloud
+// Mini's to *.opera-mini.net. This package derives PTR names from the
+// synthetic world and applies pattern heuristics that flag proxy/VPN/cloud
 // egress space, giving the AS filter an independent second signal.
 package rdns
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"cellspot/internal/asn"
@@ -15,67 +15,79 @@ import (
 	"cellspot/internal/world"
 )
 
-// Table maps blocks to their representative PTR name suffixes. Real reverse
-// zones are per-address; per-block granularity matches everything else in
-// the reproduction.
-type Table struct {
-	names map[netaddr.Block]string
-}
-
-// NewTable creates an empty PTR table.
-func NewTable() *Table {
-	return &Table{names: make(map[netaddr.Block]string)}
-}
-
-// Add registers a block's PTR name.
-func (t *Table) Add(b netaddr.Block, name string) {
-	t.names[b] = name
-}
-
-// LookupBlock returns the block's PTR name.
-func (t *Table) LookupBlock(b netaddr.Block) (string, bool) {
-	name, ok := t.names[b]
-	return name, ok
-}
-
-// FromWorld synthesizes a PTR table for a world: proxy services carry
-// telltale proxy names, clouds and VPN egress their own conventions, access
-// networks generic pool names. Coverage is deliberately partial (~those
-// blocks a CDN would bother resolving: anything with beacon activity).
-func FromWorld(w *world.World) *Table {
-	t := NewTable()
+// Names returns the world's reverse DNS as a per-block lookup: proxy
+// services carry telltale proxy names, clouds and VPN egress their own
+// conventions, access networks generic pool names. Coverage is
+// deliberately partial (~those blocks a CDN would bother resolving:
+// anything with beacon activity). Real reverse zones are per-address;
+// per-block granularity matches everything else in the reproduction. A
+// name is derived when asked for, from the block's address and its
+// operator's convention, so a caller pays only for the blocks it looks
+// up. The lookup is safe for concurrent use.
+func Names(w *world.World) func(netaddr.Block) (string, bool) {
+	conv := make(map[uint32]convention, len(w.Operators))
 	for _, op := range w.Operators {
-		pattern := ptrPattern(op.AS)
-		if pattern == "" {
-			continue
-		}
-		for i, b := range op.Blocks {
-			if !b.WebActive {
-				continue
-			}
-			t.Add(b.Block, fmt.Sprintf(pattern, i))
+		if c, ok := conventionOf(op.AS); ok {
+			conv[op.AS.Number] = c
 		}
 	}
-	return t
+	return func(b netaddr.Block) (string, bool) {
+		bi := w.BlockIndex[b]
+		if bi == nil || !bi.WebActive {
+			return "", false
+		}
+		c, ok := conv[bi.ASN]
+		if !ok {
+			return "", false
+		}
+		name := make([]byte, 0, len(c.head)+len("ffff-ffff-ffff")+len(c.tail))
+		name = append(name, c.head...)
+		name = appendLabel(name, b)
+		return string(append(name, c.tail...)), true
+	}
 }
 
-// ptrPattern returns the operator's PTR naming convention with one %d slot.
-func ptrPattern(a *asn.AS) string {
+// convention is an operator's PTR naming scheme: a block's name is head,
+// the block's address label, then tail.
+type convention struct{ head, tail string }
+
+// conventionOf returns the AS's PTR naming convention; ok is false for
+// ASes that publish none.
+func conventionOf(a *asn.AS) (convention, bool) {
 	base := strings.ToLower(strings.ReplaceAll(a.Name, " ", "-"))
 	switch a.Role {
 	case asn.RoleProxyService:
-		return "proxy-%d." + base + ".example"
+		return convention{"proxy-", "." + base + ".example"}, true
 	case asn.RoleVPNService:
-		return "egress-%d." + base + "-vpn.example"
+		return convention{"egress-", "." + base + "-vpn.example"}, true
 	case asn.RoleCloudHosting:
-		return "vm-%d.compute." + base + ".example"
+		return convention{"vm-", ".compute." + base + ".example"}, true
 	case asn.RoleDedicatedCellular, asn.RoleMixedOperator:
-		return "pool-%d.mobile." + base + ".example"
+		return convention{"pool-", ".mobile." + base + ".example"}, true
 	case asn.RoleFixedISP:
-		return "dyn-%d." + base + ".example"
+		return convention{"dyn-", "." + base + ".example"}, true
 	default:
-		return "" // enterprises and content rarely publish useful PTRs
+		return convention{}, false // enterprises and content rarely publish useful PTRs
 	}
+}
+
+// appendLabel appends the block's network bits as three dash-separated
+// groups, the way access networks spell an address into a PTR name: the
+// /24's three octets in decimal (1.2.3.0/24 → "1-2-3"), the /48's three
+// 16-bit groups in hex (2001:db8:a::/48 → "2001-db8-a").
+func appendLabel(dst []byte, b netaddr.Block) []byte {
+	width, base := uint(8), 10
+	if b.IsV6() {
+		width, base = 16, 16
+	}
+	k := b.Key()
+	for g := 2; g >= 0; g-- {
+		dst = strconv.AppendUint(dst, (k>>(uint(g)*width))&(1<<width-1), base)
+		if g > 0 {
+			dst = append(dst, '-')
+		}
+	}
+	return dst
 }
 
 // proxyMarkers are the PTR substrings that betray connection-terminating
@@ -108,17 +120,17 @@ func (c Corroboration) ProxySuspect() bool {
 	return c.Checked > 0 && c.Proxy*2 > c.Checked
 }
 
-// Corroborate checks every AS's detected cellular blocks against the PTR
-// table, reproducing the paper's manual investigation as a mechanical
-// signal. asOf maps blocks to ASes.
-func Corroborate(detected netaddr.Set, t *Table, asOf func(netaddr.Block) (uint32, bool)) map[uint32]*Corroboration {
+// Corroborate checks every AS's detected cellular blocks against reverse
+// DNS, reproducing the paper's manual investigation as a mechanical
+// signal. ptr names a block (see Names); asOf maps blocks to ASes.
+func Corroborate(detected netaddr.Set, ptr func(netaddr.Block) (string, bool), asOf func(netaddr.Block) (uint32, bool)) map[uint32]*Corroboration {
 	out := make(map[uint32]*Corroboration)
 	for b := range detected {
 		a, ok := asOf(b)
 		if !ok {
 			continue
 		}
-		name, ok := t.LookupBlock(b)
+		name, ok := ptr(b)
 		if !ok {
 			continue
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 
 	"cellspot/internal/asn"
@@ -37,7 +38,19 @@ type generator struct {
 
 	ases   []*asn.AS
 	duUnit float64 // demand units per Demand Unit (1 DU = 0.001% of global)
+
+	// chunk holds the BlockInfo values addBlock hands out pointers to,
+	// many blocks per allocation; it is replaced when full, never grown,
+	// so those pointers stay valid. nextChunk is the next one's size: a
+	// fragment's first chunk takes its country's whole block budget.
+	chunk     []BlockInfo
+	nextChunk int
 }
+
+// minChunk is the size of a chunk of blocks once a generator has used up
+// its first, budget-sized one: small, since a chunk's unused tail is
+// allocated for nothing.
+const minChunk = 16
 
 // Generate builds the global synthetic world. Country generation shards
 // across cfg.Parallelism workers (0 = GOMAXPROCS, 1 = serial): each country
@@ -56,7 +69,9 @@ func Generate(cfg Config) (*World, error) {
 	frags := make([]*generator, len(countries))
 	par.Do(len(countries), cfg.Parallelism, func(i int) {
 		f := newFragment(cfg, rand.New(rand.NewPCG(cfg.Seed, countryStream^uint64(i))), duUnit)
-		f.genCountry(countries[i], budgets[countries[i].Code])
+		budget := budgets[countries[i].Code]
+		f.nextChunk = budget.blocks()
+		f.genCountry(countries[i], budget)
 		frags[i] = f
 	})
 
@@ -160,6 +175,12 @@ func (g *generator) registry() (*asn.Registry, error) {
 type blockBudget struct {
 	cell24, fixed24, demandOnly24 int
 	cell48, fixed48               int
+}
+
+// blocks is the budget's total block count. Operators' minimum sizes can
+// take a country past it.
+func (b blockBudget) blocks() int {
+	return b.cell24 + b.fixed24 + b.demandOnly24 + b.cell48 + b.fixed48
 }
 
 // apportion splits total into integer shares proportional to weights using
@@ -320,7 +341,13 @@ func (g *generator) newAS(name, cc string, role asn.Role) *asn.AS {
 
 // addBlock registers a block with the world and its operator.
 func (g *generator) addBlock(op *Operator, b BlockInfo) *BlockInfo {
-	bi := &b
+	if len(g.chunk) == cap(g.chunk) {
+		// Grow rounds the capacity up to fill the allocation's size class.
+		g.chunk = slices.Grow([]BlockInfo(nil), max(g.nextChunk, minChunk))
+		g.nextChunk = minChunk
+	}
+	g.chunk = append(g.chunk, b)
+	bi := &g.chunk[len(g.chunk)-1]
 	bi.ASN = op.AS.Number
 	if bi.Cellular {
 		bi.RAT = op.RAT
