@@ -14,6 +14,7 @@ package beacon
 import (
 	"fmt"
 	"iter"
+	"math"
 	"math/rand/v2"
 	"net/netip"
 	"time"
@@ -73,6 +74,16 @@ type Counts struct {
 	Cell5G int `json:"cell_5g,omitempty"` // cellular labels on a 5G radio
 }
 
+// add accumulates another tally, per-RAT columns included.
+func (c *Counts) add(n Counts) {
+	c.Hits += n.Hits
+	c.API += n.API
+	c.Cell += n.Cell
+	c.Cell3G += n.Cell3G
+	c.Cell4G += n.Cell4G
+	c.Cell5G += n.Cell5G
+}
+
 // addRAT increments the counter for one radio generation.
 func (c *Counts) addRAT(r netinfo.RAT, n int) {
 	switch r {
@@ -116,13 +127,7 @@ func (a *Aggregate) Add(b netaddr.Block, hits, api, cell int) {
 // AddCounts accumulates a full tally — including the per-RAT split — for a
 // block; checkpoint restore paths use it so RAT counters survive restarts.
 func (a *Aggregate) AddCounts(b netaddr.Block, n Counts) {
-	c := a.counts(b)
-	c.Hits += n.Hits
-	c.API += n.API
-	c.Cell += n.Cell
-	c.Cell3G += n.Cell3G
-	c.Cell4G += n.Cell4G
-	c.Cell5G += n.Cell5G
+	a.counts(b).add(n)
 }
 
 // AddRecord accumulates one beacon record.
@@ -145,13 +150,7 @@ func (a *Aggregate) AddRecord(r Record) {
 // Merge folds another aggregate into a, per-RAT columns included.
 func (a *Aggregate) Merge(other *Aggregate) {
 	for b, oc := range other.PerBlock {
-		c := a.counts(b)
-		c.Hits += oc.Hits
-		c.API += oc.API
-		c.Cell += oc.Cell
-		c.Cell3G += oc.Cell3G
-		c.Cell4G += oc.Cell4G
-		c.Cell5G += oc.Cell5G
+		a.counts(b).add(*oc)
 	}
 }
 
@@ -199,12 +198,7 @@ func (a *Aggregate) Equal(other *Aggregate) bool {
 func (a *Aggregate) Totals() Counts {
 	var t Counts
 	for _, c := range a.PerBlock {
-		t.Hits += c.Hits
-		t.API += c.API
-		t.Cell += c.Cell
-		t.Cell3G += c.Cell3G
-		t.Cell4G += c.Cell4G
-		t.Cell5G += c.Cell5G
+		t.add(*c)
 	}
 	return t
 }
@@ -251,6 +245,11 @@ func (c *GenConfig) validate() error {
 	}
 	if c.BaseHits < 0 {
 		return fmt.Errorf("beacon: negative BaseHits")
+	}
+	// A NaN mean never ends the Poisson loop and an infinite one makes
+	// negative hit counts, so only finite values pass.
+	if math.IsNaN(c.BaseHits) || math.IsInf(c.BaseHits, 0) {
+		return fmt.Errorf("beacon: BaseHits %v is not finite", c.BaseHits)
 	}
 	if c.Month == (netinfo.Month{}) {
 		c.Month = netinfo.December2016
@@ -343,9 +342,43 @@ const genShardSize = 2048
 
 // tally is one shard-local sampled block outcome awaiting merge.
 type tally struct {
-	block           netaddr.Block
-	hits, api, cell int
-	c3, c4, c5      int
+	block netaddr.Block
+	c     Counts
+}
+
+// sampleShard draws shard s's blocks from PCG(cfg.Seed, aggStream^s) and
+// hands each sampled block to emit in plan order. Generate and
+// GenerateTotals both run it, so they draw the same values.
+func sampleShard(plans []blockPlan, cfg GenConfig, s int, emit func(netaddr.Block, Counts)) {
+	src := rand.NewPCG(cfg.Seed, aggStream^uint64(s))
+	rng := rand.New(src)
+	// One RAT generator, reseeded per block: Seed leaves it in the state
+	// NewPCG would, so the split is the same without a generator per block.
+	var ratSrc rand.PCG
+	ratRng := rand.New(&ratSrc)
+	lo, hi := par.Span(s, len(plans), genShardSize)
+	for _, p := range plans[lo:hi] {
+		hits := traffic.PoissonSmall(src, p.meanHits)
+		var api int
+		if p.info.HitsOverride > 0 {
+			api = p.info.HitsOverride
+			if hits < api {
+				hits = api
+			}
+		} else {
+			if hits == 0 {
+				continue
+			}
+			api = traffic.Binomial(rng, hits, p.apiProb)
+		}
+		cell := traffic.Binomial(rng, api, p.info.CellLabelProb)
+		c := Counts{Hits: hits, API: api, Cell: cell}
+		if cell > 0 && p.info.Cellular {
+			ratSrc.Seed(cfg.Seed, ratStreamFor(p.info.Block))
+			c.Cell3G, c.Cell4G, c.Cell5G = splitRAT(ratRng, cell, p.info.RAT.Mix(cfg.Month))
+		}
+		emit(p.info.Block, c)
+	}
 }
 
 // Generate draws the per-block BEACON aggregate for a world: the fast path
@@ -353,7 +386,8 @@ type tally struct {
 // sampled per block without materializing records. Sampling shards across
 // cfg.Parallelism workers (0 = GOMAXPROCS, 1 = serial) with one PCG stream
 // per fixed-size shard; shard outputs merge in shard order, so the
-// aggregate is bit-identical at every parallelism level.
+// aggregate is bit-identical at every parallelism level. The merge sizes
+// PerBlock from the shard tallies and backs every Counts with one slab.
 func Generate(w *world.World, cfg GenConfig) (*Aggregate, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -362,46 +396,52 @@ func Generate(w *world.World, cfg GenConfig) (*Aggregate, error) {
 	nShards := par.Shards(len(plans), genShardSize)
 	outs := make([][]tally, nShards)
 	par.Do(nShards, cfg.Parallelism, func(s int) {
-		rng := rand.New(rand.NewPCG(cfg.Seed, aggStream^uint64(s)))
 		lo, hi := par.Span(s, len(plans), genShardSize)
 		buf := make([]tally, 0, hi-lo)
-		for _, p := range plans[lo:hi] {
-			hits := traffic.PoissonSmall(rng, p.meanHits)
-			var api int
-			if p.info.HitsOverride > 0 {
-				api = p.info.HitsOverride
-				if hits < api {
-					hits = api
-				}
-			} else {
-				if hits == 0 {
-					continue
-				}
-				api = traffic.Binomial(rng, hits, p.apiProb)
-			}
-			cell := traffic.Binomial(rng, api, p.info.CellLabelProb)
-			t := tally{block: p.info.Block, hits: hits, api: api, cell: cell}
-			if cell > 0 && p.info.Cellular {
-				rrng := rand.New(rand.NewPCG(cfg.Seed, ratStreamFor(p.info.Block)))
-				t.c3, t.c4, t.c5 = splitRAT(rrng, cell, p.info.RAT.Mix(cfg.Month))
-			}
-			buf = append(buf, t)
-		}
+		sampleShard(plans, cfg, s, func(b netaddr.Block, c Counts) {
+			buf = append(buf, tally{block: b, c: c})
+		})
 		outs[s] = buf
 	})
-	agg := NewAggregate()
+	n := 0
+	for _, ts := range outs {
+		n += len(ts)
+	}
+	agg := &Aggregate{PerBlock: make(map[netaddr.Block]*Counts, n)}
+	slab := make([]Counts, 0, n)
 	for _, ts := range outs {
 		for _, t := range ts {
-			c := agg.counts(t.block)
-			c.Hits += t.hits
-			c.API += t.api
-			c.Cell += t.cell
-			c.Cell3G += t.c3
-			c.Cell4G += t.c4
-			c.Cell5G += t.c5
+			// A repeated block adds to its first tally, as counts would.
+			if c := agg.PerBlock[t.block]; c != nil {
+				c.add(t.c)
+				continue
+			}
+			slab = append(slab, t.c)
+			agg.PerBlock[t.block] = &slab[len(slab)-1]
 		}
 	}
 	return agg, nil
+}
+
+// GenerateTotals returns Generate(w, cfg).Totals() without building the
+// aggregate: each shard sums its blocks into one Counts, and the shard
+// sums add up in shard order.
+func GenerateTotals(w *world.World, cfg GenConfig) (Counts, error) {
+	if err := cfg.validate(); err != nil {
+		return Counts{}, err
+	}
+	plans := plan(w, cfg)
+	sums := make([]Counts, par.Shards(len(plans), genShardSize))
+	par.Do(len(sums), cfg.Parallelism, func(s int) {
+		var sum Counts
+		sampleShard(plans, cfg, s, func(_ netaddr.Block, c Counts) { sum.add(c) })
+		sums[s] = sum
+	})
+	var t Counts
+	for _, c := range sums {
+		t.add(c)
+	}
+	return t, nil
 }
 
 // Stream emits individual beacon records for a world. The caller bounds the
@@ -417,12 +457,13 @@ func Stream(w *world.World, cfg GenConfig) (iter.Seq[Record], error) {
 	monthDur := start.AddDate(0, 1, 0).Sub(start)
 
 	return func(yield func(Record) bool) {
-		rng := rand.New(rand.NewPCG(cfg.Seed, 0xbeac0_0002))
+		src := rand.NewPCG(cfg.Seed, 0xbeac0_0002)
+		rng := rand.New(src)
 		// RAT draws come from their own stream so the pre-RAT record
 		// sequence (timestamps, IPs, browsers, labels) is unchanged.
 		ratRng := rand.New(rand.NewPCG(cfg.Seed, 0xbeac0_0004))
 		for _, p := range plans {
-			hits := traffic.PoissonSmall(rng, p.meanHits)
+			hits := traffic.PoissonSmall(src, p.meanHits)
 			forcedAPI := p.info.HitsOverride
 			if forcedAPI > hits {
 				hits = forcedAPI

@@ -2,10 +2,14 @@ package beacon
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
+	"time"
 
 	"cellspot/internal/netaddr"
 	"cellspot/internal/netinfo"
+	"cellspot/internal/par"
+	"cellspot/internal/traffic"
 	"cellspot/internal/world"
 )
 
@@ -198,6 +202,165 @@ func TestGenerateRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := Stream(w, GenConfig{}); err == nil {
 		t.Error("Stream with zero TotalHits accepted")
+	}
+}
+
+// TestGenerateRejectsNonFiniteBaseHits: a NaN mean never ends the Poisson
+// loop and an infinite one gives negative hit counts, so every generator
+// must refuse both up front. The calls run under a deadline so a
+// regression fails instead of hanging the suite.
+func TestGenerateRejectsNonFiniteBaseHits(t *testing.T) {
+	w := smallWorld(t)
+	for _, base := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := DefaultGenConfig()
+		cfg.TotalHits = 100_000
+		cfg.BaseHits = base
+		done := make(chan [3]error, 1)
+		go func() {
+			var errs [3]error
+			_, errs[0] = Generate(w, cfg)
+			_, errs[1] = GenerateTotals(w, cfg)
+			_, errs[2] = Stream(w, cfg)
+			done <- errs
+		}()
+		select {
+		case errs := <-done:
+			for i, name := range []string{"Generate", "GenerateTotals", "Stream"} {
+				if errs[i] == nil {
+					t.Errorf("%s accepted BaseHits %v", name, base)
+				}
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("BaseHits %v: generation did not return", base)
+		}
+	}
+}
+
+// TestGenerateTotalsMatchesAggregate: F1's sampled months at its reduced
+// volume, read without building an aggregate, equal the aggregate's totals
+// at every seed and parallelism.
+func TestGenerateTotalsMatchesAggregate(t *testing.T) {
+	w := smallWorld(t)
+	months := []netinfo.Month{{Year: 2015, Mon: 10}, {Year: 2016, Mon: 5},
+		{Year: 2016, Mon: 12}, {Year: 2017, Mon: 6}}
+	for seed := uint64(1); seed <= 3; seed++ {
+		for _, m := range months {
+			for _, p := range []int{1, 8} {
+				cfg := DefaultGenConfig()
+				cfg.Seed = seed
+				cfg.TotalHits = max(cfg.TotalHits/10, 100_000)
+				cfg.Month = m
+				cfg.Parallelism = p
+				agg, err := Generate(w, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := GenerateTotals(w, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := agg.Totals(); got != want {
+					t.Errorf("seed %d %v Parallelism %d: totals %+v, want %+v", seed, m, p, got, want)
+				}
+			}
+		}
+	}
+}
+
+// generateViaCounts is the aggregate path before the slab merge: each
+// shard's blocks sampled with a fresh RAT generator per block, every tally
+// merged through Aggregate.counts one heap Counts at a time. Generate must
+// reproduce it exactly.
+func generateViaCounts(w *world.World, cfg GenConfig) *Aggregate {
+	if err := cfg.validate(); err != nil {
+		panic(err)
+	}
+	plans := plan(w, cfg)
+	agg := NewAggregate()
+	for s := range par.Shards(len(plans), genShardSize) {
+		src := rand.NewPCG(cfg.Seed, aggStream^uint64(s))
+		rng := rand.New(src)
+		lo, hi := par.Span(s, len(plans), genShardSize)
+		for _, p := range plans[lo:hi] {
+			hits := traffic.PoissonSmall(src, p.meanHits)
+			var api int
+			if p.info.HitsOverride > 0 {
+				api = p.info.HitsOverride
+				if hits < api {
+					hits = api
+				}
+			} else {
+				if hits == 0 {
+					continue
+				}
+				api = traffic.Binomial(rng, hits, p.apiProb)
+			}
+			cell := traffic.Binomial(rng, api, p.info.CellLabelProb)
+			var c3, c4, c5 int
+			if cell > 0 && p.info.Cellular {
+				rrng := rand.New(rand.NewPCG(cfg.Seed, ratStreamFor(p.info.Block)))
+				c3, c4, c5 = splitRAT(rrng, cell, p.info.RAT.Mix(cfg.Month))
+			}
+			c := agg.counts(p.info.Block)
+			c.Hits += hits
+			c.API += api
+			c.Cell += cell
+			c.Cell3G += c3
+			c.Cell4G += c4
+			c.Cell5G += c5
+		}
+	}
+	return agg
+}
+
+// TestGenerateMatchesCountsMerge pins the slab-backed merge to the
+// per-block counts path, on the world and on a world that lists some
+// blocks twice, where the second tally must add to the first.
+func TestGenerateMatchesCountsMerge(t *testing.T) {
+	base := smallWorld(t)
+	blocks := append([]*world.BlockInfo(nil), base.Blocks...)
+	for i := 0; i < len(base.Blocks); i += 97 {
+		blocks = append(blocks, base.Blocks[i])
+	}
+	repeated := &world.World{Blocks: blocks}
+	for _, w := range []*world.World{base, repeated} {
+		for _, p := range []int{1, 8} {
+			cfg := DefaultGenConfig()
+			cfg.TotalHits = 2_000_000
+			cfg.Parallelism = p
+			got, err := Generate(w, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := generateViaCounts(w, cfg); !got.Equal(want) {
+				t.Errorf("%d blocks, Parallelism %d: Generate differs from the counts merge", len(w.Blocks), p)
+			}
+		}
+	}
+
+	// The Counts share one slab: adding to one block leaves the rest alone.
+	agg, err := Generate(base, DefaultGenConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := make(map[netaddr.Block]Counts, len(agg.PerBlock))
+	for b, c := range agg.PerBlock {
+		before[b] = *c
+	}
+	target := base.Blocks[len(base.Blocks)/2].Block
+	if agg.PerBlock[target] == nil {
+		t.Fatalf("block %v drew no hits", target)
+	}
+	one := Counts{Hits: 1, API: 1, Cell: 1, Cell3G: 1, Cell4G: 1, Cell5G: 1}
+	agg.AddCounts(target, one)
+	for b, c := range agg.PerBlock {
+		want := before[b]
+		if b == target {
+			want.add(one)
+		}
+		if *c != want {
+			t.Errorf("block %v: %+v after AddCounts on %v, want %+v", b, *c, target, want)
+		}
 	}
 }
 

@@ -41,8 +41,8 @@ func experimentF1(env *Env) (*Output, error) {
 	measured := float64(tot.API) / float64(tot.Hits)
 
 	// Cross-check the analytic curve by actually generating BEACON
-	// aggregates at sampled months (reduced volume): the measured shares
-	// must climb with the model.
+	// totals at sampled months (reduced volume): the measured shares must
+	// climb with the model.
 	sampled := report.NewSeries("Fig 1 — measured API share at sampled months",
 		"month_index", "measured_share")
 	prevShare := -1.0
@@ -52,11 +52,10 @@ func experimentF1(env *Env) (*Output, error) {
 		bcfg := r.Config.Beacon
 		bcfg.TotalHits = max(bcfg.TotalHits/10, 100_000)
 		bcfg.Month = m
-		agg, err := beacon.Generate(r.World, bcfg)
+		t, err := beacon.GenerateTotals(r.World, bcfg)
 		if err != nil {
 			return nil, err
 		}
-		t := agg.Totals()
 		share := float64(t.API) / float64(t.Hits)
 		sampled.MustAdd(float64(m.Index()), share)
 		if share < prevShare {

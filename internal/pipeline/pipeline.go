@@ -32,19 +32,24 @@ type Config struct {
 	MinHits   int     // AS filter rule 2 (paper: 300 responses)
 
 	// Parallelism is the worker count for the sharded hot stages (world
-	// generation, BEACON synthesis, DEMAND jitter, classification) and
-	// for Analyze's independent branches: 0 = GOMAXPROCS, 1 = the serial
-	// oracle path. Run and RunOnWorld copy it into the stage configs,
-	// overriding their own Parallelism fields. Results are bit-identical
-	// at every setting — each shard draws from its own
-	// PCG(seed, streamConst^shardIndex) stream, shard outputs merge in
-	// shard order, and each Analyze branch writes its own fields.
+	// generation, BEACON synthesis, DEMAND jitter, classification), for
+	// running BEACON beside DEMAND and for Analyze's independent
+	// branches: 0 = GOMAXPROCS, 1 = the serial oracle path. Run and
+	// RunOnWorld copy it into the stage configs, overriding their own
+	// Parallelism fields. Results are bit-identical at every setting —
+	// each shard draws from its own PCG(seed, streamConst^shardIndex)
+	// stream, shard outputs merge in shard order, and each concurrent
+	// branch writes its own fields.
 	Parallelism int
 
 	// Metrics, when non-nil, receives per-stage wall-time histograms and
 	// items-processed counters (pipeline_stage_* families) plus the
 	// internal/par worker-utilization counters. Recording is
 	// observation-only, so results stay bit-identical with metrics on.
+	// Unless Parallelism is 1, the beacon and demand stages run at the
+	// same time and share the cores, so their histograms overlap: they
+	// do not add up to the wall time of Run, and each reads longer than
+	// it would alone.
 	Metrics *obs.Registry
 }
 
@@ -148,26 +153,36 @@ func RunOnWorld(w *world.World, cfg Config) (*Result, error) {
 	cfg.Demand.Parallelism = cfg.Parallelism
 	r := &Result{Config: cfg, World: w}
 
-	start := time.Now()
-	agg, err := beacon.Generate(w, cfg.Beacon)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: beacon: %w", err)
+	// BEACON and DEMAND only read the world and each writes its own
+	// Result field, so they run as two branches; Parallelism 1 runs them
+	// in order. The BEACON error is reported first.
+	var errs [2]error
+	par.Do(2, cfg.Parallelism, func(i int) {
+		start := time.Now()
+		switch i {
+		case 0:
+			r.Beacon, errs[0] = beacon.Generate(w, cfg.Beacon)
+			if errs[0] == nil {
+				cfg.observeStage("beacon", start, r.Beacon.Blocks())
+			}
+		case 1:
+			r.Demand, errs[1] = demand.Generate(w, cfg.Demand)
+			if errs[1] == nil {
+				cfg.observeStage("demand", start, cfg.Demand.Days*r.Demand.Blocks())
+			}
+		}
+	})
+	if errs[0] != nil {
+		return nil, fmt.Errorf("pipeline: beacon: %w", errs[0])
 	}
-	r.Beacon = agg
-	cfg.observeStage("beacon", start, agg.Blocks())
-
-	start = time.Now()
-	ds, err := demand.Generate(w, cfg.Demand)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: demand: %w", err)
+	if errs[1] != nil {
+		return nil, fmt.Errorf("pipeline: demand: %w", errs[1])
 	}
-	r.Demand = ds
-	cfg.observeStage("demand", start, cfg.Demand.Days*ds.Blocks())
 
 	if err := r.Classify(cfg.Threshold); err != nil {
 		return nil, err
 	}
-	start = time.Now()
+	start := time.Now()
 	r.Analyze()
 	cfg.observeStage("analyze", start, len(r.Stats))
 	return r, nil

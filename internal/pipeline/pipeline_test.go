@@ -358,3 +358,30 @@ func TestExperimentTextMentionsPaper(t *testing.T) {
 		}
 	}
 }
+
+// TestRunOnWorldErrorOrder: BEACON and DEMAND run as two branches, and a
+// run with both configs bad reports BEACON's error at every Parallelism,
+// as the serial order did; a bad DEMAND config alone reports DEMAND's.
+func TestRunOnWorldErrorOrder(t *testing.T) {
+	cfg := testConfig()
+	cfg.World.Scale = 0.002
+	w, err := world.Generate(cfg.World)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1, 8} {
+		both := cfg
+		both.Parallelism = p
+		both.Beacon.TotalHits = 0
+		both.Demand.Days = 0
+		if _, err := RunOnWorld(w, both); err == nil || !strings.HasPrefix(err.Error(), "pipeline: beacon:") {
+			t.Errorf("Parallelism %d, both bad: error %v, want the BEACON error", p, err)
+		}
+		dem := cfg
+		dem.Parallelism = p
+		dem.Demand.Days = 0
+		if _, err := RunOnWorld(w, dem); err == nil || !strings.HasPrefix(err.Error(), "pipeline: demand:") {
+			t.Errorf("Parallelism %d, DEMAND bad: error %v, want the DEMAND error", p, err)
+		}
+	}
+}

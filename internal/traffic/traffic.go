@@ -172,12 +172,17 @@ func Binomial(rng *rand.Rand, n int, p float64) int {
 // PoissonSmall samples a Poisson variate with the inverse-transform method;
 // suitable for the small means used for per-block beacon hit counts.
 // Means above ~700 fall back to a normal approximation.
-func PoissonSmall(rng *rand.Rand, mean float64) int {
+//
+// It takes the concrete PCG so the per-uniform draw inlines into the
+// product loop. Each uniform is exactly rand.Rand.Float64's over the same
+// source, so a caller holding a rand.Rand over src sees the same values
+// and the same stream position it would have had drawing through it.
+func PoissonSmall(src *rand.PCG, mean float64) int {
 	if mean <= 0 {
 		return 0
 	}
 	if mean > 700 {
-		v := mean + math.Sqrt(mean)*rng.NormFloat64()
+		v := mean + math.Sqrt(mean)*rand.New(src).NormFloat64()
 		if v < 0 {
 			return 0
 		}
@@ -186,7 +191,7 @@ func PoissonSmall(rng *rand.Rand, mean float64) int {
 	l := math.Exp(-mean)
 	k, p := 0, 1.0
 	for {
-		p *= rng.Float64()
+		p *= float64(src.Uint64()<<11>>11) / (1 << 53)
 		if p <= l {
 			return k
 		}

@@ -165,22 +165,70 @@ func TestBinomial(t *testing.T) {
 }
 
 func TestPoissonSmall(t *testing.T) {
-	rng := rand.New(rand.NewPCG(6, 6))
-	if PoissonSmall(rng, 0) != 0 {
+	src := rand.NewPCG(6, 6)
+	if PoissonSmall(src, 0) != 0 {
 		t.Error("mean 0 should return 0")
 	}
-	if PoissonSmall(rng, -5) != 0 {
+	if PoissonSmall(src, -5) != 0 {
 		t.Error("negative mean should return 0")
 	}
 	for _, mean := range []float64{0.5, 3, 30, 1000} {
 		const n = 20000
 		sum := 0
 		for i := 0; i < n; i++ {
-			sum += PoissonSmall(rng, mean)
+			sum += PoissonSmall(src, mean)
 		}
 		got := float64(sum) / n
 		if math.Abs(got-mean) > mean*0.05+0.05 {
 			t.Errorf("mean %g: sampled mean %g", mean, got)
+		}
+	}
+}
+
+// poissonViaRand is the inverse-transform loop drawn through a rand.Rand,
+// the form PoissonSmall had before it took the PCG: the oracle the kernel
+// must reproduce draw for draw.
+func poissonViaRand(rng *rand.Rand, mean float64) int {
+	if mean <= 0 {
+		return 0
+	}
+	if mean > 700 {
+		v := mean + math.Sqrt(mean)*rng.NormFloat64()
+		if v < 0 {
+			return 0
+		}
+		return int(v + 0.5)
+	}
+	l := math.Exp(-mean)
+	k, p := 0, 1.0
+	for {
+		p *= rng.Float64()
+		if p <= l {
+			return k
+		}
+		k++
+	}
+}
+
+// TestPoissonSmallDrawsLikeRand pins the kernel to the rand.Rand loop: the
+// same variate and the same generator state afterwards, on both sides of
+// the normal-approximation cutoff, for means that draw no uniform at all.
+func TestPoissonSmallDrawsLikeRand(t *testing.T) {
+	means := []float64{-3, 0, 1e-9, 0.5, 8, 250, 699.9, 700, 700.1}
+	for seed := uint64(1); seed <= 50; seed++ {
+		src := rand.NewPCG(seed, seed^0xbeac0_0001)
+		ref := rand.NewPCG(seed, seed^0xbeac0_0001)
+		refRng := rand.New(ref)
+		for round := 0; round < 3; round++ {
+			for _, mean := range means {
+				got, want := PoissonSmall(src, mean), poissonViaRand(refRng, mean)
+				if got != want {
+					t.Fatalf("seed %d mean %g: %d, want %d", seed, mean, got, want)
+				}
+				if *src != *ref {
+					t.Fatalf("seed %d mean %g: generator state differs after the draw", seed, mean)
+				}
+			}
 		}
 	}
 }

@@ -76,7 +76,12 @@ func Generate(cfg Config) (*World, error) {
 	})
 
 	// Merge in country order, then run the serial tail stages (noise ASes,
-	// resolvers, carrier selection) on their own streams.
+	// resolvers, carrier selection) on their own streams. The index is
+	// sized for the fragments' blocks; the noise ASes add a few more.
+	nBlocks := 0
+	for _, f := range frags {
+		nBlocks += len(f.w.Blocks)
+	}
 	g := &generator{
 		cfg:     cfg,
 		rng:     rand.New(rand.NewPCG(cfg.Seed, noiseStream)),
@@ -87,7 +92,7 @@ func Generate(cfg Config) (*World, error) {
 		w: &World{
 			Config:     cfg,
 			Countries:  cfg.Countries,
-			BlockIndex: make(map[netaddr.Block]*BlockInfo),
+			BlockIndex: make(map[netaddr.Block]*BlockInfo, nBlocks),
 		},
 	}
 	for _, f := range frags {
