@@ -134,34 +134,65 @@ func (r *Rollup) EachRow(fn func(b netaddr.Block, du float64, as int)) {
 	}
 }
 
-// Resolve maps a block to its AS: a demand row through the column
-// NewRollup filled, any other block through asOf. i is the AS's index
-// when the AS has mapped demand, and -1 otherwise.
-func (r *Rollup) Resolve(b netaddr.Block) (asNum uint32, i int, ok bool) {
-	if row, ok := r.row(b); ok {
-		i := r.asIdx[row]
-		if i < 0 {
-			return 0, -1, false
+// ResolveBeacon calls fn for every block of agg that maps to an AS, in
+// canonical block order, with the AS number and its index (-1 when the
+// AS has no mapped demand). A block with demand finds its AS in the row
+// column NewRollup filled; only beacon-only blocks ask asOf.
+func (r *Rollup) ResolveBeacon(agg *beacon.Aggregate, fn func(b netaddr.Block, asNum uint32, i int)) {
+	r.joinBeacon(agg, func(b netaddr.Block, _ beacon.Counts, row int) {
+		if row >= 0 {
+			if i := r.asIdx[row]; i >= 0 {
+				fn(b, r.base[i].ASN, int(i))
+			}
+			return
 		}
-		return r.base[i].ASN, int(i), true
+		if a, ok := r.asOf(b); ok {
+			i, known := r.idx[a]
+			if !known {
+				i = -1
+			}
+			fn(b, a, int(i))
+		}
+	})
+}
+
+// joinBeacon calls fn for every block of agg in canonical block order
+// with the block, its tally and its demand row, or -1 when the block has
+// no demand. The beacon rows, in canonical order as Generate and Sum emit
+// them, and the demand rows pair up in one merge walk, with no hash probe
+// per block; an aggregate grown in arrival order is summed into canonical
+// order first.
+func (r *Rollup) joinBeacon(agg *beacon.Aggregate, fn func(b netaddr.Block, c beacon.Counts, row int)) {
+	if !agg.Sorted() {
+		agg = beacon.Sum([]*beacon.Aggregate{agg})
 	}
-	a, ok := r.asOf(b)
-	if !ok {
-		return 0, -1, false
+	rows := 0
+	if r.demand != nil {
+		rows = r.demand.Blocks()
 	}
-	if i, known := r.idx[a]; known {
-		return a, int(i), true
+	j := 0
+	for i := range agg.Blocks() {
+		b, c := agg.At(i)
+		for j < rows && r.demand.Key(j).Less(b) {
+			j++
+		}
+		if j < rows && r.demand.Key(j) == b {
+			fn(b, c, j)
+		} else {
+			fn(b, c, -1)
+		}
 	}
-	return a, -1, true
 }
 
 // Stats completes the rollup with one beacon aggregate and its detected
 // set, returning exactly what BuildStats returns for the same inputs.
 // Its cost scales with the aggregate and the detected set, not with the
-// dataset. A block with demand finds its AS in the row column; only
-// beacon-only blocks ask asOf. CellDU sums each AS's detected demand rows
-// in ascending row order, which is canonical block order, so every float
-// is bit-identical to a single pass over the dataset.
+// dataset. The aggregate's rows merge-join the demand rows, so a block
+// with demand finds its AS in the row column without a hash probe; only
+// beacon-only blocks ask asOf. Beacon tallies are integers, so their
+// order of addition does not matter. CellDU sums each AS's detected
+// demand rows in ascending row order, which is canonical block order, so
+// every float is bit-identical to a single pass over the dataset.
 func (r *Rollup) Stats(detected netaddr.Set, agg *beacon.Aggregate) map[uint32]*Stats {
 	vals := slices.Clone(r.base)
 	var more map[uint32]*Stats // ASes with no mapped demand
@@ -180,19 +211,19 @@ func (r *Rollup) Stats(detected netaddr.Set, agg *beacon.Aggregate) map[uint32]*
 		vals[r.asIdx[row]].CellDU += du
 	}
 	if agg != nil {
-		for b, c := range agg.PerBlock {
+		r.joinBeacon(agg, func(b netaddr.Block, c beacon.Counts, row int) {
 			var s *Stats
-			if row, ok := r.row(b); ok {
+			if row >= 0 {
 				i := r.asIdx[row]
 				if i < 0 {
-					continue
+					return
 				}
 				s = &vals[i]
 			} else {
 				// Beacon-only block (no recorded demand).
 				a, ok := r.asOf(b)
 				if !ok {
-					continue
+					return
 				}
 				if i, known := r.idx[a]; known {
 					s = &vals[i]
@@ -211,7 +242,7 @@ func (r *Rollup) Stats(detected netaddr.Set, agg *beacon.Aggregate) map[uint32]*
 			s.Hits += c.Hits
 			s.APIHits += c.API
 			s.CellHits += c.Cell
-		}
+		})
 	}
 	stats := make(map[uint32]*Stats, len(vals)+len(more))
 	for i := range vals {

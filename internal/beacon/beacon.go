@@ -17,6 +17,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"net/netip"
+	"slices"
 	"time"
 
 	"cellspot/internal/netaddr"
@@ -96,24 +97,54 @@ func (c *Counts) addRAT(r netinfo.RAT, n int) {
 	}
 }
 
-// Aggregate is the per-block BEACON rollup.
+// Aggregate is the per-block BEACON rollup: a row table with one row per
+// distinct block, a block column and a pointer-free tally column.
+// Generate and Sum emit their rows in canonical block order, so joins
+// against DEMAND can walk both row tables in step. The Add methods append
+// a new block's row in arrival order and record whether the rows are
+// still in canonical order (Sorted).
 type Aggregate struct {
-	PerBlock map[netaddr.Block]*Counts
+	keys []netaddr.Block // row → block
+	vals []Counts        // row → tally
+	// row maps a block to its row. The Add methods build it on first
+	// use; until then the rows are in canonical order and lookups
+	// binary-search the block column, so a generated aggregate holds no
+	// map at all.
+	row map[netaddr.Block]int32
+	// unordered records that the rows are not in canonical order.
+	unordered bool
 }
 
 // NewAggregate returns an empty aggregate.
-func NewAggregate() *Aggregate {
-	return &Aggregate{PerBlock: make(map[netaddr.Block]*Counts)}
+func NewAggregate() *Aggregate { return &Aggregate{} }
+
+// find returns the block's row.
+func (a *Aggregate) find(b netaddr.Block) (int, bool) {
+	if a.row != nil {
+		i, ok := a.row[b]
+		return int(i), ok
+	}
+	return slices.BinarySearchFunc(a.keys, b, netaddr.Block.Compare)
 }
 
-// counts returns the block's tally, creating it when absent.
+// counts returns the block's tally, appending a row when it has none.
 func (a *Aggregate) counts(b netaddr.Block) *Counts {
-	c := a.PerBlock[b]
-	if c == nil {
-		c = &Counts{}
-		a.PerBlock[b] = c
+	if a.row == nil {
+		a.row = make(map[netaddr.Block]int32, len(a.keys))
+		for i, k := range a.keys {
+			a.row[k] = int32(i)
+		}
 	}
-	return c
+	if i, ok := a.row[b]; ok {
+		return &a.vals[i]
+	}
+	if n := len(a.keys); n > 0 && !a.keys[n-1].Less(b) {
+		a.unordered = true
+	}
+	a.row[b] = int32(len(a.keys))
+	a.keys = append(a.keys, b)
+	a.vals = append(a.vals, Counts{})
+	return &a.vals[len(a.vals)-1]
 }
 
 // Add accumulates counts for a block.
@@ -147,30 +178,105 @@ func (a *Aggregate) AddRecord(r Record) {
 	}
 }
 
-// Merge folds another aggregate into a, per-RAT columns included.
-func (a *Aggregate) Merge(other *Aggregate) {
-	for b, oc := range other.PerBlock {
-		a.counts(b).add(*oc)
+// Sum returns the per-block sum of the aggregates, per-RAT columns
+// included, with its rows in canonical block order. Counts are integers,
+// so the sums do not depend on the order of the aggregates or of their
+// rows. It sorts one 16-byte reference per input row and sizes each
+// column once, for the distinct blocks.
+func Sum(aggs []*Aggregate) *Aggregate {
+	type ref struct {
+		block    netaddr.Block
+		agg, row int32
 	}
+	n := 0
+	for _, a := range aggs {
+		n += len(a.keys)
+	}
+	refs := make([]ref, 0, n)
+	for ai, a := range aggs {
+		for i, b := range a.keys {
+			refs = append(refs, ref{b, int32(ai), int32(i)})
+		}
+	}
+	// Window buckets fill in arrival order, so netaddr.SortByBlock's
+	// partition would only add a copy before the sort.
+	slices.SortFunc(refs, func(x, y ref) int { return x.block.Compare(y.block) })
+	distinct := 0
+	for i := range refs {
+		if i == 0 || refs[i].block != refs[i-1].block {
+			distinct++
+		}
+	}
+	out := &Aggregate{keys: make([]netaddr.Block, 0, distinct), vals: make([]Counts, 0, distinct)}
+	for i, r := range refs {
+		c := aggs[r.agg].vals[r.row]
+		if i > 0 && r.block == refs[i-1].block {
+			out.vals[len(out.vals)-1].add(c)
+			continue
+		}
+		out.keys = append(out.keys, r.block)
+		out.vals = append(out.vals, c)
+	}
+	return out
+}
+
+// Sorted reports whether the rows are in canonical block order, each
+// block above the one before.
+func (a *Aggregate) Sorted() bool { return !a.unordered }
+
+// tally is one block's tally awaiting its row.
+type tally struct {
+	block netaddr.Block
+	c     Counts
+}
+
+// fromTallies builds an aggregate with its rows in canonical order,
+// reordering ts in place. A repeated block's tallies add up in one row.
+func fromTallies(ts []tally) *Aggregate {
+	netaddr.SortByBlock(ts, func(t tally) netaddr.Block { return t.block })
+	a := &Aggregate{keys: make([]netaddr.Block, 0, len(ts)), vals: make([]Counts, 0, len(ts))}
+	for _, t := range ts {
+		if n := len(a.keys); n > 0 && a.keys[n-1] == t.block {
+			a.vals[n-1].add(t.c)
+			continue
+		}
+		a.keys = append(a.keys, t.block)
+		a.vals = append(a.vals, t.c)
+	}
+	return a
+}
+
+// At returns row i's block and tally.
+func (a *Aggregate) At(i int) (netaddr.Block, Counts) { return a.keys[i], a.vals[i] }
+
+// Get returns the block's tally; ok reports whether the block was
+// observed.
+func (a *Aggregate) Get(b netaddr.Block) (c Counts, ok bool) {
+	i, ok := a.find(b)
+	if !ok {
+		return Counts{}, false
+	}
+	return a.vals[i], true
 }
 
 // Ratio returns a block's cellular ratio (cellular hits over API-enabled
 // hits) and whether the block has any API-enabled hits at all.
 func (a *Aggregate) Ratio(b netaddr.Block) (float64, bool) {
-	c := a.PerBlock[b]
-	if c == nil || c.API == 0 {
+	c, ok := a.Get(b)
+	if !ok || c.API == 0 {
 		return 0, false
 	}
 	return float64(c.Cell) / float64(c.API), true
 }
 
-// Blocks returns the number of blocks observed.
-func (a *Aggregate) Blocks() int { return len(a.PerBlock) }
+// Blocks returns the number of blocks observed, which is also the number
+// of rows.
+func (a *Aggregate) Blocks() int { return len(a.keys) }
 
 // CountFamily returns the number of observed blocks of a family.
 func (a *Aggregate) CountFamily(f netaddr.Family) int {
 	n := 0
-	for b := range a.PerBlock {
+	for _, b := range a.keys {
 		if b.Fam() == f {
 			n++
 		}
@@ -179,15 +285,15 @@ func (a *Aggregate) CountFamily(f netaddr.Family) int {
 }
 
 // Equal reports whether two aggregates hold exactly the same per-block
-// counts — the bit-identical comparison the ingestion and live-path
-// equivalence suites are built on.
+// counts, whatever their row order — the bit-identical comparison the
+// ingestion and live-path equivalence suites are built on.
 func (a *Aggregate) Equal(other *Aggregate) bool {
-	if len(a.PerBlock) != len(other.PerBlock) {
+	if len(a.keys) != len(other.keys) {
 		return false
 	}
-	for b, c := range a.PerBlock {
-		oc := other.PerBlock[b]
-		if oc == nil || *c != *oc {
+	for i, b := range a.keys {
+		j, ok := other.find(b)
+		if !ok || other.vals[j] != a.vals[i] {
 			return false
 		}
 	}
@@ -197,8 +303,8 @@ func (a *Aggregate) Equal(other *Aggregate) bool {
 // Totals sums counts across all blocks.
 func (a *Aggregate) Totals() Counts {
 	var t Counts
-	for _, c := range a.PerBlock {
-		t.add(*c)
+	for _, c := range a.vals {
+		t.add(c)
 	}
 	return t
 }
@@ -246,8 +352,8 @@ func (c *GenConfig) validate() error {
 	if c.BaseHits < 0 {
 		return fmt.Errorf("beacon: negative BaseHits")
 	}
-	// A NaN mean never ends the Poisson loop and an infinite one makes
-	// negative hit counts, so only finite values pass.
+	// A NaN mean never ends the Poisson loop and an infinite one has no
+	// draw, so only finite values pass; plan bounds the means they make.
 	if math.IsNaN(c.BaseHits) || math.IsInf(c.BaseHits, 0) {
 		return fmt.Errorf("beacon: BaseHits %v is not finite", c.BaseHits)
 	}
@@ -265,8 +371,9 @@ type blockPlan struct {
 }
 
 // plan computes each web-active block's expected hits. The demand-driven
-// share of TotalHits is what remains after base hits.
-func plan(w *world.World, cfg GenConfig) []blockPlan {
+// share of TotalHits is what remains after base hits. A mean above
+// traffic.MaxPoissonMean is an error: its draws would not fit an int.
+func plan(w *world.World, cfg GenConfig) ([]blockPlan, error) {
 	apiCell, _ := netinfo.ExpectedAPIShare(cfg.Month, 1)
 	apiFixed, _ := netinfo.ExpectedAPIShare(cfg.Month, 0)
 
@@ -301,9 +408,13 @@ func plan(w *world.World, cfg GenConfig) []blockPlan {
 		default:
 			p.meanHits = cfg.BaseHits
 		}
+		if !(p.meanHits <= traffic.MaxPoissonMean) {
+			return nil, fmt.Errorf("beacon: block %v plans %g hits, above the largest drawable mean %g",
+				b.Block, p.meanHits, traffic.MaxPoissonMean)
+		}
 		plans = append(plans, p)
 	}
-	return plans
+	return plans, nil
 }
 
 // aggStream is the per-shard stream constant of the aggregate path; shard
@@ -339,12 +450,6 @@ func splitRAT(rng *rand.Rand, cell int, mix netinfo.RATMix) (c3, c4, c5 int) {
 // boundaries depend only on the plan list, never on the worker count, so
 // hit tallies are identical at every parallelism level.
 const genShardSize = 2048
-
-// tally is one shard-local sampled block outcome awaiting merge.
-type tally struct {
-	block netaddr.Block
-	c     Counts
-}
 
 // sampleShard draws shard s's blocks from PCG(cfg.Seed, aggStream^s) and
 // hands each sampled block to emit in plan order. Generate and
@@ -386,41 +491,36 @@ func sampleShard(plans []blockPlan, cfg GenConfig, s int, emit func(netaddr.Bloc
 // sampled per block without materializing records. Sampling shards across
 // cfg.Parallelism workers (0 = GOMAXPROCS, 1 = serial) with one PCG stream
 // per fixed-size shard; shard outputs merge in shard order, so the
-// aggregate is bit-identical at every parallelism level. The merge sizes
-// PerBlock from the shard tallies and backs every Counts with one slab.
+// aggregate is bit-identical at every parallelism level. Each shard writes
+// its tallies into its own span of one slice; the rows come out in
+// canonical order, which for the world's block list costs a partition by
+// family and an order check, not a sort.
 func Generate(w *world.World, cfg GenConfig) (*Aggregate, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	plans := plan(w, cfg)
+	plans, err := plan(w, cfg)
+	if err != nil {
+		return nil, err
+	}
 	nShards := par.Shards(len(plans), genShardSize)
-	outs := make([][]tally, nShards)
+	ts := make([]tally, len(plans))
+	filled := make([]int, nShards)
 	par.Do(nShards, cfg.Parallelism, func(s int) {
-		lo, hi := par.Span(s, len(plans), genShardSize)
-		buf := make([]tally, 0, hi-lo)
+		lo, _ := par.Span(s, len(plans), genShardSize)
+		n := lo
 		sampleShard(plans, cfg, s, func(b netaddr.Block, c Counts) {
-			buf = append(buf, tally{block: b, c: c})
+			ts[n] = tally{block: b, c: c}
+			n++
 		})
-		outs[s] = buf
+		filled[s] = n - lo
 	})
 	n := 0
-	for _, ts := range outs {
-		n += len(ts)
+	for s, k := range filled {
+		lo, _ := par.Span(s, len(plans), genShardSize)
+		n += copy(ts[n:], ts[lo:lo+k])
 	}
-	agg := &Aggregate{PerBlock: make(map[netaddr.Block]*Counts, n)}
-	slab := make([]Counts, 0, n)
-	for _, ts := range outs {
-		for _, t := range ts {
-			// A repeated block adds to its first tally, as counts would.
-			if c := agg.PerBlock[t.block]; c != nil {
-				c.add(t.c)
-				continue
-			}
-			slab = append(slab, t.c)
-			agg.PerBlock[t.block] = &slab[len(slab)-1]
-		}
-	}
-	return agg, nil
+	return fromTallies(ts[:n]), nil
 }
 
 // GenerateTotals returns Generate(w, cfg).Totals() without building the
@@ -430,7 +530,10 @@ func GenerateTotals(w *world.World, cfg GenConfig) (Counts, error) {
 	if err := cfg.validate(); err != nil {
 		return Counts{}, err
 	}
-	plans := plan(w, cfg)
+	plans, err := plan(w, cfg)
+	if err != nil {
+		return Counts{}, err
+	}
 	sums := make([]Counts, par.Shards(len(plans), genShardSize))
 	par.Do(len(sums), cfg.Parallelism, func(s int) {
 		var sum Counts
@@ -452,7 +555,10 @@ func Stream(w *world.World, cfg GenConfig) (iter.Seq[Record], error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	plans := plan(w, cfg)
+	plans, err := plan(w, cfg)
+	if err != nil {
+		return nil, err
+	}
 	start := time.Date(cfg.Month.Year, time.Month(cfg.Month.Mon), 1, 0, 0, 0, 0, time.UTC)
 	monthDur := start.AddDate(0, 1, 0).Sub(start)
 

@@ -61,9 +61,10 @@ func TestAggregateMergeAndRecords(t *testing.T) {
 	b.AddRecord(rec)
 	b.AddRecord(Record{IP: netaddr.V4Block(5, 6, 7).HostAddr(10), Conn: "wifi"})
 	b.AddRecord(Record{IP: netaddr.V4Block(5, 6, 7).HostAddr(11)}) // no API
-	a.Merge(b)
-	c := a.PerBlock[netaddr.V4Block(5, 6, 7)]
-	if c == nil || c.Hits != 3 || c.API != 2 || c.Cell != 1 {
+	a.Add(netaddr.V4Block(5, 6, 8), 1, 0, 0)
+	a = Sum([]*Aggregate{a, b})
+	c, ok := a.Get(netaddr.V4Block(5, 6, 7))
+	if !ok || c.Hits != 3 || c.API != 2 || c.Cell != 1 {
 		t.Fatalf("merged counts = %+v", c)
 	}
 	if !rec.HasAPI() {
@@ -140,7 +141,7 @@ func TestGenerateBeaconlessInvisible(t *testing.T) {
 		if bi.WebActive || bi.HitsOverride > 0 {
 			continue
 		}
-		if _, seen := agg.PerBlock[bi.Block]; seen {
+		if _, seen := agg.Get(bi.Block); seen {
 			t.Fatalf("beacon-less block %v appeared in BEACON", bi.Block)
 		}
 	}
@@ -156,8 +157,8 @@ func TestGenerateHitsOverride(t *testing.T) {
 		if bi.HitsOverride == 0 {
 			continue
 		}
-		c := agg.PerBlock[bi.Block]
-		if c == nil {
+		c, ok := agg.Get(bi.Block)
+		if !ok {
 			t.Fatalf("override block %v missing from BEACON", bi.Block)
 		}
 		if c.API != bi.HitsOverride {
@@ -184,9 +185,9 @@ func TestGenerateDeterminism(t *testing.T) {
 	if a1.Blocks() != a2.Blocks() {
 		t.Fatal("block counts differ")
 	}
-	for b, c1 := range a1.PerBlock {
-		c2 := a2.PerBlock[b]
-		if c2 == nil || *c1 != *c2 {
+	for i := range a1.Blocks() {
+		b, c1 := a1.At(i)
+		if c2, ok := a2.Get(b); !ok || c1 != c2 {
 			t.Fatalf("counts differ for %v: %+v vs %+v", b, c1, c2)
 		}
 	}
@@ -275,7 +276,10 @@ func generateViaCounts(w *world.World, cfg GenConfig) *Aggregate {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	plans := plan(w, cfg)
+	plans, err := plan(w, cfg)
+	if err != nil {
+		panic(err)
+	}
 	agg := NewAggregate()
 	for s := range par.Shards(len(plans), genShardSize) {
 		src := rand.NewPCG(cfg.Seed, aggStream^uint64(s))
@@ -343,23 +347,28 @@ func TestGenerateMatchesCountsMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := make(map[netaddr.Block]Counts, len(agg.PerBlock))
-	for b, c := range agg.PerBlock {
-		before[b] = *c
+	before := make(map[netaddr.Block]Counts, agg.Blocks())
+	for i := range agg.Blocks() {
+		b, c := agg.At(i)
+		before[b] = c
 	}
 	target := base.Blocks[len(base.Blocks)/2].Block
-	if agg.PerBlock[target] == nil {
+	if _, ok := agg.Get(target); !ok {
 		t.Fatalf("block %v drew no hits", target)
 	}
 	one := Counts{Hits: 1, API: 1, Cell: 1, Cell3G: 1, Cell4G: 1, Cell5G: 1}
 	agg.AddCounts(target, one)
-	for b, c := range agg.PerBlock {
+	if agg.Blocks() != len(before) {
+		t.Errorf("%d blocks after AddCounts on a present block, want %d", agg.Blocks(), len(before))
+	}
+	for i := range agg.Blocks() {
+		b, c := agg.At(i)
 		want := before[b]
 		if b == target {
 			want.add(one)
 		}
-		if *c != want {
-			t.Errorf("block %v: %+v after AddCounts on %v, want %+v", b, *c, target, want)
+		if c != want {
+			t.Errorf("block %v: %+v after AddCounts on %v, want %+v", b, c, target, want)
 		}
 	}
 }
@@ -444,6 +453,139 @@ func BenchmarkGenerateAggregate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Generate(w, cfg); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// ascending reports whether an aggregate's rows ascend strictly in
+// canonical block order.
+func ascending(a *Aggregate) bool {
+	for i := 1; i < a.Blocks(); i++ {
+		prev, _ := a.At(i - 1)
+		if b, _ := a.At(i); !prev.Less(b) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestGenerateRowsCanonical: Generate's rows ascend strictly in canonical
+// block order, on the world, whose block list interleaves the families so
+// the partition runs, and on one that names every 97th block twice, so the
+// sort and the fold of repeated blocks run, at Parallelism 1 and 8.
+func TestGenerateRowsCanonical(t *testing.T) {
+	base := smallWorld(t)
+	interleaved := false
+	for i := 1; i < len(base.Blocks); i++ {
+		if base.Blocks[i].Block.Less(base.Blocks[i-1].Block) {
+			interleaved = true
+		}
+	}
+	if !interleaved {
+		t.Fatal("the world's block list is already in canonical order; the partition is untested")
+	}
+	blocks := append([]*world.BlockInfo(nil), base.Blocks...)
+	for i := 0; i < len(base.Blocks); i += 97 {
+		blocks = append(blocks, base.Blocks[i])
+	}
+	repeated := &world.World{Blocks: blocks}
+	for _, w := range []*world.World{base, repeated} {
+		for _, p := range []int{1, 8} {
+			cfg := DefaultGenConfig()
+			cfg.Parallelism = p
+			agg, err := Generate(w, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if agg.Blocks() == 0 || !ascending(agg) {
+				t.Errorf("%d blocks, Parallelism %d: rows not strictly ascending", len(w.Blocks), p)
+			}
+		}
+	}
+}
+
+// TestAggregateRowOrder: an aggregate knows whether its rows are in
+// canonical order, compares equal to one holding the same tallies in
+// another order, and answers lookups the same before and after the first
+// add builds its row index.
+func TestAggregateRowOrder(t *testing.T) {
+	blocks := []netaddr.Block{
+		netaddr.V4Block(1, 2, 3), netaddr.V4Block(9, 9, 9),
+		netaddr.V6Block(0x2001_0000_0001), netaddr.V6Block(0x2001_0000_0002),
+	}
+	inOrder, reversed := NewAggregate(), NewAggregate()
+	for i, b := range blocks {
+		inOrder.AddCounts(b, Counts{Hits: i + 1, API: i, Cell: 1, Cell4G: 1})
+	}
+	for i := len(blocks) - 1; i >= 0; i-- {
+		reversed.AddCounts(blocks[i], Counts{Hits: i + 1, API: i, Cell: 1, Cell4G: 1})
+	}
+	if !inOrder.Sorted() || reversed.Sorted() {
+		t.Fatalf("Sorted: %v for rows in canonical order, %v for reversed rows", inOrder.Sorted(), reversed.Sorted())
+	}
+	if !inOrder.Equal(reversed) || !reversed.Equal(inOrder) {
+		t.Error("aggregates with the same tallies in another row order differ")
+	}
+	inOrder.Add(blocks[1], 1, 0, 0)
+	if !inOrder.Sorted() || inOrder.Equal(reversed) {
+		t.Error("adding to an existing row changed the order flag or went unseen by Equal")
+	}
+	for _, aggs := range [][]*Aggregate{{inOrder, reversed, inOrder}, {reversed, inOrder}} {
+		want := NewAggregate()
+		for _, a := range aggs {
+			for i := range a.Blocks() {
+				want.AddCounts(a.At(i))
+			}
+		}
+		if got := Sum(aggs); !got.Equal(want) || !got.Sorted() || !ascending(got) {
+			t.Errorf("Sum: equal %v, sorted %v, ascending %v", got.Equal(want), got.Sorted(), ascending(got))
+		}
+	}
+
+	agg, err := Generate(smallWorld(t), DefaultGenConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, c := agg.At(agg.Blocks() / 2)
+	if got, ok := agg.Get(b); !ok || got != c || !agg.Sorted() {
+		t.Fatalf("Get(%v) = %+v, %v before the first add, want %+v", b, got, ok, c)
+	}
+	if _, ok := agg.Get(netaddr.V4Block(0, 0, 1)); ok {
+		t.Error("Get found a block never drawn")
+	}
+	agg.Add(netaddr.V4Block(0, 0, 1), 1, 0, 0)
+	if got, ok := agg.Get(b); !ok || got != c {
+		t.Errorf("Get(%v) = %+v, %v after the first add, want %+v", b, got, ok, c)
+	}
+	if agg.Sorted() {
+		t.Error("a block added below the first row left the rows marked sorted")
+	}
+}
+
+// TestGenerateRejectsUndrawableMean: BaseHits 1e19 plans a mean beyond
+// any int for every web-active block, whose draws would wrap to negative
+// hit counts. Every generator refuses it, while the largest drawable mean
+// still draws non-negative counts.
+func TestGenerateRejectsUndrawableMean(t *testing.T) {
+	w := smallWorld(t)
+	cfg := DefaultGenConfig()
+	cfg.BaseHits = 1e19
+	_, errGen := Generate(w, cfg)
+	_, errTotals := GenerateTotals(w, cfg)
+	_, errStream := Stream(w, cfg)
+	for name, err := range map[string]error{"Generate": errGen, "GenerateTotals": errTotals, "Stream": errStream} {
+		if err == nil {
+			t.Errorf("%s accepted BaseHits %g", name, cfg.BaseHits)
+		}
+	}
+	cfg.BaseHits = traffic.MaxPoissonMean
+	agg, err := Generate(w, cfg)
+	if err != nil {
+		t.Fatalf("BaseHits %g: %v", cfg.BaseHits, err)
+	}
+	for i := range agg.Blocks() {
+		if b, c := agg.At(i); c.Hits < 0 || c.API < 0 || c.Cell < 0 {
+			t.Fatalf("block %v drew %+v", b, c)
 		}
 	}
 }

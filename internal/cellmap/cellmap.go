@@ -100,7 +100,7 @@ func Build(threshold float64, period string, in Inputs) (*Map, error) {
 					e.DU += in.Demand.DU(b)
 				}
 				if in.Beacon != nil {
-					if c := in.Beacon.PerBlock[b]; c != nil {
+					if c, ok := in.Beacon.Get(b); ok {
 						hits += c.API
 						cells += c.Cell
 					}

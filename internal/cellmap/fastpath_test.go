@@ -40,7 +40,8 @@ func TestServingAnswersTakeFastPath(t *testing.T) {
 		// The same counts without the per-RAT split: a map as built from
 		// logs that predate the RAT column.
 		legacy := beacon.NewAggregate()
-		for b, c := range r.Beacon.PerBlock {
+		for i := range r.Beacon.Blocks() {
+			b, c := r.Beacon.At(i)
 			legacy.Add(b, c.Hits, c.API, c.Cell)
 		}
 		var addrs []netip.Addr

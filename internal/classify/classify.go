@@ -40,53 +40,48 @@ func (c Classifier) Threshold() float64 { return c.threshold }
 // never labeled cellular (the method can only see what the API reports).
 func (c Classifier) Classify(agg *beacon.Aggregate) netaddr.Set {
 	out := make(netaddr.Set)
-	for b, counts := range agg.PerBlock {
-		if counts.API == 0 {
-			continue
-		}
-		if float64(counts.Cell)/float64(counts.API) >= c.threshold {
+	for i := range agg.Blocks() {
+		if b, n := agg.At(i); c.cellular(n) {
 			out.Add(b)
 		}
 	}
 	return out
 }
 
+// cellular reports whether a tally's cellular ratio meets the threshold.
+func (c Classifier) cellular(n beacon.Counts) bool {
+	return n.API > 0 && float64(n.Cell)/float64(n.API) >= c.threshold
+}
+
 // classifyShardSize is the number of blocks per classification shard.
 const classifyShardSize = 8192
 
 // ClassifyParallel returns exactly the set Classify returns, sharding
-// ratio evaluation across `parallelism` workers (0 = GOMAXPROCS,
+// the aggregate's rows across `parallelism` workers (0 = GOMAXPROCS,
 // 1 = serial). Classification draws no randomness, so the only merge
 // requirement is set union; the result is identical at every setting.
 func (c Classifier) ClassifyParallel(agg *beacon.Aggregate, parallelism int) netaddr.Set {
 	if par.Workers(parallelism) <= 1 {
 		return c.Classify(agg)
 	}
-	type entry struct {
-		block netaddr.Block
-		api   int
-		cell  int
-	}
-	entries := make([]entry, 0, len(agg.PerBlock))
-	for b, counts := range agg.PerBlock {
-		entries = append(entries, entry{block: b, api: counts.API, cell: counts.Cell})
-	}
-	nShards := par.Shards(len(entries), classifyShardSize)
+	rows := agg.Blocks()
+	nShards := par.Shards(rows, classifyShardSize)
 	locals := make([][]netaddr.Block, nShards)
 	par.Do(nShards, parallelism, func(s int) {
-		lo, hi := par.Span(s, len(entries), classifyShardSize)
+		lo, hi := par.Span(s, rows, classifyShardSize)
 		var buf []netaddr.Block
-		for _, e := range entries[lo:hi] {
-			if e.api == 0 {
-				continue
-			}
-			if float64(e.cell)/float64(e.api) >= c.threshold {
-				buf = append(buf, e.block)
+		for i := lo; i < hi; i++ {
+			if b, n := agg.At(i); c.cellular(n) {
+				buf = append(buf, b)
 			}
 		}
 		locals[s] = buf
 	})
-	out := make(netaddr.Set)
+	n := 0
+	for _, blocks := range locals {
+		n += len(blocks)
+	}
+	out := make(netaddr.Set, n)
 	for _, blocks := range locals {
 		for _, b := range blocks {
 			out.Add(b)
@@ -239,7 +234,8 @@ type RatioSample struct {
 // result is sorted by ratio — the raw material of Fig 2.
 func Ratios(agg *beacon.Aggregate, fam netaddr.Family, demandOf func(netaddr.Block) float64) []RatioSample {
 	var out []RatioSample
-	for b, counts := range agg.PerBlock {
+	for i := range agg.Blocks() {
+		b, counts := agg.At(i)
 		if b.Fam() != fam || counts.API == 0 {
 			continue
 		}

@@ -1,12 +1,15 @@
 package classify
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"cellspot/internal/beacon"
 	"cellspot/internal/netaddr"
+	"cellspot/internal/world"
 )
 
 func aggWith(t *testing.T, rows ...[4]int) *beacon.Aggregate {
@@ -272,5 +275,80 @@ func TestF1BoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// mapWalkClassify is Classify as it ran over a map of per-block tallies.
+func mapWalkClassify(c Classifier, agg *beacon.Aggregate) netaddr.Set {
+	perBlock := make(map[netaddr.Block]beacon.Counts, agg.Blocks())
+	for i := range agg.Blocks() {
+		b, n := agg.At(i)
+		perBlock[b] = n
+	}
+	out := make(netaddr.Set)
+	for b, n := range perBlock {
+		if n.API > 0 && float64(n.Cell)/float64(n.API) >= c.threshold {
+			out.Add(b)
+		}
+	}
+	return out
+}
+
+// TestClassifyMatchesMapWalkOracle runs Classify and ClassifyParallel at
+// 1 and 8 workers over the BEACON of Scale-0.005 worlds of seeds 1–3,
+// generated at Parallelism 1 and 8: as Generate emits it, as an
+// arrival-order copy, and generated over a block list that names every
+// 97th block twice. Each must equal the map walk.
+func TestClassifyMatchesMapWalkOracle(t *testing.T) {
+	c, err := New(DefaultThreshold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		for _, p := range []int{1, 8} {
+			wcfg := world.DefaultConfig()
+			wcfg.Seed, wcfg.Scale, wcfg.Parallelism = seed, 0.005, p
+			w, err := world.Generate(wcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			repeated := *w
+			repeated.Blocks = slices.Clone(w.Blocks)
+			for i := 0; i < len(w.Blocks); i += 97 {
+				repeated.Blocks = append(repeated.Blocks, w.Blocks[i])
+			}
+			bcfg := beacon.DefaultGenConfig()
+			bcfg.Seed, bcfg.Parallelism = seed, p
+			agg, err := beacon.Generate(w, bcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			twice, err := beacon.Generate(&repeated, bcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			arrival := beacon.NewAggregate()
+			for i := agg.Blocks() - 1; i >= 0; i-- {
+				b, n := agg.At(i)
+				arrival.AddCounts(b, n)
+			}
+			for name, a := range map[string]*beacon.Aggregate{"canonical": agg, "arrival order": arrival, "repeated blocks": twice} {
+				want := mapWalkClassify(c, a)
+				if want.Len() == 0 {
+					t.Fatalf("seed %d %s: nothing detected", seed, name)
+				}
+				runs := map[string]netaddr.Set{
+					"Classify":            c.Classify(a),
+					"ClassifyParallel(1)": c.ClassifyParallel(a, 1),
+					"ClassifyParallel(8)": c.ClassifyParallel(a, 8),
+				}
+				for run, got := range runs {
+					if !maps.Equal(got, want) {
+						t.Errorf("seed %d Parallelism %d %s, %s: %d blocks detected, want %d",
+							seed, p, name, run, got.Len(), want.Len())
+					}
+				}
+			}
+		}
 	}
 }

@@ -18,7 +18,7 @@ func RATShares(agg *beacon.Aggregate, blocks []netaddr.Block) (shares [netinfo.N
 	}
 	var c3, c4, c5 int
 	for _, b := range blocks {
-		if c := agg.PerBlock[b]; c != nil {
+		if c, ok := agg.Get(b); ok {
 			c3 += c.Cell3G
 			c4 += c.Cell4G
 			c5 += c.Cell5G

@@ -41,15 +41,16 @@ func NewDataset(raw map[netaddr.Block]float64) (*Dataset, error) {
 	return newDataset(entries)
 }
 
-// newDataset sorts entries, one per distinct block, into canonical block
+// newDataset puts entries, one per distinct block, into canonical block
 // order and scales their weights to sum to TotalDU; it reorders entries in
-// place. Summing and scaling run in that order because float addition is
-// not associative: map or shard order would make two runs of the same
-// world differ in their last bits. A negative weight is reported for the
-// first such block in canonical order, so the error is the same on every
-// call.
+// place. Entries in the world's block order are ascending within each
+// family, so they cost a partition by family, not a sort. Summing and
+// scaling run in canonical order because float addition is not
+// associative: map or shard order would make two runs of the same world
+// differ in their last bits. A negative weight is reported for the first
+// such block in canonical order, so the error is the same on every call.
 func newDataset(entries []BlockDU) (*Dataset, error) {
-	slices.SortFunc(entries, func(a, b BlockDU) int { return a.Block.Compare(b.Block) })
+	netaddr.SortByBlock(entries, func(e BlockDU) netaddr.Block { return e.Block })
 	sum := 0.0
 	n := 0
 	for _, e := range entries {
@@ -86,6 +87,9 @@ func (d *Dataset) Row(b netaddr.Block) (int, bool) {
 	i, ok := d.row[b]
 	return int(i), ok
 }
+
+// Key returns row i's block.
+func (d *Dataset) Key(i int) netaddr.Block { return d.keys[i] }
 
 // At returns row i's block and demand units.
 func (d *Dataset) At(i int) (netaddr.Block, float64) { return d.keys[i], d.du[i] }

@@ -6,6 +6,7 @@
 package dnsmap
 
 import (
+	"encoding/binary"
 	"net/netip"
 	"sort"
 
@@ -42,10 +43,20 @@ func (u Usage) CellFraction() float64 {
 
 // ResolverUsage joins affinity, demand, and subnet labels into per-resolver
 // usage. It walks the DEMAND dataset in canonical block order, so the
-// per-resolver floating-point sums are reproducible run to run.
+// per-resolver floating-point sums are reproducible run to run. Sums
+// accumulate in a slice indexed by a dense number per address. A table of
+// recently seen resolvers, slotted by the address's low bits, gives an
+// association its number after one pointer compare; only a miss probes
+// the address-keyed map. Resolvers that share an address share the
+// number, and so the sum.
 func ResolverUsage(aff Affinity, ds *demand.Dataset, detected netaddr.Set) map[netip.Addr]*Usage {
-	out := make(map[netip.Addr]*Usage)
-	var assocs []world.ResolverWeight
+	var (
+		addrs  []netip.Addr // dense number → address
+		sums   []Usage      // dense number → usage
+		byAddr = make(map[netip.Addr]int32)
+		seen   [resolverSlots]resolverSlot
+		assocs []world.ResolverWeight
+	)
 	ds.Each(func(block netaddr.Block, du float64) {
 		if du == 0 {
 			return
@@ -53,19 +64,47 @@ func ResolverUsage(aff Affinity, ds *demand.Dataset, detected netaddr.Set) map[n
 		assocs = aff(assocs[:0], block)
 		cell := detected.Has(block)
 		for _, a := range assocs {
-			u := out[a.Resolver.Addr]
-			if u == nil {
-				u = &Usage{}
-				out[a.Resolver.Addr] = u
+			slot := &seen[resolverSlotOf(a.Resolver.Addr)]
+			i := slot.i
+			if slot.r != a.Resolver {
+				var ok bool
+				if i, ok = byAddr[a.Resolver.Addr]; !ok {
+					i = int32(len(sums))
+					byAddr[a.Resolver.Addr] = i
+					addrs = append(addrs, a.Resolver.Addr)
+					sums = append(sums, Usage{})
+				}
+				*slot = resolverSlot{a.Resolver, i}
 			}
 			if cell {
-				u.CellDU += du * a.Weight
+				sums[i].CellDU += du * a.Weight
 			} else {
-				u.FixedDU += du * a.Weight
+				sums[i].FixedDU += du * a.Weight
 			}
 		}
 	})
+	out := make(map[netip.Addr]*Usage, len(sums))
+	for i, addr := range addrs {
+		out[addr] = &sums[i]
+	}
 	return out
+}
+
+// resolverSlots is the size of ResolverUsage's direct-mapped table of
+// recently seen resolvers.
+const resolverSlots = 1 << 10
+
+// resolverSlot remembers one resolver's dense number.
+type resolverSlot struct {
+	r *world.Resolver
+	i int32
+}
+
+// resolverSlotOf picks an address's slot from its low 64 bits.
+func resolverSlotOf(a netip.Addr) uint64 {
+	b := a.As16()
+	lo := binary.BigEndian.Uint64(b[8:])
+	return (lo * 0x9e3779b97f4a7c15) >> (64 - 10)
 }
 
 // CellFractions returns the sorted cellular demand fractions of every

@@ -298,3 +298,115 @@ func TestJoinsMatchSortedMapWalk(t *testing.T) {
 		t.Errorf("PublicDNSByAS differs from the sorted-map walk (%d vs %d ASes)", len(gotPublic), len(want))
 	}
 }
+
+// addrMapResolverUsage is ResolverUsage as it accumulated into a map keyed
+// by resolver address, probed once per association.
+func addrMapResolverUsage(aff Affinity, ds *demand.Dataset, detected netaddr.Set) map[netip.Addr]*Usage {
+	out := make(map[netip.Addr]*Usage)
+	var assocs []world.ResolverWeight
+	ds.Each(func(block netaddr.Block, du float64) {
+		if du == 0 {
+			return
+		}
+		assocs = aff(assocs[:0], block)
+		cell := detected.Has(block)
+		for _, a := range assocs {
+			u := out[a.Resolver.Addr]
+			if u == nil {
+				u = &Usage{}
+				out[a.Resolver.Addr] = u
+			}
+			if cell {
+				u.CellDU += du * a.Weight
+			} else {
+				u.FixedDU += du * a.Weight
+			}
+		}
+	})
+	return out
+}
+
+// sameUsage reports whether two usage maps hold the same resolvers with
+// bit-identical sums.
+func sameUsage(got, want map[netip.Addr]*Usage) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for a, w := range want {
+		g := got[a]
+		if g == nil || math.Float64bits(g.CellDU) != math.Float64bits(w.CellDU) ||
+			math.Float64bits(g.FixedDU) != math.Float64bits(w.FixedDU) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestResolverUsageMatchesAddrMapOracle compares ResolverUsage bitwise
+// with the address-keyed map on Scale-0.005 worlds of seeds 1–3 generated
+// at Parallelism 1 and 8, and on hand-built resolvers: a fresh
+// *world.Resolver per association, so many pointers share one address,
+// over enough addresses that the table of recently seen resolvers holds
+// colliding entries.
+func TestResolverUsageMatchesAddrMapOracle(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		for _, p := range []int{1, 8} {
+			cfg := world.DefaultConfig()
+			cfg.Seed, cfg.Scale, cfg.Parallelism = seed, 0.005, p
+			w, err := world.Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dcfg := demand.DefaultGenConfig()
+			dcfg.Seed, dcfg.Parallelism = seed, p
+			ds, err := demand.Generate(w, dcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			detected := make(netaddr.Set)
+			for _, b := range w.Blocks {
+				if b.Cellular || b.CellLabelProb > 0.5 {
+					detected.Add(b.Block)
+				}
+			}
+			got := ResolverUsage(w.AppendAffinity, ds, detected)
+			if want := addrMapResolverUsage(w.AppendAffinity, ds, detected); len(want) == 0 || !sameUsage(got, want) {
+				t.Errorf("seed %d Parallelism %d: ResolverUsage differs from the address map (%d vs %d resolvers)",
+					seed, p, len(got), len(want))
+			}
+		}
+	}
+
+	raw := make(map[netaddr.Block]float64)
+	detected := make(netaddr.Set)
+	for i := range 3000 {
+		b := netaddr.V4Block(10, byte(i>>8), byte(i))
+		raw[b] = float64(1 + i%7)
+		if i%3 == 0 {
+			detected.Add(b)
+		}
+	}
+	ds, err := demand.NewDataset(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolver := func(n int) *world.Resolver {
+		return &world.Resolver{Addr: netip.AddrFrom4([4]byte{5, byte(n >> 16), byte(n >> 8), byte(n)})}
+	}
+	aff := func(dst []world.ResolverWeight, b netaddr.Block) []world.ResolverWeight {
+		k := int(b.Key())
+		return append(dst,
+			world.ResolverWeight{Resolver: resolver(k % 2048), Weight: 0.5},
+			world.ResolverWeight{Resolver: resolver(k * 7 % 1500), Weight: 0.3},
+			world.ResolverWeight{Resolver: resolver(k % 3), Weight: 0.2},
+		)
+	}
+	got, want := ResolverUsage(aff, ds, detected), addrMapResolverUsage(aff, ds, detected)
+	if len(want) < 2048 || !sameUsage(got, want) {
+		t.Errorf("hand-built resolvers: ResolverUsage differs from the address map (%d vs %d resolvers)", len(got), len(want))
+	}
+	aff0, ds0, det0 := fixture(t)
+	if got, want := ResolverUsage(aff0, ds0, det0), addrMapResolverUsage(aff0, ds0, det0); !sameUsage(got, want) {
+		t.Error("fixture: ResolverUsage differs from the address map")
+	}
+}

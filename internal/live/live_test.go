@@ -167,10 +167,10 @@ func TestWindowSlidesAndPrunes(t *testing.T) {
 	if agg.Blocks() != 2 {
 		t.Fatalf("merged blocks = %d, want 2", agg.Blocks())
 	}
-	if c := agg.PerBlock[netaddr.V4Block(10, 0, 2)]; c == nil || c.Hits != 1 || c.Cell != 1 {
+	if c, ok := agg.Get(netaddr.V4Block(10, 0, 2)); !ok || c.Hits != 1 || c.Cell != 1 {
 		t.Fatalf("day-102 block counts = %+v", c)
 	}
-	if c := agg.PerBlock[netaddr.V4Block(10, 0, 0)]; c != nil {
+	if _, ok := agg.Get(netaddr.V4Block(10, 0, 0)); ok {
 		t.Fatal("evicted day's block survived into Merged")
 	}
 }
@@ -195,8 +195,10 @@ func TestWindowOrderIndependence(t *testing.T) {
 			w.Add(SpoolSource, records[i])
 		}
 		got := make(map[netaddr.Block]beacon.Counts)
-		for b, c := range w.Merged().PerBlock {
-			got[b] = *c
+		merged := w.Merged()
+		for i := range merged.Blocks() {
+			b, c := merged.At(i)
+			got[b] = c
 		}
 		if pi == 0 {
 			want = got

@@ -89,7 +89,7 @@ func decodeBuckets(states []DayState) (map[int64]*dayBucket, int, error) {
 			b.records += bs.Hits
 			records += bs.Hits
 			// Sums of non-negative ints wrap negative on overflow.
-			if negative(*b.agg.PerBlock[blk]) || records < 0 {
+			if sum, _ := b.agg.Get(blk); negative(sum) || records < 0 {
 				return nil, 0, fmt.Errorf("bucket day %d block %s: count overflow", ds.Day, bs.Block)
 			}
 		}
@@ -231,15 +231,16 @@ func (m *MultiWindow) Stragglers() int { return m.stragglers }
 
 // Merged returns the aggregate over every retained bucket of every source.
 // Counts are integers, so the merge is identical regardless of source,
-// bucket, or arrival order.
+// bucket, or arrival order. Its rows are in canonical block order, so the
+// build's joins against DEMAND walk both row tables in step.
 func (m *MultiWindow) Merged() *beacon.Aggregate {
-	out := beacon.NewAggregate()
+	var aggs []*beacon.Aggregate
 	for _, buckets := range m.sources {
 		for _, b := range buckets {
-			out.Merge(b.agg)
+			aggs = append(aggs, b.agg)
 		}
 	}
-	return out
+	return beacon.Sum(aggs)
 }
 
 // DayRange returns the first and last retained day as "2006-01-02"
@@ -298,7 +299,7 @@ func (m *MultiWindow) appendState(dst []byte) []byte {
 	}
 	type blockCounts struct {
 		blk netaddr.Block
-		c   *beacon.Counts
+		c   beacon.Counts
 	}
 	var blocks []blockCounts
 	dst = append(dst, '[')
@@ -317,13 +318,14 @@ func (m *MultiWindow) appendState(dst []byte) []byte {
 			dst = append(dst, `{"day":`...)
 			dst = strconv.AppendInt(dst, day, 10)
 			dst = append(dst, `,"blocks":`...)
-			per := buckets[day].agg.PerBlock
-			if len(per) == 0 {
+			agg := buckets[day].agg
+			if agg.Blocks() == 0 {
 				dst = append(dst, "null}"...)
 				continue
 			}
 			blocks = blocks[:0]
-			for blk, c := range per {
+			for k := range agg.Blocks() {
+				blk, c := agg.At(k)
 				blocks = append(blocks, blockCounts{blk, c})
 			}
 			slices.SortFunc(blocks, func(x, y blockCounts) int { return x.blk.Compare(y.blk) })
@@ -344,7 +346,7 @@ func (m *MultiWindow) appendState(dst []byte) []byte {
 // appendBlockState appends one block's BlockState as encoding/json
 // writes it: the block as its netaddr.FormatIndex token, zero per-RAT
 // counts omitted.
-func appendBlockState(dst []byte, blk netaddr.Block, c *beacon.Counts) []byte {
+func appendBlockState(dst []byte, blk netaddr.Block, c beacon.Counts) []byte {
 	dst = append(dst, `{"block":"`...)
 	dst = append(dst, blk.Fam().String()...)
 	dst = append(dst, '-')

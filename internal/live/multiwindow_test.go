@@ -419,13 +419,14 @@ func encodeBuckets(buckets map[int64]*dayBucket) []DayState {
 	for _, day := range days {
 		b := buckets[day]
 		ds := DayState{Day: day}
-		blocks := make([]netaddr.Block, 0, len(b.agg.PerBlock))
-		for blk := range b.agg.PerBlock {
+		blocks := make([]netaddr.Block, 0, b.agg.Blocks())
+		for i := range b.agg.Blocks() {
+			blk, _ := b.agg.At(i)
 			blocks = append(blocks, blk)
 		}
 		netaddr.SortBlocks(blocks)
 		for _, blk := range blocks {
-			c := b.agg.PerBlock[blk]
+			c, _ := b.agg.Get(blk)
 			ds.Blocks = append(ds.Blocks, BlockState{
 				Block: netaddr.FormatIndex(blk),
 				Hits:  c.Hits, API: c.API, Cell: c.Cell,

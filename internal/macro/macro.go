@@ -167,14 +167,10 @@ func Build(in Inputs) *Analysis {
 		}
 	})
 	if in.Beacon != nil {
-		for b := range in.Beacon.PerBlock {
-			asNum, i, ok := in.Rollup.Resolve(b)
-			if !ok {
-				continue
-			}
+		in.Rollup.ResolveBeacon(in.Beacon, func(b netaddr.Block, asNum uint32, i int) {
 			r := rowOf(asNum, i)
 			if r.country == nil {
-				continue
+				return
 			}
 			cs, cont := r.country, r.continent
 			cell := r.cellAS && in.Detected.Has(b)
@@ -193,7 +189,7 @@ func Build(in Inputs) *Analysis {
 					cont.Cell24++
 				}
 			}
-		}
+		})
 	}
 	return a
 }

@@ -1,7 +1,9 @@
 package macro
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"cellspot/internal/aschar"
@@ -274,7 +276,8 @@ func oracleBuild(in Inputs, ds *demand.Dataset, asOf func(netaddr.Block) (uint32
 			a.GlobalCellDU += du
 		}
 	})
-	for b := range in.Beacon.PerBlock {
+	for i := range in.Beacon.Blocks() {
+		b, _ := in.Beacon.At(i)
 		asNum, ok := asOf(b)
 		if !ok {
 			continue
@@ -353,38 +356,74 @@ func hasRow(ds *demand.Dataset, b netaddr.Block) bool {
 	return ok
 }
 
-// TestBuildMatchesPerBlockOracle runs Build and oracleBuild on a Scale-0.005
-// world, with every detected block counted and with only the ASes that
-// pass the paper's AS filter. Some blocks lose their AS and some ASes
-// their country, so the memo's unknown rows are exercised too. DEMAND
-// leaves out some blocks and every block of some ASes, so the beacon
-// aggregate holds beacon-only blocks both of ASes the rollup indexes and
-// of ASes it has never seen.
+// TestBuildMatchesPerBlockOracle runs Build and oracleBuild on Scale-0.005
+// worlds of seeds 1–3 generated at Parallelism 1 and 8, with every
+// detected block counted and with only the ASes that pass the paper's AS
+// filter. Each world's BEACON comes three ways: as Generate emits it (rows
+// in canonical order), as an arrival-order copy, and generated over a
+// block list that names every 97th block twice. Some blocks lose their AS
+// and some ASes their country, so the memo's unknown rows are exercised
+// too. DEMAND leaves out some blocks and every block of some ASes, so the
+// beacon aggregate holds beacon-only blocks both of ASes the rollup
+// indexes and of ASes it has never seen.
 func TestBuildMatchesPerBlockOracle(t *testing.T) {
-	wcfg := world.DefaultConfig()
-	wcfg.Scale = 0.005
-	w, err := world.Generate(wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg, err := beacon.Generate(w, beacon.DefaultGenConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := demand.Generate(w, demand.DefaultGenConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := make(map[netaddr.Block]float64, full.Blocks())
-	full.Each(func(b netaddr.Block, du float64) {
-		if b.Key()%11 != 0 && w.BlockIndex[b].ASN%7 != 0 {
-			raw[b] = du
+	for seed := uint64(1); seed <= 3; seed++ {
+		for _, p := range []int{1, 8} {
+			wcfg := world.DefaultConfig()
+			wcfg.Seed, wcfg.Scale, wcfg.Parallelism = seed, 0.005, p
+			w, err := world.Generate(wcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bcfg := beacon.DefaultGenConfig()
+			bcfg.Seed, bcfg.Parallelism = seed, p
+			agg, err := beacon.Generate(w, bcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			repeated := *w
+			repeated.Blocks = slices.Clone(w.Blocks)
+			for i := 0; i < len(w.Blocks); i += 97 {
+				repeated.Blocks = append(repeated.Blocks, w.Blocks[i])
+			}
+			twice, err := beacon.Generate(&repeated, bcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			arrival := beacon.NewAggregate()
+			for i := agg.Blocks() - 1; i >= 0; i-- {
+				b, c := agg.At(i)
+				arrival.AddCounts(b, c)
+			}
+			dcfg := demand.DefaultGenConfig()
+			dcfg.Seed, dcfg.Parallelism = seed, p
+			full, err := demand.Generate(w, dcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw := make(map[netaddr.Block]float64, full.Blocks())
+			full.Each(func(b netaddr.Block, du float64) {
+				if b.Key()%11 != 0 && w.BlockIndex[b].ASN%7 != 0 {
+					raw[b] = du
+				}
+			})
+			ds, err := demand.NewDataset(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("seed %d Parallelism %d", seed, p)
+			checkBuild(t, name+" canonical", w, agg, ds)
+			checkBuild(t, name+" arrival order", w, arrival, ds)
+			checkBuild(t, name+" repeated blocks", w, twice, ds)
 		}
-	})
-	ds, err := demand.NewDataset(raw)
-	if err != nil {
-		t.Fatal(err)
 	}
+}
+
+// checkBuild compares Build with oracleBuild for one world, aggregate and
+// DEMAND, first counting every detected block, then only those of ASes
+// that pass the AS filter.
+func checkBuild(t *testing.T, name string, w *world.World, agg *beacon.Aggregate, ds *demand.Dataset) {
+	t.Helper()
 	cls, err := classify.New(classify.DefaultThreshold)
 	if err != nil {
 		t.Fatal(err)
@@ -414,18 +453,18 @@ func TestBuildMatchesPerBlockOracle(t *testing.T) {
 			unmappedRows++
 		}
 	})
-	for b := range agg.PerBlock {
-		if _, i, ok := ru.Resolve(b); ok && !hasRow(ds, b) {
+	ru.ResolveBeacon(agg, func(b netaddr.Block, _ uint32, i int) {
+		if !hasRow(ds, b) {
 			if i >= 0 {
 				indexedOnly++
 			} else {
 				unindexed++
 			}
 		}
-	}
+	})
 	if unmappedRows == 0 || indexedOnly == 0 || unindexed == 0 {
-		t.Fatalf("rollup covers too little: %d unmapped demand rows, %d beacon-only blocks of indexed ASes, %d of unindexed ones",
-			unmappedRows, indexedOnly, unindexed)
+		t.Fatalf("%s: rollup covers too little: %d unmapped demand rows, %d beacon-only blocks of indexed ASes, %d of unindexed ones",
+			name, unmappedRows, indexedOnly, unindexed)
 	}
 	stats := ru.Stats(detected, agg)
 	fr := aschar.Filter(stats, aschar.DefaultRules(w.Snapshot))
@@ -434,17 +473,17 @@ func TestBuildMatchesPerBlockOracle(t *testing.T) {
 		cellASes[a] = true
 	}
 	if len(cellASes) == 0 {
-		t.Fatal("no AS passed the filter; the restricted case would test nothing")
+		t.Fatalf("%s: no AS passed the filter; the restricted case would test nothing", name)
 	}
 	in := Inputs{
 		Rollup: ru, Beacon: agg, Detected: detected,
 		CountryOf: countryOf, Countries: w.Countries,
 	}
-	diffAnalysis(t, "all detected", Build(in), oracleBuild(in, ds, asOf))
+	diffAnalysis(t, name+" all detected", Build(in), oracleBuild(in, ds, asOf))
 	in.CellularASes = cellASes
 	got, want := Build(in), oracleBuild(in, ds, asOf)
-	diffAnalysis(t, "cellular ASes", got, want)
+	diffAnalysis(t, name+" cellular ASes", got, want)
 	if want.GlobalCellDU == 0 || want.ExcludedDU == 0 {
-		t.Errorf("oracle reads GlobalCellDU %v, ExcludedDU %v: the world exercises too little", want.GlobalCellDU, want.ExcludedDU)
+		t.Errorf("%s: oracle reads GlobalCellDU %v, ExcludedDU %v: the world exercises too little", name, want.GlobalCellDU, want.ExcludedDU)
 	}
 }

@@ -54,7 +54,8 @@ func oracleStats(in aschar.Inputs) map[uint32]*aschar.Stats {
 		})
 	}
 	if in.Beacon != nil {
-		for b, c := range in.Beacon.PerBlock {
+		for i := range in.Beacon.Blocks() {
+			b, c := in.Beacon.At(i)
 			a, ok := in.ASOf(b)
 			if !ok {
 				continue

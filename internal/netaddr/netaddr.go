@@ -122,6 +122,46 @@ func (b *Block) UnmarshalJSON(data []byte) error {
 // SortBlocks sorts blocks in place into canonical order.
 func SortBlocks(blocks []Block) { slices.SortFunc(blocks, Block.Compare) }
 
+// SortByBlock puts rows into canonical order of their blocks, in place.
+// Rows listed the way the world generator allocates blocks, ascending
+// within each family but with the families interleaved, cost one stable
+// v4-then-v6 partition and an order check; any other order falls back to
+// a sort, which may reorder rows of one block.
+func SortByBlock[T any](rows []T, block func(T) Block) {
+	ascending := func() bool {
+		for i := 1; i < len(rows); i++ {
+			if block(rows[i]).v < block(rows[i-1]).v {
+				return false
+			}
+		}
+		return true
+	}
+	if ascending() {
+		return
+	}
+	n6 := 0
+	for _, r := range rows {
+		if block(r).IsV6() {
+			n6++
+		}
+	}
+	v6 := make([]T, 0, n6)
+	n := 0
+	for _, r := range rows {
+		if block(r).IsV6() {
+			v6 = append(v6, r)
+		} else {
+			rows[n] = r
+			n++
+		}
+	}
+	copy(rows[n:], v6)
+	if ascending() {
+		return
+	}
+	slices.SortFunc(rows, func(a, b T) int { return block(a).Compare(block(b)) })
+}
+
 // BlockFromAddr returns the enclosing /24 or /48 block of addr.
 // IPv4-mapped IPv6 addresses are unmapped first.
 func BlockFromAddr(addr netip.Addr) Block {

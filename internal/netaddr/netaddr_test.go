@@ -2,7 +2,9 @@ package netaddr
 
 import (
 	"encoding/json"
+	"math/rand/v2"
 	"net/netip"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -228,5 +230,51 @@ func BenchmarkBlockFromAddr(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		BlockFromAddr(a)
+	}
+}
+
+// TestSortByBlock: rows whose families interleave but whose keys ascend
+// within each family keep their order within each family; rows in no
+// order at all and rows already in canonical order end in canonical order
+// with the same rows.
+func TestSortByBlock(t *testing.T) {
+	type row struct {
+		b   Block
+		tag int
+	}
+	key := func(r row) Block { return r.b }
+	byBlockThenTag := func(x, y row) int {
+		if c := x.b.Compare(y.b); c != 0 {
+			return c
+		}
+		return x.tag - y.tag
+	}
+	var interleaved, shuffled []row
+	for i := range 40 {
+		interleaved = append(interleaved, row{MakeBlock(Family(i%3/2), uint64(i)), i})
+	}
+	want := slices.Clone(interleaved)
+	slices.SortStableFunc(want, func(x, y row) int { return x.b.Compare(y.b) })
+	if SortByBlock(interleaved, key); !slices.Equal(interleaved, want) {
+		t.Errorf("interleaved families: %v, want %v", interleaved, want)
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for i := range 200 {
+		shuffled = append(shuffled, row{MakeBlock(Family(rng.IntN(2)), uint64(rng.IntN(50))), i})
+	}
+	for name, rows := range map[string][]row{"shuffled with repeats": shuffled, "empty": nil} {
+		want := slices.Clone(rows)
+		slices.SortFunc(want, byBlockThenTag)
+		SortByBlock(rows, key)
+		if !slices.IsSortedFunc(rows, func(x, y row) int { return x.b.Compare(y.b) }) {
+			t.Errorf("%s: not in canonical order: %v", name, rows)
+		}
+		if slices.SortFunc(rows, byBlockThenTag); !slices.Equal(rows, want) {
+			t.Errorf("%s: rows changed: %v, want %v", name, rows, want)
+		}
+		sorted := slices.Clone(rows)
+		if SortByBlock(sorted, key); !slices.Equal(sorted, rows) {
+			t.Errorf("%s: rows already in canonical order moved", name)
+		}
 	}
 }

@@ -140,7 +140,7 @@ func experimentT2(env *Env) (*Output, error) {
 	var coveredDU, totalDU float64
 	r.Demand.Each(func(b netaddr.Block, du float64) {
 		totalDU += du
-		if _, ok := r.Beacon.PerBlock[b]; ok {
+		if _, ok := r.Beacon.Get(b); ok {
 			coveredBlocks++
 			coveredDU += du
 		}

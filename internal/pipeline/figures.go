@@ -146,11 +146,10 @@ func experimentF2(env *Env) (*Output, error) {
 		"IPv4 demand 80% below 0.1, 6.9% intermediate, 13.1% above 0.9.\n")
 	// Label confidence: the share of API-visible blocks whose Wilson
 	// interval clears the 0.5 threshold entirely.
-	tallies := make(map[int][2]int)
-	i := 0
-	for _, c := range r.Beacon.PerBlock {
+	tallies := make(map[int][2]int, r.Beacon.Blocks())
+	for i := range r.Beacon.Blocks() {
+		_, c := r.Beacon.At(i)
 		tallies[i] = [2]int{c.Cell, c.API}
-		i++
 	}
 	confident := classify.ConfidentFraction(tallies, r.Config.Threshold, classify.Z95())
 	fmt.Fprintf(&sb, "Labels statistically settled at 95%% confidence: %s of API-visible blocks.\n",

@@ -267,9 +267,9 @@ func TestParallelSerialEquivalence(t *testing.T) {
 			if serial.Beacon.Blocks() != parallel.Beacon.Blocks() {
 				t.Errorf("beacon blocks: %d vs %d", serial.Beacon.Blocks(), parallel.Beacon.Blocks())
 			}
-			for blk, sc := range serial.Beacon.PerBlock {
-				pc := parallel.Beacon.PerBlock[blk]
-				if pc == nil || *pc != *sc {
+			for i := range serial.Beacon.Blocks() {
+				blk, sc := serial.Beacon.At(i)
+				if pc, ok := parallel.Beacon.Get(blk); !ok || pc != sc {
 					t.Fatalf("beacon counts for %v differ: %+v vs %+v", blk, sc, pc)
 				}
 			}

@@ -110,9 +110,7 @@ func (c *Collector) Stats() Stats {
 func (c *Collector) Snapshot() *beacon.Aggregate {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := beacon.NewAggregate()
-	out.Merge(c.agg)
-	return out
+	return beacon.Sum([]*beacon.Aggregate{c.agg})
 }
 
 // Close flushes the spool, if any.

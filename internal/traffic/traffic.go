@@ -6,7 +6,9 @@
 package traffic
 
 import (
+	"encoding/binary"
 	"math"
+	"math/bits"
 	"math/rand/v2"
 )
 
@@ -169,32 +171,115 @@ func Binomial(rng *rand.Rand, n int, p float64) int {
 	return v
 }
 
+// MaxPoissonMean is the largest mean callers should plan for: a normal
+// draw around it would have to land 2^31 standard deviations out to pass
+// the largest int. PoissonSmall saturates any larger draw at math.MaxInt.
+const MaxPoissonMean float64 = 1 << 62
+
 // PoissonSmall samples a Poisson variate with the inverse-transform method;
 // suitable for the small means used for per-block beacon hit counts.
-// Means above ~700 fall back to a normal approximation.
+// Means above ~700 fall back to a normal approximation, rounded and
+// clamped to [0, math.MaxInt].
 //
-// It takes the concrete PCG so the per-uniform draw inlines into the
-// product loop. Each uniform is exactly rand.Rand.Float64's over the same
-// source, so a caller holding a rand.Rand over src sees the same values
-// and the same stream position it would have had drawing through it.
+// It takes the concrete PCG and draws exactly the uniforms rand.Rand's
+// Float64 would over the same source, leaving src at the stream position
+// a caller holding a rand.Rand over it would have reached. The product
+// loop runs the generator as four lanes a step apart, each jumping four
+// steps at a time, so the four multiply chains overlap instead of waiting
+// on each other; the state is read once and written back once.
 func PoissonSmall(src *rand.PCG, mean float64) int {
 	if mean <= 0 {
 		return 0
 	}
 	if mean > 700 {
 		v := mean + math.Sqrt(mean)*rand.New(src).NormFloat64()
-		if v < 0 {
+		switch {
+		case v < 0:
 			return 0
+		case !(v+0.5 < 1<<63): // NaN too: an infinite mean plus -Inf
+			return math.MaxInt
 		}
 		return int(v + 0.5)
 	}
 	l := math.Exp(-mean)
+	var buf [20]byte
+	st, _ := src.AppendBinary(buf[:0])
+	s0 := pcgState{binary.BigEndian.Uint64(st[4:]), binary.BigEndian.Uint64(st[12:])}
+	// Lane j holds the state after step k+j; its output is uniform k+j.
+	s1 := pcgStep1.apply(s0)
+	s2 := pcgStep2.apply(s0)
+	s3 := pcgStep2.apply(s1)
+	s4 := pcgStep2.apply(s2)
 	k, p := 0, 1.0
 	for {
-		p *= float64(src.Uint64()<<11>>11) / (1 << 53)
-		if p <= l {
+		if p *= s1.uniform(); p <= l {
+			src.Seed(s1.hi, s1.lo)
 			return k
 		}
-		k++
+		if p *= s2.uniform(); p <= l {
+			src.Seed(s2.hi, s2.lo)
+			return k + 1
+		}
+		if p *= s3.uniform(); p <= l {
+			src.Seed(s3.hi, s3.lo)
+			return k + 2
+		}
+		if p *= s4.uniform(); p <= l {
+			src.Seed(s4.hi, s4.lo)
+			return k + 3
+		}
+		k += 4
+		s1, s2, s3, s4 = pcgStep4.apply(s1), pcgStep4.apply(s2), pcgStep4.apply(s3), pcgStep4.apply(s4)
 	}
 }
+
+// pcgState is math/rand/v2's 128-bit PCG state: the seed pair NewPCG and
+// Seed take, and the two words AppendBinary writes.
+type pcgState struct{ hi, lo uint64 }
+
+// uniform is rand.Rand.Float64 of the PCG output at this state: the DXSM
+// output function of PCG.Uint64, its top bits dropped to 53.
+func (s pcgState) uniform() float64 {
+	const cheapMul = 0xda942042e4dd58b5
+	hi := s.hi
+	hi ^= hi >> 32
+	hi *= cheapMul
+	hi ^= hi >> 48
+	hi *= s.lo | 1
+	return float64(hi<<11>>11) / (1 << 53)
+}
+
+// pcgJump is n steps of the PCG's linear congruential update,
+// state*mul + inc mod 2^128, folded into one multiply and one add.
+type pcgJump struct{ mul, inc pcgState }
+
+// apply advances s by the jump.
+func (j pcgJump) apply(s pcgState) pcgState {
+	hi, lo := bits.Mul64(s.lo, j.mul.lo)
+	hi += s.hi*j.mul.lo + s.lo*j.mul.hi
+	lo, c := bits.Add64(lo, j.inc.lo, 0)
+	hi, _ = bits.Add64(hi, j.inc.hi, c)
+	return pcgState{hi, lo}
+}
+
+// twice is the jump applied two times: mul² and inc·mul + inc.
+func (j pcgJump) twice() pcgJump {
+	return pcgJump{mul: j.mul.mulBy(j.mul), inc: j.apply(j.inc)}
+}
+
+// mulBy returns s·m mod 2^128.
+func (s pcgState) mulBy(m pcgState) pcgState {
+	hi, lo := bits.Mul64(s.lo, m.lo)
+	return pcgState{hi + s.hi*m.lo + s.lo*m.hi, lo}
+}
+
+// pcgStep1 is math/rand/v2's PCG update; pcgStep2 and pcgStep4 jump two
+// and four steps.
+var (
+	pcgStep1 = pcgJump{
+		mul: pcgState{2549297995355413924, 4865540595714422341},
+		inc: pcgState{6364136223846793005, 1442695040888963407},
+	}
+	pcgStep2 = pcgStep1.twice()
+	pcgStep4 = pcgStep2.twice()
+)

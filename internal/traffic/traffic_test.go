@@ -284,3 +284,20 @@ func BenchmarkHeavySplit(b *testing.B) {
 		HeavySplit(rng, 514, 25, 0.993)
 	}
 }
+
+// TestPoissonSmallNeverWraps: the normal approximation rounds into
+// [0, math.MaxInt] for any mean; a draw beyond the largest int saturates
+// instead of converting to the minimum int.
+func TestPoissonSmallNeverWraps(t *testing.T) {
+	src := rand.NewPCG(1, 2)
+	for _, mean := range []float64{700.5, 1e6, MaxPoissonMean, 1e19, 1e300, math.Inf(1)} {
+		for range 100 {
+			if v := PoissonSmall(src, mean); v < 0 {
+				t.Fatalf("mean %g drew %d", mean, v)
+			}
+		}
+	}
+	if v := PoissonSmall(src, 1e300); v != math.MaxInt {
+		t.Errorf("mean 1e300 drew %d, want the largest int", v)
+	}
+}

@@ -77,7 +77,8 @@ func Generate(cfg Config) (*World, error) {
 
 	// Merge in country order, then run the serial tail stages (noise ASes,
 	// resolvers, carrier selection) on their own streams. The index is
-	// sized for the fragments' blocks; the noise ASes add a few more.
+	// sized for the fragments' blocks and the block list for those and
+	// the most the noise ASes can add.
 	nBlocks := 0
 	for _, f := range frags {
 		nBlocks += len(f.w.Blocks)
@@ -92,6 +93,7 @@ func Generate(cfg Config) (*World, error) {
 		w: &World{
 			Config:     cfg,
 			Countries:  cfg.Countries,
+			Blocks:     make([]*BlockInfo, 0, nBlocks+maxNoiseBlocks(cfg)),
 			BlockIndex: make(map[netaddr.Block]*BlockInfo, nBlocks),
 		},
 	}

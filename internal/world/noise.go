@@ -121,6 +121,12 @@ func (g *generator) genNoiseASes() {
 	}
 }
 
+// maxNoiseBlocks bounds the blocks genNoiseASes adds: two per stray and
+// IoT AS, and at most 30 per proxy AS.
+func maxNoiseBlocks(cfg Config) int {
+	return 2*cfg.StrayASes + 2*cfg.IoTASes + 30*cfg.ProxyASes
+}
+
 // strayRole cycles stray ASes through access-ish classes so rule 3 cannot
 // catch them — only rule 1 does.
 func (g *generator) strayRole(i int) asn.Role {
