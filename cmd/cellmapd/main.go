@@ -58,7 +58,6 @@ import (
 	"cellspot/internal/federation"
 	"cellspot/internal/history"
 	"cellspot/internal/live"
-	"cellspot/internal/netaddr"
 	"cellspot/internal/obs"
 	"cellspot/internal/obs/httpmw"
 	"cellspot/internal/snapshot"
@@ -404,21 +403,9 @@ func liveInputs(seed uint64, scale float64) (live.MapInputs, error) {
 		return live.MapInputs{}, fmt.Errorf("generating demand: %w", err)
 	}
 	return live.MapInputs{
-		Demand: ds,
-		Rules:  aschar.DefaultRules(w.Snapshot),
-		ASOf: func(b netaddr.Block) (uint32, bool) {
-			bi := w.BlockIndex[b]
-			if bi == nil {
-				return 0, false
-			}
-			return bi.ASN, true
-		},
-		CountryOf: func(asNum uint32) (string, bool) {
-			a, ok := w.Registry.Lookup(asNum)
-			if !ok {
-				return "", false
-			}
-			return a.Country, true
-		},
+		Demand:    ds,
+		Rules:     aschar.DefaultRules(w.Snapshot),
+		ASOf:      w.ASOf,
+		CountryOf: w.CountryOf,
 	}, nil
 }

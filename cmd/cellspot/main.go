@@ -9,7 +9,8 @@
 //	cellspot summary  [-scale S] [-seed N]
 //	    run the full in-memory pipeline and print headline statistics
 //	cellspot export   [-o cellmap.jsonl] [-scale S] [-seed N]
-//	    run the pipeline and export the publishable cellular prefix map
+//	    run the pipeline and export the publishable cellular prefix map,
+//	    with the blocks of ASes the AS filter drops left out
 //	cellspot lookup   [-map cellmap.jsonl] ADDR...
 //	    resolve addresses against an exported cellular map
 //	cellspot country  [-scale S] [-seed N] [-top K] CC...
@@ -43,6 +44,7 @@ import (
 	"cellspot/internal/evolve"
 	"cellspot/internal/ingest"
 	"cellspot/internal/logio"
+	"cellspot/internal/mapbuild"
 	"cellspot/internal/netaddr"
 	"cellspot/internal/pipeline"
 	"cellspot/internal/report"
@@ -152,7 +154,8 @@ func runCountry(args []string) error {
 }
 
 // runExport runs the pipeline and writes the publishable cellular map —
-// aggregated CIDR prefixes with AS, country, ratio, and demand metadata.
+// aggregated CIDR prefixes with AS, country, ratio, and demand metadata —
+// through mapbuild, so blocks of ASes the AS filter drops are left out.
 func runExport(args []string) error {
 	fs := flag.NewFlagSet("export", flag.ExitOnError)
 	out := fs.String("o", "cellmap.jsonl", "output map file")
@@ -167,13 +170,7 @@ func runExport(args []string) error {
 	if err != nil {
 		return err
 	}
-	m, err := cellmap.Build(cfg.Threshold, "2016-12", cellmap.Inputs{
-		Detected:  r.Detected,
-		Beacon:    r.Beacon,
-		Demand:    r.Demand,
-		ASOf:      r.ASOf,
-		CountryOf: r.CountryOf,
-	})
+	m, err := mapbuild.Build(r.Beacon, cfg.Threshold, "2016-12", r.MapInputs())
 	if err != nil {
 		return err
 	}
@@ -430,7 +427,7 @@ func runIngest(args []string) error {
 			}
 		}
 	}
-	r, err := pipeline.RunForeign(cfg, *threshold, 0, hook)
+	r, err := pipeline.RunForeign(cfg, *threshold, hook)
 	if err != nil {
 		if spool != nil {
 			spool.Close()

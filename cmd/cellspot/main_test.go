@@ -1,14 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"net/netip"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"cellspot"
 	"cellspot/internal/demand"
 	"cellspot/internal/logio"
+	"cellspot/internal/mapbuild"
 	"cellspot/internal/netaddr"
 	"cellspot/internal/world"
 )
@@ -130,6 +133,46 @@ func TestExportLookup(t *testing.T) {
 	}
 	if err := runLookup([]string{"-map", filepath.Join(dir, "missing.jsonl"), "1.2.3.4"}); err == nil {
 		t.Error("missing map accepted")
+	}
+}
+
+// TestExportAppliesASFilter checks that the exported map file holds the
+// bytes mapbuild publishes for the same run, and no detected block of an
+// AS the AS filter drops.
+func TestExportAppliesASFilter(t *testing.T) {
+	mapPath := filepath.Join(t.TempDir(), "map.jsonl")
+	if err := runExport([]string{"-o", mapPath, "-scale", "0.002", "-seed", "2"}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(mapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := cellspot.DefaultConfig()
+	cfg.World.Scale, cfg.World.Seed = 0.002, 2
+	r, err := cellspot.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := mapbuild.Build(r.Beacon, cfg.Threshold, "2016-12", r.MapInputs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := m.Write(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("exported map (%d bytes) differs from mapbuild's (%d bytes)", len(got), want.Len())
+	}
+	kept := make(map[uint32]bool, len(r.Filter.AfterRule3))
+	for _, a := range r.Filter.AfterRule3 {
+		kept[a] = true
+	}
+	for _, e := range m.Entries() {
+		if !kept[e.ASN] {
+			t.Fatalf("exported %s of AS%d, which the AS filter drops", e.Prefix, e.ASN)
+		}
 	}
 }
 

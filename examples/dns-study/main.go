@@ -23,7 +23,7 @@ func main() {
 	}
 
 	// Fig 9: cellular demand fraction per resolver in mixed cellular ASes.
-	fracs := dnsmap.CellFractions(result.ResolverUsage, result.ResolverAS, result.MixedASSet())
+	fracs := dnsmap.CellFractions(result.ResolverUsage, result.World.ResolverAS, result.MixedASSet())
 	if len(fracs) == 0 {
 		log.Fatal("no resolvers observed in mixed ASes")
 	}

@@ -12,7 +12,6 @@ import (
 
 	"cellspot/internal/beacon"
 	"cellspot/internal/netaddr"
-	"cellspot/internal/par"
 )
 
 // DefaultThreshold is the paper's operating point: a simple majority of
@@ -51,43 +50,6 @@ func (c Classifier) Classify(agg *beacon.Aggregate) netaddr.Set {
 // cellular reports whether a tally's cellular ratio meets the threshold.
 func (c Classifier) cellular(n beacon.Counts) bool {
 	return n.API > 0 && float64(n.Cell)/float64(n.API) >= c.threshold
-}
-
-// classifyShardSize is the number of blocks per classification shard.
-const classifyShardSize = 8192
-
-// ClassifyParallel returns exactly the set Classify returns, sharding
-// the aggregate's rows across `parallelism` workers (0 = GOMAXPROCS,
-// 1 = serial). Classification draws no randomness, so the only merge
-// requirement is set union; the result is identical at every setting.
-func (c Classifier) ClassifyParallel(agg *beacon.Aggregate, parallelism int) netaddr.Set {
-	if par.Workers(parallelism) <= 1 {
-		return c.Classify(agg)
-	}
-	rows := agg.Blocks()
-	nShards := par.Shards(rows, classifyShardSize)
-	locals := make([][]netaddr.Block, nShards)
-	par.Do(nShards, parallelism, func(s int) {
-		lo, hi := par.Span(s, rows, classifyShardSize)
-		var buf []netaddr.Block
-		for i := lo; i < hi; i++ {
-			if b, n := agg.At(i); c.cellular(n) {
-				buf = append(buf, b)
-			}
-		}
-		locals[s] = buf
-	})
-	n := 0
-	for _, blocks := range locals {
-		n += len(blocks)
-	}
-	out := make(netaddr.Set, n)
-	for _, blocks := range locals {
-		for _, b := range blocks {
-			out.Add(b)
-		}
-	}
-	return out
 }
 
 // Confusion is a 2x2 confusion matrix; cells may be counts or

@@ -439,30 +439,15 @@ func (g *Gateway) Lookup(ctx context.Context, addr netip.Addr) (int, []byte, err
 	return res.status, res.body, nil
 }
 
-// LookupGen routes a generation-addressed lookup to the owning shard. It
-// bypasses the response cache in both directions: the cache holds only
-// newest-generation answers, so a pinned-generation request must never be
-// served from it, and a pinned-generation answer must never be stored in
-// it — either would hand a history client current data (or vice versa).
-func (g *Gateway) LookupGen(ctx context.Context, addr netip.Addr, gen uint64) (int, []byte, error) {
-	shard := g.ring.Owner(addr)
-	res, err := g.forward(ctx, shard, 0, func(url string) (*http.Request, error) {
-		return http.NewRequest(http.MethodGet,
-			fmt.Sprintf("%s/v1/lookup?ip=%s&gen=%d", url, addr, gen), nil)
-	})
-	if err != nil {
-		return 0, nil, err
-	}
-	return res.status, res.body, nil
-}
-
-// History forwards a timeline walk to the shard owning the address,
-// uncached: the walk's answer changes with every publish and prune, and
-// only the owning shard's history index has the retained generations.
-func (g *Gateway) History(ctx context.Context, addr netip.Addr) (int, []byte, error) {
-	shard := g.ring.Owner(addr)
-	res, err := g.forward(ctx, shard, 0, func(url string) (*http.Request, error) {
-		return http.NewRequest(http.MethodGet, url+"/v1/history?ip="+addr.String(), nil)
+// forwardGet GETs path from the shard owning addr and returns the shard's
+// status and body, uncached. Generation-addressed lookups and history
+// walks take it: the cache holds only newest-generation answers, so a
+// pinned-generation request must never be served from it, nor its answer
+// stored in it, and a history walk changes with every publish and prune
+// and only the owning shard's history index has the retained generations.
+func (g *Gateway) forwardGet(ctx context.Context, addr netip.Addr, path string) (int, []byte, error) {
+	res, err := g.forward(ctx, g.ring.Owner(addr), 0, func(url string) (*http.Request, error) {
+		return http.NewRequest(http.MethodGet, url+path, nil)
 	})
 	if err != nil {
 		return 0, nil, err
@@ -763,31 +748,20 @@ func (g *Gateway) Mount(r httpmw.Router) {
 		var err error
 		if seq != 0 {
 			// Generation-addressed: route around the cache entirely.
-			status, body, err = g.LookupGen(req.Context(), addr, seq)
+			status, body, err = g.forwardGet(req.Context(), addr,
+				fmt.Sprintf("/v1/lookup?ip=%s&gen=%d", addr, seq))
 		} else {
 			status, body, err = g.Lookup(req.Context(), addr)
 		}
-		if err != nil {
-			cellmap.WriteError(w, http.StatusBadGateway, err.Error())
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		w.Write(body)
+		writeProxied(w, status, body, err)
 	})
 	r.HandleFunc("GET /v1/history", func(w http.ResponseWriter, req *http.Request) {
 		addr, _, ok := cellmap.ParseLookupAddr(w, req)
 		if !ok {
 			return
 		}
-		status, body, err := g.History(req.Context(), addr)
-		if err != nil {
-			cellmap.WriteError(w, http.StatusBadGateway, err.Error())
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		w.Write(body)
+		status, body, err := g.forwardGet(req.Context(), addr, "/v1/history?ip="+addr.String())
+		writeProxied(w, status, body, err)
 	})
 	r.HandleFunc("POST /v1/lookup/batch", func(w http.ResponseWriter, req *http.Request) {
 		addrs, _, ok := cellmap.DecodeBatch(w, req)
@@ -808,6 +782,18 @@ func (g *Gateway) Mount(r httpmw.Router) {
 	r.HandleFunc("GET /v1/cluster/health", func(w http.ResponseWriter, _ *http.Request) {
 		cellmap.WriteJSON(w, g.Health())
 	})
+}
+
+// writeProxied writes a shard's JSON answer through with its status, or
+// 502 when forwarding failed.
+func writeProxied(w http.ResponseWriter, status int, body []byte, err error) {
+	if err != nil {
+		cellmap.WriteError(w, http.StatusBadGateway, err.Error())
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	w.Write(body)
 }
 
 // latencyTracker keeps a small ring of recent request latencies per shard

@@ -12,9 +12,11 @@ import (
 	"math/rand/v2"
 	"sort"
 
+	"cellspot/internal/aschar"
 	"cellspot/internal/beacon"
 	"cellspot/internal/classify"
 	"cellspot/internal/demand"
+	"cellspot/internal/mapbuild"
 	"cellspot/internal/netaddr"
 	"cellspot/internal/netinfo"
 	"cellspot/internal/traffic"
@@ -127,6 +129,20 @@ func (t *Timeline) Churn() []ChurnStats {
 // Run simulates the evolution. The input world is cloned; the caller's
 // world is never mutated.
 func Run(w *world.World, cfg Config) (*Timeline, error) {
+	run, err := runMonths(w, cfg, 0xe701_7e01, nil, false)
+	if err != nil {
+		return nil, err
+	}
+	return run.Timeline, nil
+}
+
+// runMonths is the month loop of Run and RunScenario. It validates cfg,
+// clones w and draws the mutations from PCG(cfg.Seed, stream). Each month
+// after the first applies the base churn/drift mutation and then step,
+// when non-nil; every month then generates BEACON and DEMAND, classifies
+// and records its Snapshot, and with maps set also builds the month's
+// publishable map through mapbuild.
+func runMonths(w *world.World, cfg Config, stream uint64, step func(*world.World, *rand.Rand, int, *Config), maps bool) (*ScenarioRun, error) {
 	if cfg.Months < 1 {
 		return nil, fmt.Errorf("evolve: Months must be >= 1")
 	}
@@ -144,13 +160,16 @@ func Run(w *world.World, cfg Config) (*Timeline, error) {
 		return nil, fmt.Errorf("evolve: %w", err)
 	}
 
-	cur := cloneWorld(w)
-	rng := rand.New(rand.NewPCG(cfg.Seed, 0xe701_7e01))
-	tl := &Timeline{}
+	cur := w.Clone()
+	rng := rand.New(rand.NewPCG(cfg.Seed, stream))
+	run := &ScenarioRun{Timeline: &Timeline{}}
 	month := cfg.Start
 	for m := 0; m < cfg.Months; m++ {
 		if m > 0 {
 			mutate(cur, rng, cfg)
+			if step != nil {
+				step(cur, rng, m, &cfg)
+			}
 		}
 		bcfg := cfg.Beacon
 		bcfg.Seed = cfg.Beacon.Seed + uint64(m)*7919
@@ -166,10 +185,23 @@ func Run(w *world.World, cfg Config) (*Timeline, error) {
 			return nil, fmt.Errorf("evolve: month %s: %w", month, err)
 		}
 		detected := cls.Classify(agg)
-		tl.Snapshots = append(tl.Snapshots, monthSnapshot(month, detected, ds))
+		run.Timeline.Snapshots = append(run.Timeline.Snapshots, monthSnapshot(month, detected, ds))
+		run.Months = append(run.Months, month)
+		if maps {
+			mp, err := mapbuild.Build(agg, cfg.Threshold, month.String(), mapbuild.Inputs{
+				Demand:    ds,
+				Rules:     aschar.DefaultRules(cur.Snapshot),
+				ASOf:      cur.ASOf,
+				CountryOf: cur.CountryOf,
+			})
+			if err != nil {
+				return nil, fmt.Errorf("evolve: month %s: %w", month, err)
+			}
+			run.Maps = append(run.Maps, mp)
+		}
 		month = month.Next()
 	}
-	return tl, nil
+	return run, nil
 }
 
 // monthSnapshot assembles one month's Snapshot from its classification and
@@ -201,23 +233,6 @@ func monthSnapshot(month netinfo.Month, detected netaddr.Set, ds *demand.Dataset
 	return snap
 }
 
-// cloneWorld shallow-copies a world with fresh BlockInfo values so monthly
-// mutation never touches the caller's world. Registry, countries and
-// resolvers are immutable here and shared. The clone's resolver affinity
-// (World.AppendAffinity) follows its mutated blocks, but evolve reads none
-// of it.
-func cloneWorld(w *world.World) *world.World {
-	clone := *w
-	clone.Blocks = make([]*world.BlockInfo, len(w.Blocks))
-	clone.BlockIndex = make(map[netaddr.Block]*world.BlockInfo, len(w.Blocks))
-	for i, b := range w.Blocks {
-		nb := *b
-		clone.Blocks[i] = &nb
-		clone.BlockIndex[nb.Block] = &nb
-	}
-	return &clone
-}
-
 // mutate applies one month of drift: demand random-walks on every active
 // block, and a ChurnRate fraction of active cellular blocks hand their role
 // to freshly allocated addresses in the same AS.
@@ -245,8 +260,7 @@ func mutate(w *world.World, rng *rand.Rand, cfg Config) {
 		b.Cellular = false
 	}
 	for _, nb := range added {
-		w.Blocks = append(w.Blocks, nb)
-		w.BlockIndex[nb.Block] = nb
+		w.AddBlock(nb)
 	}
 }
 

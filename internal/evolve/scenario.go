@@ -4,13 +4,8 @@ import (
 	"fmt"
 	"math/rand/v2"
 
-	"cellspot/internal/aschar"
-	"cellspot/internal/beacon"
 	"cellspot/internal/cellmap"
-	"cellspot/internal/classify"
-	"cellspot/internal/demand"
 	"cellspot/internal/history"
-	"cellspot/internal/mapbuild"
 	"cellspot/internal/netaddr"
 	"cellspot/internal/netinfo"
 	"cellspot/internal/snapshot"
@@ -35,8 +30,9 @@ type Scenario struct {
 
 	// Step applies the scenario's own mutation for month m (1-based; the
 	// first month is the unmodified world). It runs after the base
-	// churn/drift mutation and may only touch w.Blocks/w.BlockIndex — the
-	// world is a private clone, but its Operators still alias the caller's.
+	// churn/drift mutation and may only change the world's blocks and add
+	// new ones with AddBlock — the world is a private clone, but its
+	// Operators still alias the caller's.
 	Step func(w *world.World, rng *rand.Rand, m int, cfg *Config)
 }
 
@@ -151,8 +147,7 @@ func stepCGNATExpansion(w *world.World, rng *rand.Rand, _ int, _ *Config) {
 		nb.Block = netaddr.MakeBlock(netaddr.IPv4, next)
 		next++
 		nb.Demand = tmpl.Demand * (0.5 + rng.Float64())
-		w.Blocks = append(w.Blocks, &nb)
-		w.BlockIndex[nb.Block] = &nb
+		w.AddBlock(&nb)
 	}
 }
 
@@ -188,89 +183,22 @@ type ScenarioRun struct {
 }
 
 // RunScenario simulates the scripted evolution and builds each month's
-// publishable map through the same classify → AS-filter → cellmap.Build
-// chain the live aggregator uses, so a scenario's generations are
-// indistinguishable from organically published ones. The input world is
-// cloned, never mutated.
+// publishable map through mapbuild, the classify → AS-filter →
+// cellmap.Build chain the live aggregator uses, so a scenario's
+// generations are indistinguishable from organically published ones. The
+// input world is cloned, never mutated.
 func RunScenario(w *world.World, sc *Scenario, cfg Config) (*ScenarioRun, error) {
 	if sc == nil {
 		return nil, fmt.Errorf("evolve: nil scenario")
 	}
-	if cfg.Months < 1 {
-		return nil, fmt.Errorf("evolve: Months must be >= 1")
-	}
-	if cfg.ChurnRate < 0 || cfg.ChurnRate > 1 {
-		return nil, fmt.Errorf("evolve: ChurnRate %g out of [0,1]", cfg.ChurnRate)
-	}
-	if cfg.DemandDrift < 0 {
-		return nil, fmt.Errorf("evolve: negative DemandDrift")
-	}
-	if cfg.Start == (netinfo.Month{}) {
-		cfg.Start = netinfo.December2016
-	}
 	if sc.Configure != nil {
 		sc.Configure(&cfg)
 	}
-	cls, err := classify.New(cfg.Threshold)
+	run, err := runMonths(w, cfg, 0xe701_5ce0, sc.Step, true)
 	if err != nil {
-		return nil, fmt.Errorf("evolve: %w", err)
+		return nil, err
 	}
-
-	cur := cloneWorld(w)
-	asOf := func(b netaddr.Block) (uint32, bool) {
-		bi := cur.BlockIndex[b]
-		if bi == nil {
-			return 0, false
-		}
-		return bi.ASN, true
-	}
-	countryOf := func(n uint32) (string, bool) {
-		a, ok := cur.Registry.Lookup(n)
-		if !ok {
-			return "", false
-		}
-		return a.Country, true
-	}
-
-	rng := rand.New(rand.NewPCG(cfg.Seed, 0xe701_5ce0))
-	run := &ScenarioRun{Scenario: sc.Name, Timeline: &Timeline{}}
-	month := cfg.Start
-	for m := 0; m < cfg.Months; m++ {
-		if m > 0 {
-			mutate(cur, rng, cfg)
-			if sc.Step != nil {
-				sc.Step(cur, rng, m, &cfg)
-			}
-		}
-		bcfg := cfg.Beacon
-		bcfg.Seed = cfg.Beacon.Seed + uint64(m)*7919
-		bcfg.Month = month
-		agg, err := beacon.Generate(cur, bcfg)
-		if err != nil {
-			return nil, fmt.Errorf("evolve: month %s: %w", month, err)
-		}
-		dcfg := cfg.Demand
-		dcfg.Seed = cfg.Demand.Seed + uint64(m)*104729
-		ds, err := demand.Generate(cur, dcfg)
-		if err != nil {
-			return nil, fmt.Errorf("evolve: month %s: %w", month, err)
-		}
-		detected := cls.Classify(agg)
-		run.Timeline.Snapshots = append(run.Timeline.Snapshots, monthSnapshot(month, detected, ds))
-
-		mp, err := mapbuild.Build(agg, cfg.Threshold, month.String(), mapbuild.Inputs{
-			Demand:    ds,
-			Rules:     aschar.DefaultRules(cur.Snapshot),
-			ASOf:      asOf,
-			CountryOf: countryOf,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("evolve: month %s: %w", month, err)
-		}
-		run.Months = append(run.Months, month)
-		run.Maps = append(run.Maps, mp)
-		month = month.Next()
-	}
+	run.Scenario = sc.Name
 	return run, nil
 }
 

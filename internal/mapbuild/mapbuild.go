@@ -1,8 +1,11 @@
 // Package mapbuild runs the classify → AS-filter → cellmap.Build chain:
 // the one code path that turns a beacon aggregate into the publishable
-// cellular map. The live aggregator (fed by the local spool or by
-// federated collectors) and the evolve scenario runner both build through
-// it, so maps from identical aggregates are bit-identical regardless of
+// cellular map, and the only caller of cellmap.Build. The live aggregator
+// (fed by the local spool or by federated collectors), the evolve
+// scenario runner, `cellspot export` and experiment X2 (both through
+// pipeline.Result.MapInputs) all build through it, so a published map
+// holds only the detected blocks of ASes that pass the paper's AS filter,
+// and maps from identical aggregates are bit-identical regardless of
 // which subsystem published them.
 package mapbuild
 

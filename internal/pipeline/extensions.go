@@ -7,7 +7,7 @@ import (
 
 	"cellspot/internal/cellmap"
 	"cellspot/internal/evolve"
-	"cellspot/internal/netaddr"
+	"cellspot/internal/mapbuild"
 	"cellspot/internal/report"
 )
 
@@ -16,7 +16,8 @@ import (
 //   - X1 implements the paper's §8 future work: the temporal evolution of
 //     cellular address space across monthly snapshots.
 //   - X2 builds the publishable cellular-map artifact (aggregated CIDRs
-//     with metadata) and characterizes it.
+//     with metadata) through mapbuild, the path every published map
+//     takes, and characterizes it.
 
 func experimentX1(env *Env) (*Output, error) {
 	r, err := env.Global()
@@ -70,13 +71,7 @@ func experimentX2(env *Env) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := cellmap.Build(r.Config.Threshold, "2016-12", cellmap.Inputs{
-		Detected:  r.Detected,
-		Beacon:    r.Beacon,
-		Demand:    r.Demand,
-		ASOf:      r.ASOf,
-		CountryOf: r.CountryOf,
-	})
+	m, err := mapbuild.Build(r.Beacon, r.Config.Threshold, "2016-12", r.MapInputs())
 	if err != nil {
 		return nil, err
 	}
@@ -84,17 +79,27 @@ func experimentX2(env *Env) (*Output, error) {
 	if err := m.Write(&buf); err != nil {
 		return nil, err
 	}
-	// Compression ratio of the publishable artifact: prefixes vs blocks.
-	blocks := r.Detected.Len()
+	// Compression ratio of the publishable artifact: prefixes vs the
+	// blocks they cover, which are the detected blocks of the ASes that
+	// pass the AS filter.
+	published := 0
+	for _, e := range m.Entries() {
+		bits := 24
+		if e.Prefix.Addr().Is6() {
+			bits = 48
+		}
+		published += 1 << (bits - e.Prefix.Bits())
+	}
 	ratio := 0.0
 	if m.Len() > 0 {
-		ratio = float64(blocks) / float64(m.Len())
+		ratio = float64(published) / float64(m.Len())
 	}
 	coverage := m.TotalDU() / 100000
 
 	var sb strings.Builder
 	t := report.NewTable("X2 — publishable cellular map", "Metric", "Value")
-	t.Row("detected blocks", report.Int(blocks))
+	t.Row("detected blocks", report.Int(r.Detected.Len()))
+	t.Row("published blocks (AS filter applied)", report.Int(published))
 	t.Row("published prefixes after CIDR aggregation", report.Int(m.Len()))
 	t.Row("blocks per prefix", report.F(ratio, 2))
 	t.Row("demand covered", report.Pct(coverage, 1))
@@ -107,19 +112,12 @@ func experimentX2(env *Env) (*Output, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: map round trip: %w", err)
 	}
-	fmt.Fprintf(&sb, "Round trip: %d prefixes reloaded, lookups live.\n", m2.Len())
-	sample := 0
-	for b := range r.Detected {
-		if b.Fam() != netaddr.IPv4 {
-			continue
-		}
-		if _, ok := m2.Lookup(b.HostAddr(1)); ok {
-			sample++
-		}
-		if sample >= 100 {
-			break
+	for _, e := range m.Entries() {
+		if got, ok := m2.Lookup(e.Prefix.Addr()); !ok || got.Prefix != e.Prefix {
+			return nil, fmt.Errorf("pipeline: map round trip lost %s", e.Prefix)
 		}
 	}
+	fmt.Fprintf(&sb, "Round trip: %d prefixes reloaded, lookups live.\n", m2.Len())
 	return &Output{ID: "X2", Title: "Cellular map artifact (extension)", Text: sb.String(),
 		Metrics: map[string]float64{
 			"published_prefixes": float64(m.Len()),

@@ -519,7 +519,7 @@ func experimentF9(env *Env) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	fracs := dnsmap.CellFractions(r.ResolverUsage, r.ResolverAS, r.MixedASSet())
+	fracs := dnsmap.CellFractions(r.ResolverUsage, r.World.ResolverAS, r.MixedASSet())
 	if len(fracs) == 0 {
 		return nil, fmt.Errorf("pipeline: no resolvers in mixed ASes")
 	}

@@ -27,10 +27,8 @@ type ForeignResult struct {
 // subnet-classification stage over the measured traffic. fn, when non-nil,
 // receives every admitted record in deterministic file order — the hook
 // `cellspot ingest -out` uses to spool records for the live path in the
-// same single pass. Threshold 0 means classify.DefaultThreshold;
-// parallelism follows the Config.Parallelism convention (0 = GOMAXPROCS,
-// 1 = serial oracle).
-func RunForeign(cfg ingest.Config, threshold float64, parallelism int, fn func(beacon.Record)) (*ForeignResult, error) {
+// same single pass. Threshold 0 means classify.DefaultThreshold.
+func RunForeign(cfg ingest.Config, threshold float64, fn func(beacon.Record)) (*ForeignResult, error) {
 	if threshold == 0 {
 		threshold = classify.DefaultThreshold
 	}
@@ -39,7 +37,7 @@ func RunForeign(cfg ingest.Config, threshold float64, parallelism int, fn func(b
 		return nil, fmt.Errorf("pipeline: %w", err)
 	}
 
-	pcfg := Config{Metrics: cfg.Metrics, Parallelism: parallelism}
+	pcfg := Config{Metrics: cfg.Metrics}
 	start := time.Now()
 	imp, err := ingest.Import(cfg, fn)
 	if err != nil {
@@ -53,7 +51,7 @@ func RunForeign(cfg ingest.Config, threshold float64, parallelism int, fn func(b
 	}
 
 	start = time.Now()
-	detected := cls.ClassifyParallel(imp.Beacon, parallelism)
+	detected := cls.Classify(imp.Beacon)
 	pcfg.observeStage("classify", start, imp.Beacon.Blocks())
 
 	return &ForeignResult{

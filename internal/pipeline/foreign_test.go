@@ -28,7 +28,7 @@ func writeForeignTree(t *testing.T) string {
 func TestRunForeign(t *testing.T) {
 	dir := writeForeignTree(t)
 	var hooked []beacon.Record
-	r, err := RunForeign(ingest.Config{Dir: dir}, 0, 1, func(rec beacon.Record) {
+	r, err := RunForeign(ingest.Config{Dir: dir}, 0, func(rec beacon.Record) {
 		hooked = append(hooked, rec)
 	})
 	if err != nil {
@@ -49,11 +49,11 @@ func TestRunForeign(t *testing.T) {
 	}
 
 	// Strict mode aborts on the injected garbage line.
-	if _, err := RunForeign(ingest.Config{Dir: dir, Strict: true}, 0, 1, nil); err == nil {
+	if _, err := RunForeign(ingest.Config{Dir: dir, Strict: true}, 0, nil); err == nil {
 		t.Error("strict RunForeign accepted malformed input")
 	}
 	// Out-of-range threshold is rejected before any I/O.
-	if _, err := RunForeign(ingest.Config{Dir: dir}, 1.5, 1, nil); err == nil {
+	if _, err := RunForeign(ingest.Config{Dir: dir}, 1.5, nil); err == nil {
 		t.Error("threshold 1.5 accepted")
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"cellspot/internal/demand"
 	"cellspot/internal/dnsmap"
 	"cellspot/internal/macro"
+	"cellspot/internal/mapbuild"
 	"cellspot/internal/netaddr"
 	"cellspot/internal/obs"
 	"cellspot/internal/par"
@@ -32,9 +33,10 @@ type Config struct {
 	MinHits   int     // AS filter rule 2 (paper: 300 responses)
 
 	// Parallelism is the worker count for the sharded hot stages (world
-	// generation, BEACON synthesis, DEMAND jitter, classification), for
-	// running BEACON beside DEMAND and for Analyze's independent
-	// branches: 0 = GOMAXPROCS, 1 = the serial oracle path. Run and
+	// generation, BEACON synthesis, DEMAND jitter), for running BEACON
+	// beside DEMAND and for Analyze's independent branches:
+	// 0 = GOMAXPROCS, 1 = the serial oracle path. Classification is
+	// serial at every setting: it is ~2 ms of a ~360-ms run. Run and
 	// RunOnWorld copy it into the stage configs, overriding their own
 	// Parallelism fields. Results are bit-identical at every setting —
 	// each shard draws from its own PCG(seed, streamConst^shardIndex)
@@ -86,38 +88,33 @@ type Result struct {
 	// RDNS holds the reverse-DNS corroboration of detected cellular space
 	// per AS (the paper's §5 proxy confirmation, mechanized).
 	RDNS map[uint32]*rdns.Corroboration
-
-	resolverAS map[netip.Addr]uint32 // lazy BGP-style resolver→AS index
 }
 
 // ASOf returns the BGP-style block→AS mapping for the run's world.
-func (r *Result) ASOf(b netaddr.Block) (uint32, bool) {
-	bi := r.World.BlockIndex[b]
-	if bi == nil {
-		return 0, false
-	}
-	return bi.ASN, true
-}
+func (r *Result) ASOf(b netaddr.Block) (uint32, bool) { return r.World.ASOf(b) }
 
 // CountryOf returns the whois-style AS→country mapping.
-func (r *Result) CountryOf(asNum uint32) (string, bool) {
-	a, ok := r.World.Registry.Lookup(asNum)
-	if !ok {
-		return "", false
+func (r *Result) CountryOf(asNum uint32) (string, bool) { return r.World.CountryOf(asNum) }
+
+// rules returns the paper's AS filter at the run's thresholds.
+func (r *Result) rules() aschar.Rules {
+	return aschar.Rules{
+		MinCellDU: r.Config.MinCellDU,
+		MinHits:   r.Config.MinHits,
+		Snapshot:  r.World.Snapshot,
 	}
-	return a.Country, true
 }
 
-// ResolverAS maps a resolver address to its AS, as BGP would.
-func (r *Result) ResolverAS(addr netip.Addr) (uint32, bool) {
-	if r.resolverAS == nil {
-		r.resolverAS = make(map[netip.Addr]uint32, len(r.World.Resolvers))
-		for _, res := range r.World.Resolvers {
-			r.resolverAS[res.Addr] = res.ASN
-		}
+// MapInputs returns the side inputs that build the run's publishable map
+// through mapbuild: its DEMAND, the AS filter Analyze applies, and the
+// world's block→AS and AS→country mappings.
+func (r *Result) MapInputs() mapbuild.Inputs {
+	return mapbuild.Inputs{
+		Demand:    r.Demand,
+		Rules:     r.rules(),
+		ASOf:      r.World.ASOf,
+		CountryOf: r.World.CountryOf,
 	}
-	a, ok := r.resolverAS[addr]
-	return a, ok
 }
 
 // Run executes the full pipeline on a freshly generated global world.
@@ -196,7 +193,7 @@ func (r *Result) Classify(threshold float64) error {
 		return fmt.Errorf("pipeline: %w", err)
 	}
 	start := time.Now()
-	r.Detected = cls.ClassifyParallel(r.Beacon, r.Config.Parallelism)
+	r.Detected = cls.Classify(r.Beacon)
 	r.Config.observeStage("classify", start, r.Beacon.Blocks())
 	return nil
 }
@@ -205,8 +202,7 @@ func (r *Result) Classify(threshold float64) error {
 // Its four branches are independent: each reads only inputs complete
 // before Analyze starts, writes only its own Result fields and runs
 // serially inside, so they run concurrently under Config.Parallelism
-// (1 runs them in order) and every float keeps its summation order. No
-// branch may call ResolverAS, whose lazy index is written on first use.
+// (1 runs them in order) and every float keeps its summation order.
 func (r *Result) Analyze() {
 	// par.Do hands out branches in index order, so they are listed
 	// longest first. At Scale 0.02 the resolver usage walk takes ~50-70
@@ -235,12 +231,7 @@ func (r *Result) Analyze() {
 func (r *Result) analyzeASes() {
 	ru := aschar.NewRollup(r.Demand, r.ASOf)
 	r.Stats = ru.Stats(r.Detected, r.Beacon)
-	rules := aschar.Rules{
-		MinCellDU: r.Config.MinCellDU,
-		MinHits:   r.Config.MinHits,
-		Snapshot:  r.World.Snapshot,
-	}
-	r.Filter = aschar.Filter(r.Stats, rules)
+	r.Filter = aschar.Filter(r.Stats, r.rules())
 	r.Networks = aschar.Characterize(r.Filter.AfterRule3, r.Stats)
 
 	cellASes := make(map[uint32]bool, len(r.Filter.AfterRule3))

@@ -220,7 +220,7 @@ func TestResolverASMapping(t *testing.T) {
 	r := testRun(t)
 	found := false
 	for _, res := range r.World.Resolvers {
-		a, ok := r.ResolverAS(res.Addr)
+		a, ok := r.World.ResolverAS(res.Addr)
 		if !ok || a != res.ASN {
 			t.Fatalf("resolver %v mapped to %d,%v want %d", res.Addr, a, ok, res.ASN)
 		}

@@ -32,7 +32,7 @@ func Names(w *world.World) func(netaddr.Block) (string, bool) {
 		}
 	}
 	return func(b netaddr.Block) (string, bool) {
-		bi := w.BlockIndex[b]
+		bi := w.Block(b)
 		if bi == nil || !bi.WebActive {
 			return "", false
 		}

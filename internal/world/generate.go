@@ -158,8 +158,7 @@ func (g *generator) absorb(f *generator) {
 			bi.Block = g.next24Block()
 		}
 		bi.ASN = asnMap[bi.ASN]
-		g.w.Blocks = append(g.w.Blocks, bi)
-		g.w.BlockIndex[bi.Block] = bi
+		g.w.AddBlock(bi)
 	}
 	g.w.Operators = append(g.w.Operators, f.w.Operators...)
 	g.w.CellOperators = append(g.w.CellOperators, f.w.CellOperators...)

@@ -105,6 +105,7 @@ func (g *generator) genResolvers() {
 		op.Resolvers = resolvers
 		g.w.dnsPlans[op.AS.Number] = newDNSPlan(op)
 	}
+	g.w.resolverAS = &resolverIndex{}
 }
 
 // dnsPlan is what an access operator's blocks derive their resolver

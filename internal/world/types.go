@@ -12,6 +12,7 @@ package world
 
 import (
 	"net/netip"
+	"sync"
 
 	"cellspot/internal/asn"
 	"cellspot/internal/geo"
@@ -132,7 +133,10 @@ type World struct {
 	BlockIndex map[netaddr.Block]*BlockInfo
 
 	// Resolvers lists all resolvers, operator-owned and public.
-	Resolvers []*Resolver
+	// resolverAS indexes them by address for ResolverAS; copies of the
+	// world share it, so a copy keeps the same list.
+	Resolvers  []*Resolver
+	resolverAS *resolverIndex
 
 	// dnsPlans holds each access operator's resolver plan by AS number,
 	// and publicDNS the public resolvers of each publicProviders entry.
@@ -146,6 +150,74 @@ type World struct {
 	// a large mixed European provider, a large dedicated U.S. MNO, and a
 	// large mixed Middle-East MNO (paper §4.2).
 	CarrierA, CarrierB, CarrierC *Operator
+}
+
+// Block returns the ground truth of block b, or nil when the world has no
+// such block.
+func (w *World) Block(b netaddr.Block) *BlockInfo { return w.BlockIndex[b] }
+
+// ASOf returns the AS that originates block b, as a BGP table would.
+func (w *World) ASOf(b netaddr.Block) (uint32, bool) {
+	bi := w.BlockIndex[b]
+	if bi == nil {
+		return 0, false
+	}
+	return bi.ASN, true
+}
+
+// CountryOf returns an AS's registered country, as whois would.
+func (w *World) CountryOf(asNum uint32) (string, bool) {
+	a, ok := w.Registry.Lookup(asNum)
+	if !ok {
+		return "", false
+	}
+	return a.Country, true
+}
+
+// resolverIndex maps resolver addresses to their ASes. It is built once,
+// on first use, so a world nobody asks (pipeline.Run's, the live map
+// inputs') does not hold it.
+type resolverIndex struct {
+	once   sync.Once
+	byAddr map[netip.Addr]uint32
+}
+
+// ResolverAS returns the AS that originates a resolver address, as BGP
+// would. It is safe for concurrent use.
+func (w *World) ResolverAS(addr netip.Addr) (uint32, bool) {
+	ix := w.resolverAS
+	ix.once.Do(func() {
+		ix.byAddr = make(map[netip.Addr]uint32, len(w.Resolvers))
+		for _, r := range w.Resolvers {
+			ix.byAddr[r.Addr] = r.ASN
+		}
+	})
+	a, ok := ix.byAddr[addr]
+	return a, ok
+}
+
+// Clone returns a copy of w with fresh BlockInfo values in Blocks and
+// BlockIndex, so the copy's blocks can change and grow (AddBlock) without
+// touching w. Everything else is shared: the registry, countries and
+// resolvers, and the operators, whose Blocks still list w's values. The
+// copy's resolver affinity (AppendAffinity) follows its own blocks.
+func (w *World) Clone() *World {
+	clone := *w
+	clone.Blocks = make([]*BlockInfo, len(w.Blocks))
+	clone.BlockIndex = make(map[netaddr.Block]*BlockInfo, len(w.Blocks))
+	for i, b := range w.Blocks {
+		nb := *b
+		clone.Blocks[i] = &nb
+		clone.BlockIndex[nb.Block] = &nb
+	}
+	return &clone
+}
+
+// AddBlock appends a block to the world and indexes it. The caller picks
+// a key that no block of w holds yet.
+func (w *World) AddBlock(bi *BlockInfo) {
+	w.Blocks = append(w.Blocks, bi)
+	w.BlockIndex[bi.Block] = bi
 }
 
 // CarrierTruth exports an operator's ground-truth prefix labels the way the
