@@ -65,7 +65,7 @@ type Inputs struct {
 
 // BuildStats aggregates blocks into per-AS statistics.
 func BuildStats(in Inputs) map[uint32]*Stats {
-	return NewRollup(in.Demand, in.ASOf).Stats(in.Detected, in.Beacon)
+	return NewRollup(in.Demand, in.ASOf, in.ASOf).Stats(in.Detected, in.Beacon)
 }
 
 // Rollup is the demand side of BuildStats: each AS's block count and
@@ -73,8 +73,9 @@ func BuildStats(in Inputs) map[uint32]*Stats {
 // block order, and each demand row's AS, resolved once. It depends only
 // on the dataset and the block→AS mapping, so a caller that builds stats
 // for a sequence of beacon aggregates over the same inputs pays the walk
-// over every demand block once. The dataset is immutable, which is what
-// makes the rollup safe to keep and to share between goroutines.
+// over every demand block once. The dataset is immutable and the kept
+// asOf stateless, which is what makes the rollup safe to keep and to
+// share between goroutines.
 type Rollup struct {
 	demand *demand.Dataset // nil: no demand-side input
 	asOf   func(netaddr.Block) (uint32, bool)
@@ -83,8 +84,13 @@ type Rollup struct {
 	idx    map[uint32]int32 // AS → index into base
 }
 
-// NewRollup walks the dataset once; d may be nil.
-func NewRollup(d *demand.Dataset, asOf func(netaddr.Block) (uint32, bool)) *Rollup {
+// NewRollup walks the dataset once; d may be nil. walk answers the
+// walk's block→AS lookups, one per row in canonical block order, and is
+// not kept: it may be a stateful cursor such as world.Cursor's ASOf.
+// asOf answers the later lookups for beacon-only blocks and is kept, so it
+// must be safe to call from any goroutine. Both must give the same
+// answers.
+func NewRollup(d *demand.Dataset, asOf, walk func(netaddr.Block) (uint32, bool)) *Rollup {
 	r := &Rollup{demand: d, asOf: asOf, idx: make(map[uint32]int32)}
 	if d == nil {
 		return r
@@ -95,7 +101,7 @@ func NewRollup(d *demand.Dataset, asOf func(netaddr.Block) (uint32, bool)) *Roll
 	last, lastIdx := uint32(0), int32(-1)
 	for row := range r.asIdx {
 		b, du := d.At(row)
-		a, ok := asOf(b)
+		a, ok := walk(b)
 		if !ok {
 			r.asIdx[row] = -1
 			continue
@@ -187,28 +193,36 @@ func (r *Rollup) joinBeacon(agg *beacon.Aggregate, fn func(b netaddr.Block, c be
 // Stats completes the rollup with one beacon aggregate and its detected
 // set, returning exactly what BuildStats returns for the same inputs.
 // Its cost scales with the aggregate and the detected set, not with the
-// dataset. The aggregate's rows merge-join the demand rows, so a block
-// with demand finds its AS in the row column without a hash probe; only
-// beacon-only blocks ask asOf. Beacon tallies are integers, so their
-// order of addition does not matter. CellDU sums each AS's detected
-// demand rows in ascending row order, which is canonical block order, so
-// every float is bit-identical to a single pass over the dataset.
+// dataset. The detected blocks are sorted and find their demand rows in
+// one ascending pass, each binary search starting after the last hit, so
+// CellDU sums each AS's detected demand rows in ascending row order,
+// which is canonical block order, and every float is bit-identical to a
+// single pass over the dataset. The aggregate's rows merge-join the demand
+// rows, so a block with demand finds its AS in the row column without a
+// hash probe; only beacon-only blocks ask asOf. Beacon tallies are
+// integers, so their order of addition does not matter.
 func (r *Rollup) Stats(detected netaddr.Set, agg *beacon.Aggregate) map[uint32]*Stats {
 	vals := slices.Clone(r.base)
 	var more map[uint32]*Stats // ASes with no mapped demand
-	var cellRows []int
-	for b := range detected {
-		if row, ok := r.row(b); ok {
+	if r.demand != nil {
+		cells := make([]netaddr.Block, 0, len(detected))
+		for b := range detected {
+			cells = append(cells, b)
+		}
+		netaddr.SortBlocks(cells)
+		row := 0
+		for _, b := range cells {
+			var ok bool
+			if row, ok = r.demand.RowFrom(row, b); !ok {
+				continue
+			}
 			if i := r.asIdx[row]; i >= 0 {
 				vals[i].addCellBlock(b)
-				cellRows = append(cellRows, row)
+				_, du := r.demand.At(row)
+				vals[i].CellDU += du
 			}
+			row++
 		}
-	}
-	slices.Sort(cellRows)
-	for _, row := range cellRows {
-		_, du := r.demand.At(row)
-		vals[r.asIdx[row]].CellDU += du
 	}
 	if agg != nil {
 		r.joinBeacon(agg, func(b netaddr.Block, c beacon.Counts, row int) {
@@ -252,15 +266,6 @@ func (r *Rollup) Stats(detected netaddr.Set, agg *beacon.Aggregate) map[uint32]*
 		stats[a] = s
 	}
 	return stats
-}
-
-// row is the block's demand row, if the rollup has demand and the block
-// is in it.
-func (r *Rollup) row(b netaddr.Block) (int, bool) {
-	if r.demand == nil {
-		return 0, false
-	}
-	return r.demand.Row(b)
 }
 
 func (s *Stats) addCellBlock(b netaddr.Block) {

@@ -91,7 +91,7 @@ func mapWalkStats(r *Rollup, detected netaddr.Set, agg *beacon.Aggregate) map[ui
 	var more map[uint32]*Stats
 	var cellRows []int
 	for b := range detected {
-		if row, ok := r.row(b); ok {
+		if row, ok := r.demand.Row(b); ok {
 			if i := r.asIdx[row]; i >= 0 {
 				vals[i].addCellBlock(b)
 				cellRows = append(cellRows, row)
@@ -110,7 +110,7 @@ func mapWalkStats(r *Rollup, detected netaddr.Set, agg *beacon.Aggregate) map[ui
 	}
 	for b, c := range perBlock {
 		var s *Stats
-		if row, ok := r.row(b); ok {
+		if row, ok := r.demand.Row(b); ok {
 			i := r.asIdx[row]
 			if i < 0 {
 				continue
@@ -191,7 +191,7 @@ func TestStatsMatchesMapWalkOracle(t *testing.T) {
 		for i := 0; i < c.ds.Blocks(); i += 5 {
 			detected.Add(c.ds.Key(i))
 		}
-		r := NewRollup(c.ds, asOf)
+		r := NewRollup(c.ds, asOf, asOf)
 		got, want := r.Stats(detected, c.agg), mapWalkStats(r, detected, c.agg)
 		if err := sameStats(got, want); err != nil {
 			t.Errorf("%s: %v", c.name, err)

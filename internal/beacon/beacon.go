@@ -466,7 +466,7 @@ func sampleShard(plans []blockPlan, cfg GenConfig, s int, emit func(netaddr.Bloc
 		hits := traffic.PoissonSmall(src, p.meanHits)
 		var api int
 		if p.info.HitsOverride > 0 {
-			api = p.info.HitsOverride
+			api = int(p.info.HitsOverride)
 			if hits < api {
 				hits = api
 			}
@@ -570,7 +570,7 @@ func Stream(w *world.World, cfg GenConfig) (iter.Seq[Record], error) {
 		ratRng := rand.New(rand.NewPCG(cfg.Seed, 0xbeac0_0004))
 		for _, p := range plans {
 			hits := traffic.PoissonSmall(src, p.meanHits)
-			forcedAPI := p.info.HitsOverride
+			forcedAPI := int(p.info.HitsOverride)
 			if forcedAPI > hits {
 				hits = forcedAPI
 			}

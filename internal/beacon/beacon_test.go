@@ -161,7 +161,7 @@ func TestGenerateHitsOverride(t *testing.T) {
 		if !ok {
 			t.Fatalf("override block %v missing from BEACON", bi.Block)
 		}
-		if c.API != bi.HitsOverride {
+		if c.API != int(bi.HitsOverride) {
 			t.Fatalf("override block %v has %d API hits, want %d", bi.Block, c.API, bi.HitsOverride)
 		}
 		if c.Hits < c.API {
@@ -289,7 +289,7 @@ func generateViaCounts(w *world.World, cfg GenConfig) *Aggregate {
 			hits := traffic.PoissonSmall(src, p.meanHits)
 			var api int
 			if p.info.HitsOverride > 0 {
-				api = p.info.HitsOverride
+				api = int(p.info.HitsOverride)
 				if hits < api {
 					hits = api
 				}

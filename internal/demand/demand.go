@@ -7,6 +7,7 @@ package demand
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 
@@ -20,19 +21,20 @@ import (
 const TotalDU = 100000.0
 
 // Dataset is the normalized per-block demand rollup: a row table in
-// canonical block order, with a Block→row index. Row order is canonical
-// order, so a caller that accumulates over rows in ascending order sums
-// its floats in the same order Each does. It is immutable once built, so
-// callers may keep values derived from it, row numbers included.
+// canonical block order. A block finds its row by binary search over the
+// sorted block column, so the table holds no hash index. Row order is
+// canonical order, so a caller that accumulates over rows in ascending
+// order sums its floats in the same order Each does. It is immutable once
+// built, so callers may keep values derived from it, row numbers included.
 type Dataset struct {
 	keys  []netaddr.Block // row → block, canonical order
 	du    []float64       // row → demand units
-	row   map[netaddr.Block]int32
 	total float64
 }
 
 // NewDataset builds a normalized dataset from raw per-block weights.
-// Weights may be any non-negative values; they are scaled to sum to TotalDU.
+// Weights may be any finite non-negative values; they are scaled to sum
+// to TotalDU.
 func NewDataset(raw map[netaddr.Block]float64) (*Dataset, error) {
 	entries := make([]BlockDU, 0, len(raw))
 	for b, v := range raw {
@@ -47,13 +49,17 @@ func NewDataset(raw map[netaddr.Block]float64) (*Dataset, error) {
 // family, so they cost a partition by family, not a sort. Summing and
 // scaling run in canonical order because float addition is not
 // associative: map or shard order would make two runs of the same world
-// differ in their last bits. A negative weight is reported for the first
-// such block in canonical order, so the error is the same on every call.
+// differ in their last bits. A negative or non-finite weight is reported
+// for the first such block in canonical order, so the error is the same on
+// every call.
 func newDataset(entries []BlockDU) (*Dataset, error) {
 	netaddr.SortByBlock(entries, func(e BlockDU) netaddr.Block { return e.Block })
 	sum := 0.0
 	n := 0
 	for _, e := range entries {
+		if math.IsNaN(e.DU) || math.IsInf(e.DU, 0) {
+			return nil, fmt.Errorf("demand: non-finite demand %v for %v", e.DU, e.Block)
+		}
 		if e.DU < 0 {
 			return nil, fmt.Errorf("demand: negative demand for %v", e.Block)
 		}
@@ -68,11 +74,9 @@ func newDataset(entries []BlockDU) (*Dataset, error) {
 	}
 	d.keys = make([]netaddr.Block, 0, n)
 	d.du = make([]float64, 0, n)
-	d.row = make(map[netaddr.Block]int32, n)
 	f := TotalDU / sum
 	for _, e := range entries {
 		if e.DU > 0 {
-			d.row[e.Block] = int32(len(d.keys))
 			d.keys = append(d.keys, e.Block)
 			d.du = append(d.du, e.DU*f)
 			d.total += e.DU * f
@@ -83,9 +87,15 @@ func newDataset(entries []BlockDU) (*Dataset, error) {
 
 // Row returns the block's row: its rank among the dataset's blocks in
 // canonical order. ok reports whether the block has recorded demand.
-func (d *Dataset) Row(b netaddr.Block) (int, bool) {
-	i, ok := d.row[b]
-	return int(i), ok
+func (d *Dataset) Row(b netaddr.Block) (int, bool) { return d.RowFrom(0, b) }
+
+// RowFrom is Row for a caller that knows b sorts after the blocks of
+// every row before from: it searches rows from on only. When b has no
+// row, the index returned is the row b would take, so a caller that looks
+// blocks up in ascending order can pass it as the next from.
+func (d *Dataset) RowFrom(from int, b netaddr.Block) (int, bool) {
+	i, ok := slices.BinarySearchFunc(d.keys[from:], b, netaddr.Block.Compare)
+	return from + i, ok
 }
 
 // Key returns row i's block.
@@ -96,7 +106,7 @@ func (d *Dataset) At(i int) (netaddr.Block, float64) { return d.keys[i], d.du[i]
 
 // DU returns the block's demand units (0 when unobserved).
 func (d *Dataset) DU(b netaddr.Block) float64 {
-	i, ok := d.row[b]
+	i, ok := d.Row(b)
 	if !ok {
 		return 0
 	}
@@ -177,9 +187,9 @@ const genShardSize = 4096
 // noise — and normalizes fold(days) per demand-carrying block, where days
 // holds the block's cfg.Days draws in day order. Jitter sampling shards
 // across cfg.Parallelism workers (0 = GOMAXPROCS, 1 = serial) with one PCG
-// stream per fixed-size shard, each writing its own span of one
-// block-major, day-minor slice, so the result is bit-identical at every
-// parallelism level.
+// stream per fixed-size shard of demand-carrying blocks. Each shard folds
+// its blocks' days as it draws them and writes their entries into its own
+// span, so the result is bit-identical at every parallelism level.
 func rollup(w *world.World, cfg GenConfig, fold func(days []float64) float64) (*Dataset, error) {
 	if cfg.Days <= 0 {
 		return nil, fmt.Errorf("demand: Days must be positive")
@@ -190,33 +200,37 @@ func rollup(w *world.World, cfg GenConfig, fold func(days []float64) float64) (*
 	rng := rand.New(rand.NewPCG(cfg.Seed, dayStream))
 	dayFactors := traffic.DailyFactors(rng, cfg.Days, 0.05)
 
-	blocks := make([]*world.BlockInfo, 0, len(w.Blocks))
-	for _, b := range w.Blocks {
+	// starts[s] is the index into w.Blocks of shard s's first block.
+	var starts []int
+	n := 0
+	for i, b := range w.Blocks {
 		if b.Demand > 0 {
-			blocks = append(blocks, b)
+			if n%genShardSize == 0 {
+				starts = append(starts, i)
+			}
+			n++
 		}
 	}
-	vals := make([]float64, len(blocks)*cfg.Days)
-	par.Do(par.Shards(len(blocks), genShardSize), cfg.Parallelism, func(s int) {
+	entries := make([]BlockDU, n)
+	par.Do(len(starts), cfg.Parallelism, func(s int) {
 		rng := rand.New(rand.NewPCG(cfg.Seed, jitterStream^uint64(s)))
-		lo, hi := par.Span(s, len(blocks), genShardSize)
-		i := lo * cfg.Days
-		for _, b := range blocks[lo:hi] {
-			for d := 0; d < cfg.Days; d++ {
-				v := b.Demand * dayFactors[d]
-				if cfg.Jitter > 0 {
-					v *= traffic.LogNormal(rng, 0, cfg.Jitter)
+		lo, hi := par.Span(s, n, genShardSize)
+		days := make([]float64, cfg.Days)
+		for i := starts[s]; lo < hi; i++ {
+			b := w.Blocks[i]
+			if b.Demand > 0 {
+				for d := range days {
+					v := b.Demand * dayFactors[d]
+					if cfg.Jitter > 0 {
+						v *= traffic.LogNormal(rng, 0, cfg.Jitter)
+					}
+					days[d] = v
 				}
-				vals[i] = v
-				i++
+				entries[lo] = BlockDU{Block: b.Block, DU: fold(days)}
+				lo++
 			}
 		}
 	})
-
-	entries := make([]BlockDU, len(blocks))
-	for i, b := range blocks {
-		entries[i] = BlockDU{Block: b.Block, DU: fold(vals[i*cfg.Days : (i+1)*cfg.Days])}
-	}
 	return newDataset(entries)
 }
 

@@ -63,6 +63,100 @@ func TestNewDatasetErrors(t *testing.T) {
 	if err != nil || d.Total() != 0 || d.Blocks() != 0 {
 		t.Error("empty dataset mishandled")
 	}
+	// A non-finite weight is rejected like a negative one, naming the
+	// first such block in canonical order.
+	a, b, c := netaddr.V4Block(1, 0, 0), netaddr.V4Block(2, 0, 0), netaddr.V4Block(3, 0, 0)
+	for _, tc := range []struct {
+		raw  map[netaddr.Block]float64
+		want string
+	}{
+		{map[netaddr.Block]float64{a: 5, b: math.NaN()}, fmt.Sprintf("demand: non-finite demand NaN for %v", b)},
+		{map[netaddr.Block]float64{a: 5, b: math.Inf(1)}, fmt.Sprintf("demand: non-finite demand +Inf for %v", b)},
+		{map[netaddr.Block]float64{a: 5, c: math.NaN(), b: math.Inf(-1)}, fmt.Sprintf("demand: non-finite demand -Inf for %v", b)},
+	} {
+		for range 5 {
+			d, err := NewDataset(tc.raw)
+			if err == nil {
+				t.Fatalf("%v accepted: %d rows, total %v", tc.raw, d.Blocks(), d.Total())
+			}
+			if err.Error() != tc.want {
+				t.Fatalf("%v: error %q, want %q", tc.raw, err, tc.want)
+			}
+		}
+	}
+}
+
+// TestDatasetLookupMatchesMapOracle checks Row, RowFrom and DU, which
+// binary-search the block column, against a map built from Each: for
+// generated datasets over both families at seeds 1-3, for every row, for
+// the world's zero-demand blocks, for keys next to every row and beyond
+// either end of each family, and for an empty dataset.
+func TestDatasetLookupMatchesMapOracle(t *testing.T) {
+	w := smallWorld(t)
+	empty, err := NewDataset(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := []*Dataset{empty}
+	for seed := uint64(1); seed <= 3; seed++ {
+		cfg := DefaultGenConfig()
+		cfg.Seed = seed
+		ds, err := Generate(w, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets = append(sets, ds)
+	}
+	for si, ds := range sets {
+		oracle := make(map[netaddr.Block]int)
+		var dus []float64
+		ds.Each(func(b netaddr.Block, du float64) {
+			oracle[b] = len(dus)
+			dus = append(dus, du)
+		})
+		probes := []netaddr.Block{
+			netaddr.MakeBlock(netaddr.IPv4, 0), netaddr.MakeBlock(netaddr.IPv4, 1<<24-1),
+			netaddr.MakeBlock(netaddr.IPv6, 0), netaddr.MakeBlock(netaddr.IPv6, 1<<48-1),
+		}
+		for _, bi := range w.Blocks {
+			k := bi.Block.Key()
+			probes = append(probes, bi.Block,
+				netaddr.MakeBlock(bi.Block.Fam(), k-1), netaddr.MakeBlock(bi.Block.Fam(), k+1))
+		}
+		var fams [2]int
+		for _, b := range probes {
+			row, ok := ds.Row(b)
+			want, has := oracle[b]
+			if ok != has || (has && row != want) {
+				t.Fatalf("set %d: Row(%v) = %d,%v, want %d,%v", si, b, row, ok, want, has)
+			}
+			wantDU := 0.0
+			if has {
+				wantDU = dus[want]
+				fams[b.Fam()]++
+			}
+			if got := ds.DU(b); math.Float64bits(got) != math.Float64bits(wantDU) {
+				t.Fatalf("set %d: DU(%v) = %v, want %v", si, b, got, wantDU)
+			}
+		}
+		if si > 0 && (fams[netaddr.IPv4] == 0 || fams[netaddr.IPv6] == 0) {
+			t.Fatalf("set %d: hits per family %v, want both families", si, fams)
+		}
+		// RowFrom over the probes in ascending order, each search starting
+		// where the last one ended, finds what Row finds.
+		netaddr.SortBlocks(probes)
+		from := 0
+		for _, b := range probes {
+			row, ok := ds.RowFrom(from, b)
+			if want, has := oracle[b]; ok != has || (has && row != want) {
+				t.Fatalf("set %d: RowFrom(%d, %v) = %d,%v, want %d,%v", si, from, b, row, ok, want, has)
+			}
+			from = row
+		}
+		if from != ds.Blocks() {
+			t.Fatalf("set %d: ascending walk ended at row %d of %d", si, from, ds.Blocks())
+		}
+	}
 }
 
 // TestNewDatasetNegativeErrorStable pins the error for an input with more

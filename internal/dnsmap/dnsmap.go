@@ -17,8 +17,10 @@ import (
 
 // Affinity appends a client block's resolver association weights to dst
 // and returns the extended slice; a block without any appends nothing. The
-// pipeline passes the world's World.AppendAffinity, which derives them on
-// request. Weights per block are expected to sum to ~1.
+// pipeline passes World.AppendAffinity, which derives them on request, or
+// for ResolverUsage a world.Cursor's, which finds each block by stepping
+// through the world in the walk's canonical order. Weights per block are
+// expected to sum to ~1.
 type Affinity func(dst []world.ResolverWeight, b netaddr.Block) []world.ResolverWeight
 
 // Usage accumulates the demand a resolver serves, split by the client

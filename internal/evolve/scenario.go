@@ -2,6 +2,7 @@ package evolve
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 
 	"cellspot/internal/cellmap"
@@ -82,14 +83,16 @@ func ScenarioByName(name string) (*Scenario, bool) {
 
 // stepFiveGRollout pulls every cellular block's operator profile forward
 // on the adoption curve and switches NR on everywhere: month over month
-// the published maps' RAT columns tilt from 4G toward 5G.
+// the published maps' RAT columns tilt from 4G toward 5G. A run's month
+// count is unbounded, so the lag saturates at its type's minimum instead
+// of wrapping round to a late adopter.
 func stepFiveGRollout(w *world.World, _ *rand.Rand, _ int, _ *Config) {
 	for _, b := range w.Blocks {
 		if !b.Cellular {
 			continue
 		}
 		b.RAT.FiveG = true
-		b.RAT.LagMonths -= 4
+		b.RAT.LagMonths = int16(max(int(b.RAT.LagMonths)-4, math.MinInt16))
 	}
 }
 

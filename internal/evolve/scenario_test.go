@@ -2,6 +2,7 @@ package evolve
 
 import (
 	"bytes"
+	"math"
 	"net/netip"
 	"reflect"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"cellspot/internal/history"
 	"cellspot/internal/netinfo"
 	"cellspot/internal/snapshot"
+	"cellspot/internal/world"
 )
 
 func TestScenarioRegistry(t *testing.T) {
@@ -102,6 +104,46 @@ func TestScenarioFiveGRollout(t *testing.T) {
 	}
 	if last <= first {
 		t.Errorf("5G share did not grow: %.4f -> %.4f", first, last)
+	}
+}
+
+// TestFiveGRolloutLagSaturates runs the 5G step on blocks whose lag sits
+// at and near the bottom of its int16 range: each step takes 4 months off
+// until the lag reaches math.MinInt16 and stays there, never wrapping to a
+// late adopter, while a fixed block's profile is left alone.
+func TestFiveGRolloutLagSaturates(t *testing.T) {
+	cell := func(lag int16) *world.BlockInfo {
+		return &world.BlockInfo{Cellular: true, RAT: netinfo.RATProfile{LagMonths: lag}}
+	}
+	w := &world.World{Blocks: []*world.BlockInfo{
+		cell(12), cell(-18), cell(math.MinInt16 + 9), cell(math.MinInt16 + 3), cell(math.MinInt16),
+		{RAT: netinfo.RATProfile{LagMonths: math.MinInt16 + 1}},
+	}}
+	want := [][]int16{
+		{8, -22, math.MinInt16 + 5, math.MinInt16, math.MinInt16, math.MinInt16 + 1},
+		{4, -26, math.MinInt16 + 1, math.MinInt16, math.MinInt16, math.MinInt16 + 1},
+		{0, -30, math.MinInt16, math.MinInt16, math.MinInt16, math.MinInt16 + 1},
+		{-4, -34, math.MinInt16, math.MinInt16, math.MinInt16, math.MinInt16 + 1},
+	}
+	for step, lags := range want {
+		stepFiveGRollout(w, nil, step, nil)
+		for i, b := range w.Blocks {
+			if b.RAT.LagMonths != lags[i] {
+				t.Fatalf("step %d, block %d: lag %d, want %d", step, i, b.RAT.LagMonths, lags[i])
+			}
+			if b.RAT.FiveG != b.Cellular {
+				t.Fatalf("step %d, block %d: FiveG %v on a block with Cellular %v", step, i, b.RAT.FiveG, b.Cellular)
+			}
+		}
+	}
+	// A saturated profile still yields a traffic mix that sums to one.
+	mix := w.Blocks[4].RAT.Mix(netinfo.Month{Year: 2019, Mon: 6})
+	sum := 0.0
+	for _, v := range mix {
+		sum += v
+	}
+	if math.Abs(sum-1) > 1e-9 {
+		t.Fatalf("saturated mix %+v sums to %v", mix, sum)
 	}
 }
 

@@ -152,11 +152,9 @@ func (e *Entry) Record() (beacon.Record, error) {
 // Weight is the entry's contribution to DEMAND tallies: total bytes moved.
 // Zeek logs connections, not requests, so traffic volume is the honest
 // demand proxy (the paper's DEMAND dataset weighs blocks by platform
-// request demand; bytes are the conn-log analogue).
+// request demand; bytes are the conn-log analogue). A negative count is
+// read as 0, and the two counts are summed as floats, so two large counts
+// cannot wrap to a negative sum and one bad count cannot cancel the other.
 func (e *Entry) Weight() float64 {
-	w := e.OrigBytes + e.RespBytes
-	if w < 0 {
-		return 0
-	}
-	return float64(w)
+	return float64(max(e.OrigBytes, 0)) + float64(max(e.RespBytes, 0))
 }

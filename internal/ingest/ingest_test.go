@@ -3,6 +3,7 @@ package ingest
 import (
 	"bytes"
 	"compress/gzip"
+	"math"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -258,5 +259,41 @@ func TestFromRecordRoundTrip(t *testing.T) {
 	}
 	if back != rec {
 		t.Errorf("round trip:\n got %+v\nwant %+v", back, rec)
+	}
+}
+
+// TestEntryWeight pins Weight's edge cases: two counts whose int64 sum
+// would wrap give their float sum, and a negative count counts as 0
+// instead of cancelling part of the other. Realistic counts give what
+// the int64 sum gave.
+func TestEntryWeight(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		orig, resp int64
+		want       float64
+		realistic  bool
+	}{
+		{"empty", 0, 0, 0, true},
+		{"small", 517, 14_230, 14_747, true},
+		{"one side", 0, 88_000_000, 88_000_000, true},
+		{"a terabyte a side", 1 << 40, 3 << 40, 4 << 40, true},
+		{"sum wraps", math.MaxInt64, math.MaxInt64, 2 * float64(math.MaxInt64), false},
+		{"sum wraps by one", math.MaxInt64, 1, float64(math.MaxInt64) + 1, false},
+		{"negative orig", -5, 100, 100, false},
+		{"negative resp", 100, -500, 100, false},
+		{"both negative", -1, math.MinInt64, 0, false},
+		{"min and max", math.MinInt64, math.MaxInt64, float64(math.MaxInt64), false},
+	} {
+		e := &Entry{OrigBytes: tc.orig, RespBytes: tc.resp}
+		got := e.Weight()
+		if got != tc.want {
+			t.Errorf("%s: Weight(%d, %d) = %v, want %v", tc.name, tc.orig, tc.resp, got, tc.want)
+		}
+		if got < 0 {
+			t.Errorf("%s: negative weight %v", tc.name, got)
+		}
+		if tc.realistic && got != float64(tc.orig+tc.resp) {
+			t.Errorf("%s: Weight = %v, the int64 sum gives %v", tc.name, got, float64(tc.orig+tc.resp))
+		}
 	}
 }

@@ -77,7 +77,7 @@ func fixture(t *testing.T) Inputs {
 		return "", false
 	}
 	in := Inputs{
-		Rollup:    aschar.NewRollup(fixtureDemand(t), fixtureASOf),
+		Rollup:    aschar.NewRollup(fixtureDemand(t), fixtureASOf, fixtureASOf),
 		Beacon:    agg,
 		Detected:  netaddr.NewSet(usCell, cnCell, jpCellV6),
 		CountryOf: countryOf,
@@ -200,7 +200,8 @@ func TestScatter(t *testing.T) {
 
 func TestBuildSkipsUnmapped(t *testing.T) {
 	in := fixture(t)
-	in.Rollup = aschar.NewRollup(fixtureDemand(t), func(netaddr.Block) (uint32, bool) { return 0, false })
+	unmapped := func(netaddr.Block) (uint32, bool) { return 0, false }
+	in.Rollup = aschar.NewRollup(fixtureDemand(t), unmapped, unmapped)
 	a := Build(in)
 	if a.GlobalDU != 0 {
 		t.Error("unmapped blocks contributed demand")
@@ -215,7 +216,7 @@ func TestBuildSkipsUnmapped(t *testing.T) {
 
 func TestBuildNilDatasets(t *testing.T) {
 	in := fixture(t)
-	in.Rollup = aschar.NewRollup(nil, fixtureASOf)
+	in.Rollup = aschar.NewRollup(nil, fixtureASOf, fixtureASOf)
 	in.Beacon = nil
 	a := Build(in)
 	if a.GlobalDU != 0 || a.ByCountry["US"].Active24 != 0 {
@@ -446,7 +447,7 @@ func checkBuild(t *testing.T, name string, w *world.World, agg *beacon.Aggregate
 		}
 		return as.Country, true
 	}
-	ru := aschar.NewRollup(ds, asOf)
+	ru := aschar.NewRollup(ds, asOf, asOf)
 	var unmappedRows, indexedOnly, unindexed int
 	ru.EachRow(func(_ netaddr.Block, _ float64, i int) {
 		if i < 0 {

@@ -56,7 +56,7 @@ func New(threshold float64, in Inputs) (*Builder, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mapbuild: %w", err)
 	}
-	return &Builder{cls: cls, rollup: aschar.NewRollup(in.Demand, in.ASOf), in: in}, nil
+	return &Builder{cls: cls, rollup: aschar.NewRollup(in.Demand, in.ASOf, in.ASOf), in: in}, nil
 }
 
 // Build is the one-shot form of New(threshold, in).Build(agg, period).

@@ -114,7 +114,8 @@ func BaselineRATMix(m Month) RATMix {
 type RATProfile struct {
 	// LagMonths shifts the operator's position on the adoption curve:
 	// positive values adopt later than the baseline, negative earlier.
-	LagMonths int
+	// It is 16 bits wide because every world block carries a copy.
+	LagMonths int16
 	// FiveG reports whether the operator has deployed NR at all; without
 	// it the baseline's 5G share is carried on LTE instead.
 	FiveG bool
@@ -122,7 +123,7 @@ type RATProfile struct {
 
 // Mix returns the operator's radio-generation traffic mix for a month.
 func (p RATProfile) Mix(m Month) RATMix {
-	shifted := Month{Year: m.Year, Mon: m.Mon - p.LagMonths}
+	shifted := Month{Year: m.Year, Mon: m.Mon - int(p.LagMonths)}
 	// Month arithmetic via Index keeps Mon in 1..12 irrelevant here: the
 	// baseline curve only consumes the index, which is linear in months.
 	mix := baselineRATMixByIndex(shifted.Index())

@@ -202,7 +202,9 @@ func (r *Result) Classify(threshold float64) error {
 // Its four branches are independent: each reads only inputs complete
 // before Analyze starts, writes only its own Result fields and runs
 // serially inside, so they run concurrently under Config.Parallelism
-// (1 runs them in order) and every float keeps its summation order.
+// (1 runs them in order) and every float keeps its summation order. A
+// branch that walks DEMAND's rows against the world makes its own
+// world.Cursor; no cursor is shared between branches.
 func (r *Result) Analyze() {
 	// par.Do hands out branches in index order, so they are listed
 	// longest first. At Scale 0.02 the resolver usage walk takes ~50-70
@@ -211,7 +213,7 @@ func (r *Result) Analyze() {
 	par.Do(4, r.Config.Parallelism, func(i int) {
 		switch i {
 		case 0:
-			r.ResolverUsage = dnsmap.ResolverUsage(r.World.AppendAffinity, r.Demand, r.Detected)
+			r.ResolverUsage = dnsmap.ResolverUsage(r.World.NewCursor().AppendAffinity, r.Demand, r.Detected)
 		case 1:
 			r.analyzeASes()
 		case 2:
@@ -227,9 +229,11 @@ func (r *Result) Analyze() {
 // analyzeASes is Analyze's AS branch: per-AS stats, the AS filter, the
 // characterized networks and the macroscopic rollup over them. Stats and
 // the macroscopic rollup read one demand rollup, so DEMAND's blocks are
-// resolved to their ASes once.
+// resolved to their ASes once, by a world cursor that walks the rows in
+// canonical order; the rollup keeps the stateless ASOf for beacon-only
+// blocks.
 func (r *Result) analyzeASes() {
-	ru := aschar.NewRollup(r.Demand, r.ASOf)
+	ru := aschar.NewRollup(r.Demand, r.ASOf, r.World.NewCursor().ASOf)
 	r.Stats = ru.Stats(r.Detected, r.Beacon)
 	r.Filter = aschar.Filter(r.Stats, r.rules())
 	r.Networks = aschar.Characterize(r.Filter.AfterRule3, r.Stats)

@@ -49,7 +49,7 @@ func (g *generator) genNoiseASes() {
 			WebActive:     true,
 			Demand:        duUnit * 0.0002 * math.Pow(10, 2*g.rng.Float64()),
 			CellLabelProb: 0.95,
-			HitsOverride:  1 + g.rng.IntN(3),
+			HitsOverride:  int32(1 + g.rng.IntN(3)),
 		})
 	}
 
@@ -69,7 +69,7 @@ func (g *generator) genNoiseASes() {
 			WebActive:     true,
 			Demand:        duUnit * (0.12 + 0.15*g.rng.Float64()),
 			CellLabelProb: 0.9,
-			HitsOverride:  1 + g.rng.IntN(2),
+			HitsOverride:  int32(1 + g.rng.IntN(2)),
 		})
 		g.addBlock(op, BlockInfo{
 			Block:     blocks[1],

@@ -21,7 +21,7 @@ func ratProfileFor(name string, dedicated bool) netinfo.RATProfile {
 	h.Write([]byte(name))
 	v := h.Sum64()
 	p := netinfo.RATProfile{
-		LagMonths: int(v%25) - 12, // -12..+12 months around the baseline
+		LagMonths: int16(v%25) - 12, // -12..+12 months around the baseline
 		FiveG:     dedicated || (v>>8)%4 != 0,
 	}
 	if dedicated {

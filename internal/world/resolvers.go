@@ -150,7 +150,12 @@ func (w *World) AppendAffinity(dst []ResolverWeight, b netaddr.Block) []Resolver
 	if bi == nil || bi.Demand <= 0 {
 		return dst
 	}
-	p := w.dnsPlans[bi.ASN]
+	return w.appendAffinity(dst, bi, w.dnsPlans[bi.ASN])
+}
+
+// appendAffinity is AppendAffinity for a demand-carrying block, given its
+// operator's resolver plan (nil when the AS has none).
+func (w *World) appendAffinity(dst []ResolverWeight, bi *BlockInfo, p *dnsPlan) []ResolverWeight {
 	if p == nil {
 		return dst
 	}

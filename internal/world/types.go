@@ -20,20 +20,11 @@ import (
 	"cellspot/internal/netinfo"
 )
 
-// BlockInfo is the ground truth for one /24 or /48 block.
+// BlockInfo is the ground truth for one /24 or /48 block. Its fields are
+// ordered by size so the struct packs into 40 bytes with no padding
+// between fields; TestBlockInfoPacked holds it there.
 type BlockInfo struct {
 	Block netaddr.Block
-	ASN   uint32
-
-	// Cellular is the ground-truth access type: true when traffic from
-	// this block traverses a cellular radio.
-	Cellular bool
-
-	// WebActive reports whether the block produces browser page loads and
-	// therefore appears in the BEACON dataset. Low-activity cellular
-	// blocks (infrastructure, M2M) have demand but no beacons — the
-	// paper's dominant false-negative source.
-	WebActive bool
 
 	// Demand is the block's unnormalized demand weight. The demand
 	// pipeline normalizes world totals to 100,000 Demand Units.
@@ -47,15 +38,27 @@ type BlockInfo struct {
 	// egress blocks it is high despite the block not being cellular.
 	CellLabelProb float64
 
+	ASN uint32
+
+	// HitsOverride, when positive, fixes the block's API-enabled beacon
+	// hit count instead of deriving it from demand. Used by noise blocks
+	// (stray tethers, IoT operators) that need specific tiny hit counts.
+	HitsOverride int32
+
 	// RAT is the owning operator's radio-generation adoption profile,
 	// copied onto cellular blocks; the mix of 3G/4G/5G traffic a block
 	// carries in a month is RAT.Mix(month). Meaningless for fixed blocks.
 	RAT netinfo.RATProfile
 
-	// HitsOverride, when positive, fixes the block's API-enabled beacon
-	// hit count instead of deriving it from demand. Used by noise blocks
-	// (stray tethers, IoT operators) that need specific tiny hit counts.
-	HitsOverride int
+	// Cellular is the ground-truth access type: true when traffic from
+	// this block traverses a cellular radio.
+	Cellular bool
+
+	// WebActive reports whether the block produces browser page loads and
+	// therefore appears in the BEACON dataset. Low-activity cellular
+	// blocks (infrastructure, M2M) have demand but no beacons — the
+	// paper's dominant false-negative source.
+	WebActive bool
 }
 
 // Resolver is one recursive DNS resolver serving clients.
