@@ -44,7 +44,6 @@ import (
 	"cellspot/internal/evolve"
 	"cellspot/internal/ingest"
 	"cellspot/internal/logio"
-	"cellspot/internal/mapbuild"
 	"cellspot/internal/netaddr"
 	"cellspot/internal/pipeline"
 	"cellspot/internal/report"
@@ -155,7 +154,8 @@ func runCountry(args []string) error {
 
 // runExport runs the pipeline and writes the publishable cellular map —
 // aggregated CIDR prefixes with AS, country, ratio, and demand metadata —
-// through mapbuild, so blocks of ASes the AS filter drops are left out.
+// from the run's own detected set and AS-filter verdict (Result.Map), so
+// blocks of ASes the AS filter drops are left out.
 func runExport(args []string) error {
 	fs := flag.NewFlagSet("export", flag.ExitOnError)
 	out := fs.String("o", "cellmap.jsonl", "output map file")
@@ -170,7 +170,7 @@ func runExport(args []string) error {
 	if err != nil {
 		return err
 	}
-	m, err := mapbuild.Build(r.Beacon, cfg.Threshold, "2016-12", r.MapInputs())
+	m, err := r.Map("2016-12")
 	if err != nil {
 		return err
 	}

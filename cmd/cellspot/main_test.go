@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cellspot"
+	"cellspot/internal/aschar"
 	"cellspot/internal/demand"
 	"cellspot/internal/logio"
 	"cellspot/internal/mapbuild"
@@ -154,7 +155,12 @@ func TestExportAppliesASFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := mapbuild.Build(r.Beacon, cfg.Threshold, "2016-12", r.MapInputs())
+	m, err := mapbuild.Build(r.Beacon, cfg.Threshold, "2016-12", mapbuild.Inputs{
+		Demand:    r.Demand,
+		Rules:     aschar.Rules{MinCellDU: cfg.MinCellDU, MinHits: cfg.MinHits, Snapshot: r.World.Snapshot},
+		ASOf:      r.World.ASOf,
+		CountryOf: r.World.CountryOf,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

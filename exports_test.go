@@ -53,6 +53,7 @@ var productionCallerAllowlist = map[string]string{
 	"internal/obs/httpmw.statusWriter.Unwrap": "reached by http.ResponseController through an anonymous interface",
 	"internal/cellmap.MountSource":            "named by the perfbench module",
 	"internal/cluster.MountShard":             "named by the perfbench module",
+	"internal/mapbuild.Build":                 "named by the perfbench module",
 }
 
 // TestEveryFunctionHasProductionCaller type-checks every package of the

@@ -309,6 +309,15 @@ func (r FilterResult) Removed() (rule1, rule2, rule3 int) {
 		len(r.AfterRule2) - len(r.AfterRule3)
 }
 
+// Cellular returns the final cellular AS set, AfterRule3, as a set.
+func (r FilterResult) Cellular() map[uint32]bool {
+	out := make(map[uint32]bool, len(r.AfterRule3))
+	for _, a := range r.AfterRule3 {
+		out[a] = true
+	}
+	return out
+}
+
 // Filter applies the straw-man tagging and the three exclusion rules in the
 // paper's order. Output slices are sorted by AS number.
 func Filter(stats map[uint32]*Stats, rules Rules) FilterResult {

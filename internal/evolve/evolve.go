@@ -140,8 +140,8 @@ func Run(w *world.World, cfg Config) (*Timeline, error) {
 // clones w and draws the mutations from PCG(cfg.Seed, stream). Each month
 // after the first applies the base churn/drift mutation and then step,
 // when non-nil; every month then generates BEACON and DEMAND, classifies
-// and records its Snapshot, and with maps set also builds the month's
-// publishable map through mapbuild.
+// once and records its Snapshot, and with maps set also builds the month's
+// publishable map through mapbuild from that same detected set.
 func runMonths(w *world.World, cfg Config, stream uint64, step func(*world.World, *rand.Rand, int, *Config), maps bool) (*ScenarioRun, error) {
 	if cfg.Months < 1 {
 		return nil, fmt.Errorf("evolve: Months must be >= 1")
@@ -188,12 +188,16 @@ func runMonths(w *world.World, cfg Config, stream uint64, step func(*world.World
 		run.Timeline.Snapshots = append(run.Timeline.Snapshots, monthSnapshot(month, detected, ds))
 		run.Months = append(run.Months, month)
 		if maps {
-			mp, err := mapbuild.Build(agg, cfg.Threshold, month.String(), mapbuild.Inputs{
+			bd, err := mapbuild.New(cfg.Threshold, mapbuild.Inputs{
 				Demand:    ds,
 				Rules:     aschar.DefaultRules(cur.Snapshot),
 				ASOf:      cur.ASOf,
 				CountryOf: cur.CountryOf,
 			})
+			if err != nil {
+				return nil, fmt.Errorf("evolve: month %s: %w", month, err)
+			}
+			mp, err := bd.BuildDetected(detected, agg, month.String())
 			if err != nil {
 				return nil, fmt.Errorf("evolve: month %s: %w", month, err)
 			}

@@ -1,12 +1,15 @@
 // Package mapbuild runs the classify → AS-filter → cellmap.Build chain:
 // the one code path that turns a beacon aggregate into the publishable
-// cellular map, and the only caller of cellmap.Build. The live aggregator
-// (fed by the local spool or by federated collectors), the evolve
-// scenario runner, `cellspot export` and experiment X2 (both through
-// pipeline.Result.MapInputs) all build through it, so a published map
-// holds only the detected blocks of ASes that pass the paper's AS filter,
-// and maps from identical aggregates are bit-identical regardless of
-// which subsystem published them.
+// cellular map, and the only caller of cellmap.Build. Its last step,
+// Assemble, starts from a detected set and AS-filter verdict the caller
+// already holds. The live aggregator (fed by the local spool or by
+// federated collectors) runs the whole chain, the evolve scenario runner
+// starts it from each month's detected set, and `cellspot export` and
+// experiment X2 (both through pipeline.Result.Map) assemble from the
+// run's own verdict. So a published map holds only the detected blocks of
+// ASes that pass the paper's AS filter, and maps from identical
+// aggregates are bit-identical regardless of which subsystem published
+// them.
 package mapbuild
 
 import (
@@ -68,26 +71,31 @@ func Build(agg *beacon.Aggregate, threshold float64, period string, in Inputs) (
 	return b.Build(agg, period)
 }
 
-// Build classifies the aggregate, drops detected blocks whose AS fails
-// the paper's exclusion rules, and assembles the publishable map.
+// Build classifies the aggregate and publishes it through BuildDetected.
 func (bd *Builder) Build(agg *beacon.Aggregate, period string) (*cellmap.Map, error) {
-	detected := bd.cls.Classify(agg)
+	return bd.BuildDetected(bd.cls.Classify(agg), agg, period)
+}
+
+// BuildDetected runs the paper's AS filter over a detected set the caller
+// has already classified from agg, and assembles the publishable map.
+func (bd *Builder) BuildDetected(detected netaddr.Set, agg *beacon.Aggregate, period string) (*cellmap.Map, error) {
 	fr := aschar.Filter(bd.rollup.Stats(detected, agg), bd.in.Rules)
-	allowed := make(map[uint32]bool, len(fr.AfterRule3))
-	for _, a := range fr.AfterRule3 {
-		allowed[a] = true
-	}
-	kept := make(netaddr.Set)
-	for b := range detected {
-		if a, ok := bd.in.ASOf(b); ok && allowed[a] {
-			kept.Add(b)
-		}
-	}
-	return cellmap.Build(bd.cls.Threshold(), period, cellmap.Inputs{
-		Detected:  kept,
-		Beacon:    agg,
-		Demand:    bd.in.Demand,
-		ASOf:      bd.in.ASOf,
-		CountryOf: bd.in.CountryOf,
+	return Assemble(bd.cls.Threshold(), period, detected, fr, agg, bd.in)
+}
+
+// Assemble publishes the detected blocks of the ASes in fr.AfterRule3, an
+// AS-filter verdict the caller already holds for detected and agg.
+// in.Rules is not read.
+func Assemble(threshold float64, period string, detected netaddr.Set, fr aschar.FilterResult, agg *beacon.Aggregate, in Inputs) (*cellmap.Map, error) {
+	cellular := fr.Cellular()
+	return cellmap.Build(threshold, period, cellmap.Inputs{
+		Detected: detected,
+		Beacon:   agg,
+		Demand:   in.Demand,
+		ASOf: func(b netaddr.Block) (uint32, bool) {
+			a, ok := in.ASOf(b)
+			return a, ok && cellular[a]
+		},
+		CountryOf: in.CountryOf,
 	})
 }

@@ -213,7 +213,9 @@ func (w world) aggregates(seed uint64) []*beacon.Aggregate {
 
 // TestBuilderMatchesSinglePassOracle: one prepared Builder, reused across
 // a sequence of aggregates, publishes the bytes the single-pass chain
-// publishes, and aschar.BuildStats returns the single-pass Stats exactly.
+// publishes, from the aggregate (Build) and from its already classified
+// set (BuildDetected), and aschar.BuildStats returns the single-pass
+// Stats exactly.
 func TestBuilderMatchesSinglePassOracle(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		w := newWorld(t, seed)
@@ -239,7 +241,17 @@ func TestBuilderMatchesSinglePassOracle(t *testing.T) {
 				entries += m.Len()
 
 				cls, _ := classify.New(classify.DefaultThreshold)
-				sin := aschar.Inputs{Detected: cls.Classify(agg), Beacon: agg, Demand: in.Demand, ASOf: in.ASOf}
+				detected := cls.Classify(agg)
+				md, err := bd.BuildDetected(detected, agg, "test")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := mapBytes(t, md); !bytes.Equal(d, got) {
+					t.Fatalf("seed %d %s aggregate %d: BuildDetected differs from Build\n got %s\nwant %s",
+						seed, name, i, d, got)
+				}
+
+				sin := aschar.Inputs{Detected: detected, Beacon: agg, Demand: in.Demand, ASOf: in.ASOf}
 				if got, want := aschar.BuildStats(sin), oracleStats(sin); !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d %s aggregate %d: BuildStats differs from the single-pass oracle", seed, name, i)
 				}

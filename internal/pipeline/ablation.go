@@ -21,10 +21,7 @@ type ASNOnlyResult struct {
 // demand-weighted over active blocks. Mixed networks make AS-granularity
 // labeling wrong for most of their (fixed-line) demand.
 func AblationASNOnly(r *Result) ASNOnlyResult {
-	cellAS := make(map[uint32]bool, len(r.Filter.AfterRule3))
-	for _, a := range r.Filter.AfterRule3 {
-		cellAS[a] = true
-	}
+	cellAS := r.Filter.Cellular()
 	var out ASNOnlyResult
 	for _, bi := range r.World.Blocks {
 		if bi.Demand <= 0 {
@@ -84,10 +81,7 @@ func AblationNoASFilters(r *Result) NoFilterResult {
 		TaggedASes:   len(r.Filter.Tagged),
 		FilteredASes: len(r.Filter.AfterRule3),
 	}
-	final := make(map[uint32]bool, len(r.Filter.AfterRule3))
-	for _, a := range r.Filter.AfterRule3 {
-		final[a] = true
-	}
+	final := r.Filter.Cellular()
 	for _, a := range r.Filter.Tagged {
 		as, ok := r.World.Registry.Lookup(a)
 		if !ok || as.Role.IsCellularAccess() {
@@ -117,28 +111,15 @@ func AblationNoSmoothing(r *Result) (SmoothingResult, error) {
 	if err != nil {
 		return SmoothingResult{}, err
 	}
-	in := aschar.Inputs{
+	stats := aschar.BuildStats(aschar.Inputs{
 		Detected: r.Detected,
 		Beacon:   r.Beacon,
 		Demand:   day0,
 		ASOf:     r.ASOf,
-	}
-	stats := aschar.BuildStats(in)
-	rules := aschar.Rules{
-		MinCellDU: r.Config.MinCellDU,
-		MinHits:   r.Config.MinHits,
-		Snapshot:  r.World.Snapshot,
-	}
-	alt := aschar.Filter(stats, rules)
-
-	smoothed := make(map[uint32]bool, len(r.Filter.AfterRule3))
-	for _, a := range r.Filter.AfterRule3 {
-		smoothed[a] = true
-	}
-	res := SmoothingResult{SmoothedASes: len(r.Filter.AfterRule3), Day0ASes: len(alt.AfterRule3)}
-	day0Set := make(map[uint32]bool, len(alt.AfterRule3))
-	for _, a := range alt.AfterRule3 {
-		day0Set[a] = true
+	})
+	smoothed, day0Set := r.Filter.Cellular(), aschar.Filter(stats, r.rules()).Cellular()
+	res := SmoothingResult{SmoothedASes: len(smoothed), Day0ASes: len(day0Set)}
+	for a := range day0Set {
 		if !smoothed[a] {
 			res.Flipped++
 		}

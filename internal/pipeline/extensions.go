@@ -7,7 +7,6 @@ import (
 
 	"cellspot/internal/cellmap"
 	"cellspot/internal/evolve"
-	"cellspot/internal/mapbuild"
 	"cellspot/internal/report"
 )
 
@@ -16,8 +15,9 @@ import (
 //   - X1 implements the paper's §8 future work: the temporal evolution of
 //     cellular address space across monthly snapshots.
 //   - X2 builds the publishable cellular-map artifact (aggregated CIDRs
-//     with metadata) through mapbuild, the path every published map
-//     takes, and characterizes it.
+//     with metadata) through Result.Map, which hands the run's own
+//     detected set and AS-filter verdict to mapbuild.Assemble, and
+//     characterizes it.
 
 func experimentX1(env *Env) (*Output, error) {
 	r, err := env.Global()
@@ -71,7 +71,7 @@ func experimentX2(env *Env) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := mapbuild.Build(r.Beacon, r.Config.Threshold, "2016-12", r.MapInputs())
+	m, err := r.Map("2016-12")
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ import (
 
 	"cellspot/internal/aschar"
 	"cellspot/internal/beacon"
+	"cellspot/internal/cellmap"
 	"cellspot/internal/classify"
 	"cellspot/internal/demand"
 	"cellspot/internal/dnsmap"
@@ -105,16 +106,16 @@ func (r *Result) rules() aschar.Rules {
 	}
 }
 
-// MapInputs returns the side inputs that build the run's publishable map
-// through mapbuild: its DEMAND, the AS filter Analyze applies, and the
-// world's block→AS and AS→country mappings.
-func (r *Result) MapInputs() mapbuild.Inputs {
-	return mapbuild.Inputs{
+// Map assembles the run's publishable map from the detected set and AS
+// filter verdict it already holds, so nothing is classified or filtered
+// twice. Its bytes equal mapbuild.Build over the run's BEACON and DEMAND
+// at Config.Threshold under the run's AS filter.
+func (r *Result) Map(period string) (*cellmap.Map, error) {
+	return mapbuild.Assemble(r.Config.Threshold, period, r.Detected, r.Filter, r.Beacon, mapbuild.Inputs{
 		Demand:    r.Demand,
-		Rules:     r.rules(),
 		ASOf:      r.World.ASOf,
 		CountryOf: r.World.CountryOf,
-	}
+	})
 }
 
 // Run executes the full pipeline on a freshly generated global world.
@@ -179,22 +180,25 @@ func RunOnWorld(w *world.World, cfg Config) (*Result, error) {
 	if err := r.Classify(cfg.Threshold); err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	r.Analyze()
-	cfg.observeStage("analyze", start, len(r.Stats))
 	return r, nil
 }
 
-// Classify (re)runs subnet classification and everything downstream of it
-// at the given threshold. Exposed separately for threshold ablations.
+// Classify (re)runs subnet classification at the given threshold, records
+// it in Config.Threshold and reruns Analyze, so every later stage
+// describes the new detected set. Exposed separately for threshold
+// ablations.
 func (r *Result) Classify(threshold float64) error {
 	cls, err := classify.New(threshold)
 	if err != nil {
 		return fmt.Errorf("pipeline: %w", err)
 	}
+	r.Config.Threshold = threshold
 	start := time.Now()
 	r.Detected = cls.Classify(r.Beacon)
 	r.Config.observeStage("classify", start, r.Beacon.Blocks())
+	start = time.Now()
+	r.Analyze()
+	r.Config.observeStage("analyze", start, len(r.Stats))
 	return nil
 }
 
@@ -238,17 +242,13 @@ func (r *Result) analyzeASes() {
 	r.Filter = aschar.Filter(r.Stats, r.rules())
 	r.Networks = aschar.Characterize(r.Filter.AfterRule3, r.Stats)
 
-	cellASes := make(map[uint32]bool, len(r.Filter.AfterRule3))
-	for _, a := range r.Filter.AfterRule3 {
-		cellASes[a] = true
-	}
 	r.Macro = macro.Build(macro.Inputs{
 		Rollup:       ru,
 		Beacon:       r.Beacon,
 		Detected:     r.Detected,
 		CountryOf:    r.CountryOf,
 		Countries:    r.World.Countries,
-		CellularASes: cellASes,
+		CellularASes: r.Filter.Cellular(),
 	})
 }
 

@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -162,13 +164,35 @@ func TestRunRejectsBadConfig(t *testing.T) {
 
 func TestReclassifyThreshold(t *testing.T) {
 	r := testRun(t)
-	base := r.Detected.Len()
+	base, baseFinal := r.Detected.Len(), len(r.Filter.AfterRule3)
 	if err := r.Classify(0.95); err != nil {
 		t.Fatal(err)
 	}
 	strict := r.Detected.Len()
 	if strict >= base {
 		t.Errorf("stricter threshold found more blocks: %d vs %d", strict, base)
+	}
+	// Every stage downstream of classification follows the new set: the
+	// recorded threshold, the AS-filter verdict and the published map equal
+	// a fresh run at 0.95.
+	cfg := r.Config
+	cfg.Threshold = 0.95
+	fresh, err := RunOnWorld(r.World, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fresh.Filter.AfterRule3) == baseFinal {
+		t.Fatalf("threshold 0.95 keeps all %d final ASes; the check is vacuous", baseFinal)
+	}
+	if r.Config.Threshold != 0.95 {
+		t.Errorf("Config.Threshold = %g after Classify(0.95)", r.Config.Threshold)
+	}
+	if !reflect.DeepEqual(r.Filter, fresh.Filter) {
+		t.Errorf("Filter after Classify(0.95) keeps %d final ASes, a fresh run at 0.95 %d",
+			len(r.Filter.AfterRule3), len(fresh.Filter.AfterRule3))
+	}
+	if !bytes.Equal(resultMapBytes(t, r), resultMapBytes(t, fresh)) {
+		t.Error("map after Classify(0.95) differs from a fresh run's at 0.95")
 	}
 	if err := r.Classify(0.1); err != nil {
 		t.Fatal(err)
@@ -181,7 +205,6 @@ func TestReclassifyThreshold(t *testing.T) {
 	if err := r.Classify(classify.DefaultThreshold); err != nil {
 		t.Fatal(err)
 	}
-	r.Analyze()
 	if r.Detected.Len() != base {
 		t.Error("reclassification not reproducible")
 	}
