@@ -362,16 +362,11 @@ func runClassify(args []string) error {
 // writeDetected writes one {"block": CIDR} row per detected block, in
 // canonical block order so the file is the same bytes on every run.
 func writeDetected(path string, detected netaddr.Set) error {
-	blocks := make([]netaddr.Block, 0, detected.Len())
-	for b := range detected {
-		blocks = append(blocks, b)
-	}
-	netaddr.SortBlocks(blocks)
 	out, err := logio.Create(path)
 	if err != nil {
 		return err
 	}
-	for _, b := range blocks {
+	for b := range detected.All() {
 		if err := out.Write(struct {
 			Block string `json:"block"`
 		}{b.String()}); err != nil {

@@ -10,8 +10,8 @@
 package aschar
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"cellspot/internal/asn"
 	"cellspot/internal/beacon"
@@ -193,25 +193,21 @@ func (r *Rollup) joinBeacon(agg *beacon.Aggregate, fn func(b netaddr.Block, c be
 // Stats completes the rollup with one beacon aggregate and its detected
 // set, returning exactly what BuildStats returns for the same inputs.
 // Its cost scales with the aggregate and the detected set, not with the
-// dataset. The detected blocks are sorted and find their demand rows in
-// one ascending pass, each binary search starting after the last hit, so
-// CellDU sums each AS's detected demand rows in ascending row order,
-// which is canonical block order, and every float is bit-identical to a
-// single pass over the dataset. The aggregate's rows merge-join the demand
-// rows, so a block with demand finds its AS in the row column without a
-// hash probe; only beacon-only blocks ask asOf. Beacon tallies are
-// integers, so their order of addition does not matter.
+// dataset. The detected blocks, in canonical order, find their demand
+// rows in one ascending pass, each binary search starting after the last
+// hit, so CellDU sums each AS's detected demand rows in ascending row
+// order, which is canonical block order, and every float is bit-identical
+// to a single pass over the dataset. The aggregate's rows merge-join the
+// demand rows, so a block with demand finds its AS in the row column
+// without a hash probe; only beacon-only blocks ask asOf, and they step
+// through the detected set in the same walk. Beacon tallies are integers,
+// so their order of addition does not matter.
 func (r *Rollup) Stats(detected netaddr.Set, agg *beacon.Aggregate) map[uint32]*Stats {
 	vals := slices.Clone(r.base)
 	var more map[uint32]*Stats // ASes with no mapped demand
 	if r.demand != nil {
-		cells := make([]netaddr.Block, 0, len(detected))
-		for b := range detected {
-			cells = append(cells, b)
-		}
-		netaddr.SortBlocks(cells)
 		row := 0
-		for _, b := range cells {
+		for b := range detected.All() {
 			var ok bool
 			if row, ok = r.demand.RowFrom(row, b); !ok {
 				continue
@@ -225,6 +221,7 @@ func (r *Rollup) Stats(detected netaddr.Set, agg *beacon.Aggregate) map[uint32]*
 		}
 	}
 	if agg != nil {
+		cell := detected.Ascending()
 		r.joinBeacon(agg, func(b netaddr.Block, c beacon.Counts, row int) {
 			var s *Stats
 			if row >= 0 {
@@ -249,7 +246,7 @@ func (r *Rollup) Stats(detected netaddr.Set, agg *beacon.Aggregate) map[uint32]*
 					more[a] = s
 				}
 				s.Blocks++
-				if detected.Has(b) {
+				if cell(b) {
 					s.addCellBlock(b)
 				}
 			}
@@ -327,7 +324,7 @@ func Filter(stats map[uint32]*Stats, rules Rules) FilterResult {
 			res.Tagged = append(res.Tagged, a)
 		}
 	}
-	sort.Slice(res.Tagged, func(i, j int) bool { return res.Tagged[i] < res.Tagged[j] })
+	slices.Sort(res.Tagged)
 
 	for _, a := range res.Tagged {
 		if stats[a].CellDU >= rules.MinCellDU {
@@ -376,11 +373,8 @@ func Characterize(final []uint32, stats map[uint32]*Stats) []Network {
 // Table 7). Ties break on AS number for determinism.
 func RankByCellDU(nets []Network) []Network {
 	out := append([]Network(nil), nets...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].CellDU != out[j].CellDU {
-			return out[i].CellDU > out[j].CellDU
-		}
-		return out[i].ASN < out[j].ASN
+	slices.SortFunc(out, func(a, b Network) int {
+		return cmp.Or(cmp.Compare(b.CellDU, a.CellDU), cmp.Compare(a.ASN, b.ASN))
 	})
 	return out
 }
@@ -412,11 +406,8 @@ func OperatorBlocks(announced []netaddr.Block, in Inputs) []BlockView {
 		}
 		out = append(out, v)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Ratio != out[j].Ratio {
-			return out[i].Ratio < out[j].Ratio
-		}
-		return out[i].Block.Less(out[j].Block)
+	slices.SortFunc(out, func(a, b BlockView) int {
+		return cmp.Or(cmp.Compare(a.Ratio, b.Ratio), a.Block.Compare(b.Block))
 	})
 	return out
 }

@@ -89,8 +89,12 @@ func joinCases(t *testing.T) []joinCase {
 func mapWalkStats(r *Rollup, detected netaddr.Set, agg *beacon.Aggregate) map[uint32]*Stats {
 	vals := slices.Clone(r.base)
 	var more map[uint32]*Stats
+	cells := make(map[netaddr.Block]bool, detected.Len())
+	for b := range detected.All() {
+		cells[b] = true
+	}
 	var cellRows []int
-	for b := range detected {
+	for b := range cells {
 		if row, ok := r.demand.Row(b); ok {
 			if i := r.asIdx[row]; i >= 0 {
 				vals[i].addCellBlock(b)
@@ -131,7 +135,7 @@ func mapWalkStats(r *Rollup, detected netaddr.Set, agg *beacon.Aggregate) map[ui
 				more[a] = s
 			}
 			s.Blocks++
-			if detected.Has(b) {
+			if cells[b] {
 				s.addCellBlock(b)
 			}
 		}
@@ -187,10 +191,11 @@ func TestStatsMatchesMapWalkOracle(t *testing.T) {
 			}
 			return bi.ASN, true
 		}
-		detected := cls.Classify(c.agg)
+		blocks := slices.Collect(cls.Classify(c.agg).All())
 		for i := 0; i < c.ds.Blocks(); i += 5 {
-			detected.Add(c.ds.Key(i))
+			blocks = append(blocks, c.ds.Key(i))
 		}
+		detected := netaddr.NewSet(blocks...)
 		r := NewRollup(c.ds, asOf, asOf)
 		got, want := r.Stats(detected, c.agg), mapWalkStats(r, detected, c.agg)
 		if err := sameStats(got, want); err != nil {

@@ -10,12 +10,14 @@ package cellmap
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/netip"
 	"os"
-	"sort"
+	"slices"
 
 	"cellspot/internal/beacon"
 	"cellspot/internal/classify"
@@ -70,7 +72,7 @@ type Inputs struct {
 // mapped to an AS are dropped (they could not be published usefully).
 func Build(threshold float64, period string, in Inputs) (*Map, error) {
 	byAS := make(map[uint32][]netaddr.Block)
-	for b := range in.Detected {
+	for b := range in.Detected.All() {
 		a, ok := in.ASOf(b)
 		if !ok {
 			continue
@@ -78,12 +80,7 @@ func Build(threshold float64, period string, in Inputs) (*Map, error) {
 		byAS[a] = append(byAS[a], b)
 	}
 	m := &Map{Threshold: threshold, Period: period}
-	asns := make([]uint32, 0, len(byAS))
-	for a := range byAS {
-		asns = append(asns, a)
-	}
-	sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
-	for _, a := range asns {
+	for _, a := range slices.Sorted(maps.Keys(byAS)) {
 		country := ""
 		if in.CountryOf != nil {
 			country, _ = in.CountryOf(a)
@@ -121,12 +118,8 @@ func Build(threshold float64, period string, in Inputs) (*Map, error) {
 }
 
 func (m *Map) sortEntries() {
-	sort.Slice(m.entries, func(i, j int) bool {
-		a, b := m.entries[i].Prefix, m.entries[j].Prefix
-		if c := a.Addr().Compare(b.Addr()); c != 0 {
-			return c < 0
-		}
-		return a.Bits() < b.Bits()
+	slices.SortFunc(m.entries, func(x, y Entry) int {
+		return cmp.Or(x.Prefix.Addr().Compare(y.Prefix.Addr()), cmp.Compare(x.Prefix.Bits(), y.Prefix.Bits()))
 	})
 }
 

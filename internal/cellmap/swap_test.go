@@ -22,10 +22,11 @@ import (
 // or a tag inconsistent with the generation it loaded, is a race.
 func genMap(t testing.TB, asnTag uint32, nBlocks int) *Map {
 	t.Helper()
-	detected := make(netaddr.Set)
-	for i := 0; i < nBlocks; i++ {
-		detected.Add(netaddr.V4Block(10, byte(i>>8), byte(i)))
+	blocks := make([]netaddr.Block, nBlocks)
+	for i := range blocks {
+		blocks[i] = netaddr.V4Block(10, byte(i>>8), byte(i))
 	}
+	detected := netaddr.NewSet(blocks...)
 	m, err := Build(0.5, fmt.Sprintf("gen-%d", asnTag), Inputs{
 		Detected: detected,
 		ASOf:     func(netaddr.Block) (uint32, bool) { return asnTag, true },

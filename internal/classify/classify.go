@@ -7,8 +7,10 @@
 package classify
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"cellspot/internal/beacon"
 	"cellspot/internal/netaddr"
@@ -37,14 +39,17 @@ func (c Classifier) Threshold() float64 { return c.threshold }
 // Classify returns the set of blocks labeled cellular: blocks whose
 // cellular ratio meets the threshold. Blocks without API-enabled hits are
 // never labeled cellular (the method can only see what the API reports).
+// The set takes the cellular rows in row order, so an aggregate in
+// canonical order (Generate, Sum) costs no sort; one grown with AddRecord
+// is sorted once.
 func (c Classifier) Classify(agg *beacon.Aggregate) netaddr.Set {
-	out := make(netaddr.Set)
-	for i := range agg.Blocks() {
-		if b, n := agg.At(i); c.cellular(n) {
-			out.Add(b)
+	return netaddr.Collect(func(yield func(netaddr.Block) bool) {
+		for i := range agg.Blocks() {
+			if b, n := agg.At(i); c.cellular(n) && !yield(b) {
+				return
+			}
 		}
-	}
-	return out
+	})
 }
 
 // cellular reports whether a tally's cellular ratio meets the threshold.
@@ -101,20 +106,18 @@ func (m *Confusion) Add(truthCellular, detectedCellular bool, w float64) {
 // labels. Only blocks present in the truth map are scored (the paper's
 // per-carrier validation covers the carrier's own subnets). weight maps a
 // block to its weight — 1 for CIDR counts, its DU for demand weighting; a
-// nil weight means count mode.
+// nil weight means count mode. Weights add up in ascending truth-block
+// order, so the sums are reproducible, and the detected set is read in
+// the same walk.
 func Evaluate(detected netaddr.Set, truth map[netaddr.Block]bool, weight func(netaddr.Block) float64) Confusion {
-	blocks := make([]netaddr.Block, 0, len(truth))
-	for b := range truth {
-		blocks = append(blocks, b)
-	}
-	netaddr.SortBlocks(blocks) // reproducible weight accumulation order
+	has := detected.Ascending()
 	var m Confusion
-	for _, b := range blocks {
+	for _, b := range slices.SortedFunc(maps.Keys(truth), netaddr.Block.Compare) {
 		w := 1.0
 		if weight != nil {
 			w = weight(b)
 		}
-		m.Add(truth[b], detected.Has(b), w)
+		m.Add(truth[b], has(b), w)
 	}
 	return m
 }
@@ -128,18 +131,38 @@ type SweepPoint struct {
 
 // Sweep evaluates the classifier across thresholds against one carrier's
 // truth, producing the data behind Fig 3. demandOf may be nil to skip
-// demand weighting. Thresholds are evaluated as given, in order.
+// demand weighting. Thresholds are evaluated as given, in order. Each
+// truth block's label, tally and weight are gathered once, in ascending
+// block order, and every threshold scores those rows with the
+// classifier's own test, so each point equals Evaluate over Classify at
+// that threshold, bit for bit. Without demandOf every demand weight is
+// 0, which leaves ByDemand zero.
 func Sweep(agg *beacon.Aggregate, truth map[netaddr.Block]bool, demandOf func(netaddr.Block) float64, thresholds []float64) ([]SweepPoint, error) {
+	type row struct {
+		truth bool
+		n     beacon.Counts // zero for a block BEACON never saw
+		du    float64
+	}
+	blocks := slices.SortedFunc(maps.Keys(truth), netaddr.Block.Compare)
+	rows := make([]row, len(blocks))
+	for i, b := range blocks {
+		rows[i].truth = truth[b]
+		rows[i].n, _ = agg.Get(b)
+		if demandOf != nil {
+			rows[i].du = demandOf(b)
+		}
+	}
 	out := make([]SweepPoint, 0, len(thresholds))
 	for _, th := range thresholds {
 		c, err := New(th)
 		if err != nil {
 			return nil, err
 		}
-		detected := c.Classify(agg)
-		p := SweepPoint{Threshold: th, ByCount: Evaluate(detected, truth, nil)}
-		if demandOf != nil {
-			p.ByDemand = Evaluate(detected, truth, demandOf)
+		p := SweepPoint{Threshold: th}
+		for _, r := range rows {
+			cell := c.cellular(r.n)
+			p.ByCount.Add(r.truth, cell, 1)
+			p.ByDemand.Add(r.truth, cell, r.du)
 		}
 		out = append(out, p)
 	}
@@ -167,7 +190,7 @@ func Calibrate(agg *beacon.Aggregate, truth map[netaddr.Block]bool, demandOf fun
 		return p.ByCount.F1()
 	}
 	for _, p := range pts[1:] {
-		if score(p) > score(best) {
+		if s, b := score(p), score(best); s > b || s == b && p.Threshold < best.Threshold {
 			best = p
 		}
 	}
@@ -207,11 +230,8 @@ func Ratios(agg *beacon.Aggregate, fam netaddr.Family, demandOf func(netaddr.Blo
 		}
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Ratio != out[j].Ratio {
-			return out[i].Ratio < out[j].Ratio
-		}
-		return out[i].Block.Less(out[j].Block)
+	slices.SortFunc(out, func(a, b RatioSample) int {
+		return cmp.Or(cmp.Compare(a.Ratio, b.Ratio), a.Block.Compare(b.Block))
 	})
 	return out
 }

@@ -7,7 +7,9 @@ package dnsmap
 
 import (
 	"encoding/binary"
+	"maps"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"cellspot/internal/demand"
@@ -59,12 +61,13 @@ func ResolverUsage(aff Affinity, ds *demand.Dataset, detected netaddr.Set) map[n
 		seen   [resolverSlots]resolverSlot
 		assocs []world.ResolverWeight
 	)
+	cellular := detected.Ascending()
 	ds.Each(func(block netaddr.Block, du float64) {
 		if du == 0 {
 			return
 		}
 		assocs = aff(assocs[:0], block)
-		cell := detected.Has(block)
+		cell := cellular(block)
 		for _, a := range assocs {
 			slot := &seen[resolverSlotOf(a.Resolver.Addr)]
 			i := slot.i
@@ -166,16 +169,11 @@ func (p *PublicUsage) PublicShare() float64 {
 	if p.Total == 0 {
 		return 0
 	}
-	provs := make([]string, 0, len(p.ByProvider))
-	for prov := range p.ByProvider {
-		if prov != "" {
-			provs = append(provs, prov)
-		}
-	}
-	sort.Strings(provs) // reproducible share accumulation order
 	pub := 0.0
-	for _, prov := range provs {
-		pub += p.ByProvider[prov]
+	for _, prov := range slices.Sorted(maps.Keys(p.ByProvider)) { // reproducible share accumulation order
+		if prov != "" {
+			pub += p.ByProvider[prov]
+		}
 	}
 	return pub / p.Total
 }
@@ -202,8 +200,9 @@ func PublicDNSByAS(
 ) map[uint32]*PublicUsage {
 	out := make(map[uint32]*PublicUsage)
 	var assocs []world.ResolverWeight
+	cellular := detected.Ascending()
 	ds.Each(func(block netaddr.Block, du float64) {
-		if du == 0 || !detected.Has(block) {
+		if du == 0 || !cellular(block) {
 			return // Fig 10 covers cellular client demand
 		}
 		if assocs = aff(assocs[:0], block); len(assocs) == 0 {

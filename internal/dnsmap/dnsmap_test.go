@@ -264,15 +264,16 @@ func TestJoinsMatchSortedMapWalk(t *testing.T) {
 		t.Fatal(err)
 	}
 	stored := make(map[netaddr.Block][]world.ResolverWeight)
-	detected := make(netaddr.Set)
+	var cells []netaddr.Block
 	for _, b := range w.Blocks {
 		if ws := w.AppendAffinity(nil, b.Block); len(ws) > 0 {
 			stored[b.Block] = ws
 		}
 		if b.Cellular || b.CellLabelProb > 0.5 {
-			detected.Add(b.Block)
+			cells = append(cells, b.Block)
 		}
 	}
+	detected := netaddr.NewSet(cells...)
 	asOf := func(b netaddr.Block) (uint32, bool) {
 		bi := w.BlockIndex[b]
 		if bi == nil {
@@ -363,12 +364,13 @@ func TestResolverUsageMatchesAddrMapOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			detected := make(netaddr.Set)
+			var cells []netaddr.Block
 			for _, b := range w.Blocks {
 				if b.Cellular || b.CellLabelProb > 0.5 {
-					detected.Add(b.Block)
+					cells = append(cells, b.Block)
 				}
 			}
+			detected := netaddr.NewSet(cells...)
 			got := ResolverUsage(w.AppendAffinity, ds, detected)
 			if want := addrMapResolverUsage(w.AppendAffinity, ds, detected); len(want) == 0 || !sameUsage(got, want) {
 				t.Errorf("seed %d Parallelism %d: ResolverUsage differs from the address map (%d vs %d resolvers)",
@@ -378,14 +380,15 @@ func TestResolverUsageMatchesAddrMapOracle(t *testing.T) {
 	}
 
 	raw := make(map[netaddr.Block]float64)
-	detected := make(netaddr.Set)
+	var cells []netaddr.Block
 	for i := range 3000 {
 		b := netaddr.V4Block(10, byte(i>>8), byte(i))
 		raw[b] = float64(1 + i%7)
 		if i%3 == 0 {
-			detected.Add(b)
+			cells = append(cells, b)
 		}
 	}
+	detected := netaddr.NewSet(cells...)
 	ds, err := demand.NewDataset(raw)
 	if err != nil {
 		t.Fatal(err)

@@ -8,9 +8,10 @@
 package evolve
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand/v2"
-	"sort"
+	"slices"
 
 	"cellspot/internal/aschar"
 	"cellspot/internal/beacon"
@@ -95,13 +96,13 @@ func (t *Timeline) Churn() []ChurnStats {
 	var out []ChurnStats
 	for i := 1; i < len(t.Snapshots); i++ {
 		prev, cur := t.Snapshots[i-1], t.Snapshots[i]
-		inter, union := 0, 0
-		for b := range prev.Detected {
-			if cur.Detected.Has(b) {
+		inter, inCur := 0, cur.Detected.Ascending()
+		for b := range prev.Detected.All() {
+			if inCur(b) {
 				inter++
 			}
 		}
-		union = prev.Detected.Len() + cur.Detected.Len() - inter
+		union := prev.Detected.Len() + cur.Detected.Len() - inter
 		cs := ChurnStats{
 			From:    prev.Month,
 			To:      cur.Month,
@@ -217,17 +218,14 @@ func monthSnapshot(month netinfo.Month, detected netaddr.Set, ds *demand.Dataset
 		du float64
 	}
 	var tops []bd
-	for b := range detected {
+	for b := range detected.All() {
 		tops = append(tops, bd{b, ds.DU(b)})
 	}
-	sort.Slice(tops, func(i, j int) bool {
-		if tops[i].du != tops[j].du {
-			return tops[i].du > tops[j].du
-		}
-		return tops[i].b.Less(tops[j].b)
+	slices.SortFunc(tops, func(x, y bd) int {
+		return cmp.Or(cmp.Compare(y.du, x.du), x.b.Compare(y.b))
 	})
-	// Sum in sorted order: float accumulation over map order would
-	// differ between identical runs.
+	// Sum in ranked order: the order sets the float bits, and the
+	// month-loop digest pins them.
 	for _, tb := range tops {
 		snap.CellDU += tb.du
 	}

@@ -23,7 +23,7 @@ func timelineDigest(tl *Timeline) string {
 	for _, s := range tl.Snapshots {
 		h.Write([]byte(s.Month.String()))
 		blocks := make([]netaddr.Block, 0, s.Detected.Len())
-		for b := range s.Detected {
+		for b := range s.Detected.All() {
 			blocks = append(blocks, b)
 		}
 		netaddr.SortBlocks(blocks)

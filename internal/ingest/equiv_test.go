@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"compress/gzip"
 	"fmt"
-	"maps"
 	"net/netip"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -193,7 +193,7 @@ func TestEquivalenceOffline(t *testing.T) {
 		if !gotDemand.Equal(wantDemand) {
 			t.Errorf("malformed=%v: imported DEMAND dataset differs from direct injection", malformed)
 		}
-		if got := classifySet(t, res.Beacon); !maps.Equal(got, wantSet) {
+		if got := classifySet(t, res.Beacon); !slices.Equal(slices.Collect(got.All()), slices.Collect(wantSet.All())) {
 			t.Errorf("malformed=%v: classification differs: %d vs %d blocks",
 				malformed, got.Len(), wantSet.Len())
 		}

@@ -142,6 +142,7 @@ func Build(in Inputs) *Analysis {
 		}
 		return r
 	}
+	detected := in.Detected.Ascending()
 	in.Rollup.EachRow(func(b netaddr.Block, du float64, i int) {
 		if i < 0 {
 			return
@@ -151,7 +152,7 @@ func Build(in Inputs) *Analysis {
 			return
 		}
 		r.country.TotalDU += du
-		cell := r.cellAS && in.Detected.Has(b)
+		cell := r.cellAS && detected(b)
 		if cell {
 			r.country.CellDU += du
 		}
@@ -167,13 +168,14 @@ func Build(in Inputs) *Analysis {
 		}
 	})
 	if in.Beacon != nil {
+		detected := in.Detected.Ascending()
 		in.Rollup.ResolveBeacon(in.Beacon, func(b netaddr.Block, asNum uint32, i int) {
 			r := rowOf(asNum, i)
 			if r.country == nil {
 				return
 			}
 			cs, cont := r.country, r.continent
-			cell := r.cellAS && in.Detected.Has(b)
+			cell := r.cellAS && detected(b)
 			if b.IsV6() {
 				cs.Active48++
 				cont.Active48++

@@ -36,7 +36,7 @@ func oracleStats(in aschar.Inputs) map[uint32]*aschar.Stats {
 			s.CellBlocks24++
 		}
 	}
-	seen := make(netaddr.Set)
+	seen := make(map[netaddr.Block]bool)
 	if in.Demand != nil {
 		in.Demand.Each(func(b netaddr.Block, du float64) {
 			a, ok := in.ASOf(b)
@@ -46,7 +46,7 @@ func oracleStats(in aschar.Inputs) map[uint32]*aschar.Stats {
 			s := get(a)
 			s.Blocks++
 			s.TotalDU += du
-			seen.Add(b)
+			seen[b] = true
 			if in.Detected.Has(b) {
 				addCell(s, b)
 				s.CellDU += du
@@ -64,7 +64,7 @@ func oracleStats(in aschar.Inputs) map[uint32]*aschar.Stats {
 			s.Hits += c.Hits
 			s.APIHits += c.API
 			s.CellHits += c.Cell
-			if !seen.Has(b) {
+			if !seen[b] {
 				s.Blocks++
 				if in.Detected.Has(b) {
 					addCell(s, b)
@@ -88,14 +88,14 @@ func oracleMap(t *testing.T, agg *beacon.Aggregate, threshold float64, period st
 	for _, a := range fr.AfterRule3 {
 		allowed[a] = true
 	}
-	kept := make(netaddr.Set)
-	for b := range detected {
+	var kept []netaddr.Block
+	for b := range detected.All() {
 		if a, ok := in.ASOf(b); ok && allowed[a] {
-			kept.Add(b)
+			kept = append(kept, b)
 		}
 	}
 	m, err := cellmap.Build(threshold, period, cellmap.Inputs{
-		Detected: kept, Beacon: agg, Demand: in.Demand, ASOf: in.ASOf, CountryOf: in.CountryOf,
+		Detected: netaddr.NewSet(kept...), Beacon: agg, Demand: in.Demand, ASOf: in.ASOf, CountryOf: in.CountryOf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +255,7 @@ func TestBuilderMatchesSinglePassOracle(t *testing.T) {
 				if got, want := aschar.BuildStats(sin), oracleStats(sin); !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d %s aggregate %d: BuildStats differs from the single-pass oracle", seed, name, i)
 				}
-				for b := range sin.Detected {
+				for b := range sin.Detected.All() {
 					if _, ok := in.ASOf(b); !ok {
 						continue
 					}

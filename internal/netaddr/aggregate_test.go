@@ -3,6 +3,7 @@ package netaddr
 import (
 	"math/rand/v2"
 	"net/netip"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -82,34 +83,31 @@ func TestAggregateRoundTripProperty(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		rng := rand.New(rand.NewPCG(seed, 99))
 		n := int(nRaw%64) + 1
-		in := make(Set)
-		for i := 0; i < n; i++ {
+		raw := make([]Block, n)
+		for i := range raw {
 			// Cluster keys so merges actually happen.
-			in.Add(MakeBlock(IPv4, 0x0a0000+uint64(rng.IntN(48))))
+			raw[i] = MakeBlock(IPv4, 0x0a0000+uint64(rng.IntN(48)))
 		}
-		var blocks []Block
-		for b := range in {
-			blocks = append(blocks, b)
-		}
-		prefixes := AggregateBlocks(blocks)
-		out := make(Set)
+		in := NewSet(raw...)
+		prefixes := AggregateBlocks(slices.Collect(in.All()))
+		out := make(map[Block]bool)
 		for _, p := range prefixes {
 			expanded, ok := ExpandPrefix(p)
 			if !ok {
 				return false
 			}
 			for _, b := range expanded {
-				if out.Has(b) {
+				if out[b] {
 					return false // overlapping prefixes
 				}
-				out.Add(b)
+				out[b] = true
 			}
 		}
-		if out.Len() != in.Len() {
+		if len(out) != in.Len() {
 			return false
 		}
-		for b := range in {
-			if !out.Has(b) {
+		for b := range in.All() {
+			if !out[b] {
 				return false
 			}
 		}
@@ -123,12 +121,12 @@ func TestAggregateRoundTripProperty(t *testing.T) {
 // Property: the aggregate is minimal enough to never exceed the input size.
 func TestAggregateNeverGrowsProperty(t *testing.T) {
 	f := func(keys []uint16) bool {
-		seen := make(Set)
+		seen := make(map[Block]bool)
 		var blocks []Block
 		for _, k := range keys {
 			b := MakeBlock(IPv4, uint64(k))
-			if !seen.Has(b) {
-				seen.Add(b)
+			if !seen[b] {
+				seen[b] = true
 				blocks = append(blocks, b)
 			}
 		}

@@ -14,6 +14,7 @@ import (
 	"cmp"
 	"encoding/json"
 	"fmt"
+	"iter"
 	"net/netip"
 	"slices"
 	"strconv"
@@ -254,39 +255,63 @@ func ParseBlock(s string) (Block, error) {
 	return BlockFromAddr(p.Addr()), nil
 }
 
-// Set is a set of blocks.
-type Set map[Block]struct{}
+// Set is a set of blocks held as one column in canonical block order,
+// each block once. Walks that go in canonical order read it by stepping
+// forward (All, Ascending); Has answers a walk in any other order.
+type Set struct{ blocks []Block }
 
-// NewSet builds a Set from blocks.
-func NewSet(blocks ...Block) Set {
-	s := make(Set, len(blocks))
-	for _, b := range blocks {
-		s[b] = struct{}{}
+// NewSet builds a Set from blocks given in any order, repeats allowed. It
+// does not keep blocks.
+func NewSet(blocks ...Block) Set { return Collect(slices.Values(blocks)) }
+
+// Collect builds a Set from the blocks seq yields. Blocks yielded in
+// canonical order, each once, as a walk over canonical rows yields them,
+// are kept as they come; any other order costs a sort.
+func Collect(seq iter.Seq[Block]) Set {
+	blocks := slices.Collect(seq)
+	if !slices.IsSortedFunc(blocks, Block.Compare) {
+		SortBlocks(blocks)
 	}
-	return s
+	return Set{slices.Compact(blocks)}
 }
 
-// Add inserts b into the set.
-func (s Set) Add(b Block) { s[b] = struct{}{} }
-
-// Has reports whether b is in the set.
+// Has reports whether b is in the set, by binary search.
 func (s Set) Has(b Block) bool {
-	_, ok := s[b]
+	_, ok := slices.BinarySearchFunc(s.blocks, b, Block.Compare)
 	return ok
 }
 
-// Len returns the number of blocks in the set.
-func (s Set) Len() int { return len(s) }
-
-// CountFamily returns the number of blocks of the given family.
-func (s Set) CountFamily(f Family) int {
-	n := 0
-	for b := range s {
-		if b.Fam() == f {
-			n++
+// Ascending returns a membership probe for a walk that asks blocks in
+// ascending order: each call resumes where the last one stopped, so the
+// whole walk steps once through the set. A block below the last one
+// asked is answered by Has, so the probe is right in any order.
+func (s Set) Ascending() func(Block) bool {
+	i := 0
+	return func(b Block) bool {
+		if i > 0 && b.v <= s.blocks[i-1].v {
+			return s.Has(b)
 		}
+		for i < len(s.blocks) && s.blocks[i].v < b.v {
+			i++
+		}
+		return i < len(s.blocks) && s.blocks[i] == b
 	}
-	return n
+}
+
+// All yields the set's blocks in canonical order.
+func (s Set) All() iter.Seq[Block] { return slices.Values(s.blocks) }
+
+// Len returns the number of blocks in the set.
+func (s Set) Len() int { return len(s.blocks) }
+
+// CountFamily returns the number of blocks of the given family. IPv4
+// sorts first, so one search finds the boundary.
+func (s Set) CountFamily(f Family) int {
+	n4, _ := slices.BinarySearchFunc(s.blocks, MakeBlock(IPv6, 0), Block.Compare)
+	if f == IPv6 {
+		return len(s.blocks) - n4
+	}
+	return n4
 }
 
 // FormatIndex renders a block key as the compact hexadecimal token that

@@ -88,12 +88,93 @@ func TestSet(t *testing.T) {
 	if !s.Has(V4Block(1, 2, 3)) || s.Has(V4Block(1, 2, 4)) {
 		t.Error("Has misbehaves")
 	}
-	s.Add(V4Block(1, 2, 4))
+	s = NewSet(V4Block(1, 2, 3), V6Block(0x20010db80001), V4Block(1, 2, 4))
 	if s.Len() != 3 {
 		t.Errorf("Len = %d, want 3", s.Len())
 	}
 	if s.CountFamily(IPv4) != 2 || s.CountFamily(IPv6) != 1 {
 		t.Errorf("CountFamily = %d/%d", s.CountFamily(IPv4), s.CountFamily(IPv6))
+	}
+}
+
+// TestSetMatchesMapOracle checks the set column against a map of the same
+// blocks: random blocks of both families, unsorted and repeated, and the
+// empty set. Probes cover present and absent blocks, repeats and blocks
+// past the last one, asked in ascending order and in random order.
+func TestSetMatchesMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 11))
+	// A small key space per family, so inputs repeat blocks and probes
+	// land both in the set and between its blocks.
+	randBlock := func() Block {
+		if rng.IntN(3) == 0 {
+			return V6Block(0x20010db80000 + uint64(rng.IntN(40)))
+		}
+		return MakeBlock(IPv4, 0x0a0000+uint64(rng.IntN(120)))
+	}
+	for trial := range 300 {
+		n := rng.IntN(60)
+		if trial < 2 {
+			n = 0
+		}
+		in := make([]Block, n)
+		oracle := make(map[Block]bool)
+		for i := range in {
+			in[i] = randBlock()
+			oracle[in[i]] = true
+		}
+		s := NewSet(in...)
+		if trial%2 == 1 { // already canonical, with repeats
+			sorted := slices.Clone(in)
+			SortBlocks(sorted)
+			s = Collect(slices.Values(sorted))
+		}
+
+		if s.Len() != len(oracle) {
+			t.Fatalf("trial %d: Len = %d, oracle %d", trial, s.Len(), len(oracle))
+		}
+		n4 := 0
+		for b := range oracle {
+			if !b.IsV6() {
+				n4++
+			}
+		}
+		if s.CountFamily(IPv4) != n4 || s.CountFamily(IPv6) != len(oracle)-n4 {
+			t.Fatalf("trial %d: CountFamily = %d/%d, oracle %d/%d",
+				trial, s.CountFamily(IPv4), s.CountFamily(IPv6), n4, len(oracle)-n4)
+		}
+		want := make([]Block, 0, len(oracle))
+		for b := range oracle {
+			want = append(want, b)
+		}
+		SortBlocks(want)
+		if got := slices.Collect(s.All()); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: All = %v, want %v", trial, got, want)
+		}
+
+		probes := make([]Block, 40)
+		for i := range probes {
+			probes[i] = randBlock()
+		}
+		probes = append(probes, in...)
+		probes = append(probes, MakeBlock(IPv4, 0), MakeBlock(IPv4, 1<<24-1), V6Block(1<<48-1))
+		for _, b := range probes {
+			if s.Has(b) != oracle[b] {
+				t.Fatalf("trial %d: Has(%v) = %v, oracle %v", trial, b, !oracle[b], oracle[b])
+			}
+		}
+		random := s.Ascending()
+		for _, b := range probes {
+			if random(b) != oracle[b] {
+				t.Fatalf("trial %d: random-order probe(%v) = %v, oracle %v", trial, b, !oracle[b], oracle[b])
+			}
+		}
+		SortBlocks(probes) // ascending, repeats kept, the last past every block
+		asc := s.Ascending()
+		for _, b := range probes {
+			if asc(b) != oracle[b] {
+				t.Fatalf("trial %d: ascending probe(%v) = %v, oracle %v", trial, b, !oracle[b], oracle[b])
+			}
+		}
 	}
 }
 

@@ -54,13 +54,13 @@ func diffSets(t *testing.T, name string, a, b netaddr.Set) {
 	if a.Len() != b.Len() {
 		t.Errorf("%s: size %d (serial) vs %d (parallel)", name, a.Len(), b.Len())
 	}
-	for blk := range a {
+	for blk := range a.All() {
 		if !b.Has(blk) {
 			t.Errorf("%s: %v detected serially but not in parallel", name, blk)
 			return
 		}
 	}
-	for blk := range b {
+	for blk := range b.All() {
 		if !a.Has(blk) {
 			t.Errorf("%s: %v detected in parallel but not serially", name, blk)
 			return

@@ -35,29 +35,29 @@ func TestPublishedMapIsASFiltered(t *testing.T) {
 		for _, a := range r.Filter.AfterRule3 {
 			cellASes[a] = true
 		}
-		want := make(netaddr.Set)
-		for b := range r.Detected {
+		want := make(map[netaddr.Block]bool)
+		for b := range r.Detected.All() {
 			if a, ok := r.World.ASOf(b); ok && cellASes[a] {
-				want.Add(b)
+				want[b] = true
 			}
 		}
-		if want.Len() == 0 || want.Len() == r.Detected.Len() {
+		if len(want) == 0 || len(want) == r.Detected.Len() {
 			t.Fatalf("seed %d: the AS filter keeps %d of %d detected blocks; want some but not all",
-				seed, want.Len(), r.Detected.Len())
+				seed, len(want), r.Detected.Len())
 		}
-		got := make(netaddr.Set)
+		got := make(map[netaddr.Block]bool)
 		for _, e := range m.Entries() {
 			blocks, ok := netaddr.ExpandPrefix(e.Prefix)
 			if !ok {
 				t.Fatalf("seed %d: cannot expand %s", seed, e.Prefix)
 			}
 			for _, b := range blocks {
-				got.Add(b)
+				got[b] = true
 			}
 		}
 		if !maps.Equal(got, want) {
 			t.Errorf("seed %d: map covers %d blocks, want the %d detected blocks of filtered ASes",
-				seed, got.Len(), want.Len())
+				seed, len(got), len(want))
 		}
 
 		out, err := experimentX2(env)

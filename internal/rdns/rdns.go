@@ -125,7 +125,7 @@ func (c Corroboration) ProxySuspect() bool {
 // signal. ptr names a block (see Names); asOf maps blocks to ASes.
 func Corroborate(detected netaddr.Set, ptr func(netaddr.Block) (string, bool), asOf func(netaddr.Block) (uint32, bool)) map[uint32]*Corroboration {
 	out := make(map[uint32]*Corroboration)
-	for b := range detected {
+	for b := range detected.All() {
 		a, ok := asOf(b)
 		if !ok {
 			continue

@@ -121,7 +121,7 @@ func TestFromWorldAndCorroborate(t *testing.T) {
 
 	// "Detect" ground truth: every web-active block of proxies and of one
 	// real operator, to exercise both corroboration outcomes.
-	detected := make(netaddr.Set)
+	var cells []netaddr.Block
 	var proxyASN, cellASN uint32
 	for _, op := range w.Operators {
 		isProxy := op.AS.Role == asn.RoleProxyService || op.AS.Role == asn.RoleVPNService ||
@@ -135,11 +135,12 @@ func TestFromWorldAndCorroborate(t *testing.T) {
 		if op.AS.Number == proxyASN || op.AS.Number == cellASN {
 			for _, b := range op.Blocks {
 				if b.WebActive {
-					detected.Add(b.Block)
+					cells = append(cells, b.Block)
 				}
 			}
 		}
 	}
+	detected := netaddr.NewSet(cells...)
 	if proxyASN == 0 || cellASN == 0 {
 		t.Fatal("fixture roles missing")
 	}
@@ -249,10 +250,11 @@ func TestCorroborateMatchesTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		all := make(netaddr.Set, len(w.Blocks))
-		for _, bi := range w.Blocks {
-			all.Add(bi.Block)
+		blocks := make([]netaddr.Block, len(w.Blocks))
+		for i, bi := range w.Blocks {
+			blocks[i] = bi.Block
 		}
+		all := netaddr.NewSet(blocks...)
 		suspects := 0
 		for name, detected := range map[string]netaddr.Set{"detected": cls.Classify(agg), "all blocks": all} {
 			got, want := Corroborate(detected, names, asOf), Corroborate(detected, tb.LookupBlock, asOf)
